@@ -57,10 +57,11 @@ pub fn cas(a: &AtomicU64, old: u64, new: u64) -> Result<(), u64> {
 pub mod ptr {
     use core::sync::atomic::{AtomicPtr, Ordering};
     use lcrq_util::metrics::{self, Event};
+    use lcrq_util::sync::PtrCell;
 
-    /// Counted CAS on an `AtomicPtr`.
+    /// Counted CAS on an `AtomicPtr` (or its `--cfg loom` shim).
     #[inline]
-    pub fn cas_ptr<T>(a: &AtomicPtr<T>, old: *mut T, new: *mut T) -> Result<(), *mut T> {
+    pub fn cas_ptr<T>(a: &impl PtrCell<T>, old: *mut T, new: *mut T) -> Result<(), *mut T> {
         metrics::inc(Event::CasAttempt);
         match a.compare_exchange(old, new, Ordering::SeqCst, Ordering::Acquire) {
             Ok(_) => Ok(()),

@@ -212,16 +212,21 @@ mod native {
         // SAFETY: `ptr` comes from a 16-byte-aligned `AtomicPair`.
         // CMPXCHG16B compares RDX:RAX with the memory operand and, if equal,
         // stores RCX:RBX. LLVM reserves RBX, so we stash the low new word via
-        // a scratch register around the instruction.
+        // a scratch register around the instruction. While RBX holds that
+        // word, nothing else the block uses may live there: a `reg` operand
+        // can be allocated RBX, so the address would be swapped away before
+        // it is dereferenced, and a `reg_byte` flag in BL would be destroyed
+        // by the restoring `mov`. Both are pinned to named registers instead
+        // (ci.sh probes the release binary for `cmpxchg16b (%rbx)`).
         unsafe {
             core::arch::asm!(
                 "xchg rbx, {new_lo}",
-                "lock cmpxchg16b [{ptr}]",
-                "sete {ok}",
+                "lock cmpxchg16b [rdi]",
+                "sete r8b",
                 "mov rbx, {new_lo}",
-                ptr = in(reg) ptr,
+                in("rdi") ptr,
                 new_lo = inout(reg) new_lo => _,
-                ok = out(reg_byte) ok,
+                out("r8b") ok,
                 inout("rax") old_lo => res_lo,
                 inout("rdx") old_hi => res_hi,
                 in("rcx") new_hi,
@@ -314,8 +319,14 @@ mod fallback {
         // under the lock's Acquire.
         let cur = (w0.load(Ordering::Relaxed), w1.load(Ordering::Relaxed));
         if cur == old {
-            w0.store(new.0, Ordering::Release);
+            // Second word first. A lock-free reader loads word 0 and then
+            // word 1; against the native instruction (one 16-byte store) it
+            // can pair an old word 0 with a new word 1 but never the other
+            // way round, and callers rely on that ("the meta word says our
+            // cycle, so the value word is already there"). Storing in this
+            // order keeps the same one-way tearing here.
             w1.store(new.1, Ordering::Release);
+            w0.store(new.0, Ordering::Release);
             Ok(())
         } else {
             Err(cur)

@@ -241,8 +241,17 @@ mod tests {
     use super::*;
     use lcrq_core::Lcrq;
 
+    // `run_workload` diffs the process-wide metrics aggregate around the
+    // run, so two of these tests running at once count each other's
+    // operations: serialize them (same pattern as crq.rs / metrics.rs).
+    static METRICS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    fn metrics_guard() -> std::sync::MutexGuard<'static, ()> {
+        METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn workload_completes_and_counts_ops() {
+        let _g = metrics_guard();
         let q = Lcrq::new();
         let mut cfg = RunConfig::new(2);
         cfg.pairs = 500;
@@ -261,6 +270,7 @@ mod tests {
 
     #[test]
     fn batched_workload_counts_ops_and_amortizes_faa() {
+        let _g = metrics_guard();
         let q = Lcrq::new();
         let mut cfg = RunConfig::new(2).with_batch(16);
         cfg.pairs = 512;
@@ -287,6 +297,7 @@ mod tests {
 
     #[test]
     fn batched_and_scalar_runs_move_the_same_items() {
+        let _g = metrics_guard();
         for batch in [1usize, 4, 16] {
             let q = Lcrq::new();
             let mut cfg = RunConfig::new(1).with_batch(batch);
@@ -303,6 +314,7 @@ mod tests {
 
     #[test]
     fn prefill_leaves_items_behind() {
+        let _g = metrics_guard();
         let q = Lcrq::new();
         let mut cfg = RunConfig::new(1);
         cfg.pairs = 100;
@@ -326,6 +338,7 @@ mod tests {
 
     #[test]
     fn latency_recording_produces_histogram() {
+        let _g = metrics_guard();
         let q = Lcrq::new();
         let mut cfg = RunConfig::new(1);
         cfg.pairs = 200;
@@ -340,6 +353,7 @@ mod tests {
 
     #[test]
     fn averaged_runs_return_median() {
+        let _g = metrics_guard();
         let cfg = {
             let mut c = RunConfig::new(1);
             c.pairs = 100;

@@ -14,6 +14,7 @@ use core::task::{Context, Poll, Waker};
 use std::sync::Arc;
 use std::task::Wake;
 
+use lcrq_core::{Crq, Ring};
 use lcrq_util::parker::Parker;
 
 use crate::error::{RecvError, SendError, TryRecvError, TrySendError};
@@ -23,18 +24,18 @@ use crate::{Receiver, Sender};
 /// Future returned by [`Receiver::recv_async`]. Resolves to the next item,
 /// or [`RecvError::Disconnected`] once the channel is closed and drained.
 #[must_use = "futures do nothing unless polled"]
-pub struct RecvFuture<'a, T: Send> {
-    rx: &'a Receiver<T>,
+pub struct RecvFuture<'a, T: Send, R: Ring = Crq> {
+    rx: &'a Receiver<T, R>,
     reg: Option<Registration>,
 }
 
-impl<'a, T: Send> RecvFuture<'a, T> {
-    pub(crate) fn new(rx: &'a Receiver<T>) -> Self {
+impl<'a, T: Send, R: Ring> RecvFuture<'a, T, R> {
+    pub(crate) fn new(rx: &'a Receiver<T, R>) -> Self {
         Self { rx, reg: None }
     }
 }
 
-impl<T: Send> Future for RecvFuture<'_, T> {
+impl<T: Send, R: Ring> Future for RecvFuture<'_, T, R> {
     type Output = Result<T, RecvError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -66,7 +67,7 @@ impl<T: Send> Future for RecvFuture<'_, T> {
     }
 }
 
-impl<T: Send> Drop for RecvFuture<'_, T> {
+impl<T: Send, R: Ring> Drop for RecvFuture<'_, T, R> {
     fn drop(&mut self) {
         if let Some(reg) = self.reg.take() {
             self.rx.shared.not_empty.wakers.deregister(reg);
@@ -79,14 +80,14 @@ impl<T: Send> Drop for RecvFuture<'_, T> {
 /// on a bounded one — or to [`SendError`] (value returned) on a closed
 /// channel.
 #[must_use = "futures do nothing unless polled"]
-pub struct SendFuture<'a, T: Send> {
-    tx: &'a Sender<T>,
+pub struct SendFuture<'a, T: Send, R: Ring = Crq> {
+    tx: &'a Sender<T, R>,
     value: Option<T>,
     reg: Option<Registration>,
 }
 
-impl<'a, T: Send> SendFuture<'a, T> {
-    pub(crate) fn new(tx: &'a Sender<T>, value: T) -> Self {
+impl<'a, T: Send, R: Ring> SendFuture<'a, T, R> {
+    pub(crate) fn new(tx: &'a Sender<T, R>, value: T) -> Self {
         Self {
             tx,
             value: Some(value),
@@ -97,9 +98,9 @@ impl<'a, T: Send> SendFuture<'a, T> {
 
 // The value is stored by ownership, never pinned structurally, so the
 // future is freely movable regardless of T.
-impl<T: Send> Unpin for SendFuture<'_, T> {}
+impl<T: Send, R: Ring> Unpin for SendFuture<'_, T, R> {}
 
-impl<T: Send> Future for SendFuture<'_, T> {
+impl<T: Send, R: Ring> Future for SendFuture<'_, T, R> {
     type Output = Result<(), SendError<T>>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -136,7 +137,7 @@ impl<T: Send> Future for SendFuture<'_, T> {
     }
 }
 
-impl<T: Send> Drop for SendFuture<'_, T> {
+impl<T: Send, R: Ring> Drop for SendFuture<'_, T, R> {
     fn drop(&mut self) {
         if let Some(reg) = self.reg.take() {
             self.tx.shared.not_full.wakers.deregister(reg);

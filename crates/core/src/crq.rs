@@ -22,16 +22,20 @@
 //! burn F&As on already-skipped indices.
 
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, Weak};
 
 use lcrq_atomic::{ops, FaaPolicy, HardwareFaa};
 use lcrq_util::metrics::{self, Event};
+// The list link comes from the sync facade: the list of rings is
+// model-checked under `--cfg loom` (tests/loom.rs).
+use lcrq_util::sync::AtomicPtr;
 use lcrq_util::CachePadded;
 
 use crate::config::LcrqConfig;
 use crate::node::Node;
 use crate::pool::RingPool;
+use crate::ring::Ring;
 use crate::BOTTOM;
 
 /// Error returned by [`Crq::enqueue`] once the ring is closed (tantrum
@@ -58,10 +62,10 @@ pub struct Crq<P: FaaPolicy = HardwareFaa> {
     /// Bit 63 = closed; bits 62..0 = the tail index.
     tail: CachePadded<AtomicU64>,
     /// The next CRQ in an LCRQ list (null while this is the tail ring).
-    pub(crate) next: CachePadded<AtomicPtr<Crq<P>>>,
+    next: CachePadded<AtomicPtr<Crq<P>>>,
     /// Identifies the cluster whose threads currently "own" the ring
     /// (LCRQ+H); unused unless the hierarchical optimization is enabled.
-    pub(crate) cluster: CachePadded<AtomicU64>,
+    cluster: CachePadded<AtomicU64>,
     ring: Box<[Node]>,
     mask: u64,
     starvation_limit: u32,
@@ -75,30 +79,22 @@ pub struct Crq<P: FaaPolicy = HardwareFaa> {
     /// The recycling pool this ring returns to when retired (set once,
     /// before the ring is published; `Weak` so the pool owning rings does
     /// not keep itself alive through them).
-    pool: OnceLock<Weak<RingPool<P>>>,
+    pool: OnceLock<Weak<RingPool<Self>>>,
     _faa: PhantomData<P>,
 }
 
 impl<P: FaaPolicy> Crq<P> {
     /// Creates an empty ring of `1 << config.ring_order` nodes.
     pub fn new(config: &LcrqConfig) -> Self {
-        Self::with_seed(config, None)
+        Self::with_seed(config, &[])
     }
 
-    /// Creates a ring pre-seeded with one item (used when an enqueuer
-    /// appends a fresh CRQ "initialized to contain x", Figure 5c line 162).
-    pub fn with_seed(config: &LcrqConfig, seed: Option<u64>) -> Self {
-        match seed {
-            Some(x) => Self::with_seed_batch(config, &[x]),
-            None => Self::with_seed_batch(config, &[]),
-        }
-    }
-
-    /// Creates a ring pre-seeded with `seed` (at most `R` items): the batch
-    /// generalization of [`with_seed`](Self::with_seed), used when a batch
-    /// enqueue closes the tail ring mid-batch and spills its unplaced
-    /// remainder into the fresh ring it appends.
-    pub fn with_seed_batch(config: &LcrqConfig, seed: &[u64]) -> Self {
+    /// Creates a ring pre-seeded with `seed` (at most `R` items): one item
+    /// when an enqueuer appends a fresh CRQ "initialized to contain x"
+    /// (Figure 5c line 162), several when a batch enqueue closes the tail
+    /// ring mid-batch and spills its unplaced remainder into the fresh ring
+    /// it appends.
+    pub fn with_seed(config: &LcrqConfig, seed: &[u64]) -> Self {
         let size = config.ring_size();
         assert!(
             seed.len() as u64 <= size,
@@ -263,7 +259,7 @@ impl<P: FaaPolicy> Crq<P> {
     ///
     /// * the ring is [closed](Self::is_closed) (tantrum) — the caller must
     ///   spill the remainder elsewhere (the LCRQ appends a fresh ring
-    ///   seeded via [`with_seed_batch`](Self::with_seed_batch));
+    ///   seeded via [`with_seed`](Self::with_seed));
     /// * the ring is still open but this reservation ran out of usable
     ///   slots (a slot was skipped after a dequeuer's empty/unsafe
     ///   transition, or `values.len() > R`) — the caller may simply call
@@ -412,29 +408,6 @@ impl<P: FaaPolicy> Crq<P> {
         taken
     }
 
-    /// Closes the ring: every future enqueue returns [`CrqClosed`].
-    /// Idempotent; uses test-and-set on tail's closed bit (Figure 3d l.99).
-    pub fn close(&self) {
-        if !ops::tas_bit(&self.tail, 63) {
-            metrics::inc(Event::CrqClosed);
-        }
-    }
-
-    /// Whether the ring has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.tail.load(Ordering::SeqCst) & CLOSED_BIT != 0
-    }
-
-    /// Current head index (diagnostic; racy).
-    pub fn head_index(&self) -> u64 {
-        self.head.load(Ordering::SeqCst)
-    }
-
-    /// Current tail index without the closed bit (diagnostic; racy).
-    pub fn tail_index(&self) -> u64 {
-        self.tail.load(Ordering::SeqCst) & !CLOSED_BIT
-    }
-
     /// Repairs `head > tail` (caused by dequeuers' F&As overshooting) by
     /// CASing `tail` up to `head`, so enqueuers do not receive a stream of
     /// already-skipped indices. Figure 3c.
@@ -456,6 +429,76 @@ impl<P: FaaPolicy> Crq<P> {
         }
     }
 
+    /// Number of times this ring has been scrubbed and recycled
+    /// (diagnostic; used by the ABA regression tests).
+    pub fn reuse_epoch(&self) -> u64 {
+        self.reuse_epoch.load(Ordering::Acquire)
+    }
+
+    /// Index base of the current incarnation: 0 for a fresh ring, strictly
+    /// above every previously issued index after each recycle (diagnostic).
+    pub fn base_index(&self) -> u64 {
+        self.base.load(Ordering::Relaxed)
+    }
+}
+
+/// The CRQ as a [`Ring`]. Construction, `enqueue`, `dequeue` and the batch
+/// pair forward to the inherent methods above (callers without the trait in
+/// scope use those); the rest of the ring's surface lives here. The hooks
+/// it overrides are its `FAA(k)` batches, the LCRQ+H cluster word, and
+/// recycling (scrub / reseed / pool back-pointer).
+impl<P: FaaPolicy> Ring for Crq<P> {
+    fn new(config: &LcrqConfig) -> Self {
+        Crq::new(config)
+    }
+    // Seeds node by node, without the F&As the default would spend.
+    fn with_seed(config: &LcrqConfig, seed: &[u64]) -> Self {
+        Crq::with_seed(config, seed)
+    }
+    fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
+        Crq::enqueue(self, value)
+    }
+    fn dequeue(&self) -> Option<u64> {
+        Crq::dequeue(self)
+    }
+    /// Closes the ring: every future enqueue returns [`CrqClosed`].
+    /// Idempotent; uses test-and-set on tail's closed bit (Figure 3d l.99).
+    fn close(&self) {
+        if !ops::tas_bit(&self.tail, 63) {
+            metrics::inc(Event::CrqClosed);
+        }
+    }
+    fn is_closed(&self) -> bool {
+        self.tail.load(Ordering::SeqCst) & CLOSED_BIT != 0
+    }
+    fn next(&self) -> &AtomicPtr<Self> {
+        &self.next
+    }
+    fn head_index(&self) -> u64 {
+        self.head.load(Ordering::SeqCst)
+    }
+    fn tail_index(&self) -> u64 {
+        self.tail.load(Ordering::SeqCst) & !CLOSED_BIT
+    }
+    fn name(hierarchical: bool) -> &'static str {
+        match (P::name(), hierarchical) {
+            ("faa", false) => "lcrq",
+            ("faa", true) => "lcrq+h",
+            ("cas-loop", false) => "lcrq-cas",
+            ("cas-loop", true) => "lcrq-cas+h",
+            _ => "lcrq-custom",
+        }
+    }
+    fn cluster(&self) -> Option<&AtomicU64> {
+        Some(&self.cluster)
+    }
+    fn enqueue_batch(&self, values: &[u64]) -> usize {
+        Crq::enqueue_batch(self, values)
+    }
+    fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
+        Crq::dequeue_batch(self, out, max)
+    }
+
     /// Scrubs an exclusively-owned ring for reuse: re-bases `head`, `tail`
     /// and every node index onto a fresh *reuse epoch* strictly above any
     /// index the previous incarnation could have handed out, clears the
@@ -473,7 +516,7 @@ impl<P: FaaPolicy> Crq<P> {
     /// pooled — when re-basing would approach the 63-bit index ceiling.
     ///
     /// [`NodeView`]: crate::node::NodeView
-    pub(crate) fn scrub(&self) -> bool {
+    fn scrub(&self) -> bool {
         let r = self.ring_size();
         let top = self.head_index().max(self.tail_index());
         // Node indices of the old incarnation are bounded by top - 1 + R
@@ -498,9 +541,9 @@ impl<P: FaaPolicy> Crq<P> {
     }
 
     /// Seeds a freshly scrubbed (still exclusively-owned) ring with `seed`:
-    /// the pooled-ring counterpart of [`with_seed_batch`](Self::with_seed_batch),
+    /// the pooled-ring counterpart of [`with_seed`](Crq::with_seed),
     /// used when the spill path reuses a pooled ring instead of allocating.
-    pub(crate) fn reseed(&self, seed: &[u64]) {
+    fn reseed(&self, seed: &[u64]) {
         let base = self.base.load(Ordering::Relaxed);
         debug_assert_eq!(self.head_index(), base, "reseed requires a scrubbed ring");
         debug_assert_eq!(self.tail_index(), base, "reseed requires a scrubbed ring");
@@ -525,27 +568,8 @@ impl<P: FaaPolicy> Crq<P> {
         self.tail.store(base + seed.len() as u64, Ordering::SeqCst);
     }
 
-    /// Records the recycling pool this ring returns to when retired. First
-    /// write wins; called before the ring is published to other threads.
-    pub(crate) fn attach_pool(&self, pool: Weak<RingPool<P>>) {
-        let _ = self.pool.set(pool);
-    }
-
-    /// The pool recorded by [`attach_pool`](Self::attach_pool), if any.
-    pub(crate) fn pool(&self) -> Option<&Weak<RingPool<P>>> {
-        self.pool.get()
-    }
-
-    /// Number of times this ring has been scrubbed and recycled
-    /// (diagnostic; used by the ABA regression tests).
-    pub fn reuse_epoch(&self) -> u64 {
-        self.reuse_epoch.load(Ordering::Acquire)
-    }
-
-    /// Index base of the current incarnation: 0 for a fresh ring, strictly
-    /// above every previously issued index after each recycle (diagnostic).
-    pub fn base_index(&self) -> u64 {
-        self.base.load(Ordering::Relaxed)
+    fn pool_slot(&self) -> Option<&OnceLock<Weak<RingPool<Self>>>> {
+        Some(&self.pool)
     }
 }
 
@@ -634,13 +658,6 @@ mod tests {
         assert_eq!(q.enqueue(3), Err(CrqClosed));
         assert_eq!(q.dequeue(), Some(1));
         assert_eq!(q.dequeue(), Some(2));
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn seeded_ring_contains_its_item() {
-        let q: Crq = Crq::with_seed(&small_config(5), Some(42));
-        assert_eq!(q.dequeue(), Some(42));
         assert_eq!(q.dequeue(), None);
     }
 
@@ -1049,7 +1066,7 @@ mod tests {
     #[test]
     fn seeded_batch_ring_drains_in_order() {
         let seed: Vec<u64> = (10..18).collect();
-        let q: Crq = Crq::with_seed_batch(&small_config(3), &seed);
+        let q: Crq = Crq::with_seed(&small_config(3), &seed);
         assert_eq!(q.tail_index(), 8);
         assert_eq!(q.head_index(), 0);
         let mut out = Vec::new();
@@ -1062,7 +1079,7 @@ mod tests {
     #[should_panic(expected = "exceeds ring size")]
     fn oversized_seed_batch_panics() {
         let seed: Vec<u64> = (0..9).collect();
-        let _q: Crq = Crq::with_seed_batch(&small_config(3), &seed); // R = 8
+        let _q: Crq = Crq::with_seed(&small_config(3), &seed); // R = 8
     }
 
     #[test]

@@ -1,0 +1,1223 @@
+//! The list of rings (paper §4.2, Figure 5): one Michael–Scott list,
+//! generic over the [`Ring`] it links. [`Lcrq`] is this list over
+//! [`Crq`]s, [`Lscq`] over [`ScqD`]s, [`Wcq`] over [`WcqRing`]s — the SCQ
+//! and wCQ papers define their unbounded queues as exactly that.
+//!
+//! Dequeuers work in the head ring, enqueuers in the tail ring. An enqueue
+//! that finds the tail ring closed allocates a fresh ring *pre-seeded with
+//! its item* and races to link it; the winner is done, losers move into the
+//! new ring. A dequeue that finds the head ring empty tries once more
+//! (the December-2013 erratum: without the second attempt an item enqueued
+//! between the first dequeue and the `next` check can be lost) and then
+//! swings `head` to the next ring, retiring the old one through hazard
+//! pointers.
+//!
+//! # Shutdown: the seal
+//!
+//! [`close`](RingList::close) linearizes **on the list itself**: it closes
+//! the last ring and then CASes a `SEALED` sentinel into that ring's `next`
+//! (`null → SEALED`). A ring's `next` leaves null exactly once, so the seal
+//! and a spilling enqueuer's link CAS exclude each other: either the link
+//! wins (close moves on to the new last ring and seals that) or the seal
+//! wins (the enqueuer gets its value back as `Closed`). Once the seal is in
+//! place every ring of the chain is closed and no `next` can change, so *no
+//! enqueue can succeed any more*: every `Ok` item is linked in front of the
+//! seal, where dequeuers reach it first. A dequeue that sees the seal
+//! re-arms and re-checks the last ring, so its `None` means the queue is
+//! empty for good, and [`is_closed`](RingList::is_closed) turns true only
+//! after the seal. An operation that does not race a close pays one pointer
+//! compare on a `next` it had already loaded — no counter, no extra RMW.
+//! `tests/loom.rs` model-checks this against a consumer's settle poll, next
+//! to a flag-then-walk twin that loses an item. DESIGN.md "List of rings"
+//! has the full argument.
+//!
+//! Progress: op-wise nonblocking (§4.2.1) — some enqueue always completes
+//! in a finite number of enqueuer steps (closing + linking always succeeds
+//! for someone), and likewise for dequeues.
+
+use core::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use lcrq_atomic::{ops, CasLoopFaa, HardwareFaa};
+use lcrq_hazard::Domain;
+use lcrq_queues::EnqueueError;
+use lcrq_util::backoff::Backoff;
+use lcrq_util::metrics::{self, Event};
+use lcrq_util::spin::SpinDeadline;
+// Atomics come from the sync facade so every step of the list protocol is
+// a scheduler decision point under `--cfg loom` (tests/loom.rs models
+// enqueue × close × the consumer's settle poll).
+use lcrq_util::sync::{AtomicBool, AtomicPtr};
+use lcrq_util::topology::current_cluster;
+use lcrq_util::CachePadded;
+
+use crate::config::LcrqConfig;
+use crate::crq::Crq;
+use crate::pool::{self, RingPool};
+use crate::ring::Ring;
+use crate::scq::ScqD;
+use crate::wcq::WcqRing;
+use crate::BOTTOM;
+
+/// The LCRQ with hardware fetch-and-add — the paper's headline algorithm.
+pub type Lcrq = RingList<Crq<HardwareFaa>>;
+/// LCRQ-CAS: the identical algorithm with F&A emulated by a CAS loop; used
+/// to isolate the contribution of always-succeeding F&A (paper §5).
+pub type LcrqCas = RingList<Crq<CasLoopFaa>>;
+/// The LCRQ over an arbitrary fetch-and-add policy.
+pub type LcrqGeneric<P> = RingList<Crq<P>>;
+
+/// LSCQ: the list over [`ScqD`] rings — single-word CAS only, so the one
+/// unbounded queue here that would run on non-x86 targets unchanged.
+pub type Lscq = RingList<ScqD<HardwareFaa>>;
+/// LSCQ-CAS, mirroring [`LcrqCas`] for the ablation.
+pub type LscqCas = RingList<ScqD<CasLoopFaa>>;
+/// The LSCQ over an arbitrary fetch-and-add policy.
+pub type LscqGeneric<P> = RingList<ScqD<P>>;
+
+/// wCQ: the list over wait-free [`WcqRing`]s. Per-operation work inside a
+/// ring is bounded, so a stalled peer cannot starve survivors.
+pub type Wcq = RingList<WcqRing<HardwareFaa>>;
+/// The wCQ list over an arbitrary fetch-and-add policy.
+pub type WcqGeneric<P = HardwareFaa> = RingList<WcqRing<P>>;
+
+/// An unbounded, linearizable, op-wise nonblocking MPMC FIFO queue of `u64`
+/// values (`< BOTTOM`): rings of type `R` on a Michael–Scott list.
+///
+/// ```
+/// use lcrq_core::{Lcrq, Lscq, Wcq};
+/// let q = Lcrq::new();
+/// q.enqueue(10);
+/// assert_eq!(q.dequeue(), Some(10));
+/// assert_eq!(q.dequeue(), None);
+/// // Same list, other rings.
+/// let (s, w) = (Lscq::new(), Wcq::new());
+/// s.enqueue(1);
+/// w.enqueue(2);
+/// assert_eq!((s.dequeue(), w.dequeue()), (Some(1), Some(2)));
+/// ```
+pub struct RingList<R: Ring> {
+    head: CachePadded<AtomicPtr<R>>,
+    tail: CachePadded<AtomicPtr<R>>,
+    domain: Domain,
+    /// Recycling pool for retired rings (see [`RingPool`]); capacity 0 for
+    /// ring types that are not recycled. Declared after `domain` so the
+    /// domain drops first: reclaim callbacks running during domain teardown
+    /// can still upgrade their `Weak` and park rings here, and the pool
+    /// then frees everything it holds.
+    pool: Arc<RingPool<R>>,
+    config: LcrqConfig,
+    /// Set once the seal is in place, so [`is_closed`](Self::is_closed) is
+    /// one load. The seal, not this flag, is what fences enqueuers.
+    closed: AtomicBool,
+}
+
+/// Hazard slot used for the ring an operation is about to access.
+const HP_SLOT: usize = 0;
+
+/// Hazard slot used by [`RingPool::pop`] to protect its stack-pop candidate.
+/// Distinct from [`HP_SLOT`], which still protects the tail ring while the
+/// spill path shops for a replacement.
+const HP_POOL_SLOT: usize = 1;
+
+impl<R: Ring> RingList<R> {
+    /// What [`close`](Self::close) stores in the last ring's `next`: not
+    /// null, not a ring (rings are aligned far above 1), never dereferenced.
+    /// Every walk of the chain stops at it.
+    const SEALED: *mut R = core::ptr::without_provenance_mut(1);
+
+    /// Creates an empty queue with the default [`LcrqConfig`].
+    pub fn new() -> Self {
+        Self::with_config(LcrqConfig::default())
+    }
+
+    /// Creates an empty queue with an explicit configuration
+    /// (`ring_order` sets the per-ring capacity; knobs a ring type has no
+    /// use for — hierarchy, bounded wait, the ring pool outside the CRQ —
+    /// are ignored by it).
+    pub fn with_config(config: LcrqConfig) -> Self {
+        let first = Box::new(R::new(&config));
+        // A ring type without a pool back-pointer is not recycled.
+        let capacity = first.pool_slot().map_or(0, |_| config.ring_pool_capacity);
+        let pool = RingPool::new(capacity);
+        let first = Self::publishable(first, &pool);
+        Self {
+            head: CachePadded::new(AtomicPtr::new(first)),
+            tail: CachePadded::new(AtomicPtr::new(first)),
+            domain: Domain::new(),
+            pool,
+            config,
+            closed: AtomicBool::new(false),
+        }
+    }
+
+    /// Gives a fresh ring the pool back-pointer (if its type recycles), so
+    /// its eventual retirement returns it there, and leaks it for linking.
+    fn publishable(ring: Box<R>, pool: &Arc<RingPool<R>>) -> *mut R {
+        if let Some(slot) = ring.pool_slot() {
+            let _ = slot.set(Arc::downgrade(pool));
+        }
+        Box::into_raw(ring)
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &LcrqConfig {
+        &self.config
+    }
+
+    /// The ring recycling pool attached to this queue (diagnostic: its
+    /// `len`/`capacity` bound the retired-ring memory kept for reuse).
+    pub fn ring_pool(&self) -> &RingPool<R> {
+        &self.pool
+    }
+
+    /// The queue's hazard-pointer domain (diagnostic: lets tests assert the
+    /// calling thread's retired-ring backlog stays within the domain's
+    /// reclamation [`threshold`](Domain::threshold) even while other
+    /// participants are stalled holding published hazards).
+    pub fn hazard_domain(&self) -> &Domain {
+        &self.domain
+    }
+
+    /// Produces a fresh open ring seeded with `seed`: recycled from the
+    /// pool when possible (allocation-free), otherwise heap-allocated.
+    ///
+    /// Returns `None` only when the pool had no ring **and** the heap
+    /// allocation was refused — today that refusal exists only as the
+    /// `ring-alloc` fail point, but the plumbing is the graceful-degradation
+    /// path a real fallible allocator would use. The caller surfaces it as
+    /// [`EnqueueError::AllocFailed`] instead of aborting.
+    fn try_alloc_ring(&self, seed: &[u64]) -> Option<*mut R> {
+        if let Some(ring) = self.pool.pop(&self.domain, HP_POOL_SLOT) {
+            ring.reseed(seed);
+            return Some(Box::into_raw(ring));
+        }
+        if lcrq_util::fault::inject(lcrq_util::fault::Site::RingAlloc) {
+            metrics::inc(Event::AllocDegraded);
+            return None;
+        }
+        let ring = Box::new(R::with_seed(&self.config, seed));
+        Some(Self::publishable(ring, &self.pool))
+    }
+
+    /// Disposes of a spill ring that lost its link race: back to the pool
+    /// for the next spill, else deferred-freed. The free goes through the
+    /// hazard domain even though the ring was never queue-visible — if it
+    /// came out of the pool, a concurrent [`RingPool::pop`] can still hold
+    /// a hazard-protected pointer to it from a lost pop race.
+    fn release_ring(&self, ring: Box<R>) {
+        if let Err(ring) = self.pool.push(ring) {
+            // SAFETY: unpublished at queue level and uniquely owned here;
+            // the domain defers the free past any straggling pool popper.
+            unsafe { self.domain.retire(Box::into_raw(ring)) };
+        }
+    }
+
+    /// LCRQ+H cluster gate (§4.1.1): wait briefly for the ring's cluster to
+    /// become ours, then seize it and enter regardless — so the optimization
+    /// batches same-cluster operations without ever blocking.
+    #[inline]
+    fn cluster_gate(&self, ring: &R) {
+        let (Some(h), Some(cluster)) = (&self.config.hierarchical, ring.cluster()) else {
+            return;
+        };
+        let mine = current_cluster() as u64;
+        if cluster.load(Ordering::Relaxed) == mine {
+            return;
+        }
+        let deadline = SpinDeadline::new(h.timeout);
+        loop {
+            if cluster.load(Ordering::Relaxed) == mine {
+                return;
+            }
+            if deadline.expired() {
+                let seen = cluster.load(Ordering::Relaxed);
+                let _ = ops::cas(cluster, seen, mine);
+                return; // enter even if the CAS failed
+            }
+            deadline.pause();
+        }
+    }
+
+    /// Appends `value` (must be `< BOTTOM`). Figure 5c.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue has been [`close`](Self::close)d; use
+    /// [`try_enqueue`](Self::try_enqueue) when shutdown is possible.
+    pub fn enqueue(&self, value: u64) {
+        if self.try_enqueue(value).is_err() {
+            panic!(
+                "enqueue on a closed {} (use try_enqueue to handle shutdown)",
+                self.name()
+            );
+        }
+    }
+
+    /// Appends `value` (must be `< BOTTOM`) unless the queue has been
+    /// [`close`](Self::close)d, in which case the value is handed back as
+    /// `Err(value)`. `Ok` means the item is in the queue and a dequeue will
+    /// return it — also when the enqueue raced the close (see the
+    /// [module docs](self) on the seal).
+    pub fn try_enqueue(&self, value: u64) -> Result<(), u64> {
+        let mut backoff: Option<Backoff> = None;
+        loop {
+            match self.try_enqueue_fallible(value) {
+                Ok(()) => return Ok(()),
+                Err(EnqueueError::Closed(v)) => return Err(v),
+                Err(EnqueueError::AllocFailed(_)) => {
+                    // A refused ring allocation is transient (the pool can
+                    // refill, the injected refusal is probabilistic): back
+                    // off and retry, preserving this method's historical
+                    // "closed is the only failure" contract. Callers that
+                    // want to *see* the refusal use
+                    // [`try_enqueue_fallible`](Self::try_enqueue_fallible).
+                    backoff.get_or_insert_with(Backoff::jittered).spin();
+                }
+            }
+        }
+    }
+
+    /// Like [`try_enqueue`](Self::try_enqueue), but also surfaces a refused
+    /// ring allocation as [`EnqueueError::AllocFailed`] instead of retrying
+    /// internally. The queue stays open and fully usable after an
+    /// `AllocFailed` — the value was not placed and is handed back, so the
+    /// caller may retry, shed load, or propagate the error.
+    pub fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
+        assert!(value != BOTTOM, "BOTTOM (u64::MAX) is reserved");
+        let mut backoff: Option<Backoff> = None;
+        loop {
+            let Some(ring) = self.last_ring() else {
+                return Err(EnqueueError::Closed(value));
+            };
+            self.cluster_gate(ring);
+            if ring.enqueue(value).is_ok() {
+                self.domain.clear(HP_SLOT);
+                return Ok(());
+            }
+            // Ring closed — by a tantrum or by `close()`; they look the same
+            // here and need not be told apart: the link CAS decides.
+            // Race to append a fresh ring seeded with value (recycled from
+            // the pool when one is available).
+            let Some(newring) = self.try_alloc_ring(core::slice::from_ref(&value)) else {
+                self.domain.clear(HP_SLOT);
+                return Err(EnqueueError::AllocFailed(value));
+            };
+            match self.try_link(ring, newring) {
+                Ok(()) => return Ok(()),
+                Err(found) if found == Self::SEALED => return Err(EnqueueError::Closed(value)),
+                // Lost link race: the winner's ring has room, but under
+                // heavy churn repeated losses waste an allocation each
+                // round — bounded backoff with deterministic jitter
+                // de-synchronizes the contenders.
+                Err(_) => backoff.get_or_insert_with(Backoff::jittered).spin(),
+            }
+        }
+    }
+
+    /// Protects (in [`HP_SLOT`]) and returns the last ring of the chain,
+    /// helping a half-finished append on the way: `tail` must point at the
+    /// last ring. `None`, with the slot cleared, once the list is sealed.
+    #[inline]
+    fn last_ring(&self) -> Option<&R> {
+        loop {
+            let ring = self.domain.protect(HP_SLOT, &self.tail);
+            // SAFETY: `ring` is hazard-protected, so it cannot be reclaimed
+            // until the slot is cleared or re-used; callers drop the
+            // reference before either.
+            let ring_ref = unsafe { &*ring };
+            let next = ring_ref.next().load(Ordering::SeqCst);
+            if next.is_null() {
+                return Some(ring_ref);
+            }
+            if next == Self::SEALED {
+                self.domain.clear(HP_SLOT);
+                return None;
+            }
+            let _ = ops::ptr::cas_ptr(&self.tail, ring, next);
+        }
+    }
+
+    /// Races to link `newring` (unpublished, uniquely owned) after `last`,
+    /// which the caller found closed; clears [`HP_SLOT`] either way. On a
+    /// loss the ring is released and the winner — another ring, or the seal
+    /// — is returned.
+    fn try_link(&self, last: &R, newring: *mut R) -> Result<(), *mut R> {
+        // Fail point in the close-race window: between observing the closed
+        // ring and racing to link a replacement.
+        let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CloseRace);
+        let linked = ops::ptr::cas_ptr(last.next(), core::ptr::null_mut(), newring);
+        match linked {
+            Ok(()) => {
+                let _ = ops::ptr::cas_ptr(&self.tail, last as *const R as *mut R, newring);
+            }
+            // SAFETY: the CAS failed, so newring is still unpublished and
+            // uniquely owned.
+            Err(_) => self.release_ring(unsafe { Box::from_raw(newring) }),
+        }
+        self.domain.clear(HP_SLOT);
+        linked
+    }
+
+    /// Closes the queue for further enqueues: every subsequent
+    /// [`try_enqueue`](Self::try_enqueue) fails and [`enqueue`](Self::enqueue)
+    /// panics, while dequeues continue to drain what was already placed.
+    /// Returns `true` if this call placed the seal, `false` if the queue
+    /// was already closed.
+    ///
+    /// The seal invariant (see the [module docs](self)): the last ring is
+    /// closed *before* `SEALED` is CASed into its `next`, and a `next`
+    /// leaves null only once — so there is no window in which an accepted
+    /// item can appear after a consumer has seen "closed and empty".
+    pub fn close(&self) -> bool {
+        let mut sealed_here = false;
+        while let Some(ring) = self.last_ring() {
+            ring.close();
+            // Losing this CAS means a link or a concurrent seal got there
+            // first: look for the last ring again.
+            sealed_here =
+                ops::ptr::cas_ptr(ring.next(), core::ptr::null_mut(), Self::SEALED).is_ok();
+        }
+        // Raised by every closer, not only the one that sealed: no close()
+        // returns before is_closed() is true.
+        self.closed.store(true, Ordering::SeqCst);
+        sealed_here
+    }
+
+    /// Whether the queue is closed. Never `true` before the seal is in
+    /// place: a dequeue that starts after observing `true` finds the chain
+    /// frozen, so its `None` is final.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
+    }
+
+    /// Removes the oldest value, or `None` when the queue is empty.
+    /// Figure 5b (December-2013 corrected version).
+    pub fn dequeue(&self) -> Option<u64> {
+        loop {
+            let ring = self.domain.protect(HP_SLOT, &self.head);
+            // SAFETY: hazard-protected.
+            let ring_ref = unsafe { &*ring };
+            self.cluster_gate(ring_ref);
+            if let Some(v) = ring_ref.dequeue() {
+                self.domain.clear(HP_SLOT);
+                return Some(v);
+            }
+            let next = ring_ref.next().load(Ordering::SeqCst);
+            if next.is_null() {
+                self.domain.clear(HP_SLOT);
+                return None;
+            }
+            // Linked or sealed, so this ring is closed for good. An enqueue
+            // may have slipped into it between our failed dequeue and the
+            // `next` read (the ring closes *after* accepting its last
+            // items). Re-check before giving up on the ring — the erratum
+            // fix (Figure 5b lines 146-147) — and first re-arm it, so a
+            // ring with an EMPTY shortcut (SCQ's threshold: the racing
+            // enqueue may have published its entry without yet resetting
+            // the counter) really scans. The ring is closed, so its tail is
+            // frozen and the scan terminates.
+            ring_ref.rearm();
+            if let Some(v) = ring_ref.dequeue() {
+                self.domain.clear(HP_SLOT);
+                return Some(v);
+            }
+            if next == Self::SEALED {
+                // Last ring of a closed queue, and empty after the seal:
+                // nothing can be enqueued any more, this EMPTY is final.
+                self.domain.clear(HP_SLOT);
+                return None;
+            }
+            if ops::ptr::cas_ptr(&self.head, ring, next).is_ok() {
+                // Drop our own protection first so the scan below can
+                // recycle `ring` immediately (we are done touching it).
+                self.domain.clear(HP_SLOT);
+                // SAFETY: `ring` is now unreachable from the queue (head
+                // moved past it and enqueuers long since moved to `next` or
+                // later); hazard retirement defers reclamation until no
+                // operation still holds it protected, and the reclaimer
+                // scrubs it into the ring pool instead of freeing it
+                // (falling back to a free when the pool is full or gone, or
+                // the ring type does not recycle).
+                unsafe {
+                    self.domain
+                        .retire_with(ring as *mut (), pool::recycle_ring::<R>)
+                };
+                if !self.pool.is_full() {
+                    // Feed the pool promptly: at the domain's default scan
+                    // threshold, a pile of reusable rings would sit retired
+                    // while the spill path allocates fresh ones.
+                    self.domain.scan();
+                }
+            } else {
+                self.domain.clear(HP_SLOT);
+            }
+        }
+    }
+
+    /// Appends every value in `values` (all must be `< BOTTOM`) through the
+    /// ring's batch path — on a CRQ one `FAA(tail, k)` claims up to `k`
+    /// consecutive indices of the tail ring, which are then filled with the
+    /// ordinary per-slot CAS2 protocol (see [`Crq::enqueue_batch`]); rings
+    /// without a reservation path place the items one by one.
+    ///
+    /// **Linearizability**: this is *not* an atomic multi-enqueue. It
+    /// linearizes as `values.len()` individual enqueues in slice order;
+    /// items covered by one reservation additionally occupy contiguous
+    /// queue positions. When the tail ring closes mid-batch (tantrum), the
+    /// unplaced remainder spills into the fresh ring this thread races to
+    /// append — pre-seeded via [`Ring::with_seed`] so the spill costs
+    /// no further F&As — and a concurrent enqueuer may slip between the two
+    /// reservations. See DESIGN.md "Batched operations".
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue has been [`close`](Self::close)d; use
+    /// [`try_enqueue_batch`](Self::try_enqueue_batch) when shutdown is
+    /// possible (a close racing mid-batch can leave a prefix placed — the
+    /// panic reports nothing was rolled back).
+    pub fn enqueue_batch(&self, values: &[u64]) {
+        if let Err(placed) = self.try_enqueue_batch(values) {
+            panic!(
+                "enqueue_batch on a closed {} ({placed}/{} items placed; \
+                 use try_enqueue_batch to handle shutdown)",
+                self.name(),
+                values.len()
+            );
+        }
+    }
+
+    /// Batch counterpart of [`try_enqueue`](Self::try_enqueue): appends
+    /// every value unless the queue is [`close`](Self::close)d. On shutdown
+    /// `Err(placed)` reports how many leading items of `values` made it into
+    /// the queue before the seal (they will be drained by receivers like
+    /// any other items); the remainder `values[placed..]` was not enqueued
+    /// and stays owned by the caller.
+    pub fn try_enqueue_batch(&self, values: &[u64]) -> Result<(), usize> {
+        for &v in values {
+            assert!(v != BOTTOM, "BOTTOM (u64::MAX) is reserved");
+        }
+        let mut rest = values;
+        let mut placed_total = 0usize;
+        let mut backoff: Option<Backoff> = None;
+        while !rest.is_empty() {
+            let Some(ring) = self.last_ring() else {
+                return Err(placed_total);
+            };
+            self.cluster_gate(ring);
+            let placed = ring.enqueue_batch(rest);
+            placed_total += placed;
+            rest = &rest[placed..];
+            if rest.is_empty() {
+                break;
+            }
+            if !ring.is_closed() {
+                // The reservation ran out of usable slots but the ring is
+                // still open: take a fresh reservation for the remainder.
+                continue;
+            }
+            // Ring closed mid-batch: spill the remainder (up to one ring's
+            // worth) into a fresh ring — recycled from the pool when
+            // possible — and race to link it, exactly like the scalar
+            // path's seeded ring.
+            let seed_len = (rest.len() as u64).min(self.config.ring_size()) as usize;
+            let Some(newring) = self.try_alloc_ring(&rest[..seed_len]) else {
+                // Refused allocation is transient here: back off and retry
+                // rather than reporting a partial batch as a shutdown.
+                backoff.get_or_insert_with(Backoff::jittered).spin();
+                continue;
+            };
+            match self.try_link(ring, newring) {
+                Ok(()) => {
+                    placed_total += seed_len;
+                    rest = &rest[seed_len..];
+                }
+                Err(found) if found == Self::SEALED => return Err(placed_total),
+                Err(_) => backoff.get_or_insert_with(Backoff::jittered).spin(),
+            }
+        }
+        self.domain.clear(HP_SLOT);
+        Ok(())
+    }
+
+    /// Removes up to `max` of the oldest values, appending them to `out` in
+    /// queue order; returns how many were removed. A return `< max` is a
+    /// linearizable EMPTY observation, exactly like a scalar
+    /// [`dequeue`](Self::dequeue) returning `None`.
+    ///
+    /// On a CRQ this reserves head indices in bulk — one `FAA(head, k)` for
+    /// up to `k` items, bounded by the observed backlog (see
+    /// [`Crq::dequeue_batch`]). When the ring's batch path finds nothing it
+    /// falls back to one scalar dequeue, which performs the December-2013
+    /// erratum double-check and the head-ring switch, then resumes on the
+    /// new ring. Each removed item linearizes as an individual dequeue;
+    /// items of one reservation are consecutive in queue order.
+    pub fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
+        let mut taken = 0usize;
+        while taken < max {
+            let ring = self.domain.protect(HP_SLOT, &self.head);
+            // SAFETY: hazard-protected.
+            let ring_ref = unsafe { &*ring };
+            self.cluster_gate(ring_ref);
+            let got = ring_ref.dequeue_batch(out, max - taken);
+            taken += got;
+            if got > 0 {
+                continue;
+            }
+            // The ring's batch path found nothing: one scalar dequeue
+            // settles emptiness (erratum double-check) and switches rings.
+            // It re-protects and clears HP_SLOT internally.
+            match self.dequeue() {
+                Some(v) => {
+                    out.push(v);
+                    taken += 1;
+                }
+                None => break, // linearizable EMPTY
+            }
+        }
+        self.domain.clear(HP_SLOT);
+        taken
+    }
+
+    /// Whether the queue appears empty (racy snapshot; `dequeue` is the
+    /// linearizable way to observe emptiness).
+    pub fn is_empty_hint(&self) -> bool {
+        let ring = self.domain.protect(HP_SLOT, &self.head);
+        // SAFETY: hazard-protected.
+        let ring_ref = unsafe { &*ring };
+        let next = ring_ref.next().load(Ordering::SeqCst);
+        let empty = ring_ref.head_index() >= ring_ref.tail_index()
+            && (next.is_null() || next == Self::SEALED);
+        self.domain.clear(HP_SLOT);
+        empty
+    }
+
+    /// Number of rings currently linked (diagnostic; racy).
+    pub fn ring_count(&self) -> usize {
+        let mut count = 0;
+        let mut cur = self.head.load(Ordering::SeqCst);
+        while !cur.is_null() && cur != Self::SEALED {
+            count += 1;
+            // SAFETY: only used in quiescent diagnostics/tests; racing
+            // reclamation could invalidate this walk in live use.
+            cur = unsafe { (*cur).next().load(Ordering::SeqCst) };
+        }
+        count
+    }
+
+    /// Returns an iterator that dequeues until the queue reports empty.
+    /// Safe to use concurrently with other operations (it is just repeated
+    /// `dequeue`); it ends at the first linearizable EMPTY it observes.
+    pub fn drain(&self) -> impl Iterator<Item = u64> + '_ {
+        core::iter::from_fn(move || self.dequeue())
+    }
+
+    /// The registry name of this queue (`"lcrq"`, `"lcrq+h"`, `"lscq"`, …).
+    pub fn name(&self) -> &'static str {
+        R::name(self.config.hierarchical.is_some())
+    }
+}
+
+/// The planted-bug twin of the seal, reachable only by the model checker:
+/// `tests/loom.rs` runs it against the same consumer settle poll and
+/// asserts the checker finds the lost item. Shutdown here is a flag that
+/// enqueuers check (on entry, and again on finding their ring closed) and
+/// that `close` raises before walking the chain closing rings — so nothing
+/// stops an enqueuer already past its last check from linking a fresh ring
+/// after the walk has passed.
+#[cfg(loom)]
+#[doc(hidden)]
+impl<R: Ring> RingList<R> {
+    pub fn try_enqueue_flag_checked(&self, value: u64) -> Result<(), u64> {
+        loop {
+            if self.closed.load(Ordering::SeqCst) {
+                return Err(value);
+            }
+            let ring = self.last_ring().expect("the twin never seals");
+            if ring.enqueue(value).is_ok() {
+                self.domain.clear(HP_SLOT);
+                return Ok(());
+            }
+            if self.closed.load(Ordering::SeqCst) {
+                self.domain.clear(HP_SLOT);
+                return Err(value);
+            }
+            let newring = self.try_alloc_ring(&[value]).expect("no fail points");
+            if self.try_link(ring, newring).is_ok() {
+                return Ok(());
+            }
+        }
+    }
+
+    pub fn close_flag_then_walk(&self) -> bool {
+        if self.closed.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        // `last_ring` helps `tail` forward; closing the last ring ends the
+        // walk, whether or not someone links behind it a moment later.
+        self.last_ring().expect("the twin never seals").close();
+        self.domain.clear(HP_SLOT);
+        true
+    }
+}
+
+impl<R: Ring> Default for RingList<R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<R: Ring> core::fmt::Debug for RingList<R> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("RingList")
+            .field("kind", &self.name())
+            .field("ring_order", &self.config.ring_order)
+            .field("rings", &self.ring_count())
+            .field("pooled_rings", &self.pool.len())
+            .field("closed", &self.is_closed())
+            .finish()
+    }
+}
+
+impl<R: Ring> FromIterator<u64> for RingList<R> {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        let mut q = Self::new();
+        q.extend(iter);
+        q
+    }
+}
+
+impl<R: Ring> Extend<u64> for RingList<R> {
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
+        let values: Vec<u64> = iter.into_iter().collect();
+        self.enqueue_batch(&values);
+    }
+}
+
+impl<R: Ring> Drop for RingList<R> {
+    fn drop(&mut self) {
+        // Exclusive access: free the whole ring chain, up to its null or
+        // sealed end. A ring is reachable here *or* from the pool, never
+        // both — pooled rings had their `next` nulled by scrubbing (it then
+        // only ever links other pooled rings), and chain rings are by
+        // definition not yet retired — so the chain walk and the pool's own
+        // drop cannot double-free. Rings retired earlier but not yet
+        // reclaimed are dispatched when `domain` drops (before `pool`, see
+        // field order): each is either parked in the pool and freed by the
+        // pool's drop, or freed directly when the pool is full or unused.
+        let mut cur = *self.head.get_mut();
+        while !cur.is_null() && cur != Self::SEALED {
+            // SAFETY: exclusive access in drop.
+            let ring = unsafe { Box::from_raw(cur) };
+            cur = ring.next().load(Ordering::Relaxed);
+        }
+    }
+}
+
+// SAFETY: the queue transfers plain u64 values; `head`/`tail` and every
+// ring's `next` are atomics, rings are `Send + Sync` by the `Ring` bound,
+// and ring lifetime is managed by the hazard domain.
+unsafe impl<R: Ring> Send for RingList<R> {}
+unsafe impl<R: Ring> Sync for RingList<R> {}
+
+impl<R: Ring> lcrq_queues::ConcurrentQueue for RingList<R> {
+    fn enqueue(&self, value: u64) {
+        RingList::enqueue(self, value)
+    }
+    fn dequeue(&self) -> Option<u64> {
+        RingList::dequeue(self)
+    }
+    // Native overrides: the ring's batch path (one F&A per reservation on a
+    // CRQ) instead of the default scalar loop's one list operation per item.
+    fn enqueue_batch(&self, values: &[u64]) {
+        RingList::enqueue_batch(self, values)
+    }
+    fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
+        RingList::dequeue_batch(self, out, max)
+    }
+    fn name(&self) -> &'static str {
+        RingList::name(self)
+    }
+    fn is_nonblocking(&self) -> bool {
+        true
+    }
+}
+
+impl<R: Ring> lcrq_queues::ClosableQueue for RingList<R> {
+    fn close(&self) -> bool {
+        RingList::close(self)
+    }
+    fn is_closed(&self) -> bool {
+        RingList::is_closed(self)
+    }
+    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
+        RingList::try_enqueue(self, value)
+    }
+    // Native override: surfaces a refused ring allocation as
+    // `AllocFailed` instead of the default's retry-until-closed.
+    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
+        RingList::try_enqueue_fallible(self, value)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::HierarchicalConfig;
+    use lcrq_queues::testing;
+
+    fn tiny() -> LcrqConfig {
+        LcrqConfig::new().with_ring_order(3) // R = 8: force frequent closes
+    }
+
+    /// The list-level suite: written once against `RingList<R>`,
+    /// instantiated below for every ring the crate ships.
+    macro_rules! list_suite {
+        ($name:ident, $ring:ty) => {
+            mod $name {
+                use super::*;
+                type Q = RingList<$ring>;
+
+                #[test]
+                fn empty_queue_returns_none() {
+                    let q = Q::new();
+                    assert_eq!(q.dequeue(), None);
+                    assert!(q.is_empty_hint());
+                }
+
+                #[test]
+                fn fifo_order_sequential() {
+                    let q = Q::new();
+                    for i in 0..500 {
+                        q.enqueue(i);
+                    }
+                    for i in 0..500 {
+                        assert_eq!(q.dequeue(), Some(i));
+                    }
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn overflowing_one_ring_spills_into_new_rings_in_order() {
+                    let q = Q::with_config(tiny());
+                    for i in 0..1_000 {
+                        q.enqueue(i);
+                    }
+                    assert!(q.ring_count() > 1, "tiny rings must have spilled");
+                    for i in 0..1_000 {
+                        assert_eq!(q.dequeue(), Some(i));
+                    }
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn drained_queue_is_reusable() {
+                    let q = Q::with_config(tiny());
+                    for round in 0..20u64 {
+                        for i in 0..100 {
+                            q.enqueue(round * 1_000 + i);
+                        }
+                        for i in 0..100 {
+                            assert_eq!(q.dequeue(), Some(round * 1_000 + i));
+                        }
+                        assert_eq!(q.dequeue(), None);
+                    }
+                }
+
+                #[test]
+                #[should_panic(expected = "BOTTOM")]
+                fn enqueueing_bottom_panics() {
+                    Q::new().enqueue(u64::MAX);
+                }
+
+                #[test]
+                fn max_value_is_enqueueable() {
+                    let q = Q::new();
+                    q.enqueue(crate::MAX_VALUE);
+                    assert_eq!(q.dequeue(), Some(crate::MAX_VALUE));
+                }
+
+                #[test]
+                fn mpmc_stress_default_ring() {
+                    testing::mpmc_stress(&Q::new(), 4, 4, 10_000);
+                }
+
+                #[test]
+                fn mpmc_stress_tiny_ring_exercises_ring_switching() {
+                    let q = Q::with_config(tiny());
+                    testing::mpmc_stress(&q, 4, 4, 5_000);
+                    assert!(q.ring_count() < 100, "drained rings must be retired");
+                }
+
+                #[test]
+                fn model_check_against_vecdeque() {
+                    for seed in [0x1C, 0x15C9, 0x13C9] {
+                        testing::model_check(&Q::with_config(tiny()), seed);
+                    }
+                }
+
+                #[test]
+                fn pairs_workload_drains() {
+                    let q = Q::with_config(tiny());
+                    testing::pairs_smoke(&q, 4, 5_000);
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn retired_rings_are_reclaimed() {
+                    // Churn through many rings; the hazard domain must not
+                    // accumulate them all (threshold scans reclaim in
+                    // batches) and the chain must not keep growing.
+                    let q = Q::with_config(LcrqConfig::new().with_ring_order(2));
+                    for round in 0..1_000u64 {
+                        for i in 0..10 {
+                            q.enqueue(round * 10 + i);
+                        }
+                        for i in 0..10 {
+                            assert_eq!(q.dequeue(), Some(round * 10 + i));
+                        }
+                    }
+                    assert!(q.ring_count() <= 2, "rings linked: {}", q.ring_count());
+                }
+
+                #[test]
+                fn close_fences_enqueues_but_drains_existing_items() {
+                    let q = Q::with_config(tiny());
+                    for i in 0..100 {
+                        q.enqueue(i);
+                    }
+                    assert!(!q.is_closed());
+                    assert!(q.close(), "first close reports the transition");
+                    assert!(q.is_closed());
+                    assert!(!q.close(), "second close is a no-op");
+                    assert_eq!(q.try_enqueue(777), Err(777));
+                    assert_eq!(q.try_enqueue_batch(&[1, 2, 3]), Err(0));
+                    // Everything placed before the close drains in order.
+                    for i in 0..100 {
+                        assert_eq!(q.dequeue(), Some(i));
+                    }
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn every_chain_walk_stops_at_the_seal() {
+                    let q = Q::with_config(tiny());
+                    for i in 0..100 {
+                        q.enqueue(i);
+                    }
+                    let rings = q.ring_count();
+                    assert!(rings > 1);
+                    q.close();
+                    assert_eq!(q.ring_count(), rings, "the seal is not a ring");
+                    assert!(!q.is_empty_hint());
+                    assert_eq!(q.drain().count(), 100);
+                    assert!(q.is_empty_hint(), "sealed and drained looks empty");
+                    assert_eq!(q.ring_count(), 1, "head never moves onto the seal");
+                    assert_eq!(q.dequeue(), None);
+                    drop(q); // Drop stops at the seal too
+                }
+
+                #[test]
+                #[should_panic(expected = "closed")]
+                fn enqueue_after_close_panics() {
+                    let q = Q::new();
+                    q.close();
+                    q.enqueue(1);
+                }
+
+                #[test]
+                #[should_panic(expected = "closed")]
+                fn enqueue_batch_after_close_panics() {
+                    let q = Q::new();
+                    q.close();
+                    q.enqueue_batch(&[1, 2]);
+                }
+
+                #[test]
+                fn close_races_with_producers_without_losing_items() {
+                    // Producers try_enqueue until fenced while a consumer
+                    // runs the channel's settle poll (dequeue, is_closed,
+                    // dequeue) and stops at its first "closed and empty".
+                    // Whatever was accepted must be exactly what it got; an
+                    // item accepted *after* the consumer concluded is lost
+                    // to it, which a drain after the join would not show.
+                    for round in 0..20 {
+                        let q = Q::with_config(tiny());
+                        let q = &q;
+                        let (sent, mut got) = std::thread::scope(|s| {
+                            let producers: Vec<_> = (0..3u64)
+                                .map(|p| {
+                                    s.spawn(move || {
+                                        let mut placed = Vec::new();
+                                        for i in 0..10_000u64 {
+                                            let v = (p << 40) | i;
+                                            if q.try_enqueue(v).is_err() {
+                                                break;
+                                            }
+                                            placed.push(v);
+                                        }
+                                        placed
+                                    })
+                                })
+                                .collect();
+                            let consumer = s.spawn(move || {
+                                let mut got = Vec::new();
+                                loop {
+                                    if let Some(v) = q.dequeue() {
+                                        got.push(v);
+                                    } else if !q.is_closed() {
+                                        std::thread::yield_now();
+                                    } else if let Some(v) = q.dequeue() {
+                                        got.push(v);
+                                    } else {
+                                        return got;
+                                    }
+                                }
+                            });
+                            if round % 2 == 0 {
+                                std::thread::yield_now();
+                            }
+                            q.close();
+                            let sent: Vec<Vec<u64>> =
+                                producers.into_iter().map(|h| h.join().unwrap()).collect();
+                            (sent, consumer.join().unwrap())
+                        });
+                        assert_eq!(q.dequeue(), None, "accepted after closed-and-empty");
+                        let mut expected: Vec<u64> = sent.into_iter().flatten().collect();
+                        expected.sort_unstable();
+                        got.sort_unstable();
+                        assert_eq!(got, expected, "close lost or duplicated items");
+                    }
+                }
+
+                #[test]
+                fn dequeue_empty_is_never_transient() {
+                    // Regression guard for the channel's poll-then-park
+                    // protocol (the ISSUE 2 dequeue-empty audit): a queue
+                    // that provably holds an item must never report None,
+                    // even while the head ring is being exhausted and
+                    // switched (where the December-2013 erratum double-check
+                    // is what prevents a transient-empty report).
+                    let q = Q::with_config(tiny()); // R = 8: maximal ring churn
+                    for i in 0..5_000u64 {
+                        q.enqueue(i);
+                        assert_eq!(q.dequeue(), Some(i), "transient empty at item {i}");
+                    }
+                    // Same property with a standing backlog straddling ring
+                    // boundaries.
+                    for i in 0..64u64 {
+                        q.enqueue(i);
+                    }
+                    for i in 64..5_000u64 {
+                        q.enqueue(i);
+                        assert!(q.dequeue().is_some(), "transient empty with backlog");
+                    }
+                    for _ in 0..64 {
+                        assert!(q.dequeue().is_some());
+                    }
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn closable_trait_object_round_trip() {
+                    use lcrq_queues::ClosableQueue;
+                    let q: Box<dyn ClosableQueue> = Box::new(Q::with_config(tiny()));
+                    assert_eq!(q.try_enqueue(9), Ok(()));
+                    assert!(q.close());
+                    assert!(q.is_closed());
+                    assert_eq!(q.try_enqueue(10), Err(10));
+                    assert_eq!(q.dequeue(), Some(9));
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn drop_with_items_across_rings_is_clean() {
+                    let q = Q::with_config(tiny());
+                    for i in 0..500 {
+                        q.enqueue(i);
+                    }
+                    drop(q); // must not leak or double-free (ASan job covers this)
+                }
+
+                #[test]
+                fn from_iterator_extend_and_drain_round_trip() {
+                    let mut q: Q = (0..100u64).collect();
+                    q.extend(100..105u64);
+                    let out: Vec<u64> = q.drain().collect();
+                    assert_eq!(out, (0..105).collect::<Vec<_>>());
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn debug_output_names_the_variant() {
+                    let q = Q::new();
+                    let text = format!("{q:?}");
+                    assert!(text.contains(q.name()), "{text}");
+                    assert!(text.contains("rings"), "{text}");
+                }
+            }
+        };
+    }
+
+    list_suite!(crq, Crq<HardwareFaa>);
+    list_suite!(crq_cas, Crq<CasLoopFaa>);
+    list_suite!(scqd, ScqD<HardwareFaa>);
+    list_suite!(wcq_ring, WcqRing<HardwareFaa>);
+
+    // What only some lists have stays below: names, the LCRQ+H gate, the
+    // CRQ's FAA(k) batches (the pool: pool.rs and tests/reclamation.rs).
+
+    #[test]
+    fn names_reflect_variant() {
+        use lcrq_queues::ConcurrentQueue as _;
+        assert_eq!(Lcrq::new().name(), "lcrq");
+        assert_eq!(LcrqCas::new().name(), "lcrq-cas");
+        let h =
+            Lcrq::with_config(LcrqConfig::new().with_hierarchical(HierarchicalConfig::default()));
+        assert_eq!(h.name(), "lcrq+h");
+        assert!(h.is_nonblocking());
+        assert_eq!(Lscq::new().name(), "lscq");
+        assert_eq!(LscqCas::new().name(), "lscq-cas");
+        assert_eq!(Wcq::new().name(), "wcq");
+        assert!(Wcq::new().is_nonblocking());
+    }
+
+    #[test]
+    fn only_recyclable_rings_get_a_pool() {
+        assert_eq!(Lcrq::new().ring_pool().capacity(), 8);
+        assert_eq!(Lscq::new().ring_pool().capacity(), 0);
+        assert_eq!(Wcq::new().ring_pool().capacity(), 0);
+    }
+
+    #[test]
+    fn mpmc_stress_hierarchical() {
+        let cfg = LcrqConfig::new()
+            .with_ring_order(6)
+            .with_hierarchical(HierarchicalConfig {
+                timeout: std::time::Duration::from_micros(50),
+            });
+        let q = Lcrq::with_config(cfg);
+        testing::mpmc_stress(&q, 4, 4, 3_000);
+    }
+
+    #[test]
+    fn batch_round_trip_default_ring() {
+        let q = Lcrq::new();
+        let values: Vec<u64> = (0..500).collect();
+        q.enqueue_batch(&values);
+        let mut out = Vec::new();
+        assert_eq!(q.dequeue_batch(&mut out, 500), 500);
+        assert_eq!(out, values);
+        assert_eq!(q.dequeue_batch(&mut out, 1), 0, "linearizable EMPTY");
+        assert_eq!(q.dequeue(), None);
+    }
+
+    #[test]
+    fn batch_spills_across_tiny_rings_in_order() {
+        // R = 8 and a 1000-item batch: the tail ring closes mid-batch over
+        // a hundred times; every remainder spills into a fresh seeded ring
+        // and FIFO order must survive the whole chain.
+        let q = Lcrq::with_config(tiny());
+        let values: Vec<u64> = (0..1_000).collect();
+        q.enqueue_batch(&values);
+        assert!(q.ring_count() > 1, "tiny rings must have spilled");
+        let mut out = Vec::new();
+        assert_eq!(q.dequeue_batch(&mut out, 2_000), 1_000);
+        assert_eq!(out, values);
+        assert_eq!(q.dequeue(), None);
+    }
+
+    #[test]
+    fn batch_dequeue_switches_rings() {
+        // Fill across several rings with scalar enqueues, then drain with
+        // one big batch dequeue: the scalar fallback inside dequeue_batch
+        // must retire exhausted rings (erratum double-check included) and
+        // resume bulk reservations on the next ring.
+        let q = Lcrq::with_config(tiny());
+        for i in 0..300 {
+            q.enqueue(i);
+        }
+        let before = q.ring_count();
+        assert!(before > 1);
+        let mut out = Vec::new();
+        assert_eq!(q.dequeue_batch(&mut out, 300), 300);
+        assert_eq!(out, (0..300).collect::<Vec<u64>>());
+        assert!(q.ring_count() <= before);
+        assert_eq!(q.dequeue(), None);
+    }
+
+    #[test]
+    fn batch_and_scalar_interleave_across_rings() {
+        let q = Lcrq::with_config(tiny());
+        q.enqueue(0);
+        q.enqueue_batch(&(1..50).collect::<Vec<u64>>());
+        q.enqueue(50);
+        q.enqueue_batch(&(51..100).collect::<Vec<u64>>());
+        let mut out = Vec::new();
+        out.push(q.dequeue().unwrap());
+        q.dequeue_batch(&mut out, 70);
+        while let Some(v) = q.dequeue() {
+            out.push(v);
+        }
+        assert_eq!(out, (0..100).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn batch_dequeue_max_zero_is_a_no_op() {
+        let q = Lcrq::new();
+        q.enqueue(1);
+        let mut out = Vec::new();
+        assert_eq!(q.dequeue_batch(&mut out, 0), 0);
+        assert!(out.is_empty());
+        assert_eq!(q.dequeue(), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "BOTTOM")]
+    fn batch_enqueueing_bottom_panics_before_any_placement() {
+        let q = Lcrq::new();
+        q.enqueue_batch(&[1, u64::MAX]);
+    }
+
+    #[test]
+    fn cluster_gate_waits_once_then_owns_the_ring() {
+        // The LCRQ+H gate must only pay its timeout when the ring's cluster
+        // field is foreign; after seizing it, same-cluster operations enter
+        // immediately. With a 40 ms timeout, 100 ops must take ~1 timeout,
+        // not ~100.
+        use lcrq_util::topology::set_current_cluster;
+        let timeout = std::time::Duration::from_millis(40);
+        let q =
+            Lcrq::with_config(LcrqConfig::new().with_hierarchical(HierarchicalConfig { timeout }));
+        set_current_cluster(2); // ring starts owned by cluster 0
+        let start = std::time::Instant::now();
+        for i in 0..100 {
+            q.enqueue(i);
+            assert_eq!(q.dequeue(), Some(i));
+        }
+        let elapsed = start.elapsed();
+        set_current_cluster(0);
+        assert!(
+            elapsed < timeout * 3,
+            "gate should wait at most once, took {elapsed:?}"
+        );
+        assert!(
+            elapsed >= timeout,
+            "first foreign-cluster op should wait the timeout, took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn hierarchical_disabled_never_waits() {
+        use lcrq_util::topology::set_current_cluster;
+        let q = Lcrq::new(); // no hierarchical config
+        set_current_cluster(5);
+        let start = std::time::Instant::now();
+        for i in 0..100 {
+            q.enqueue(i);
+            assert_eq!(q.dequeue(), Some(i));
+        }
+        set_current_cluster(0);
+        assert!(start.elapsed() < std::time::Duration::from_millis(100));
+    }
+}

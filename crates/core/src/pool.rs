@@ -1,10 +1,11 @@
-//! Bounded recycling pool for retired CRQ rings.
+//! Bounded recycling pool for retired rings (in practice CRQs: the one
+//! [`Ring`] that can [`scrub`](Ring::scrub)).
 //!
 //! LCRQ's spill path allocates a fresh ring every time a CRQ closes, and the
 //! hazard domain frees every retired ring — so a tantrum-heavy workload
 //! churns the global allocator once per ring close and has unbounded
 //! transient memory. The [`RingPool`] replaces *retire-means-free* with
-//! *retire-means-recycle*: a drained ring is [scrubbed](crate::crq::Crq::scrub)
+//! *retire-means-recycle*: a drained ring is [scrubbed](Ring::scrub)
 //! (its indices re-based onto a fresh reuse epoch so recycled
 //! `(safe, idx, val)` tuples can never alias live ones) and parked on a
 //! bounded lock-free freelist; the spill paths pop from the pool before
@@ -36,14 +37,14 @@
 // operations are scheduler decision points under `--cfg loom`
 // (tests/loom.rs models the versioned Treiber pop's ABA window).
 use lcrq_util::sync::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::Weak;
+use std::sync::{Arc, OnceLock, Weak};
 
-use lcrq_atomic::{AtomicPair, FaaPolicy, HardwareFaa};
+use lcrq_atomic::AtomicPair;
 use lcrq_hazard::Domain;
 use lcrq_util::metrics::{self, Event};
 
 use crate::crq::Crq;
+use crate::ring::Ring;
 
 /// Upper bound on the number of shard slots (they hold rings, so they are
 /// counted against `capacity`; more shards than that would be dead weight).
@@ -74,15 +75,15 @@ fn thread_slot() -> usize {
     })
 }
 
-/// A bounded lock-free pool of scrubbed, ready-to-reseed CRQ rings. See the
+/// A bounded lock-free pool of scrubbed, ready-to-reseed rings. See the
 /// [module docs](self) for the design and ownership protocol.
-pub struct RingPool<P: FaaPolicy = HardwareFaa> {
+pub struct RingPool<R: Ring = Crq> {
     /// Treiber-stack top as `(version, ring ptr)`: the version advances on
     /// every successful push/pop, defusing ABA on the pointer.
     top: AtomicPair,
     /// Per-thread single-ring cache slots (XCHG in and out, never
     /// dereferenced while shared).
-    shards: Box<[AtomicPtr<Crq<P>>]>,
+    shards: Box<[AtomicPtr<R>]>,
     /// Rings currently in the pool. Maintained with CAS reservation so it
     /// never exceeds `capacity`, even transiently.
     len: AtomicUsize,
@@ -91,10 +92,10 @@ pub struct RingPool<P: FaaPolicy = HardwareFaa> {
 
 // SAFETY: rings are transferred whole (Box in, Box out) through atomics;
 // while pooled they are touched only via their atomic fields.
-unsafe impl<P: FaaPolicy> Send for RingPool<P> {}
-unsafe impl<P: FaaPolicy> Sync for RingPool<P> {}
+unsafe impl<R: Ring> Send for RingPool<R> {}
+unsafe impl<R: Ring> Sync for RingPool<R> {}
 
-impl<P: FaaPolicy> RingPool<P> {
+impl<R: Ring> RingPool<R> {
     /// Creates a pool holding at most `capacity` rings (0 disables pooling:
     /// every `push` bounces and every `pop` misses).
     pub fn new(capacity: usize) -> Arc<Self> {
@@ -145,7 +146,7 @@ impl<P: FaaPolicy> RingPool<P> {
     /// Taking the ring by `Box` is what makes scrubbing sound: exclusive
     /// ownership proves no in-flight protocol operation can observe the
     /// reset.
-    pub fn push(&self, ring: Box<Crq<P>>) -> Result<(), Box<Crq<P>>> {
+    pub fn push(&self, ring: Box<R>) -> Result<(), Box<R>> {
         // Reserve a slot first; CAS (not F&A) so `len <= capacity` is a hard
         // invariant rather than a transiently-violated one.
         let mut len = self.len.load(Ordering::SeqCst);
@@ -165,7 +166,7 @@ impl<P: FaaPolicy> RingPool<P> {
         // a stall/panic leaks at most this one ring, never corrupts the pool.
         let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::PoolScrub);
         if !ring.scrub() {
-            // Index space nearly exhausted: this ring must die, not recycle.
+            // Scrub refused (index space nearly exhausted): die, not recycle.
             self.len.fetch_sub(1, Ordering::SeqCst);
             return Err(ring);
         }
@@ -192,7 +193,7 @@ impl<P: FaaPolicy> RingPool<P> {
             // SAFETY: `raw` is exclusively ours until the CAS below publishes
             // it. `next` doubles as the freelist link while pooled (scrub
             // nulled it; a pop re-nulls it before handing the ring out).
-            unsafe { (*raw).next.store(top as *mut Crq<P>, Ordering::Release) };
+            unsafe { (*raw).next().store(top as *mut R, Ordering::Release) };
             if self
                 .top
                 .compare_exchange((version, top), (version + 1, raw as u64))
@@ -203,7 +204,7 @@ impl<P: FaaPolicy> RingPool<P> {
         }
     }
 
-    /// Pops a scrubbed ring, ready to [`reseed`](crate::crq::Crq::reseed).
+    /// Pops a scrubbed ring, ready to [`reseed`](Ring::reseed).
     ///
     /// `domain`/`slot` name a hazard slot of the calling thread, used to
     /// protect the stack-pop candidate while its `next` link is read: a
@@ -216,7 +217,7 @@ impl<P: FaaPolicy> RingPool<P> {
     /// ring that was ever pool-visible must go through that domain's
     /// [`retire`](Domain::retire) — a hazard in a domain the freeing thread
     /// never consults protects nothing.
-    pub fn pop(&self, domain: &Domain, slot: usize) -> Option<Box<Crq<P>>> {
+    pub fn pop(&self, domain: &Domain, slot: usize) -> Option<Box<R>> {
         if self.capacity == 0 {
             return None;
         }
@@ -236,7 +237,7 @@ impl<P: FaaPolicy> RingPool<P> {
         // Treiber stack.
         loop {
             let (version, raw) = self.top.load();
-            let p = raw as *mut Crq<P>;
+            let p = raw as *mut R;
             if p.is_null() {
                 break;
             }
@@ -254,7 +255,7 @@ impl<P: FaaPolicy> RingPool<P> {
             // SAFETY: `p` was the stack top after our hazard was published,
             // so any retirement of `p` from here on must observe the hazard
             // and defer its reclamation.
-            let next = unsafe { (*p).next.load(Ordering::Acquire) };
+            let next = unsafe { (*p).next().load(Ordering::Acquire) };
             if self
                 .top
                 .compare_exchange((version, raw), (version + 1, next as u64))
@@ -276,7 +277,7 @@ impl<P: FaaPolicy> RingPool<P> {
     }
 
     /// Converts an exclusively-claimed raw ring back into a `Box`.
-    fn take(&self, p: *mut Crq<P>) -> Box<Crq<P>> {
+    fn take(&self, p: *mut R) -> Box<R> {
         self.len.fetch_sub(1, Ordering::SeqCst);
         metrics::inc(Event::RingReuse);
         // SAFETY: `p` came from `Box::into_raw` in `push` and the caller
@@ -285,12 +286,12 @@ impl<P: FaaPolicy> RingPool<P> {
         let ring = unsafe { Box::from_raw(p) };
         // While pooled, `next` served as the freelist link; the ring leaves
         // the pool unlinked.
-        ring.next.store(core::ptr::null_mut(), Ordering::Relaxed);
+        ring.next().store(core::ptr::null_mut(), Ordering::Relaxed);
         ring
     }
 }
 
-impl<P: FaaPolicy> Drop for RingPool<P> {
+impl<R: Ring> Drop for RingPool<R> {
     fn drop(&mut self) {
         // Exclusive access: pop everything and free it. Entries are walked
         // through their freelist links — which, by the push/pop protocol,
@@ -306,16 +307,16 @@ impl<P: FaaPolicy> Drop for RingPool<P> {
         }
         let (_, mut raw) = self.top.load();
         while raw != 0 {
-            let p = raw as *mut Crq<P>;
+            let p = raw as *mut R;
             // SAFETY: as above; the freelist is ours alone now.
             let ring = unsafe { Box::from_raw(p) };
-            raw = ring.next.load(Ordering::Acquire) as u64;
+            raw = ring.next().load(Ordering::Acquire) as u64;
             drop(ring);
         }
     }
 }
 
-impl<P: FaaPolicy> core::fmt::Debug for RingPool<P> {
+impl<R: Ring> core::fmt::Debug for RingPool<R> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RingPool")
             .field("len", &self.len())
@@ -332,16 +333,18 @@ impl<P: FaaPolicy> core::fmt::Debug for RingPool<P> {
 ///
 /// # Safety
 ///
-/// `p` must be a `Box::into_raw`-produced `*mut Crq<P>` being reclaimed by
+/// `p` must be a `Box::into_raw`-produced `*mut R` being reclaimed by
 /// the hazard domain (sole ownership, no live references).
-pub(crate) unsafe fn recycle_ring<P: FaaPolicy>(p: *mut ()) {
+pub(crate) unsafe fn recycle_ring<R: Ring>(p: *mut ()) {
     // SAFETY: per this function's contract, forwarded from retire_with.
-    let ring = unsafe { Box::from_raw(p as *mut Crq<P>) };
-    match ring.pool().and_then(Weak::upgrade) {
+    let ring = unsafe { Box::from_raw(p as *mut R) };
+    let pool = ring.pool_slot().and_then(OnceLock::get);
+    match pool.and_then(Weak::upgrade) {
         // `push` scrubs; on Err the ring was never made pool-visible *this
         // retirement* and no reference to it survives (we are its reclaimer),
         // so dropping it directly is sound.
         Some(pool) => drop(pool.push(ring)),
+        // No pool: a ring type that is not recycled, or the queue is gone.
         None => drop(ring),
     }
 }
@@ -358,7 +361,7 @@ mod tests {
 
     #[test]
     fn push_pop_round_trips_scrubbed_rings() {
-        let pool = RingPool::<HardwareFaa>::new(4);
+        let pool = RingPool::<Crq>::new(4);
         let domain = Domain::new();
         let r = ring(3);
         r.enqueue(7).unwrap();
@@ -381,7 +384,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_is_never_exceeded() {
-        let pool = RingPool::<HardwareFaa>::new(2);
+        let pool = RingPool::<Crq>::new(2);
         assert!(pool.push(ring(2)).is_ok());
         assert!(pool.push(ring(2)).is_ok());
         assert_eq!(pool.len(), 2);
@@ -396,7 +399,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_pooling() {
-        let pool = RingPool::<HardwareFaa>::new(0);
+        let pool = RingPool::<Crq>::new(0);
         let domain = Domain::new();
         assert!(pool.push(ring(2)).is_err());
         assert!(pool.pop(&domain, 0).is_none());
@@ -408,7 +411,7 @@ mod tests {
     fn drop_frees_all_pooled_rings() {
         // More rings than shard slots, so both the shards and the Treiber
         // stack hold entries at drop time.
-        let pool = RingPool::<HardwareFaa>::new(16);
+        let pool = RingPool::<Crq>::new(16);
         for _ in 0..16 {
             assert!(pool.push(ring(2)).is_ok());
         }
@@ -418,7 +421,7 @@ mod tests {
 
     #[test]
     fn pop_scans_other_threads_shards() {
-        let pool = RingPool::<HardwareFaa>::new(8);
+        let pool = RingPool::<Crq>::new(8);
         let domain = Domain::new();
         // Fill from other threads so the rings land in foreign shard slots.
         for _ in 0..3 {
@@ -438,7 +441,7 @@ mod tests {
 
     #[test]
     fn reuse_metric_counts_pool_hits() {
-        let pool = RingPool::<HardwareFaa>::new(2);
+        let pool = RingPool::<Crq>::new(2);
         let domain = Domain::new();
         let before = metrics::local_snapshot();
         assert!(pool.push(ring(2)).is_ok());
@@ -451,7 +454,7 @@ mod tests {
 
     #[test]
     fn concurrent_push_pop_stress_keeps_the_bound_and_every_ring() {
-        let pool = RingPool::<HardwareFaa>::new(4);
+        let pool = RingPool::<Crq>::new(4);
         // One domain shared by every pool user, exactly as a queue shares
         // its own domain: pop's hazard protection is only meaningful if the
         // thread that frees a pool-visible ring retires it where that hazard

@@ -36,14 +36,16 @@
 //! that would run unchanged on non-x86 targets (no `CMPXCHG16B`).
 
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use lcrq_atomic::{ops, FaaPolicy, HardwareFaa};
 use lcrq_util::metrics::{self, Event};
+use lcrq_util::sync::AtomicPtr;
 use lcrq_util::{adversary, CachePadded};
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
+use crate::ring::Ring;
 
 /// Bit 63 of `tail`: the ring is finalized (closed to further enqueues),
 /// same convention as the CRQ's CLOSED bit.
@@ -386,12 +388,27 @@ pub struct ScqD<P: FaaPolicy = HardwareFaa> {
     /// `UnsafeCell`) keep the handoff visibly race-free.
     data: Box<[AtomicU64]>,
     /// The next ring in an LSCQ list (null while this is the tail ring).
-    pub(crate) next: CachePadded<AtomicPtr<ScqD<P>>>,
+    next: CachePadded<AtomicPtr<ScqD<P>>>,
 }
 
 impl<P: FaaPolicy> ScqD<P> {
+    /// Number of values the ring can hold.
+    pub fn capacity(&self) -> u64 {
+        self.data.len() as u64
+    }
+}
+
+/// The SCQ ring's operations *are* its [`Ring`] implementation. Its one
+/// hook override is [`rearm`](Ring::rearm): a racing enqueue may have
+/// published its entry but not yet reset the threshold, and an exhausted
+/// counter would let the list's abandonment double-check report EMPTY
+/// without scanning — losing the item when `head` swings past the ring.
+/// (Nikolaev's unbounded SCQ does the same.) No batch reservation (a k-wide
+/// F&A would claim k entries whose cycles the single-word protocol cannot
+/// validate as a group) and no recycling.
+impl<P: FaaPolicy> Ring for ScqD<P> {
     /// An empty ring with capacity `config.ring_size()`.
-    pub fn new(config: &LcrqConfig) -> Self {
+    fn new(config: &LcrqConfig) -> Self {
         metrics::inc(Event::RingAlloc);
         let order = config.ring_size().trailing_zeros();
         let n = 1usize << order;
@@ -403,28 +420,10 @@ impl<P: FaaPolicy> ScqD<P> {
         }
     }
 
-    /// An empty ring pre-loaded with `seed` (at most `capacity` values) —
-    /// how the LSCQ spill path hands its item to a fresh ring without
-    /// re-contending.
-    pub fn with_seed(config: &LcrqConfig, seed: &[u64]) -> Self {
-        let q = Self::new(config);
-        for &v in seed {
-            let placed = q.enqueue(v);
-            debug_assert!(placed.is_ok(), "seeding a fresh ring cannot fail");
-            let _ = placed;
-        }
-        q
-    }
-
-    /// Number of values the ring can hold.
-    pub fn capacity(&self) -> u64 {
-        self.data.len() as u64
-    }
-
     /// Appends `value` (any `u64`). Fails with [`CrqClosed`] once the ring
     /// is closed — including the self-inflicted close when no free slot is
     /// available (the tantrum).
-    pub fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
+    fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
         if self.is_closed() {
             return Err(CrqClosed);
         }
@@ -450,7 +449,7 @@ impl<P: FaaPolicy> ScqD<P> {
     /// Removes the oldest value, or `None` when the ring is empty. Keeps
     /// draining after a close (tantrum queues refuse enqueues, not
     /// dequeues).
-    pub fn dequeue(&self) -> Option<u64> {
+    fn dequeue(&self) -> Option<u64> {
         let i = self.aq.dequeue()?;
         let v = self.data[i as usize].load(Ordering::SeqCst);
         self.fq
@@ -459,35 +458,43 @@ impl<P: FaaPolicy> ScqD<P> {
         Some(v)
     }
 
-    /// Closes the ring to further enqueues (idempotent). Returns `true` if
-    /// this call closed it.
-    pub fn close(&self) -> bool {
-        self.aq.finalize()
+    fn close(&self) {
+        self.aq.finalize();
     }
 
-    /// Whether the ring has been closed.
-    pub fn is_closed(&self) -> bool {
+    fn is_closed(&self) -> bool {
         self.aq.is_finalized()
+    }
+
+    fn next(&self) -> &AtomicPtr<Self> {
+        &self.next
+    }
+
+    /// Head position of the allocated ring.
+    fn head_index(&self) -> u64 {
+        self.aq.head_index()
+    }
+
+    /// Tail position of the allocated ring.
+    fn tail_index(&self) -> u64 {
+        self.aq.tail_index()
+    }
+
+    fn name(_hierarchical: bool) -> &'static str {
+        match P::name() {
+            "faa" => "lscq",
+            _ => "lscq-cas",
+        }
     }
 
     /// Re-arms the allocated ring's threshold; see
     /// [`Scq::reset_threshold`].
-    pub fn reset_threshold(&self) {
+    fn rearm(&self) {
         self.aq.reset_threshold();
-    }
-
-    /// Head position of the allocated ring (diagnostic).
-    pub fn head_index(&self) -> u64 {
-        self.aq.head_index()
-    }
-
-    /// Tail position of the allocated ring (diagnostic).
-    pub fn tail_index(&self) -> u64 {
-        self.aq.tail_index()
     }
 }
 
-// SAFETY: all state is atomic; `next` is managed by the owning Lscq.
+// SAFETY: all state is atomic; `next` is managed by the owning list.
 unsafe impl<P: FaaPolicy> Send for ScqD<P> {}
 unsafe impl<P: FaaPolicy> Sync for ScqD<P> {}
 

@@ -1,34 +1,54 @@
-//! A generic typed facade over the raw `u64` LCRQ.
+//! The generic typed facade over the raw `u64` lists of rings.
 //!
 //! The paper's queue transfers 64-bit integers or pointers (Figure 3a,
-//! "val: 64 bits (int or pointer)"). [`TypedLcrq<T>`] takes the pointer
+//! "val: 64 bits (int or pointer)"). [`Typed<T, R>`] takes the pointer
 //! route: values are boxed and the queue moves the box address, so any
-//! `Send` type rides the same lock-free fast path.
+//! `Send` type rides the same lock-free fast path — over whichever ring
+//! `R` the list is built from ([`TypedLcrq`], [`TypedLscq`], [`TypedWcq`]).
 
 use core::marker::PhantomData;
 
-use lcrq_atomic::{FaaPolicy, HardwareFaa};
+use lcrq_atomic::HardwareFaa;
 
 use crate::config::LcrqConfig;
-use crate::lcrq::LcrqGeneric;
+use crate::crq::Crq;
+use crate::list::RingList;
+use crate::ring::Ring;
+use crate::scq::ScqD;
+use crate::wcq::WcqRing;
 
-/// An unbounded, linearizable, op-wise nonblocking MPMC FIFO queue of `T`.
+/// [`Typed`] over the LCRQ: boxed values ride the CAS2 fast path.
+pub type TypedLcrq<T, P = HardwareFaa> = Typed<T, Crq<P>>;
+/// [`Typed`] over the portable LSCQ: the box address goes through the
+/// [`ScqD`] index indirection like any other `u64`.
+pub type TypedLscq<T, P = HardwareFaa> = Typed<T, ScqD<P>>;
+/// [`Typed`] over the wait-free wCQ, so channels and other `T`-valued
+/// layers inherit the bounded-steps progress class.
+pub type TypedWcq<T, P = HardwareFaa> = Typed<T, WcqRing<P>>;
+
+/// An unbounded, linearizable, op-wise nonblocking MPMC FIFO queue of `T`
+/// over a list of `R` rings.
 ///
 /// ```
-/// use lcrq_core::TypedLcrq;
+/// use lcrq_core::{TypedLcrq, TypedLscq, TypedWcq};
 /// let q: TypedLcrq<String> = TypedLcrq::new();
 /// q.enqueue("hello".to_string());
 /// q.enqueue("world".to_string());
 /// assert_eq!(q.dequeue().as_deref(), Some("hello"));
 /// assert_eq!(q.dequeue().as_deref(), Some("world"));
 /// assert_eq!(q.dequeue(), None);
+/// // The same facade over the other rings.
+/// let (s, w) = (TypedLscq::<u8>::new(), TypedWcq::<u8>::new());
+/// s.enqueue(1);
+/// w.enqueue(2);
+/// assert_eq!((s.dequeue(), w.dequeue()), (Some(1), Some(2)));
 /// ```
-pub struct TypedLcrq<T: Send, P: FaaPolicy = HardwareFaa> {
-    inner: LcrqGeneric<P>,
+pub struct Typed<T: Send, R: Ring = Crq> {
+    inner: RingList<R>,
     _marker: PhantomData<T>,
 }
 
-impl<T: Send, P: FaaPolicy> TypedLcrq<T, P> {
+impl<T: Send, R: Ring> Typed<T, R> {
     /// Creates an empty queue with the default configuration.
     pub fn new() -> Self {
         Self::with_config(LcrqConfig::default())
@@ -37,38 +57,52 @@ impl<T: Send, P: FaaPolicy> TypedLcrq<T, P> {
     /// Creates an empty queue with an explicit configuration.
     pub fn with_config(config: LcrqConfig) -> Self {
         Self {
-            inner: LcrqGeneric::with_config(config),
+            inner: RingList::with_config(config),
             _marker: PhantomData,
         }
     }
 
-    /// Appends `value`.
-    pub fn enqueue(&self, value: T) {
+    /// Moves `value` to the heap and returns its address as a queue word.
+    fn boxed(value: T) -> u64 {
         let ptr = Box::into_raw(Box::new(value)) as u64;
         debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-        self.inner.enqueue(ptr);
+        ptr
+    }
+
+    /// Takes back a value [`boxed`](Self::boxed) earlier.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must come from `boxed` and be claimed exactly once: either the
+    /// queue handed it out (a dequeue — exactly once by linearizability) or
+    /// the queue rejected it (it never went in).
+    unsafe fn unboxed(ptr: u64) -> T {
+        // SAFETY: per this function's contract.
+        *unsafe { Box::from_raw(ptr as *mut T) }
+    }
+
+    /// Appends `value`.
+    pub fn enqueue(&self, value: T) {
+        self.inner.enqueue(Self::boxed(value));
     }
 
     /// Removes and returns the oldest value, or `None` if empty.
     pub fn dequeue(&self) -> Option<T> {
-        self.inner.dequeue().map(|ptr| {
-            // SAFETY: every value in the queue is a Box::into_raw'd `T` that
-            // is handed out exactly once (queue items are dequeued exactly
-            // once by linearizability).
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
+        // SAFETY: every value in the queue was `boxed`, and is dequeued
+        // exactly once.
+        self.inner
+            .dequeue()
+            .map(|ptr| unsafe { Self::unboxed(ptr) })
     }
 
     /// Appends `value` unless the queue has been [`close`](Self::close)d,
     /// in which case ownership is handed back as `Err(value)`.
     pub fn try_enqueue(&self, value: T) -> Result<(), T> {
-        let raw = Box::into_raw(Box::new(value));
-        debug_assert!((raw as u64) < crate::BOTTOM && !raw.is_null());
-        self.inner.try_enqueue(raw as u64).map_err(|ptr| {
+        self.inner
+            .try_enqueue(Self::boxed(value))
             // SAFETY: the queue rejected the pointer, so we still own the
             // box we just created.
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
+            .map_err(|ptr| unsafe { Self::unboxed(ptr) })
     }
 
     /// Batch counterpart of [`try_enqueue`](Self::try_enqueue): appends
@@ -77,428 +111,79 @@ impl<T: Send, P: FaaPolicy> TypedLcrq<T, P> {
     /// `Err(remainder)`. Items of the placed prefix are in the queue and
     /// will be drained by receivers like any others.
     pub fn try_extend(&self, values: Vec<T>) -> Result<(), Vec<T>> {
-        let ptrs: Vec<u64> = values
-            .into_iter()
-            .map(|value| {
-                let ptr = Box::into_raw(Box::new(value)) as u64;
-                debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-                ptr
-            })
-            .collect();
-        match self.inner.try_enqueue_batch(&ptrs) {
-            Ok(()) => Ok(()),
-            Err(placed) => Err(ptrs[placed..]
-                .iter()
-                .map(|&ptr| {
-                    // SAFETY: slots past `placed` were never enqueued; we
-                    // still own those boxes.
-                    *unsafe { Box::from_raw(ptr as *mut T) }
-                })
-                .collect()),
-        }
+        let ptrs: Vec<u64> = values.into_iter().map(Self::boxed).collect();
+        self.inner.try_enqueue_batch(&ptrs).map_err(|placed| {
+            // SAFETY: slots past `placed` were never enqueued; we still own
+            // those boxes.
+            let rest = ptrs[placed..].iter();
+            rest.map(|&ptr| unsafe { Self::unboxed(ptr) }).collect()
+        })
     }
 
-    /// Closes the queue for further enqueues (see [`LcrqGeneric::close`]):
+    /// Closes the queue for further enqueues (see [`RingList::close`]):
     /// [`try_enqueue`](Self::try_enqueue) starts failing while dequeues
     /// drain the remaining items. Returns `true` on the first call.
     pub fn close(&self) -> bool {
         self.inner.close()
     }
 
-    /// Whether [`close`](Self::close) has been called.
+    /// Whether the queue is closed (see [`RingList::is_closed`]).
     pub fn is_closed(&self) -> bool {
         self.inner.is_closed()
     }
 
     /// Whether the queue appears empty (racy snapshot; see
-    /// [`LcrqGeneric::is_empty_hint`]).
+    /// [`RingList::is_empty_hint`]).
     pub fn is_empty_hint(&self) -> bool {
         self.inner.is_empty_hint()
     }
 
     /// Appends every value of `iter` through the raw batch path: all values
     /// are boxed up front, then their addresses enter the queue via
-    /// multi-slot reservations ([`LcrqGeneric::enqueue_batch`]) — one
-    /// fetch-and-add per reservation instead of one per item.
+    /// [`RingList::enqueue_batch`] — on a CRQ, one fetch-and-add per
+    /// multi-slot reservation instead of one per item.
     ///
     /// Like the raw batch, this is a sequence of individual enqueues in
     /// iterator order, not an atomic group (see DESIGN.md "Batched
     /// operations"). Takes `&self`: concurrent callers are fine.
     pub fn extend<I: IntoIterator<Item = T>>(&self, iter: I) {
-        let ptrs: Vec<u64> = iter
-            .into_iter()
-            .map(|value| {
-                let ptr = Box::into_raw(Box::new(value)) as u64;
-                debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-                ptr
-            })
-            .collect();
+        let ptrs: Vec<u64> = iter.into_iter().map(Self::boxed).collect();
         self.inner.enqueue_batch(&ptrs);
     }
 
     /// Removes up to `max` of the oldest values, appending them to `out` in
     /// FIFO order through the raw batch path
-    /// ([`LcrqGeneric::dequeue_batch`]); returns how many were moved.
+    /// ([`RingList::dequeue_batch`]); returns how many were moved.
     /// A return `< max` is a linearizable EMPTY observation.
     pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
         let mut ptrs = Vec::with_capacity(max.min(1024));
         let taken = self.inner.dequeue_batch(&mut ptrs, max);
-        out.reserve(taken);
-        for ptr in ptrs {
-            // SAFETY: as in `dequeue`, each pointer is a Box::into_raw'd `T`
-            // handed out exactly once.
-            out.push(*unsafe { Box::from_raw(ptr as *mut T) });
-        }
-        taken
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Default for TypedLcrq<T, P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> core::fmt::Debug for TypedLcrq<T, P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TypedLcrq")
-            .field("value_type", &core::any::type_name::<T>())
-            .finish()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> FromIterator<T> for TypedLcrq<T, P> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let q = Self::new();
-        q.extend(iter);
-        q
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Extend<T> for TypedLcrq<T, P> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        TypedLcrq::extend(self, iter);
-    }
-}
-
-/// Draining iterator returned by [`TypedLcrq::drain`].
-pub struct Drain<'a, T: Send, P: FaaPolicy> {
-    queue: &'a TypedLcrq<T, P>,
-}
-
-impl<T: Send, P: FaaPolicy> Iterator for Drain<'_, T, P> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.queue.dequeue()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> TypedLcrq<T, P> {
-    /// Returns an iterator that dequeues until the queue reports empty.
-    pub fn drain(&self) -> Drain<'_, T, P> {
-        Drain { queue: self }
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Drop for TypedLcrq<T, P> {
-    fn drop(&mut self) {
-        // Drain and drop any remaining boxed values before the rings go.
-        while self.dequeue().is_some() {}
-    }
-}
-
-// SAFETY: the queue owns boxed `T` values in transit; handing them across
-// threads requires `T: Send` (already bounded on the struct).
-unsafe impl<T: Send, P: FaaPolicy> Send for TypedLcrq<T, P> {}
-unsafe impl<T: Send, P: FaaPolicy> Sync for TypedLcrq<T, P> {}
-
-/// The typed facade over the portable SCQ-based [`LscqGeneric`]: boxed
-/// values ride the single-word-CAS fast path exactly as [`TypedLcrq`]
-/// values ride the CAS2 one (the box address goes through the [`ScqD`]
-/// index indirection like any other `u64`).
-///
-/// ```
-/// use lcrq_core::TypedLscq;
-/// let q: TypedLscq<String> = TypedLscq::new();
-/// q.enqueue("hello".to_string());
-/// assert_eq!(q.dequeue().as_deref(), Some("hello"));
-/// assert_eq!(q.dequeue(), None);
-/// ```
-///
-/// [`LscqGeneric`]: crate::LscqGeneric
-/// [`ScqD`]: crate::ScqD
-pub struct TypedLscq<T: Send, P: FaaPolicy = HardwareFaa> {
-    inner: crate::lscq::LscqGeneric<P>,
-    _marker: PhantomData<T>,
-}
-
-impl<T: Send, P: FaaPolicy> TypedLscq<T, P> {
-    /// Creates an empty queue with the default configuration.
-    pub fn new() -> Self {
-        Self::with_config(LcrqConfig::default())
-    }
-
-    /// Creates an empty queue with an explicit configuration.
-    pub fn with_config(config: LcrqConfig) -> Self {
-        Self {
-            inner: crate::lscq::LscqGeneric::with_config(config),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Appends `value`.
-    pub fn enqueue(&self, value: T) {
-        let ptr = Box::into_raw(Box::new(value)) as u64;
-        debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-        self.inner.enqueue(ptr);
-    }
-
-    /// Removes and returns the oldest value, or `None` if empty.
-    pub fn dequeue(&self) -> Option<T> {
-        self.inner.dequeue().map(|ptr| {
-            // SAFETY: every value in the queue is a Box::into_raw'd `T`
-            // handed out exactly once by linearizability.
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
-    }
-
-    /// Appends `value` unless the queue has been [`close`](Self::close)d,
-    /// in which case ownership is handed back as `Err(value)`.
-    pub fn try_enqueue(&self, value: T) -> Result<(), T> {
-        let raw = Box::into_raw(Box::new(value));
-        debug_assert!((raw as u64) < crate::BOTTOM && !raw.is_null());
-        self.inner.try_enqueue(raw as u64).map_err(|ptr| {
-            // SAFETY: the queue rejected the pointer; we still own the box.
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
-    }
-
-    /// Appends every value of `iter` (scalar enqueues — SCQ has no
-    /// multi-slot reservation path). Takes `&self`: concurrent callers are
-    /// fine.
-    pub fn extend<I: IntoIterator<Item = T>>(&self, iter: I) {
-        for value in iter {
-            self.enqueue(value);
-        }
-    }
-
-    /// Closes the queue for further enqueues:
-    /// [`try_enqueue`](Self::try_enqueue) starts failing while dequeues
-    /// drain the remaining items. Returns `true` on the first call.
-    pub fn close(&self) -> bool {
-        self.inner.close()
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.is_closed()
-    }
-
-    /// Whether the queue appears empty (racy snapshot).
-    pub fn is_empty_hint(&self) -> bool {
-        self.inner.is_empty_hint()
-    }
-
-    /// Returns an iterator that dequeues until the queue reports empty.
-    pub fn drain(&self) -> LscqDrain<'_, T, P> {
-        LscqDrain { queue: self }
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Default for TypedLscq<T, P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> core::fmt::Debug for TypedLscq<T, P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TypedLscq")
-            .field("value_type", &core::any::type_name::<T>())
-            .finish()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> FromIterator<T> for TypedLscq<T, P> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let q = Self::new();
-        q.extend(iter);
-        q
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Extend<T> for TypedLscq<T, P> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        TypedLscq::extend(self, iter);
-    }
-}
-
-/// Draining iterator returned by [`TypedLscq::drain`].
-pub struct LscqDrain<'a, T: Send, P: FaaPolicy> {
-    queue: &'a TypedLscq<T, P>,
-}
-
-impl<T: Send, P: FaaPolicy> Iterator for LscqDrain<'_, T, P> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.queue.dequeue()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Drop for TypedLscq<T, P> {
-    fn drop(&mut self) {
-        // Drain and drop any remaining boxed values before the rings go.
-        while self.dequeue().is_some() {}
-    }
-}
-
-// SAFETY: the queue owns boxed `T` values in transit; handing them across
-// threads requires `T: Send` (already bounded on the struct).
-unsafe impl<T: Send, P: FaaPolicy> Send for TypedLscq<T, P> {}
-unsafe impl<T: Send, P: FaaPolicy> Sync for TypedLscq<T, P> {}
-
-/// The typed facade over the wait-free [`WcqGeneric`]: boxed values ride
-/// the helped fast path exactly as [`TypedLscq`] values ride the SCQ one,
-/// so channels and other `T`-valued layers inherit the bounded-steps
-/// progress class.
-///
-/// ```
-/// use lcrq_core::TypedWcq;
-/// let q: TypedWcq<String> = TypedWcq::new();
-/// q.enqueue("hello".to_string());
-/// assert_eq!(q.dequeue().as_deref(), Some("hello"));
-/// assert_eq!(q.dequeue(), None);
-/// ```
-///
-/// [`WcqGeneric`]: crate::WcqGeneric
-pub struct TypedWcq<T: Send, P: FaaPolicy = HardwareFaa> {
-    inner: crate::wcq::WcqGeneric<P>,
-    _marker: PhantomData<T>,
-}
-
-impl<T: Send, P: FaaPolicy> TypedWcq<T, P> {
-    /// Creates an empty queue with the default configuration.
-    pub fn new() -> Self {
-        Self::with_config(LcrqConfig::default())
-    }
-
-    /// Creates an empty queue with an explicit configuration.
-    pub fn with_config(config: LcrqConfig) -> Self {
-        Self {
-            inner: crate::wcq::WcqGeneric::with_config(config),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Appends `value`.
-    pub fn enqueue(&self, value: T) {
-        let ptr = Box::into_raw(Box::new(value)) as u64;
-        debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-        self.inner.enqueue(ptr);
-    }
-
-    /// Removes and returns the oldest value, or `None` if empty.
-    pub fn dequeue(&self) -> Option<T> {
-        self.inner.dequeue().map(|ptr| {
-            // SAFETY: every value in the queue is a Box::into_raw'd `T`
-            // handed out exactly once by linearizability.
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
-    }
-
-    /// Appends `value` unless the queue has been [`close`](Self::close)d,
-    /// in which case ownership is handed back as `Err(value)`.
-    pub fn try_enqueue(&self, value: T) -> Result<(), T> {
-        let raw = Box::into_raw(Box::new(value));
-        debug_assert!((raw as u64) < crate::BOTTOM && !raw.is_null());
-        self.inner.try_enqueue(raw as u64).map_err(|ptr| {
-            // SAFETY: the queue rejected the pointer; we still own the box.
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
-    }
-
-    /// Appends every value of `iter` (scalar enqueues — wCQ has no
-    /// multi-slot reservation path). Takes `&self`: concurrent callers are
-    /// fine.
-    pub fn extend<I: IntoIterator<Item = T>>(&self, iter: I) {
-        for value in iter {
-            self.enqueue(value);
-        }
-    }
-
-    /// Batch counterpart of [`try_enqueue`](Self::try_enqueue): appends
-    /// every value of `values` in order, or — if the queue closes partway —
-    /// returns the **unplaced suffix** as `Err(remainder)`. wCQ has no
-    /// multi-slot reservation, so this is a sequence of scalar enqueues;
-    /// the placed prefix is in the queue and drains normally.
-    pub fn try_extend(&self, values: Vec<T>) -> Result<(), Vec<T>> {
-        let mut it = values.into_iter();
-        while let Some(value) = it.next() {
-            if let Err(v) = self.try_enqueue(value) {
-                let mut rest = vec![v];
-                rest.extend(it);
-                return Err(rest);
-            }
-        }
-        Ok(())
-    }
-
-    /// Closes the queue for further enqueues:
-    /// [`try_enqueue`](Self::try_enqueue) starts failing while dequeues
-    /// drain the remaining items. Returns `true` on the first call.
-    pub fn close(&self) -> bool {
-        self.inner.close()
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.is_closed()
-    }
-
-    /// Whether the queue appears empty (racy snapshot).
-    pub fn is_empty_hint(&self) -> bool {
-        self.inner.is_empty_hint()
-    }
-
-    /// Removes up to `max` of the oldest values, appending them to `out` in
-    /// FIFO order; returns how many were moved. A return `< max` is a
-    /// linearizable EMPTY observation (scalar dequeues — each one is its
-    /// own linearization point).
-    pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut taken = 0;
-        while taken < max {
-            match self.dequeue() {
-                Some(v) => {
-                    out.push(v);
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
+        // SAFETY: as in `dequeue`.
+        out.extend(ptrs.into_iter().map(|ptr| unsafe { Self::unboxed(ptr) }));
         taken
     }
 
     /// Returns an iterator that dequeues until the queue reports empty.
-    pub fn drain(&self) -> WcqTypedDrain<'_, T, P> {
-        WcqTypedDrain { queue: self }
+    pub fn drain(&self) -> impl Iterator<Item = T> + '_ {
+        core::iter::from_fn(move || self.dequeue())
     }
 }
 
-impl<T: Send, P: FaaPolicy> Default for TypedWcq<T, P> {
+impl<T: Send, R: Ring> Default for Typed<T, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Send, P: FaaPolicy> core::fmt::Debug for TypedWcq<T, P> {
+impl<T: Send, R: Ring> core::fmt::Debug for Typed<T, R> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TypedWcq")
+        f.debug_struct("Typed")
             .field("value_type", &core::any::type_name::<T>())
             .finish()
     }
 }
 
-impl<T: Send, P: FaaPolicy> FromIterator<T> for TypedWcq<T, P> {
+impl<T: Send, R: Ring> FromIterator<T> for Typed<T, R> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let q = Self::new();
         q.extend(iter);
@@ -506,25 +191,13 @@ impl<T: Send, P: FaaPolicy> FromIterator<T> for TypedWcq<T, P> {
     }
 }
 
-impl<T: Send, P: FaaPolicy> Extend<T> for TypedWcq<T, P> {
+impl<T: Send, R: Ring> Extend<T> for Typed<T, R> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        TypedWcq::extend(self, iter);
+        Typed::extend(self, iter);
     }
 }
 
-/// Draining iterator returned by [`TypedWcq::drain`].
-pub struct WcqTypedDrain<'a, T: Send, P: FaaPolicy> {
-    queue: &'a TypedWcq<T, P>,
-}
-
-impl<T: Send, P: FaaPolicy> Iterator for WcqTypedDrain<'_, T, P> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.queue.dequeue()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Drop for TypedWcq<T, P> {
+impl<T: Send, R: Ring> Drop for Typed<T, R> {
     fn drop(&mut self) {
         // Drain and drop any remaining boxed values before the rings go.
         while self.dequeue().is_some() {}
@@ -532,293 +205,204 @@ impl<T: Send, P: FaaPolicy> Drop for TypedWcq<T, P> {
 }
 
 // SAFETY: the queue owns boxed `T` values in transit; handing them across
-// threads requires `T: Send` (already bounded on the struct).
-unsafe impl<T: Send, P: FaaPolicy> Send for TypedWcq<T, P> {}
-unsafe impl<T: Send, P: FaaPolicy> Sync for TypedWcq<T, P> {}
+// threads requires `T: Send` (already bounded on the struct). The list
+// itself is `Send + Sync`.
+unsafe impl<T: Send, R: Ring> Send for Typed<T, R> {}
+unsafe impl<T: Send, R: Ring> Sync for Typed<T, R> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcrq_atomic::CasLoopFaa;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    #[test]
-    fn fifo_of_strings() {
-        let q: TypedLcrq<String> = TypedLcrq::new();
-        for i in 0..100 {
-            q.enqueue(format!("item-{i}"));
+    struct Counted(Arc<AtomicUsize>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
         }
-        for i in 0..100 {
-            assert_eq!(q.dequeue(), Some(format!("item-{i}")));
-        }
-        assert_eq!(q.dequeue(), None);
     }
 
-    #[test]
-    fn zero_sized_types_work() {
-        // Box<()> still yields a unique-ish dangling pointer; ensure the
-        // round trip works and nothing is lost.
-        let q: TypedLcrq<()> = TypedLcrq::new();
-        q.enqueue(());
-        q.enqueue(());
-        assert_eq!(q.dequeue(), Some(()));
-        assert_eq!(q.dequeue(), Some(()));
-        assert_eq!(q.dequeue(), None);
+    fn tiny() -> LcrqConfig {
+        LcrqConfig::new().with_ring_order(3)
     }
 
-    #[test]
-    fn values_are_dropped_exactly_once() {
-        struct Counted(Arc<AtomicUsize>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        let q: TypedLcrq<Counted> = TypedLcrq::new();
-        for _ in 0..50 {
-            q.enqueue(Counted(Arc::clone(&drops)));
-        }
-        for _ in 0..20 {
-            drop(q.dequeue());
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 20);
-        drop(q); // remaining 30 freed by the queue's Drop
-        assert_eq!(drops.load(Ordering::SeqCst), 50);
-    }
+    /// The facade suite: written once against `Typed<T, R>`, instantiated
+    /// below for every ring the crate ships.
+    macro_rules! typed_suite {
+        ($name:ident, $ring:ty) => {
+            mod $name {
+                use super::*;
+                type Q<T> = Typed<T, $ring>;
 
-    #[test]
-    fn from_iterator_extend_and_drain() {
-        let q: TypedLcrq<String> = ["a", "b"].into_iter().map(String::from).collect();
-        q.extend(["c".to_string()]);
-        let out: Vec<String> = q.drain().collect();
-        assert_eq!(out, vec!["a", "b", "c"]);
-        assert!(format!("{q:?}").contains("String"));
-    }
-
-    #[test]
-    fn extend_and_drain_into_round_trip_through_the_batch_path() {
-        let q: TypedLcrq<String> = TypedLcrq::new();
-        q.extend((0..100).map(|i| format!("item-{i}"))); // &self: no mut
-        let mut out = Vec::new();
-        assert_eq!(q.drain_into(&mut out, 30), 30);
-        assert_eq!(q.drain_into(&mut out, 1_000), 70, "short return = EMPTY");
-        let expected: Vec<String> = (0..100).map(|i| format!("item-{i}")).collect();
-        assert_eq!(out, expected);
-        assert_eq!(q.drain_into(&mut out, 1), 0);
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn extend_spills_across_tiny_rings() {
-        let q: TypedLcrq<u32> = TypedLcrq::with_config(LcrqConfig::new().with_ring_order(3));
-        q.extend(0..500u32);
-        let mut out = Vec::new();
-        assert_eq!(q.drain_into(&mut out, 500), 500);
-        assert_eq!(out, (0..500).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn drain_into_appends_after_existing_contents() {
-        let q: TypedLcrq<u8> = TypedLcrq::new();
-        q.extend([10, 11]);
-        let mut out = vec![9];
-        assert_eq!(q.drain_into(&mut out, 5), 2);
-        assert_eq!(out, vec![9, 10, 11]);
-    }
-
-    #[test]
-    fn batch_moved_values_drop_exactly_once() {
-        struct Counted(Arc<AtomicUsize>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        let q: TypedLcrq<Counted> = TypedLcrq::new();
-        q.extend((0..50).map(|_| Counted(Arc::clone(&drops))));
-        let mut out = Vec::new();
-        assert_eq!(q.drain_into(&mut out, 20), 20);
-        drop(out); // 20 drained values dropped here
-        assert_eq!(drops.load(Ordering::SeqCst), 20);
-        drop(q); // remaining 30 freed by the queue's Drop
-        assert_eq!(drops.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn close_returns_ownership_and_drains_in_order() {
-        let q: TypedLcrq<String> = TypedLcrq::new();
-        assert_eq!(q.try_enqueue("a".into()), Ok(()));
-        q.extend(["b".to_string(), "c".to_string()]);
-        assert!(q.close());
-        assert!(q.is_closed());
-        assert!(!q.close());
-        assert_eq!(q.try_enqueue("x".to_string()), Err("x".to_string()));
-        let rejected = q
-            .try_extend(vec!["y".to_string(), "z".to_string()])
-            .unwrap_err();
-        assert_eq!(rejected, vec!["y".to_string(), "z".to_string()]);
-        let drained: Vec<String> = q.drain().collect();
-        assert_eq!(drained, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn rejected_values_drop_exactly_once() {
-        struct Counted(Arc<AtomicUsize>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        let q: TypedLcrq<Counted> = TypedLcrq::new();
-        q.enqueue(Counted(Arc::clone(&drops)));
-        q.close();
-        // Rejected scalar and batch values come back still owned; dropping
-        // them must free each exactly once.
-        drop(q.try_enqueue(Counted(Arc::clone(&drops))).unwrap_err());
-        let rejected = q
-            .try_extend((0..5).map(|_| Counted(Arc::clone(&drops))).collect())
-            .unwrap_err();
-        assert_eq!(rejected.len(), 5);
-        drop(rejected);
-        assert_eq!(drops.load(Ordering::SeqCst), 6);
-        drop(q); // the one enqueued value freed by the queue's Drop
-        assert_eq!(drops.load(Ordering::SeqCst), 7);
-    }
-
-    #[test]
-    fn lscq_fifo_of_strings() {
-        let q: TypedLscq<String> = TypedLscq::with_config(LcrqConfig::new().with_ring_order(3));
-        for i in 0..100 {
-            q.enqueue(format!("item-{i}"));
-        }
-        for i in 0..100 {
-            assert_eq!(q.dequeue(), Some(format!("item-{i}")));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn lscq_values_are_dropped_exactly_once() {
-        struct Counted(Arc<AtomicUsize>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        let q: TypedLscq<Counted> = TypedLscq::with_config(LcrqConfig::new().with_ring_order(2));
-        for _ in 0..50 {
-            q.enqueue(Counted(Arc::clone(&drops)));
-        }
-        for _ in 0..20 {
-            drop(q.dequeue());
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 20);
-        drop(q); // remaining 30 freed by the queue's Drop
-        assert_eq!(drops.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn lscq_close_returns_ownership_and_drains_in_order() {
-        let q: TypedLscq<String> = TypedLscq::new();
-        assert_eq!(q.try_enqueue("a".into()), Ok(()));
-        q.extend(["b".to_string(), "c".to_string()]);
-        assert!(q.close());
-        assert!(q.is_closed());
-        assert_eq!(q.try_enqueue("x".to_string()), Err("x".to_string()));
-        let drained: Vec<String> = q.drain().collect();
-        assert_eq!(drained, vec!["a", "b", "c"]);
-        assert!(format!("{q:?}").contains("String"));
-    }
-
-    #[test]
-    fn wcq_fifo_of_strings() {
-        let q: TypedWcq<String> = TypedWcq::with_config(LcrqConfig::new().with_ring_order(3));
-        for i in 0..100 {
-            q.enqueue(format!("item-{i}"));
-        }
-        for i in 0..100 {
-            assert_eq!(q.dequeue(), Some(format!("item-{i}")));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn wcq_values_are_dropped_exactly_once() {
-        struct Counted(Arc<AtomicUsize>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        let q: TypedWcq<Counted> = TypedWcq::with_config(LcrqConfig::new().with_ring_order(2));
-        for _ in 0..50 {
-            q.enqueue(Counted(Arc::clone(&drops)));
-        }
-        for _ in 0..20 {
-            drop(q.dequeue());
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 20);
-        drop(q); // remaining 30 freed by the queue's Drop
-        assert_eq!(drops.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn wcq_close_returns_ownership_and_drains_in_order() {
-        let q: TypedWcq<String> = TypedWcq::new();
-        assert_eq!(q.try_enqueue("a".into()), Ok(()));
-        q.extend(["b".to_string(), "c".to_string()]);
-        assert!(q.close());
-        assert!(q.is_closed());
-        assert_eq!(q.try_enqueue("x".to_string()), Err("x".to_string()));
-        let drained: Vec<String> = q.drain().collect();
-        assert_eq!(drained, vec!["a", "b", "c"]);
-        assert!(format!("{q:?}").contains("String"));
-    }
-
-    #[test]
-    fn mpmc_stress_typed() {
-        let q: Arc<TypedLcrq<(usize, u64)>> =
-            Arc::new(TypedLcrq::with_config(LcrqConfig::new().with_ring_order(4)));
-        let producers = 3usize;
-        let per = 3_000u64;
-        let handles: Vec<_> = (0..producers)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        q.enqueue((p, i));
+                #[test]
+                fn fifo_of_strings() {
+                    let q: Q<String> = Q::with_config(tiny());
+                    for i in 0..100 {
+                        q.enqueue(format!("item-{i}"));
                     }
-                })
-            })
-            .collect();
-        let total = producers as u64 * per;
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut got = 0;
-                let mut last = [None; 8];
-                while got < total {
-                    if let Some((p, i)) = q.dequeue() {
-                        if let Some(prev) = last[p] {
-                            assert!(i > prev);
-                        }
-                        last[p] = Some(i);
-                        got += 1;
-                    } else {
-                        std::thread::yield_now();
+                    for i in 0..100 {
+                        assert_eq!(q.dequeue(), Some(format!("item-{i}")));
                     }
+                    assert_eq!(q.dequeue(), None);
                 }
-            })
+
+                #[test]
+                fn zero_sized_types_work() {
+                    // Box<()> still yields a unique-ish dangling pointer;
+                    // ensure the round trip works and nothing is lost.
+                    let q: Q<()> = Q::new();
+                    q.enqueue(());
+                    q.enqueue(());
+                    assert_eq!(q.dequeue(), Some(()));
+                    assert_eq!(q.dequeue(), Some(()));
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn values_are_dropped_exactly_once() {
+                    let drops = Arc::new(AtomicUsize::new(0));
+                    let q: Q<Counted> = Q::with_config(LcrqConfig::new().with_ring_order(2));
+                    for _ in 0..50 {
+                        q.enqueue(Counted(Arc::clone(&drops)));
+                    }
+                    for _ in 0..20 {
+                        drop(q.dequeue());
+                    }
+                    assert_eq!(drops.load(Ordering::SeqCst), 20);
+                    drop(q); // remaining 30 freed by the queue's Drop
+                    assert_eq!(drops.load(Ordering::SeqCst), 50);
+                }
+
+                #[test]
+                fn from_iterator_extend_and_drain() {
+                    let q: Q<String> = ["a", "b"].into_iter().map(String::from).collect();
+                    q.extend(["c".to_string()]);
+                    let out: Vec<String> = q.drain().collect();
+                    assert_eq!(out, vec!["a", "b", "c"]);
+                    assert!(format!("{q:?}").contains("String"));
+                }
+
+                #[test]
+                fn extend_and_drain_into_round_trip_through_the_batch_path() {
+                    let q: Q<String> = Q::new();
+                    q.extend((0..100).map(|i| format!("item-{i}"))); // &self: no mut
+                    let mut out = Vec::new();
+                    assert_eq!(q.drain_into(&mut out, 30), 30);
+                    assert_eq!(q.drain_into(&mut out, 1_000), 70, "short return = EMPTY");
+                    let expected: Vec<String> = (0..100).map(|i| format!("item-{i}")).collect();
+                    assert_eq!(out, expected);
+                    assert_eq!(q.drain_into(&mut out, 1), 0);
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn extend_spills_across_tiny_rings() {
+                    let q: Q<u32> = Q::with_config(tiny());
+                    q.extend(0..500u32);
+                    let mut out = Vec::new();
+                    assert_eq!(q.drain_into(&mut out, 500), 500);
+                    assert_eq!(out, (0..500).collect::<Vec<u32>>());
+                }
+
+                #[test]
+                fn drain_into_appends_after_existing_contents() {
+                    let q: Q<u8> = Q::new();
+                    q.extend([10, 11]);
+                    let mut out = vec![9];
+                    assert_eq!(q.drain_into(&mut out, 5), 2);
+                    assert_eq!(out, vec![9, 10, 11]);
+                }
+
+                #[test]
+                fn batch_moved_values_drop_exactly_once() {
+                    let drops = Arc::new(AtomicUsize::new(0));
+                    let q: Q<Counted> = Q::new();
+                    q.extend((0..50).map(|_| Counted(Arc::clone(&drops))));
+                    let mut out = Vec::new();
+                    assert_eq!(q.drain_into(&mut out, 20), 20);
+                    drop(out); // 20 drained values dropped here
+                    assert_eq!(drops.load(Ordering::SeqCst), 20);
+                    drop(q); // remaining 30 freed by the queue's Drop
+                    assert_eq!(drops.load(Ordering::SeqCst), 50);
+                }
+
+                #[test]
+                fn close_returns_ownership_and_drains_in_order() {
+                    let q: Q<String> = Q::new();
+                    assert_eq!(q.try_enqueue("a".into()), Ok(()));
+                    q.extend(["b".to_string(), "c".to_string()]);
+                    assert!(q.close());
+                    assert!(q.is_closed());
+                    assert!(!q.close());
+                    assert_eq!(q.try_enqueue("x".to_string()), Err("x".to_string()));
+                    let rejected = q
+                        .try_extend(vec!["y".to_string(), "z".to_string()])
+                        .unwrap_err();
+                    assert_eq!(rejected, vec!["y".to_string(), "z".to_string()]);
+                    let drained: Vec<String> = q.drain().collect();
+                    assert_eq!(drained, vec!["a", "b", "c"]);
+                }
+
+                #[test]
+                fn rejected_values_drop_exactly_once() {
+                    let drops = Arc::new(AtomicUsize::new(0));
+                    let q: Q<Counted> = Q::new();
+                    q.enqueue(Counted(Arc::clone(&drops)));
+                    q.close();
+                    // Rejected scalar and batch values come back still
+                    // owned; dropping them must free each exactly once.
+                    drop(q.try_enqueue(Counted(Arc::clone(&drops))).unwrap_err());
+                    let rejected = q
+                        .try_extend((0..5).map(|_| Counted(Arc::clone(&drops))).collect())
+                        .unwrap_err();
+                    assert_eq!(rejected.len(), 5);
+                    drop(rejected);
+                    assert_eq!(drops.load(Ordering::SeqCst), 6);
+                    drop(q); // the one enqueued value freed by the queue's Drop
+                    assert_eq!(drops.load(Ordering::SeqCst), 7);
+                }
+
+                #[test]
+                fn mpmc_stress_typed() {
+                    let q: Q<(usize, u64)> = Q::with_config(LcrqConfig::new().with_ring_order(4));
+                    let q = &q;
+                    let producers = 3usize;
+                    let per = 3_000u64;
+                    let total = producers as u64 * per;
+                    std::thread::scope(|s| {
+                        for p in 0..producers {
+                            s.spawn(move || {
+                                for i in 0..per {
+                                    q.enqueue((p, i));
+                                }
+                            });
+                        }
+                        s.spawn(move || {
+                            let mut got = 0;
+                            let mut last = [None; 8];
+                            while got < total {
+                                if let Some((p, i)) = q.dequeue() {
+                                    if let Some(prev) = last[p] {
+                                        assert!(i > prev);
+                                    }
+                                    last[p] = Some(i);
+                                    got += 1;
+                                } else {
+                                    std::thread::yield_now();
+                                }
+                            }
+                        });
+                    });
+                    assert!(q.dequeue().is_none());
+                }
+            }
         };
-        for h in handles {
-            h.join().unwrap();
-        }
-        consumer.join().unwrap();
-        assert!(q.dequeue().is_none());
     }
+
+    typed_suite!(crq, Crq<HardwareFaa>);
+    typed_suite!(crq_cas, Crq<CasLoopFaa>);
+    typed_suite!(scqd, ScqD<HardwareFaa>);
+    typed_suite!(wcq_ring, WcqRing<HardwareFaa>);
 }

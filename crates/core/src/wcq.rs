@@ -35,22 +35,21 @@
 //! threshold counter, cycle tags, catchup, and the cache-line remap are
 //! taken from [`crate::scq`] unchanged.
 //!
-//! [`Wcq`] is the unbounded queue: an MS-style list of [`WcqRing`]s with
-//! tantrum spills, exactly like [`Lscq`](crate::Lscq).
+//! [`Wcq`](crate::Wcq) is the unbounded queue: the shared list of rings
+//! ([`RingList`](crate::RingList)) over [`WcqRing`]s.
 
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use lcrq_atomic::{ops, AtomicPair, FaaPolicy, HardwareFaa};
-use lcrq_hazard::Domain;
-use lcrq_queues::EnqueueError;
-use lcrq_util::backoff::Backoff;
 use lcrq_util::fault::{self, Site};
 use lcrq_util::metrics::{self, Event};
+use lcrq_util::sync::AtomicPtr;
 use lcrq_util::{adversary, CachePadded};
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
+use crate::ring::Ring;
 use crate::BOTTOM;
 
 /// Bit 63 of `tail`: the ring is closed to further enqueues.
@@ -215,7 +214,7 @@ fn pair_reset(p: &AtomicPair, new: (u64, u64)) {
 
 /// A bounded wait-free MPMC ring of `u64` values (`< BOTTOM`) — the wCQ.
 ///
-/// Most users want the unbounded [`Wcq`]; the ring is exposed for tests
+/// Most users want the unbounded [`Wcq`](crate::Wcq); the ring is exposed for tests
 /// and for symmetry with [`Scq`](crate::Scq). Tantrum semantics like
 /// [`Crq`](crate::Crq): a starving enqueue closes the ring.
 pub struct WcqRing<P: FaaPolicy = HardwareFaa> {
@@ -239,51 +238,12 @@ pub struct WcqRing<P: FaaPolicy = HardwareFaa> {
     /// Enqueue-side tantrum: a slow enqueue whose claim dies this many
     /// times closes the ring (the CRQ `starving()` analogue).
     starvation_limit: u64,
-    /// The next ring in a [`Wcq`] list (null while this is the tail).
-    pub(crate) next: CachePadded<AtomicPtr<WcqRing<P>>>,
+    /// The next ring in a [`Wcq`](crate::Wcq) list (null while this is the tail).
+    next: CachePadded<AtomicPtr<WcqRing<P>>>,
     _marker: PhantomData<P>,
 }
 
 impl<P: FaaPolicy> WcqRing<P> {
-    /// An empty ring with capacity `config.ring_size()` values
-    /// (`2 × ring_size` entries, matching the SCQ's 2n sizing).
-    pub fn new(config: &LcrqConfig) -> Self {
-        metrics::inc(Event::RingAlloc);
-        let order = config.ring_size().trailing_zeros().clamp(1, 30);
-        let array_order = order + 1;
-        let slots = 1usize << array_order;
-        let entries: Box<[AtomicPair]> = (0..slots)
-            .map(|_| AtomicPair::new(mpack(0, true, 0, REC_NONE), BOTTOM))
-            .collect();
-        WcqRing {
-            head: CachePadded::new(AtomicU64::new(slots as u64)),
-            tail: CachePadded::new(AtomicU64::new(slots as u64)),
-            threshold: CachePadded::new(AtomicI64::new(-1)),
-            entries,
-            array_order,
-            records: (0..REC_SLOTS)
-                .map(|_| CachePadded::new(Record::new()))
-                .collect(),
-            help_ticket: CachePadded::new(AtomicU64::new(0)),
-            pending: CachePadded::new(AtomicU64::new(0)),
-            // Cap below the claim's 16-bit attempt field so it can't wrap.
-            starvation_limit: (config.starvation_limit as u64).min(ATT_MASK - 1),
-            next: CachePadded::new(AtomicPtr::new(core::ptr::null_mut())),
-            _marker: PhantomData,
-        }
-    }
-
-    /// An empty ring pre-loaded with `seed` (the spill-path handoff).
-    pub fn with_seed(config: &LcrqConfig, seed: &[u64]) -> Self {
-        let q = Self::new(config);
-        for &v in seed {
-            let placed = q.enqueue(v);
-            debug_assert!(placed.is_ok(), "seeding a fresh ring cannot fail");
-            let _ = placed;
-        }
-        q
-    }
-
     /// Number of values the ring can hold.
     #[inline]
     pub fn capacity(&self) -> u64 {
@@ -334,38 +294,6 @@ impl<P: FaaPolicy> WcqRing<P> {
         if self.threshold.load(Ordering::SeqCst) != max {
             self.threshold.store(max, Ordering::SeqCst);
         }
-    }
-
-    /// Re-arms the threshold; see [`Scq::reset_threshold`](crate::Scq::reset_threshold).
-    pub fn reset_threshold(&self) {
-        self.threshold.store(self.threshold_max(), Ordering::SeqCst);
-    }
-
-    /// Closes the ring to further enqueues (idempotent). Returns `true`
-    /// if this call closed it.
-    pub fn close(&self) -> bool {
-        let newly = !ops::tas_bit(&self.tail, 63);
-        if newly {
-            metrics::inc(Event::CrqClosed);
-        }
-        newly
-    }
-
-    /// Whether the ring has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.tail.load(Ordering::SeqCst) & FINALIZED_BIT != 0
-    }
-
-    /// Head position (diagnostic).
-    #[inline]
-    pub fn head_index(&self) -> u64 {
-        self.head.load(Ordering::SeqCst)
-    }
-
-    /// Tail position with the finalized bit masked off (diagnostic).
-    #[inline]
-    pub fn tail_index(&self) -> u64 {
-        self.tail.load(Ordering::SeqCst) & !FINALIZED_BIT
     }
 
     /// Current threshold value (diagnostic).
@@ -648,19 +576,34 @@ impl<P: FaaPolicy> WcqRing<P> {
             } else {
                 mpack(mcycle(meta), false, 0, mrec(meta))
             };
-            let was_empty = val == BOTTOM;
+            let settled = new == meta; // an overtaken value, already unsafe
+            if settled && self.head.load(Ordering::SeqCst) <= h {
+                // Re-marking it would "succeed" round after round until its
+                // own (possibly stalled) dequeuer consumes it: an unbounded
+                // wait on a peer. Give the position up as the fast path does,
+                // `head` first — an unsafe slot then refuses position `h` to
+                // every enqueuer — and look again (a value placed just
+                // before that is still ours to take).
+                if ops::cas(&self.head, h, h + 1).is_ok() {
+                    metrics::inc(Event::Faa);
+                    self.threshold.fetch_sub(1, Ordering::SeqCst);
+                }
+                return false;
+            }
             adversary::preempt_point();
-            if self.entries[j]
-                .compare_exchange((meta, val), (new, val))
-                .is_ok()
-            {
-                metrics::inc(if was_empty {
+            let swapped = self.entries[j].compare_exchange((meta, val), (new, val));
+            if swapped.is_ok() {
+                metrics::inc(if val == BOTTOM {
                     Event::EmptyTransition
                 } else {
                     Event::UnsafeTransition
                 });
             }
-            return false;
+            if !(settled && swapped.is_ok()) {
+                return false;
+            }
+            // The CAS2 changed nothing but validated the two-word snapshot
+            // with `head` already past `h`: the position is dead.
         }
         // Dead position (cycle advanced / transitioned). Threshold
         // accounting must be exactly once per retired position or helpers
@@ -868,13 +811,99 @@ impl<P: FaaPolicy> WcqRing<P> {
             .store(pack_state(seq, PH_IDLE), Ordering::SeqCst);
     }
 
+    /// Announced enqueue: publishes a record and helps until it reaches
+    /// DONE (placed) or CLOSED (ring finalized first).
+    fn enqueue_slow(&self, value: u64) -> Result<(), CrqClosed> {
+        let (i, seq) = self.acquire_record();
+        let r = &self.records[i];
+        r.arg.store(value, Ordering::SeqCst);
+        pair_reset(&r.claim, (claim_hi(seq, 0), POS_NONE));
+        pair_reset(&r.result, (seq << 1, 0));
+        let ph = self.announce_and_run(i, seq, PH_ENQ);
+        self.release_record(i, seq);
+        if ph == PH_DONE {
+            Ok(())
+        } else {
+            Err(CrqClosed)
+        }
+    }
+
+    /// Announced dequeue. `pos0` is `POS_NONE`, or a position the caller
+    /// owns from a fast-path FAA whose window expired — the claim starts
+    /// there so the position is completed, not leaked.
+    fn dequeue_slow(&self, pos0: u64) -> Option<u64> {
+        let (i, seq) = self.acquire_record();
+        let r = &self.records[i];
+        pair_reset(&r.claim, (claim_hi(seq, 0), pos0));
+        pair_reset(&r.result, (seq << 1, 0));
+        let _ = self.announce_and_run(i, seq, PH_DEQ);
+        // Before the record can be reused, the bound slot must be
+        // scrubbed — otherwise a later occupant of this record could be
+        // confused with the old bind and the value delivered twice.
+        let cpos = r.claim.load_second();
+        if claim_is_placed(cpos) {
+            let p = cpos & !PLACED_BIT;
+            let c = self.cycle_of(p);
+            let j = self.remap(p);
+            let meta = self.entries[j].load_first();
+            let val = self.entries[j].load_second();
+            if mcycle(meta) == c && meta & BOUND_BIT != 0 && mrec(meta) == i as u64 {
+                let _ = self.entries[j]
+                    .compare_exchange((meta, val), (mpack(c, msafe(meta), 0, REC_NONE), BOTTOM));
+            }
+        }
+        let v = r.result.load_second();
+        debug_assert_eq!(r.result.load_first(), (seq << 1) | 1, "DONE without result");
+        self.release_record(i, seq);
+        if v == BOTTOM {
+            None
+        } else {
+            Some(v)
+        }
+    }
+}
+
+/// The wCQ ring's operations *are* its [`Ring`] implementation. Like the
+/// SCQ it overrides only the [`rearm`](Ring::rearm) hook (same threshold
+/// counter, same reason); batches keep the scalar loop because a k-wide FAA
+/// would reserve k positions whose helped completion the record protocol
+/// cannot express as a group.
+impl<P: FaaPolicy> Ring for WcqRing<P> {
+    /// An empty ring with capacity `config.ring_size()` values
+    /// (`2 × ring_size` entries, matching the SCQ's 2n sizing).
+    fn new(config: &LcrqConfig) -> Self {
+        metrics::inc(Event::RingAlloc);
+        let order = config.ring_size().trailing_zeros().clamp(1, 30);
+        let array_order = order + 1;
+        let slots = 1usize << array_order;
+        let entries: Box<[AtomicPair]> = (0..slots)
+            .map(|_| AtomicPair::new(mpack(0, true, 0, REC_NONE), BOTTOM))
+            .collect();
+        WcqRing {
+            head: CachePadded::new(AtomicU64::new(slots as u64)),
+            tail: CachePadded::new(AtomicU64::new(slots as u64)),
+            threshold: CachePadded::new(AtomicI64::new(-1)),
+            entries,
+            array_order,
+            records: (0..REC_SLOTS)
+                .map(|_| CachePadded::new(Record::new()))
+                .collect(),
+            help_ticket: CachePadded::new(AtomicU64::new(0)),
+            pending: CachePadded::new(AtomicU64::new(0)),
+            // Cap below the claim's 16-bit attempt field so it can't wrap.
+            starvation_limit: (config.starvation_limit as u64).min(ATT_MASK - 1),
+            next: CachePadded::new(AtomicPtr::new(core::ptr::null_mut())),
+            _marker: PhantomData,
+        }
+    }
+
     // --- public operations --------------------------------------------
 
     /// Appends `value` (must be `< BOTTOM`); fails only if the ring was
     /// finalized. Bounded: [`FAST_ATTEMPTS`] FAA attempts, then the
     /// announced slow path whose claim terminates within the starvation
     /// limit.
-    pub fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
+    fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
         debug_assert!(value < BOTTOM);
         self.help_scan();
         for _ in 0..FAST_ATTEMPTS {
@@ -925,28 +954,11 @@ impl<P: FaaPolicy> WcqRing<P> {
         self.enqueue_slow(value)
     }
 
-    /// Announced enqueue: publishes a record and helps until it reaches
-    /// DONE (placed) or CLOSED (ring finalized first).
-    fn enqueue_slow(&self, value: u64) -> Result<(), CrqClosed> {
-        let (i, seq) = self.acquire_record();
-        let r = &self.records[i];
-        r.arg.store(value, Ordering::SeqCst);
-        pair_reset(&r.claim, (claim_hi(seq, 0), POS_NONE));
-        pair_reset(&r.result, (seq << 1, 0));
-        let ph = self.announce_and_run(i, seq, PH_ENQ);
-        self.release_record(i, seq);
-        if ph == PH_DONE {
-            Ok(())
-        } else {
-            Err(CrqClosed)
-        }
-    }
-
     /// Removes the oldest value, or `None` when empty. Bounded like
     /// [`enqueue`](Self::enqueue); a fast-path position whose window
     /// expires while it may still hold our value is handed to the helpers
     /// instead of abandoned (abandoning it would strand the value).
-    pub fn dequeue(&self) -> Option<u64> {
+    fn dequeue(&self) -> Option<u64> {
         self.help_scan();
         if self.threshold.load(Ordering::SeqCst) < 0 {
             metrics::inc(Event::ThresholdExhausted);
@@ -1035,377 +1047,43 @@ impl<P: FaaPolicy> WcqRing<P> {
         self.dequeue_slow(POS_NONE)
     }
 
-    /// Announced dequeue. `pos0` is `POS_NONE`, or a position the caller
-    /// owns from a fast-path FAA whose window expired — the claim starts
-    /// there so the position is completed, not leaked.
-    fn dequeue_slow(&self, pos0: u64) -> Option<u64> {
-        let (i, seq) = self.acquire_record();
-        let r = &self.records[i];
-        pair_reset(&r.claim, (claim_hi(seq, 0), pos0));
-        pair_reset(&r.result, (seq << 1, 0));
-        let _ = self.announce_and_run(i, seq, PH_DEQ);
-        // Before the record can be reused, the bound slot must be
-        // scrubbed — otherwise a later occupant of this record could be
-        // confused with the old bind and the value delivered twice.
-        let cpos = r.claim.load_second();
-        if claim_is_placed(cpos) {
-            let p = cpos & !PLACED_BIT;
-            let c = self.cycle_of(p);
-            let j = self.remap(p);
-            let meta = self.entries[j].load_first();
-            let val = self.entries[j].load_second();
-            if mcycle(meta) == c && meta & BOUND_BIT != 0 && mrec(meta) == i as u64 {
-                let _ = self.entries[j]
-                    .compare_exchange((meta, val), (mpack(c, msafe(meta), 0, REC_NONE), BOTTOM));
-            }
-        }
-        let v = r.result.load_second();
-        debug_assert_eq!(r.result.load_first(), (seq << 1) | 1, "DONE without result");
-        self.release_record(i, seq);
-        if v == BOTTOM {
-            None
-        } else {
-            Some(v)
-        }
-    }
-}
-
-/// The unbounded wait-free queue with hardware fetch-and-add.
-pub type Wcq = WcqGeneric<HardwareFaa>;
-
-/// An unbounded, linearizable MPMC FIFO queue of `u64` values (`< BOTTOM`)
-/// built from linked [`WcqRing`]s — the wait-free sibling of
-/// [`Lscq`](crate::Lscq).
-///
-/// List structure, tantrum spills, hazard-pointer retirement, and the
-/// abandonment double-check are identical to [`LscqGeneric`](crate::LscqGeneric);
-/// only the ring type differs. Per-operation work inside a ring is bounded
-/// (see the module docs), so a stalled peer cannot starve survivors.
-///
-/// ```
-/// use lcrq_core::Wcq;
-/// let q = Wcq::new();
-/// q.enqueue(10);
-/// assert_eq!(q.dequeue(), Some(10));
-/// assert_eq!(q.dequeue(), None);
-/// ```
-pub struct WcqGeneric<P: FaaPolicy = HardwareFaa> {
-    head: CachePadded<AtomicPtr<WcqRing<P>>>,
-    tail: CachePadded<AtomicPtr<WcqRing<P>>>,
-    domain: Domain,
-    config: LcrqConfig,
-    closed: AtomicBool,
-}
-
-/// Hazard slot used for the ring an operation is about to access.
-const HP_SLOT: usize = 0;
-
-impl<P: FaaPolicy> WcqGeneric<P> {
-    /// Creates an empty queue with the default [`LcrqConfig`].
-    pub fn new() -> Self {
-        Self::with_config(LcrqConfig::default())
-    }
-
-    /// Creates an empty queue with an explicit configuration
-    /// (`ring_order` and `starvation_limit` apply; the LCRQ-only knobs —
-    /// bounded wait, hierarchy, ring pool — are ignored).
-    pub fn with_config(config: LcrqConfig) -> Self {
-        let first = Box::into_raw(Box::new(WcqRing::<P>::new(&config)));
-        Self {
-            head: CachePadded::new(AtomicPtr::new(first)),
-            tail: CachePadded::new(AtomicPtr::new(first)),
-            domain: Domain::new(),
-            config,
-            closed: AtomicBool::new(false),
+    /// Closes the ring to further enqueues (idempotent).
+    fn close(&self) {
+        if !ops::tas_bit(&self.tail, 63) {
+            metrics::inc(Event::CrqClosed);
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &LcrqConfig {
-        &self.config
+    fn is_closed(&self) -> bool {
+        self.tail.load(Ordering::SeqCst) & FINALIZED_BIT != 0
     }
 
-    /// The queue's hazard-pointer domain (diagnostic).
-    pub fn hazard_domain(&self) -> &Domain {
-        &self.domain
+    fn next(&self) -> &AtomicPtr<Self> {
+        &self.next
     }
 
-    /// Appends `value` (must be `< BOTTOM`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue has been [`close`](Self::close)d; use
-    /// [`try_enqueue`](Self::try_enqueue) when shutdown is possible.
-    pub fn enqueue(&self, value: u64) {
-        if self.try_enqueue(value).is_err() {
-            panic!("enqueue on a closed Wcq (use try_enqueue to handle shutdown)");
-        }
+    fn head_index(&self) -> u64 {
+        self.head.load(Ordering::SeqCst)
     }
 
-    /// Appends `value` unless the queue has been [`close`](Self::close)d,
-    /// in which case the value is handed back as `Err(value)`. Same
-    /// shutdown fence as [`LscqGeneric::try_enqueue`](crate::LscqGeneric::try_enqueue).
-    pub fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            match self.try_enqueue_fallible(value) {
-                Ok(()) => return Ok(()),
-                Err(EnqueueError::Closed(v)) => return Err(v),
-                Err(EnqueueError::AllocFailed(_)) => {
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
+    /// Tail position with the finalized bit masked off.
+    fn tail_index(&self) -> u64 {
+        self.tail.load(Ordering::SeqCst) & !FINALIZED_BIT
     }
 
-    /// Like [`try_enqueue`](Self::try_enqueue), but surfaces a refused
-    /// ring allocation (the `ring-alloc` fail point) as
-    /// [`EnqueueError::AllocFailed`] instead of retrying internally.
-    pub fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        assert!(value != BOTTOM, "BOTTOM (u64::MAX) is reserved");
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            if self.closed.load(Ordering::SeqCst) {
-                return Err(EnqueueError::Closed(value));
-            }
-            let ring = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: hazard-protected, so it cannot be reclaimed while we
-            // use it.
-            let ring_ref = unsafe { &*ring };
-            // Help a half-finished append: tail must point at the last ring.
-            let next = ring_ref.next.load(Ordering::SeqCst);
-            if !next.is_null() {
-                let _ = ops::ptr::cas_ptr(&self.tail, ring, next);
-                continue;
-            }
-            if ring_ref.enqueue(value).is_ok() {
-                self.domain.clear(HP_SLOT);
-                return Ok(());
-            }
-            // Ring closed. Distinguish shutdown close from tantrum close.
-            if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
-                return Err(EnqueueError::Closed(value));
-            }
-            let _ = fault::inject(Site::CloseRace);
-            if fault::inject(Site::RingAlloc) {
-                metrics::inc(Event::AllocDegraded);
-                self.domain.clear(HP_SLOT);
-                return Err(EnqueueError::AllocFailed(value));
-            }
-            // Tantrum: race to append a fresh ring seeded with the value.
-            let newring = Box::into_raw(Box::new(WcqRing::<P>::with_seed(
-                &self.config,
-                core::slice::from_ref(&value),
-            )));
-            match ops::ptr::cas_ptr(&ring_ref.next, core::ptr::null_mut(), newring) {
-                Ok(()) => {
-                    let _ = ops::ptr::cas_ptr(&self.tail, ring, newring);
-                    self.domain.clear(HP_SLOT);
-                    return Ok(());
-                }
-                Err(_) => {
-                    // Another enqueuer linked first; ours was never
-                    // published, so a plain drop suffices.
-                    // SAFETY: unpublished and uniquely owned.
-                    drop(unsafe { Box::from_raw(newring) });
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
-    }
-
-    /// Closes the queue for further enqueues; dequeues keep draining.
-    /// Returns `true` on the first call. Flag-then-close-the-chain, as in
-    /// [`LscqGeneric::close`](crate::LscqGeneric::close).
-    pub fn close(&self) -> bool {
-        if self.closed.swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        loop {
-            let ring = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: hazard-protected.
-            let ring_ref = unsafe { &*ring };
-            ring_ref.close();
-            let next = ring_ref.next.load(Ordering::SeqCst);
-            if next.is_null() {
-                self.domain.clear(HP_SLOT);
-                return true;
-            }
-            let _ = ops::ptr::cas_ptr(&self.tail, ring, next);
-        }
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
-
-    /// Removes the oldest value, or `None` when the queue is empty.
-    pub fn dequeue(&self) -> Option<u64> {
-        loop {
-            let ring = self.domain.protect(HP_SLOT, &self.head);
-            // SAFETY: hazard-protected.
-            let ring_ref = unsafe { &*ring };
-            if let Some(v) = ring_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
-                return Some(v);
-            }
-            let next = ring_ref.next.load(Ordering::SeqCst);
-            if next.is_null() {
-                self.domain.clear(HP_SLOT);
-                return None;
-            }
-            // Abandonment double-check (the LCRQ erratum), wCQ edition:
-            // re-arm the threshold so the check actually scans — a racing
-            // enqueue may have placed its entry without yet resetting the
-            // counter. The ring has a `next`, so it is closed and its tail
-            // frozen: the scan terminates.
-            ring_ref.reset_threshold();
-            if let Some(v) = ring_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
-                return Some(v);
-            }
-            if ops::ptr::cas_ptr(&self.head, ring, next).is_ok() {
-                self.domain.clear(HP_SLOT);
-                // SAFETY: `ring` is now unreachable from the queue; hazard
-                // retirement defers the free past any straggling readers.
-                unsafe { self.domain.retire(ring) };
-            } else {
-                self.domain.clear(HP_SLOT);
-            }
-        }
-    }
-
-    /// Whether the queue appears empty (racy snapshot).
-    pub fn is_empty_hint(&self) -> bool {
-        let ring = self.domain.protect(HP_SLOT, &self.head);
-        // SAFETY: hazard-protected.
-        let ring_ref = unsafe { &*ring };
-        let empty = ring_ref.head_index() >= ring_ref.tail_index()
-            && ring_ref.next.load(Ordering::SeqCst).is_null();
-        self.domain.clear(HP_SLOT);
-        empty
-    }
-
-    /// Number of rings currently linked (diagnostic; racy).
-    pub fn ring_count(&self) -> usize {
-        let mut count = 0;
-        let mut cur = self.head.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            count += 1;
-            // SAFETY: only used in quiescent diagnostics/tests.
-            cur = unsafe { (*cur).next.load(Ordering::SeqCst) };
-        }
-        count
-    }
-
-    /// Returns an iterator that dequeues until the queue reports empty.
-    pub fn drain(&self) -> WcqDrain<'_, P> {
-        WcqDrain { queue: self }
-    }
-}
-
-impl<P: FaaPolicy> Default for WcqGeneric<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: FaaPolicy> core::fmt::Debug for WcqGeneric<P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Wcq")
-            .field("faa_policy", &P::name())
-            .field("ring_order", &self.config.ring_order)
-            .field("rings", &self.ring_count())
-            .finish()
-    }
-}
-
-impl<P: FaaPolicy> FromIterator<u64> for WcqGeneric<P> {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        let q = Self::new();
-        for v in iter {
-            q.enqueue(v);
-        }
-        q
-    }
-}
-
-impl<P: FaaPolicy> Extend<u64> for WcqGeneric<P> {
-    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
-        for v in iter {
-            self.enqueue(v);
-        }
-    }
-}
-
-/// Draining iterator returned by [`WcqGeneric::drain`].
-pub struct WcqDrain<'a, P: FaaPolicy> {
-    queue: &'a WcqGeneric<P>,
-}
-
-impl<P: FaaPolicy> Iterator for WcqDrain<'_, P> {
-    type Item = u64;
-    fn next(&mut self) -> Option<u64> {
-        self.queue.dequeue()
-    }
-}
-
-impl<P: FaaPolicy> Drop for WcqGeneric<P> {
-    fn drop(&mut self) {
-        // Exclusive access: free the whole chain. Rings retired earlier but
-        // not yet reclaimed are freed when `domain` drops.
-        let mut cur = *self.head.get_mut();
-        while !cur.is_null() {
-            // SAFETY: exclusive access in drop.
-            let ring = unsafe { Box::from_raw(cur) };
-            cur = ring.next.load(Ordering::Relaxed);
-        }
-    }
-}
-
-// SAFETY: the queue transfers plain u64 values; all structure is atomic.
-unsafe impl<P: FaaPolicy> Send for WcqGeneric<P> {}
-unsafe impl<P: FaaPolicy> Sync for WcqGeneric<P> {}
-
-impl<P: FaaPolicy> lcrq_queues::ConcurrentQueue for WcqGeneric<P> {
-    fn enqueue(&self, value: u64) {
-        WcqGeneric::enqueue(self, value);
-    }
-    fn dequeue(&self) -> Option<u64> {
-        WcqGeneric::dequeue(self)
-    }
-    // Batch ops use the trait's scalar-loop defaults: a k-wide FAA would
-    // reserve k positions whose helped completion the record protocol
-    // cannot express as a group.
-    fn name(&self) -> &'static str {
+    fn name(_hierarchical: bool) -> &'static str {
         "wcq"
     }
-    fn is_nonblocking(&self) -> bool {
-        true
-    }
-}
 
-impl<P: FaaPolicy> lcrq_queues::ClosableQueue for WcqGeneric<P> {
-    fn close(&self) -> bool {
-        WcqGeneric::close(self)
-    }
-    fn is_closed(&self) -> bool {
-        WcqGeneric::is_closed(self)
-    }
-    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        WcqGeneric::try_enqueue(self, value)
-    }
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        WcqGeneric::try_enqueue_fallible(self, value)
+    /// Re-arms the threshold; see [`Scq::reset_threshold`](crate::Scq::reset_threshold).
+    fn rearm(&self) {
+        self.threshold.store(self.threshold_max(), Ordering::SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcrq_queues::testing;
 
     fn tiny() -> LcrqConfig {
         LcrqConfig::new().with_ring_order(3)
@@ -1492,192 +1170,34 @@ mod tests {
     }
 
     #[test]
+    fn helped_dequeue_moves_past_an_overtaken_unsafe_entry() {
+        // Position p holds a value whose dequeuer stalled right after its
+        // F&A; a lap later a *helped* dequeue lands on the same slot. It
+        // must mark the entry unsafe once and treat the position as dead,
+        // not re-mark it until the stalled peer wakes. The record is driven
+        // by hand so a regression fails the assert instead of spinning.
+        let r = WcqRing::<HardwareFaa>::new(&tiny());
+        let slots = r.entries.len() as u64;
+        let p = r.tail_index();
+        r.enqueue(7).unwrap();
+        r.head.store(p + slots, Ordering::SeqCst);
+        r.tail.store(p + slots, Ordering::SeqCst);
+        r.rearm();
+        let (i, seq) = r.acquire_record();
+        pair_reset(&r.records[i].claim, (claim_hi(seq, 0), POS_NONE));
+        pair_reset(&r.records[i].result, (seq << 1, 0));
+        let state = &r.records[i].state;
+        state.store(pack_state(seq, PH_DEQ), Ordering::SeqCst);
+        r.help_request(i, seq); // HELP_ROUNDS steps; it needs about six
+        assert_eq!(state_phase(state.load(Ordering::SeqCst)), PH_DONE);
+        assert_eq!(r.records[i].result.load_second(), BOTTOM, "EMPTY");
+    }
+
+    #[test]
     fn ring_slow_enqueue_on_closed_ring_reports_closed() {
         let r = WcqRing::<HardwareFaa>::new(&tiny());
         r.close();
         assert_eq!(r.enqueue_slow(1), Err(CrqClosed));
         assert_eq!(r.enqueue(2), Err(CrqClosed));
-    }
-
-    #[test]
-    fn empty_queue_returns_none() {
-        let q = Wcq::new();
-        assert_eq!(q.dequeue(), None);
-        assert!(q.is_empty_hint());
-    }
-
-    #[test]
-    fn fifo_order_sequential() {
-        let q = Wcq::with_config(tiny());
-        for i in 0..100 {
-            q.enqueue(i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn overflowing_one_ring_spills_into_new_rings_in_order() {
-        let q = Wcq::with_config(tiny());
-        let total = 4 * q.config().ring_size();
-        for i in 0..total {
-            q.enqueue(i);
-        }
-        assert!(q.ring_count() > 1, "tiny rings must have spilled");
-        for i in 0..total {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "BOTTOM")]
-    fn enqueueing_bottom_panics() {
-        Wcq::new().enqueue(u64::MAX);
-    }
-
-    #[test]
-    fn max_value_is_enqueueable() {
-        let q = Wcq::new();
-        q.enqueue(u64::MAX - 1);
-        assert_eq!(q.dequeue(), Some(u64::MAX - 1));
-    }
-
-    #[test]
-    fn mpmc_stress_default_ring() {
-        let q = Wcq::new();
-        testing::mpmc_stress(&q, 4, 4, 10_000);
-    }
-
-    #[test]
-    fn mpmc_stress_tiny_ring_exercises_ring_switching() {
-        let q = Wcq::with_config(tiny());
-        testing::mpmc_stress(&q, 4, 4, 5_000);
-        assert!(q.ring_count() < 100, "drained rings must be retired");
-    }
-
-    #[test]
-    fn model_check_against_vecdeque() {
-        for seed in [0x3C9, 0x13C9] {
-            let q = Wcq::with_config(tiny());
-            testing::model_check(&q, seed);
-        }
-    }
-
-    #[test]
-    fn pairs_workload_drains() {
-        let q = Wcq::with_config(tiny());
-        testing::pairs_smoke(&q, 4, 5_000);
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn retired_rings_are_reclaimed() {
-        let q = Wcq::with_config(LcrqConfig::new().with_ring_order(2));
-        for i in 0..10_000 {
-            q.enqueue(i);
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert!(
-            q.ring_count() < 64,
-            "ring chain kept growing: {}",
-            q.ring_count()
-        );
-    }
-
-    #[test]
-    fn close_fences_enqueues_but_drains_existing_items() {
-        let q = Wcq::with_config(tiny());
-        for i in 0..20 {
-            q.enqueue(i);
-        }
-        assert!(q.close());
-        assert!(!q.close(), "second close reports false");
-        assert!(q.is_closed());
-        assert_eq!(q.try_enqueue(99), Err(99));
-        for i in 0..20 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn close_races_with_producers_without_losing_items() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
-        for round in 0..20 {
-            let q = Arc::new(Wcq::with_config(tiny()));
-            let accepted = Arc::new(AtomicU64::new(0));
-            let mut handles = Vec::new();
-            for t in 0..3u64 {
-                let q = Arc::clone(&q);
-                let accepted = Arc::clone(&accepted);
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..200u64 {
-                        if q.try_enqueue((t << 32) | i).is_ok() {
-                            accepted.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                }));
-            }
-            let closer = {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    if round % 2 == 0 {
-                        std::thread::yield_now();
-                    }
-                    q.close();
-                })
-            };
-            for h in handles {
-                h.join().unwrap();
-            }
-            closer.join().unwrap();
-            let drained = q.drain().count() as u64;
-            assert_eq!(drained, accepted.load(Ordering::SeqCst));
-        }
-    }
-
-    #[test]
-    fn dequeue_empty_is_never_transient() {
-        let q = Wcq::with_config(tiny());
-        for i in 0..500 {
-            q.enqueue(i);
-        }
-        let mut seen = 0;
-        while q.dequeue().is_some() {
-            seen += 1;
-        }
-        assert_eq!(seen, 500);
-        q.enqueue(7);
-        assert_eq!(q.dequeue(), Some(7));
-    }
-
-    #[test]
-    fn drop_with_items_across_rings_is_clean() {
-        let q = Wcq::with_config(tiny());
-        for i in 0..100 {
-            q.enqueue(i);
-        }
-        drop(q); // must not leak or double-free (ASan job covers this)
-    }
-
-    #[test]
-    fn closable_trait_object_round_trip() {
-        use lcrq_queues::ClosableQueue;
-        let q: Box<dyn ClosableQueue> = Box::new(Wcq::new());
-        q.try_enqueue(5).unwrap();
-        assert_eq!(q.dequeue(), Some(5));
-        q.close();
-        assert_eq!(q.try_enqueue(6), Err(6));
-    }
-
-    #[test]
-    fn name_is_wcq() {
-        use lcrq_queues::ConcurrentQueue;
-        assert_eq!(ConcurrentQueue::name(&Wcq::new()), "wcq");
-        assert!(ConcurrentQueue::is_nonblocking(&Wcq::new()));
     }
 }

@@ -32,6 +32,7 @@
 
 use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use lcrq_util::metrics::{self, Event};
+use lcrq_util::sync::PtrCell;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
@@ -243,7 +244,7 @@ impl Domain {
     /// safe to dereference until [`clear`](Self::clear) (or the next
     /// `protect` on the same slot), provided objects are only freed via
     /// [`retire`](Self::retire) on this domain.
-    pub fn protect<T>(&self, slot: usize, src: &AtomicPtr<T>) -> *mut T {
+    pub fn protect<T>(&self, slot: usize, src: &impl PtrCell<T>) -> *mut T {
         let hazard = &self.my_record().slots[slot];
         let mut ptr = src.load(Ordering::Acquire);
         loop {
@@ -645,7 +646,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut checks = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        let p = d.protect(0, &src);
+                        let p = d.protect(0, &*src);
                         // SAFETY: protected by hazard slot 0.
                         let v = unsafe { (*p).0 ^ (*p).1 };
                         assert_eq!(v, 0, "torn/freed payload observed");

@@ -105,6 +105,13 @@ impl Builder {
     where
         F: Fn() + Send + Sync + 'static,
     {
+        // One model at a time, process-wide. Modeled code may touch
+        // process-global state (the CAS2 fallback's lock stripe, the ring
+        // pool's thread-slot counter), and `cargo test` runs tests on
+        // parallel threads: a second model holding the stripe looks to this
+        // one like a deadlock, or like nondeterminism on replay.
+        static ONE_MODEL: StdMutex<()> = StdMutex::new(());
+        let _one = ONE_MODEL.lock().unwrap_or_else(|e| e.into_inner());
         let f = Arc::new(f);
         let mut prefix: Vec<usize> = Vec::new();
         let mut executions = 0usize;

@@ -22,6 +22,67 @@ pub use crate::model::sync::{
     WaitTimeoutResult,
 };
 
+/// What `lcrq_hazard::Domain::protect` and `lcrq_atomic`'s counted
+/// `cas_ptr` need from a pointer cell. Production code only ever has
+/// `core`'s `AtomicPtr`; under `--cfg loom` the instrumented shim is a
+/// second type, and this trait lets those two helpers serve both — so a
+/// structure built on this facade (the list of rings) keeps calling them
+/// without a cfg fork at every call site.
+pub trait PtrCell<T> {
+    /// See `core`'s `AtomicPtr::load`.
+    fn load(&self, order: Ordering) -> *mut T;
+    /// See `core`'s `AtomicPtr::compare_exchange`.
+    fn compare_exchange(
+        &self,
+        current: *mut T,
+        new: *mut T,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<*mut T, *mut T>;
+}
+
+macro_rules! impl_ptr_cell {
+    ($ty:ty) => {
+        impl<T> PtrCell<T> for $ty {
+            #[inline]
+            fn load(&self, order: Ordering) -> *mut T {
+                <$ty>::load(self, order)
+            }
+            #[inline]
+            fn compare_exchange(
+                &self,
+                current: *mut T,
+                new: *mut T,
+                success: Ordering,
+                failure: Ordering,
+            ) -> Result<*mut T, *mut T> {
+                <$ty>::compare_exchange(self, current, new, success, failure)
+            }
+        }
+    };
+}
+impl_ptr_cell!(core::sync::atomic::AtomicPtr<T>);
+#[cfg(loom)]
+impl_ptr_cell!(crate::model::sync::AtomicPtr<T>);
+
+// Queue heads and tails are padded; generic arguments do not auto-deref.
+impl<T, A: PtrCell<T>> PtrCell<T> for crate::CachePadded<A> {
+    #[inline]
+    fn load(&self, order: Ordering) -> *mut T {
+        (**self).load(order)
+    }
+    #[inline]
+    fn compare_exchange(
+        &self,
+        current: *mut T,
+        new: *mut T,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<*mut T, *mut T> {
+        (**self).compare_exchange(current, new, success, failure)
+    }
+}
+
 /// Thread shims: modeled spawn/join under `--cfg loom`, `std::thread`
 /// otherwise.
 pub mod thread {

@@ -178,8 +178,20 @@ fn dfs(
             min_ret = min_ret.min(op.returned);
         }
     }
+    // Records sharing a thread and an invocation stamp are the items of one
+    // batch call, adjacent and in slice order (the recording is sorted by
+    // invocation, stably). A batch linearizes as individual operations *in
+    // slice order*, so only the first pending item of a call is a candidate
+    // — which is the specification, and also what keeps batch histories
+    // checkable: unordered, every batch multiplied the search by k!.
+    let mut last_pending: Option<(usize, u64)> = None;
     for (i, rec) in ops.iter().enumerate() {
-        if done & (1u128 << i) != 0 || rec.invoked > min_ret {
+        if done & (1u128 << i) != 0 {
+            continue;
+        }
+        let later_item_of_a_pending_call = last_pending == Some((rec.thread, rec.invoked));
+        last_pending = Some((rec.thread, rec.invoked));
+        if later_item_of_a_pending_call || rec.invoked > min_ret {
             continue;
         }
         if let Some(token) = apply(&rec.op, tantrum, closed, queue) {
@@ -249,6 +261,21 @@ mod tests {
             (0, DeqOk(2), 4, 5), // wrong: 1 must come out first
         ]);
         assert!(check_fifo(&h).is_err());
+    }
+
+    #[test]
+    fn batch_items_linearize_in_slice_order() {
+        // One enqueue_batch call [1, 2] (shared stamps), drained afterwards.
+        let batch = |first, second| {
+            hist(&[
+                (0, Enq(1), 0, 1),
+                (0, Enq(2), 0, 1),
+                (1, DeqOk(first), 2, 3),
+                (1, DeqOk(second), 4, 5),
+            ])
+        };
+        assert!(check_fifo(&batch(1, 2)).is_ok());
+        assert!(check_fifo(&batch(2, 1)).is_err(), "items swapped in flight");
     }
 
     #[test]

@@ -47,9 +47,9 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`core`] (re-exported at the root) | [`Lcrq`], [`LcrqCas`], [`TypedLcrq`], the [`Crq`] ring, the Figure-2 infinite-array queue; the portable SCQ family: [`Scq`], [`ScqD`], [`Lscq`], [`TypedLscq`]; the d-choice sharded front-end [`ShardedQueue`] |
+//! | [`core`] (re-exported at the root) | one list of rings, [`RingList`], over the [`Ring`] contract, and its aliases: [`Lcrq`] / [`LcrqCas`] over the paper's [`Crq`], the portable [`Lscq`] over [`ScqD`] (index rings: [`Scq`]), the wait-free [`Wcq`] over [`WcqRing`]; one boxing facade, [`Typed`] ([`TypedLcrq`], [`TypedLscq`], [`TypedWcq`]); the Figure-2 infinite-array queue; the d-choice sharded front-end [`ShardedQueue`] |
 //! | [`queues`] | baselines: MS queue, two-lock queue, CC-Queue, H-Queue, FC queue; the [`ConcurrentQueue`] trait; stress-test harnesses |
-//! | [`channel`] | blocking & async channel layer over the typed LCRQ: parking receivers, waker registry, shutdown |
+//! | [`channel`] | blocking & async channel layer over the typed list (`Sender<T, R = Crq>`): parking receivers, waker registry, shutdown |
 //! | [`combining`] | CC-Synch, H-Synch, flat combining universal constructions |
 //! | [`hazard`] | hazard-pointer reclamation |
 //! | [`atomic`] | 128-bit CAS (`CMPXCHG16B`), counted F&A/SWAP/T&S, the CAS-loop F&A policy |
@@ -67,8 +67,8 @@ pub use lcrq_util as util;
 
 pub use lcrq_core::{
     rank_error_bound_for, Crq, CrqClosed, HierarchicalConfig, Lcrq, LcrqCas, LcrqConfig,
-    LcrqGeneric, Lscq, LscqCas, LscqGeneric, RingPool, Scq, ScqD, ShardedConfig, ShardedQueue,
-    TypedLcrq, TypedLscq, TypedWcq, Wcq, WcqGeneric, WcqRing,
+    LcrqGeneric, Lscq, LscqCas, LscqGeneric, Ring, RingList, RingPool, Scq, ScqD, ShardedConfig,
+    ShardedQueue, Typed, TypedLcrq, TypedLscq, TypedWcq, Wcq, WcqGeneric, WcqRing,
 };
 pub use lcrq_queues::{
     CcQueue, ClosableQueue, ConcurrentQueue, FcQueue, HQueue, MsQueue, TwoLockQueue,

@@ -5,7 +5,9 @@
 
 use lcrq::hazard::Domain;
 use lcrq::util::metrics::{self, Event};
-use lcrq::{Crq, Lcrq, LcrqConfig, Lscq, RingPool, ScqD, TypedLcrq, TypedLscq, TypedWcq, Wcq};
+use lcrq::{
+    Crq, Lcrq, LcrqConfig, Lscq, Ring, RingPool, ScqD, TypedLcrq, TypedLscq, TypedWcq, Wcq,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
