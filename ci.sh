@@ -5,6 +5,28 @@
 #   cargo build --release && cargo test -q
 # plus lint and formatting gates. Everything runs offline — the workspace
 # has no registry dependencies (DESIGN.md "Offline build").
+#
+# The gates, in order. "s" is wall seconds on the 2-hardware-thread CI host
+# for a run after a source edit with `target/` otherwise warm.
+#
+# | gate            | command                                              | what it adds over the gates above it                          |  s |
+# |-----------------|------------------------------------------------------|---------------------------------------------------------------|----|
+# | release build   | cargo build --release                                | every lib and bench bin compiles optimised (later gates run them) | 76 |
+# | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench  | 13 |
+# | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
+# | repeat x20      | seed_sweep channel_shutdown / fault_tolerance        | 20 seeds each: a 1-in-6 flake cannot pass                     | 17 |
+# | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
+# | sharded         | seed_sweep sharded seeded_stress x4; shard_scaling   | four replay seeds; analytic-envelope check, BENCH_shard.json  |  1 |
+# | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
+# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core --test loom  | model-checked interleavings (built only under the cfg)        | 23 |
+# | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
+# | bench smoke     | 14 bins --smoke                                      | every bin still runs and parses its flags                     |  1 |
+# | arena           | pairwise --gate on two fixtures, then fresh vs baseline | the gate can still fail; live flagship throughput within 10% |  1 |
+# | nm probe        | nm on the release `progress` test binary             | no fault-registry symbol in the default build                 |  9 |
+# | objdump probe   | objdump -d target/release/pairwise                   | no `cmpxchg16b (%rbx)`                                        |  0 |
+# | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints                                                        |  5 |
+# | fmt             | cargo fmt --all --check                              | formatting                                                    |  1 |
+# | TSan, ASan/LSan, Miri, aarch64 | guarded by installed toolchains       | skipped on this host (no nightly, no aarch64 target)          |  0 |
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,24 +48,25 @@ cargo build --release
 echo "==> cargo test -q (tier-1)"
 cargo test -q
 
-# The root suite above already covers the `lcrq` package; exclude it here
-# so the workspace pass only adds the member crates instead of re-running
-# every root integration test a second time.
-echo "==> cargo test --workspace --exclude lcrq -q"
-cargo test --workspace --exclude lcrq -q
+# Tier-1 above already covers the default members (the `lcrq` package and
+# `lcrq-bench`); exclude both here so the workspace pass only adds the
+# other member crates instead of running those suites a second time.
+echo "==> cargo test --workspace --exclude lcrq --exclude lcrq-bench -q"
+cargo test --workspace --exclude lcrq --exclude lcrq-bench -q
 
-# Repeat-run gate (ROADMAP "tier-1 is green on every run"): the three
-# suites that used to fail one run in N each run 20 times under distinct
-# seeds, so a 1-in-6 flake cannot pass review. channel_shutdown carries the
+# Repeat-run gate (ROADMAP "tier-1 is green on every run"): the two suites
+# that used to fail one run in N each run 20 times under distinct seeds, so
+# a 1-in-6 flake cannot pass review. channel_shutdown carries the
 # close-race exactly-once test (fixed by the sealed close, DESIGN.md "List
-# of rings"); fault_tolerance is the crash-tolerance harness; the bench lib
-# holds the workload tests that diff the process-wide metrics tally.
-echo "==> repeat-run gate (x20 seeds: shutdown, fault tolerance, bench lib)"
+# of rings"); fault_tolerance is the crash-tolerance harness. (The bench
+# lib's third leg is gone with its cause: runs no longer share a metrics
+# tally, which `workload::tests::concurrent_runs_count_only_their_own_threads`
+# pins in tier-1.)
+echo "==> repeat-run gate (x20 seeds: shutdown, fault tolerance)"
 REPEAT_SEEDS=$(seq 1 20 | tr '\n' ' ')
 seed_sweep "channel_shutdown" "$REPEAT_SEEDS" --test channel_shutdown -q
 seed_sweep "fault_tolerance" "$REPEAT_SEEDS" \
     --features fault-injection --test fault_tolerance -q
-seed_sweep "lcrq-bench --lib" "$REPEAT_SEEDS" -p lcrq-bench --lib -q
 
 # wCQ gate (DESIGN.md "wCQ helping"): the request-record state-machine
 # suite, the full step-bound progress module (wcq holds the per-op step
@@ -60,16 +83,14 @@ seed_sweep "wcq stall sweep" "0x1 0x5EED 0xC0FFEE 0xDEADBEEF" \
     step_bound::wcq_survivors
 
 # Sharded front-end gate (DESIGN.md "Sharded front-end & semantic
-# relaxation"): the relaxation checker's own unit suite, the QueueSpec
-# round-trip suite, then the seeded relaxed stress entry points replayed
-# under four LCRQ_TEST_SEED values against all three inner backend
-# families (sharded:inner=lcrq, =lscq, and =wcq), and finally shard_scaling
-# emitting the machine-readable perf-trajectory artifact
-# results/BENCH_shard.json (nonzero exit if measured relaxation ever
-# exceeds the analytic envelope).
+# relaxation"): the seeded relaxed stress entry points replayed under four
+# LCRQ_TEST_SEED values against all three inner backend families
+# (sharded:inner=lcrq, =lscq, and =wcq), then shard_scaling emitting the
+# machine-readable perf-trajectory artifact results/BENCH_shard.json
+# (nonzero exit if measured relaxation ever exceeds the analytic envelope).
+# (The relaxation checker's and the QueueSpec registry's unit suites ran in
+# the workspace and tier-1 passes above.)
 echo "==> sharded front-end gate"
-cargo test -p lcrq-verify -q relaxed
-cargo test -p lcrq-bench -q registry
 seed_sweep "sharded seeded stress" "0x1 0x5EED 0xC0FFEE 0xDEADBEEF" \
     --test sharded -q seeded_stress
 echo "    shard_scaling -> results/BENCH_shard.json"
@@ -124,25 +145,17 @@ for bin in table1_primitives fig1_counter fig2_livelock fig6_throughput \
 done
 
 # Arena regression gate (ISSUE 9 tentpole; ROADMAP "cross-library arena"):
-# the pairwise arena's stats/json/adapter unit suites, the contender
-# contract battery (exactly-once delivery, empty-is-empty, FIFO), then the
-# gate itself three ways:
+# the gate itself two ways (its unit suites, the contender contract battery
+# and the `arena_gate` integration suite ran in tier-1):
 #   1. self-test — the committed planted-drop fixture must FAIL and the
 #      identity fixture must PASS, proving the gate can still catch a 20%
 #      regression against this baseline (fixtures regenerate via
 #      `pairwise --make-fixtures`; see results/README.md);
-#   2. integration suite — same checks plus schema/coverage validation of
-#      the committed artifacts, as a plain `cargo test`;
-#   3. live — a fresh flagship-only measurement diffed against the
+#   2. live — a fresh flagship-only measurement diffed against the
 #      committed baseline; a >10% throughput drop (outside the combined
 #      95% margins of error) on lcrq, wcq, or the sharded flagship fails.
 # Any failure prints the seed to replay with (LCRQ_TEST_SEED).
 echo "==> arena regression gate"
-cargo test -p lcrq-bench -q arena
-cargo test -p lcrq-bench -q stats
-cargo test -p lcrq-bench -q json
-cargo test -p lcrq-bench --test contender_contract -q
-cargo test -p lcrq-bench --test arena_gate -q
 echo "    gate self-test: planted-drop fixture must fail"
 if cargo run --release -q -p lcrq-bench --bin pairwise -- --gate \
     --baseline results/BENCH_arena.json \

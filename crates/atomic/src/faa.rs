@@ -105,14 +105,7 @@ impl FaaPolicy for CasLoopFaa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex, MutexGuard};
-
-    // The metrics aggregate is process-wide: serialize the tests that
-    // bracket it with flush + snapshot so they don't inflate each other.
-    static METRICS_LOCK: Mutex<()> = Mutex::new(());
-    fn metrics_guard() -> MutexGuard<'static, ()> {
-        METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use std::sync::Arc;
 
     fn hammer<P: FaaPolicy>() -> u64 {
         let counter = Arc::new(AtomicU64::new(0));
@@ -169,14 +162,11 @@ mod tests {
     #[test]
     fn policies_record_their_events() {
         use lcrq_util::metrics::{self, Event};
-        let _g = metrics_guard();
-        metrics::flush();
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         let a = AtomicU64::new(0);
         HardwareFaa::fetch_add(&a, 1);
         CasLoopFaa::fetch_add(&a, 1); // uncontended: 1 attempt, 0 failures
-        metrics::flush();
-        let d = metrics::snapshot().delta_since(&before);
+        let d = metrics::local_snapshot().delta_since(&before);
         assert_eq!(d.get(Event::Faa), 1);
         assert_eq!(d.get(Event::CasAttempt), 1);
         assert_eq!(d.get(Event::CasFailure), 0);
@@ -198,14 +188,11 @@ mod tests {
     #[test]
     fn fetch_add_k_costs_one_primitive_per_reservation() {
         use lcrq_util::metrics::{self, Event};
-        let _g = metrics_guard();
-        metrics::flush();
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         let a = AtomicU64::new(0);
         HardwareFaa::fetch_add_k(&a, 16);
         CasLoopFaa::fetch_add_k(&a, 16); // uncontended: 1 attempt
-        metrics::flush();
-        let d = metrics::snapshot().delta_since(&before);
+        let d = metrics::local_snapshot().delta_since(&before);
         assert_eq!(d.get(Event::Faa), 1, "one XADD regardless of k");
         assert_eq!(d.get(Event::CasAttempt), 1, "one CAS regardless of k");
     }

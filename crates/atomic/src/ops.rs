@@ -124,14 +124,12 @@ mod tests {
     #[test]
     fn events_recorded() {
         use lcrq_util::metrics::{self, Event};
-        metrics::flush();
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         let a = AtomicU64::new(0);
         swap(&a, 1);
         tas_bit(&a, 2);
         let _ = cas(&a, 0, 1); // fails: a == 1|4
-        metrics::flush();
-        let d = metrics::snapshot().delta_since(&before);
+        let d = metrics::local_snapshot().delta_since(&before);
         assert_eq!(d.get(Event::Swap), 1);
         assert_eq!(d.get(Event::Tas), 1);
         assert_eq!(d.get(Event::CasAttempt), 1);

@@ -469,14 +469,10 @@ mod tests {
     fn counts_attempts_and_failures() {
         use lcrq_util::metrics::{self, Event};
         let p = AtomicPair::new(0, 0);
-        let before = {
-            metrics::flush();
-            metrics::snapshot()
-        };
+        let before = metrics::local_snapshot();
         let _ = p.compare_exchange((0, 0), (1, 1)); // success
         let _ = p.compare_exchange((0, 0), (1, 1)); // failure
-        metrics::flush();
-        let d = metrics::snapshot().delta_since(&before);
+        let d = metrics::local_snapshot().delta_since(&before);
         assert_eq!(d.get(Event::Cas2Attempt), 2);
         assert_eq!(d.get(Event::Cas2Failure), 1);
     }

@@ -23,10 +23,7 @@
 //! racing crossbeam's channel algorithm) plus a classic `Mutex<VecDeque>`
 //! and the chaoran `faa` synthetic, which emulates both operations with a
 //! single fetch-and-add and upper-bounds what any real queue on the F&A
-//! hot path can reach. The genuine `crossbeam-channel` /
-//! `crossbeam-queue` adapters are feature-gated behind `crossbeam`
-//! (re-add the commented dev-dependencies in `crates/bench/Cargo.toml` on
-//! a networked host, same workflow as the root `proptest` feature).
+//! hot path can reach.
 //!
 //! ## Delivery validation
 //!
@@ -40,6 +37,7 @@
 use crate::registry::QueueSpec;
 use crate::stats::Summary;
 use lcrq_queues::ConcurrentQueue;
+use lcrq_util::rng::splitmix64;
 use lcrq_util::spin::spin_for_ns;
 use lcrq_util::{CachePadded, XorShift64Star};
 use std::collections::VecDeque;
@@ -181,84 +179,6 @@ impl Contender for FaaBound {
     }
 }
 
-/// Adapters for the real crossbeam crates. Compiled only with the
-/// `crossbeam` feature; enabling it requires re-adding the commented
-/// optional dependencies in `crates/bench/Cargo.toml` on a networked host
-/// (the default build must resolve offline — see DESIGN.md "Offline
-/// build").
-#[cfg(feature = "crossbeam")]
-pub mod crossbeam_adapters {
-    use super::{Contender, Mutex};
-
-    /// `crossbeam_channel::unbounded` (natively MPMC — no receiver lock).
-    pub struct CbChannel {
-        tx: crossbeam_channel::Sender<u64>,
-        rx: crossbeam_channel::Receiver<u64>,
-    }
-
-    impl Default for CbChannel {
-        fn default() -> Self {
-            let (tx, rx) = crossbeam_channel::unbounded();
-            Self { tx, rx }
-        }
-    }
-
-    impl Contender for CbChannel {
-        fn enqueue(&self, value: u64) {
-            self.tx.send(value).expect("receiver alive");
-        }
-
-        fn dequeue(&self) -> Option<u64> {
-            self.rx.try_recv().ok()
-        }
-    }
-
-    /// `crossbeam_queue::SegQueue` — unbounded segmented MPMC queue.
-    #[derive(Default)]
-    pub struct CbSegQueue(crossbeam_queue::SegQueue<u64>);
-
-    impl Contender for CbSegQueue {
-        fn enqueue(&self, value: u64) {
-            self.0.push(value);
-        }
-
-        fn dequeue(&self) -> Option<u64> {
-            self.0.pop()
-        }
-    }
-
-    /// `crossbeam_queue::ArrayQueue` — bounded MPMC ring. Push spins on
-    /// full (cannot happen in the pairwise workload with capacity above
-    /// the thread count).
-    pub struct CbArrayQueue(crossbeam_queue::ArrayQueue<u64>);
-
-    impl CbArrayQueue {
-        /// Creates the contender with the given ring capacity.
-        pub fn new(capacity: usize) -> Self {
-            Self(crossbeam_queue::ArrayQueue::new(capacity))
-        }
-    }
-
-    impl Contender for CbArrayQueue {
-        fn enqueue(&self, value: u64) {
-            let mut v = value;
-            while let Err(back) = self.0.push(v) {
-                v = back;
-                std::hint::spin_loop();
-            }
-        }
-
-        fn dequeue(&self) -> Option<u64> {
-            self.0.pop()
-        }
-    }
-
-    // Referenced so the module is not dead code when the feature is on
-    // but no roster includes the adapters yet.
-    #[allow(dead_code)]
-    fn _assert_contender(_: &dyn Contender, _: &Mutex<()>) {}
-}
-
 /// One arena entrant: a display name plus a factory (each measured run
 /// gets a fresh instance, so no state leaks between runs).
 pub struct Entry {
@@ -326,29 +246,14 @@ pub fn registry_entries(ring_order: u32) -> Vec<Entry> {
 
 /// The external baselines available in every (offline) build.
 pub fn external_entries() -> Vec<Entry> {
-    // `mut` is only exercised when the crossbeam feature appends adapters.
-    #[cfg_attr(not(feature = "crossbeam"), allow(unused_mut))]
-    let mut entries = vec![
+    vec![
         Entry::external("std-mpsc", false, || Box::new(StdMpsc::default())),
         Entry::external("std-mpsc-bounded", false, || {
             Box::new(StdMpscBounded::new(BOUNDED_CAPACITY))
         }),
         Entry::external("mutex-deque", false, || Box::new(MutexDeque::default())),
         Entry::external("faa", true, || Box::new(FaaBound::default())),
-    ];
-    #[cfg(feature = "crossbeam")]
-    {
-        entries.push(Entry::external("crossbeam-channel", false, || {
-            Box::new(crossbeam_adapters::CbChannel::default())
-        }));
-        entries.push(Entry::external("crossbeam-seg", false, || {
-            Box::new(crossbeam_adapters::CbSegQueue::default())
-        }));
-        entries.push(Entry::external("crossbeam-array", false, || {
-            Box::new(crossbeam_adapters::CbArrayQueue::new(BOUNDED_CAPACITY))
-        }));
-    }
-    entries
+    ]
 }
 
 /// The full default roster: registry entries then external baselines.
@@ -392,16 +297,6 @@ impl ArenaConfig {
     }
 }
 
-/// splitmix64 — decorrelates per-(run, thread) RNG streams from the base
-/// seed.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Runs one pairwise measurement: `threads` workers each execute `pairs`
 /// enqueue/dequeue pairs with the seeded randomized delay between
 /// operations. Returns Mops/s, after reconciling delivery (count and
@@ -420,8 +315,9 @@ pub fn pairwise_run(c: &dyn Contender, cfg: &ArenaConfig, run_idx: usize) -> Res
     let start = std::thread::scope(|s| {
         for t in 0..threads {
             s.spawn(move || {
-                let mut rng =
-                    XorShift64Star::new(mix(cfg.seed ^ mix(run_idx as u64) ^ mix(t as u64)));
+                let mut rng = XorShift64Star::new(splitmix64(
+                    cfg.seed ^ splitmix64(run_idx as u64) ^ splitmix64(t as u64),
+                ));
                 let mut count = 0u64;
                 let mut sum = 0u64;
                 barrier_ref.wait();

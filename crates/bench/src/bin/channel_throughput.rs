@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use lcrq_bench::cli::Cli;
 use lcrq_core::TypedLcrq;
-use lcrq_util::metrics::{self, Event};
+use lcrq_util::metrics::{self, Event, Snapshot};
 
 struct Row {
     system: &'static str,
@@ -35,15 +35,12 @@ struct Row {
     faa_per_op: f64,
 }
 
-/// Brackets a run with global metric snapshots and turns it into a row.
-/// The closure must flush every worker thread's counters before returning.
-fn measured(system: &'static str, total_ops: u64, run: impl FnOnce()) -> Row {
-    metrics::flush();
-    let before = metrics::snapshot();
+/// Times a run and turns it into a row. The closure returns the sum of the
+/// counts its worker threads returned.
+fn measured(system: &'static str, total_ops: u64, run: impl FnOnce() -> Snapshot) -> Row {
     let start = Instant::now();
-    run();
+    let d = run();
     let secs = start.elapsed().as_secs_f64();
-    let d = metrics::snapshot().delta_since(&before);
     Row {
         system,
         mops: total_ops as f64 / secs / 1e6,
@@ -69,20 +66,21 @@ fn bench_channel(capacity: Option<usize>, producers: usize, consumers: usize, pe
         let received = &received;
         std::thread::scope(|s| {
             let barrier = &barrier;
+            let mut workers = Vec::new();
             for _ in 0..producers {
                 let tx = tx.clone();
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     barrier.wait();
                     for v in 0..per {
                         tx.send(v).unwrap();
                     }
                     metrics::add(Event::EnqOp, per);
-                    metrics::flush();
-                });
+                    metrics::local_snapshot()
+                }));
             }
             for _ in 0..consumers {
                 let rx = rx.clone();
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     barrier.wait();
                     let mut n = 0u64;
                     while rx.recv().is_ok() {
@@ -90,12 +88,13 @@ fn bench_channel(capacity: Option<usize>, producers: usize, consumers: usize, pe
                     }
                     received.fetch_add(n, Ordering::SeqCst);
                     metrics::add(Event::DeqOp, n);
-                    metrics::flush();
-                });
+                    metrics::local_snapshot()
+                }));
             }
             drop(tx); // producers' clones keep the channel open until done
             drop(rx);
-        });
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        })
     });
     assert_eq!(
         received.load(Ordering::SeqCst),
@@ -113,19 +112,20 @@ fn bench_std_mpsc(producers: usize, consumers: usize, per: u64) -> Row {
         let barrier = Barrier::new(producers + consumers);
         let (rx, barrier, received) = (&rx, &barrier, &received);
         std::thread::scope(|s| {
+            let mut workers = Vec::new();
             for _ in 0..producers {
                 let tx = tx.clone();
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     barrier.wait();
                     for v in 0..per {
                         tx.send(v).unwrap();
                     }
                     metrics::add(Event::EnqOp, per);
-                    metrics::flush();
-                });
+                    metrics::local_snapshot()
+                }));
             }
             for _ in 0..consumers {
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     barrier.wait();
                     let mut n = 0u64;
                     loop {
@@ -137,11 +137,12 @@ fn bench_std_mpsc(producers: usize, consumers: usize, per: u64) -> Row {
                     }
                     received.fetch_add(n, Ordering::SeqCst);
                     metrics::add(Event::DeqOp, n);
-                    metrics::flush();
-                });
+                    metrics::local_snapshot()
+                }));
             }
             drop(tx);
-        });
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        })
     });
     assert_eq!(
         received.load(Ordering::SeqCst),
@@ -159,18 +160,19 @@ fn bench_spin_lcrq(producers: usize, consumers: usize, per: u64) -> Row {
         let barrier = Barrier::new(producers + consumers);
         let (q, barrier, received) = (&q, &barrier, &received);
         std::thread::scope(|s| {
+            let mut workers = Vec::new();
             for _ in 0..producers {
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     barrier.wait();
                     for v in 0..per {
                         q.enqueue(v);
                     }
                     metrics::add(Event::EnqOp, per);
-                    metrics::flush();
-                });
+                    metrics::local_snapshot()
+                }));
             }
             for _ in 0..consumers {
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     barrier.wait();
                     let mut n = 0u64;
                     loop {
@@ -188,10 +190,11 @@ fn bench_spin_lcrq(producers: usize, consumers: usize, per: u64) -> Row {
                         }
                     }
                     metrics::add(Event::DeqOp, n);
-                    metrics::flush();
-                });
+                    metrics::local_snapshot()
+                }));
             }
-        });
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        })
     });
     assert_eq!(received.load(Ordering::SeqCst), total, "spin: lost items");
     row

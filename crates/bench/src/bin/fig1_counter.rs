@@ -12,7 +12,7 @@
 
 use lcrq_atomic::{ops, CasLoopFaa, FaaPolicy, HardwareFaa};
 use lcrq_bench::cli::Cli;
-use lcrq_util::metrics::{self, Event};
+use lcrq_util::metrics::{self, Event, Snapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -57,33 +57,31 @@ impl FaaPolicy for YieldingFaa {
 }
 
 fn run<P: FaaPolicy>(threads: usize, increments: u64) -> (f64, f64) {
-    metrics::flush();
-    let before = metrics::snapshot();
     let counter = AtomicU64::new(0);
     let barrier = Barrier::new(threads + 1);
     let (counter, barrier) = (&counter, &barrier);
-    let wall = std::thread::scope(|s| {
+    let (wall, d) = std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(threads);
         for t in 0..threads {
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 let _ = lcrq_util::affinity::pin_round_robin(t);
                 barrier.wait();
                 for _ in 0..increments {
                     P::fetch_add(counter, 1);
                 }
-                metrics::flush();
-            });
+                metrics::local_snapshot()
+            }));
         }
         // Clock starts before the barrier releases the workers (single-core
         // hosts may not reschedule this thread until workers finish).
         let start = Instant::now();
         barrier.wait();
-        start
-    })
-    .elapsed();
+        let d: Snapshot = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        (start.elapsed(), d)
+    });
     let total = threads as u64 * increments;
     assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), total);
     let ns_per_inc = wall.as_nanos() as f64 * threads as f64 / total as f64;
-    let d = metrics::snapshot().delta_since(&before);
     let cas_per_inc = d.get(Event::CasAttempt) as f64 / total as f64;
     (ns_per_inc, cas_per_inc)
 }

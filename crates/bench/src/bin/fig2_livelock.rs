@@ -35,8 +35,7 @@ fn hammer<Q: ConcurrentQueue>(
     enqueues: u64,
     attempt_event: Event,
 ) -> Outcome {
-    metrics::flush();
-    let before = metrics::snapshot();
+    let before = metrics::local_snapshot();
     let stop = AtomicBool::new(false);
     let stop = &stop;
     std::thread::scope(|s| {
@@ -48,9 +47,9 @@ fn hammer<Q: ConcurrentQueue>(
                         drained += 1;
                     }
                 }
-                // Deliberately no metrics::flush(): dequeuer-side events
-                // are discarded so the measurement isolates the *enqueuer's*
-                // wasted work (the livelock victim).
+                // The dequeuers' counts are deliberately not summed: the
+                // measurement isolates the *enqueuer's* wasted work (the
+                // livelock victim), and the enqueuer is this thread.
                 drained
             });
         }
@@ -58,9 +57,8 @@ fn hammer<Q: ConcurrentQueue>(
             queue.enqueue(i);
         }
         stop.store(true, Ordering::Relaxed);
-        metrics::flush();
     });
-    let d = metrics::snapshot().delta_since(&before);
+    let d = metrics::local_snapshot().delta_since(&before);
     Outcome {
         attempts_per_enqueue: d.get(attempt_event) as f64 / enqueues as f64,
         rings_closed: d.get(Event::CrqClosed),

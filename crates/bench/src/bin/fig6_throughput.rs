@@ -20,7 +20,7 @@
 //! separate parameterized specs with `;`).
 
 use lcrq_bench::cli::Cli;
-use lcrq_bench::{run_workload, QueueKind, QueueSpec, RunConfig};
+use lcrq_bench::{run_averaged, QueueKind, QueueSpec, RunConfig};
 use lcrq_util::{set_wait_mode, WaitMode};
 
 fn main() {
@@ -100,17 +100,8 @@ fn main() {
         for spec in &specs {
             let mut cfg = RunConfig::new(t);
             cfg.pairs = pairs;
-            let mut best = 0.0f64;
-            let mut all = Vec::new();
-            for _ in 0..runs {
-                let q = spec.build();
-                let r = run_workload(&q, &cfg);
-                all.push(r.mops);
-                best = best.max(r.mops);
-            }
-            all.sort_by(f64::total_cmp);
-            let median = all[all.len() / 2];
-            print!(" {median:.3} |");
+            let (median, _mean) = run_averaged(|| spec.build(), &cfg, runs);
+            print!(" {:.3} |", median.mops);
         }
         println!();
     }

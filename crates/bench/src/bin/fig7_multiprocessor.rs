@@ -17,7 +17,7 @@
 //!         [--smoke]`
 
 use lcrq_bench::cli::Cli;
-use lcrq_bench::{run_workload, QueueKind, QueueSpec, RunConfig};
+use lcrq_bench::{run_averaged, QueueKind, QueueSpec, RunConfig};
 
 fn main() {
     let cli = Cli::from_env();
@@ -70,13 +70,8 @@ fn main() {
             cfg.pairs = pairs;
             cfg.prefill = prefill;
             cfg.clusters = clusters;
-            let mut all = Vec::new();
-            for _ in 0..runs {
-                let q = spec.build();
-                all.push(run_workload(&q, &cfg).mops);
-            }
-            all.sort_by(f64::total_cmp);
-            print!(" {:.3} |", all[all.len() / 2]);
+            let (median, _mean) = run_averaged(|| spec.build(), &cfg, runs);
+            print!(" {:.3} |", median.mops);
         }
         println!();
     }

@@ -12,7 +12,7 @@
 //!         [--orders 3,5,7,9,11,13,15,17] [--clusters 1] [--smoke]`
 
 use lcrq_bench::cli::Cli;
-use lcrq_bench::{run_workload, QueueKind, QueueSpec, RunConfig};
+use lcrq_bench::{run_averaged, QueueKind, QueueSpec, RunConfig};
 
 fn main() {
     let cli = Cli::from_env();
@@ -40,14 +40,7 @@ fn main() {
     cfg.pairs = pairs;
     cfg.clusters = clusters;
     let ref_spec = QueueSpec::backend(ref_kind).with_clusters(clusters);
-    let mut ref_runs: Vec<f64> = (0..runs)
-        .map(|_| {
-            let q = ref_spec.build();
-            run_workload(&q, &cfg).mops
-        })
-        .collect();
-    ref_runs.sort_by(f64::total_cmp);
-    let reference = ref_runs[runs / 2];
+    let reference = run_averaged(|| ref_spec.build(), &cfg, runs).0.mops;
     println!(
         "# reference {} throughput: {reference:.3} Mops/s",
         ref_kind.name()
@@ -68,14 +61,7 @@ fn main() {
         let spec = QueueSpec::backend(kind)
             .with_ring_order(order as u32)
             .with_clusters(clusters);
-        let mut all: Vec<f64> = (0..runs)
-            .map(|_| {
-                let q = spec.build();
-                run_workload(&q, &cfg).mops
-            })
-            .collect();
-        all.sort_by(f64::total_cmp);
-        let median = all[runs / 2];
+        let median = run_averaged(|| spec.build(), &cfg, runs).0.mops;
         println!(
             "| {order} | {} | {median:.3} | {:.2}x |",
             1u64 << order,

@@ -13,7 +13,7 @@
 
 use lcrq_bench::cli::Cli;
 use lcrq_core::{Lcrq, LcrqConfig};
-use lcrq_util::metrics::{self, Event};
+use lcrq_util::metrics::{self, Event, Snapshot};
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -54,35 +54,30 @@ fn main() {
                 .with_ring_pool_capacity(cap),
         );
         let warmed = Barrier::new(threads + 1);
-        let elapsed = std::thread::scope(|s| {
+        let (secs, d) = std::thread::scope(|s| {
             let q = &q;
             let warmed = &warmed;
+            let mut workers = Vec::with_capacity(threads);
             for _ in 0..threads {
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     let vals: Vec<u64> = (0..batch as u64).collect();
                     let mut out = Vec::with_capacity(batch);
                     for _ in 0..warmup {
                         churn(q, &vals, &mut out);
                     }
-                    metrics::flush();
-                    warmed.wait(); // post-warmup snapshot happens here
+                    let before = metrics::local_snapshot();
                     warmed.wait(); // measured region starts together
                     for _ in 0..rounds {
                         churn(q, &vals, &mut out);
                     }
-                    metrics::flush();
-                });
+                    metrics::local_snapshot().delta_since(&before)
+                }));
             }
             warmed.wait();
-            let before = metrics::snapshot();
-            warmed.wait();
             let start = Instant::now();
-            // Scope exit joins the workers; every measured count is flushed.
-            (start, before)
+            let d: Snapshot = workers.into_iter().map(|w| w.join().unwrap()).sum();
+            (start.elapsed().as_secs_f64(), d)
         });
-        let (start, before) = elapsed;
-        let secs = start.elapsed().as_secs_f64();
-        let d = metrics::snapshot().delta_since(&before);
         let ops = 2.0 * (threads as u64 * rounds * batch as u64) as f64;
         println!(
             "| {cap} | {:.2} | {:.4} | {} | {} | {} |",

@@ -576,9 +576,7 @@ mod tests {
 
     #[test]
     fn randomized_specs_round_trip() {
-        // Deterministic randomized round-trip sweep (proptest is an
-        // optional feature and off in offline builds; see
-        // tests/proptest_queues.rs for the feature-gated variant).
+        // Deterministic randomized round-trip sweep.
         let mut rng = lcrq_util::XorShift64Star::new(0x5bec);
         for _ in 0..500 {
             let spec = random_spec(&mut rng, 2);
@@ -586,6 +584,12 @@ mod tests {
             let reparsed = QueueSpec::parse(&printed)
                 .unwrap_or_else(|e| panic!("printed spec '{printed}' must reparse: {e}"));
             assert_eq!(reparsed, spec, "'{printed}'");
+            // Every truncation is a near-miss string: Ok or Err, never a
+            // panic (specs print as ASCII, so any byte is a boundary).
+            for cut in 0..printed.len() {
+                let _ = QueueSpec::parse(&printed[..cut]);
+                let _ = QueueSpec::parse_list(&printed[..cut]);
+            }
         }
     }
 

@@ -5,7 +5,7 @@ use lcrq_util::metrics::{self, Event};
 use lcrq_util::spin::spin_for_ns;
 use lcrq_util::topology::set_current_cluster;
 use lcrq_util::{LatencyHistogram, XorShift64Star};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// Parameters of one measured run.
@@ -88,22 +88,20 @@ impl RunResult {
 /// Runs the pairs workload once and collects throughput + counters.
 pub fn run_workload<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig) -> RunResult {
     assert!(cfg.threads > 0 && cfg.pairs > 0);
-    // Prefill happens *before* the baseline snapshot so its atomic
-    // operations (including any ring spills) do not pollute the measured
-    // per-operation statistics.
+    // Prefill runs on the calling thread, whose counts are never summed, so
+    // its atomic operations (including any ring spills) do not pollute the
+    // measured per-operation statistics.
     for i in 0..cfg.prefill {
         queue.enqueue(i);
     }
-    metrics::flush(); // park prefill + stale counts outside the window
-    let before = metrics::snapshot();
 
     let barrier = Barrier::new(cfg.threads + 1);
-    let hist_sink: Mutex<LatencyHistogram> = Mutex::new(LatencyHistogram::new());
-    let (barrier_ref, hist_ref) = (&barrier, &hist_sink);
+    let barrier_ref = &barrier;
 
-    let wall = std::thread::scope(|s| {
+    let (wall, counters, latency) = std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(cfg.threads);
         for t in 0..cfg.threads {
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 if cfg.pin {
                     let _ = lcrq_util::affinity::pin_round_robin(t);
                 }
@@ -182,38 +180,37 @@ pub fn run_workload<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig) -> RunResult
                         i += n as u64;
                     }
                 }
-                metrics::flush();
-                if let Some(h) = local_hist {
-                    hist_ref.lock().unwrap().merge(&h);
-                }
-            });
+                // A fresh thread: everything it ever counted is this run's.
+                (metrics::local_snapshot(), local_hist)
+            }));
         }
         // Start the clock *before* releasing the barrier: on a single-core
         // host a worker may otherwise run to completion before this thread
         // is rescheduled, yielding a near-zero measurement.
         let start = Instant::now();
         barrier_ref.wait();
-        // scope joins all workers on exit
-        ScopeTimer { start }
+        let mut counters = metrics::Snapshot::default();
+        let mut latency = LatencyHistogram::new();
+        for w in workers {
+            let (counts, hist) = w.join().expect("workload worker panicked");
+            counters += counts;
+            if let Some(h) = hist {
+                latency.merge(&h);
+            }
+        }
+        let latency = cfg.record_latency.then_some(latency);
+        (start.elapsed(), counters, latency)
     });
 
-    let wall = wall.start.elapsed();
-    let after = metrics::snapshot();
     let total_ops = 2 * cfg.threads as u64 * cfg.pairs;
     RunResult {
         wall,
         total_ops,
         mops: total_ops as f64 / wall.as_secs_f64() / 1e6,
-        counters: after.delta_since(&before),
-        latency: cfg
-            .record_latency
-            .then(|| std::mem::take(&mut *hist_sink.lock().unwrap())),
+        counters,
+        latency,
         threads_used: cfg.threads,
     }
-}
-
-struct ScopeTimer {
-    start: Instant,
 }
 
 /// Runs the workload `runs` times and returns the run with median
@@ -241,17 +238,8 @@ mod tests {
     use super::*;
     use lcrq_core::Lcrq;
 
-    // `run_workload` diffs the process-wide metrics aggregate around the
-    // run, so two of these tests running at once count each other's
-    // operations: serialize them (same pattern as crq.rs / metrics.rs).
-    static METRICS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    fn metrics_guard() -> std::sync::MutexGuard<'static, ()> {
-        METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn workload_completes_and_counts_ops() {
-        let _g = metrics_guard();
         let q = Lcrq::new();
         let mut cfg = RunConfig::new(2);
         cfg.pairs = 500;
@@ -269,8 +257,36 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_runs_count_only_their_own_threads() {
+        // Two runs released together, each on its own queue with one worker
+        // (so nothing is ever empty and every count is exact): each result
+        // must hold its own worker's counts and nothing else — not the other
+        // run's, not the calling thread's prefill.
+        let start = Barrier::new(2);
+        let run = |pairs: u64| {
+            let q = Lcrq::new();
+            let mut cfg = RunConfig::new(1);
+            cfg.pairs = pairs;
+            cfg.prefill = 100;
+            cfg.max_delay_ns = 0;
+            cfg.pin = false;
+            start.wait();
+            run_workload(&q, &cfg).counters
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(20_000));
+            let b = s.spawn(|| run(30_000));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (c, pairs) in [(a, 20_000), (b, 30_000)] {
+            assert_eq!(c.get(Event::EnqOp), pairs);
+            assert_eq!(c.get(Event::DeqOp) + c.get(Event::DeqEmpty), pairs);
+            assert_eq!(c.get(Event::Faa), 2 * pairs, "one F&A per operation");
+        }
+    }
+
+    #[test]
     fn batched_workload_counts_ops_and_amortizes_faa() {
-        let _g = metrics_guard();
         let q = Lcrq::new();
         let mut cfg = RunConfig::new(2).with_batch(16);
         cfg.pairs = 512;
@@ -297,7 +313,6 @@ mod tests {
 
     #[test]
     fn batched_and_scalar_runs_move_the_same_items() {
-        let _g = metrics_guard();
         for batch in [1usize, 4, 16] {
             let q = Lcrq::new();
             let mut cfg = RunConfig::new(1).with_batch(batch);
@@ -314,7 +329,6 @@ mod tests {
 
     #[test]
     fn prefill_leaves_items_behind() {
-        let _g = metrics_guard();
         let q = Lcrq::new();
         let mut cfg = RunConfig::new(1);
         cfg.pairs = 100;
@@ -338,7 +352,6 @@ mod tests {
 
     #[test]
     fn latency_recording_produces_histogram() {
-        let _g = metrics_guard();
         let q = Lcrq::new();
         let mut cfg = RunConfig::new(1);
         cfg.pairs = 200;
@@ -353,7 +366,6 @@ mod tests {
 
     #[test]
     fn averaged_runs_return_median() {
-        let _g = metrics_guard();
         let cfg = {
             let mut c = RunConfig::new(1);
             c.pairs = 100;

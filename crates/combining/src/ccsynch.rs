@@ -188,14 +188,12 @@ mod tests {
     #[test]
     fn combiner_batches_are_recorded() {
         use lcrq_util::metrics::{self, Event};
-        metrics::flush();
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         let c = CcSynch::new(SeqCounter::default());
         for _ in 0..10 {
             c.apply(1);
         }
-        metrics::flush();
-        let d = metrics::snapshot().delta_since(&before);
+        let d = metrics::local_snapshot().delta_since(&before);
         assert!(d.get(Event::CombinerRound) >= 1);
         assert_eq!(d.get(Event::OpsCombined), 10);
         assert_eq!(d.get(Event::Swap), 10, "one SWAP per operation");

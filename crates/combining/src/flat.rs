@@ -258,13 +258,11 @@ mod tests {
         use lcrq_util::metrics::{self, Event};
         let c = FlatCombining::new(SeqCounter::default());
         c.apply(1); // force record creation + first combine
-        metrics::flush();
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         for _ in 0..10 {
             c.apply(1);
         }
-        metrics::flush();
-        let d = metrics::snapshot().delta_since(&before);
+        let d = metrics::local_snapshot().delta_since(&before);
         assert_eq!(d.get(Event::Tas), 10, "one try-lock per solo op");
         assert_eq!(d.get(Event::CasAttempt), 0);
         assert_eq!(d.get(Event::Faa), 0);

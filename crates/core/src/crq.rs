@@ -960,26 +960,16 @@ mod tests {
         assert_eq!(q.dequeue(), None);
     }
 
-    // Tests that bracket the process-wide metrics aggregate with
-    // flush + snapshot must not run concurrently with each other.
-    static METRICS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    fn metrics_guard() -> std::sync::MutexGuard<'static, ()> {
-        METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn common_case_uses_two_faa_per_pair() {
         use lcrq_util::metrics;
-        let _g = metrics_guard();
         let q = crq(8);
-        metrics::flush();
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         for i in 0..100 {
             q.enqueue(i).unwrap();
             assert_eq!(q.dequeue(), Some(i));
         }
-        metrics::flush();
-        let d = metrics::snapshot().delta_since(&before);
+        let d = metrics::local_snapshot().delta_since(&before);
         // One F&A per enqueue + one per dequeue (no retries when solo).
         assert_eq!(d.get(metrics::Event::Faa), 200);
         // One CAS2 per op, all successful.
@@ -1113,13 +1103,11 @@ mod tests {
         // least 8x fewer F&A instructions than the scalar loop (they spend
         // exactly 16x fewer here: one FAA(ctr, 16) vs 16 FAA(ctr, 1)).
         use lcrq_util::metrics::{self, Event};
-        let _g = metrics_guard();
         const K: u64 = 16;
         const ROUNDS: u64 = 10;
 
         let scalar = crq(8);
-        metrics::flush();
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         for r in 0..ROUNDS {
             for i in 0..K {
                 scalar.enqueue(r * K + i).unwrap();
@@ -1128,12 +1116,13 @@ mod tests {
                 assert_eq!(scalar.dequeue(), Some(r * K + i));
             }
         }
-        metrics::flush();
-        let scalar_faa = metrics::snapshot().delta_since(&before).get(Event::Faa);
+        let scalar_faa = metrics::local_snapshot()
+            .delta_since(&before)
+            .get(Event::Faa);
         assert_eq!(scalar_faa, 2 * K * ROUNDS, "one F&A per scalar op");
 
         let batched = crq(8);
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         let mut out = Vec::new();
         for r in 0..ROUNDS {
             let vals: Vec<u64> = (0..K).map(|i| r * K + i).collect();
@@ -1142,8 +1131,7 @@ mod tests {
             assert_eq!(batched.dequeue_batch(&mut out, K as usize), K as usize);
             assert_eq!(out, vals);
         }
-        metrics::flush();
-        let d = metrics::snapshot().delta_since(&before);
+        let d = metrics::local_snapshot().delta_since(&before);
         let batch_faa = d.get(Event::Faa);
         assert_eq!(batch_faa, 2 * ROUNDS, "one F&A per k=16 reservation");
         assert!(

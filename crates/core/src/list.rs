@@ -770,6 +770,80 @@ mod tests {
         LcrqConfig::new().with_ring_order(3) // R = 8: force frequent closes
     }
 
+    /// Sequential model check over random configurations: ring order,
+    /// starvation limit, bounded wait and pool capacity are drawn per round,
+    /// then scalar, batch and close steps run against a `VecDeque` plus a
+    /// closed flag, with the pool bound checked after every step. Tiny rings
+    /// and starvation limits make the sequence churn through many ring
+    /// incarnations; after the close, enqueues refuse and the backlog
+    /// drains FIFO. `LCRQ_TEST_SEED` replays a failure.
+    fn config_and_close_model_check<R: Ring>(seed: u64) {
+        use std::collections::VecDeque;
+        let seed = lcrq_util::rng::test_seed(seed);
+        let mut rng = lcrq_util::XorShift64Star::new(seed);
+        for round in 0..20 {
+            let pool_cap = rng.next_below(4) as usize;
+            let q = RingList::<R>::with_config(
+                LcrqConfig::new()
+                    .with_ring_order(1 + rng.next_below(7) as u32)
+                    .with_starvation_limit(1 + rng.next_below(63) as u32)
+                    .with_bounded_wait(rng.next_below(64) as u32)
+                    .with_ring_pool_capacity(pool_cap),
+            );
+            let at = |step: usize| format!("round {round} step {step} (LCRQ_TEST_SEED={seed})");
+            let mut model: VecDeque<u64> = VecDeque::new();
+            let mut closed = false;
+            let mut next_val = 0u64;
+            let mut out = Vec::new();
+            for step in 0..300 {
+                match rng.next_below(100) {
+                    0 => {
+                        assert_eq!(q.close(), !closed, "{}", at(step));
+                        closed = true;
+                        assert!(q.is_closed());
+                    }
+                    1..=30 => {
+                        let placed = q.try_enqueue(next_val);
+                        if closed {
+                            assert_eq!(placed, Err(next_val), "{}", at(step));
+                        } else {
+                            assert_eq!(placed, Ok(()), "{}", at(step));
+                            model.push_back(next_val);
+                        }
+                        next_val += 1;
+                    }
+                    31..=60 => assert_eq!(q.dequeue(), model.pop_front(), "{}", at(step)),
+                    61..=80 => {
+                        let n = rng.next_below(24);
+                        let vals: Vec<u64> = (next_val..next_val + n).collect();
+                        next_val += n;
+                        let placed = q.try_enqueue_batch(&vals);
+                        // Single-threaded: a closed queue places nothing,
+                        // and an empty batch has nothing to refuse.
+                        if closed && n > 0 {
+                            assert_eq!(placed, Err(0), "{}", at(step));
+                        } else {
+                            assert_eq!(placed, Ok(()), "{}", at(step));
+                            model.extend(vals);
+                        }
+                    }
+                    _ => {
+                        let max = rng.next_below(24) as usize;
+                        out.clear();
+                        let got = q.dequeue_batch(&mut out, max);
+                        // A short batch is a linearizable EMPTY observation.
+                        assert_eq!(got, max.min(model.len()), "{}", at(step));
+                        let expect: Vec<u64> = model.drain(..got).collect();
+                        assert_eq!(out, expect, "{}", at(step));
+                    }
+                }
+                assert!(q.ring_pool().len() <= pool_cap, "{}", at(step));
+            }
+            assert_eq!(q.drain().collect::<VecDeque<_>>(), model, "round {round}");
+            assert_eq!(q.dequeue(), None);
+        }
+    }
+
     /// The list-level suite: written once against `RingList<R>`,
     /// instantiated below for every ring the crate ships.
     macro_rules! list_suite {
@@ -853,6 +927,7 @@ mod tests {
                 fn model_check_against_vecdeque() {
                     for seed in [0x1C, 0x15C9, 0x13C9] {
                         testing::model_check(&Q::with_config(tiny()), seed);
+                        config_and_close_model_check::<$ring>(seed);
                     }
                 }
 

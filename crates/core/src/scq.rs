@@ -503,11 +503,7 @@ mod tests {
     use super::*;
     use lcrq_atomic::CasLoopFaa;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::{Arc, Mutex};
-
-    // The metrics aggregate is process-wide: serialize tests that bracket
-    // it (same pattern as crq.rs / faa.rs).
-    static METRICS_LOCK: Mutex<()> = Mutex::new(());
+    use std::sync::Arc;
 
     #[test]
     fn entry_packing_round_trips() {
@@ -536,7 +532,6 @@ mod tests {
 
     #[test]
     fn empty_ring_dequeues_none_without_faa() {
-        let _g = METRICS_LOCK.lock().unwrap();
         let q: Scq = Scq::new_empty(3);
         let before = lcrq_util::metrics::local_snapshot();
         assert_eq!(q.dequeue(), None);

@@ -692,12 +692,10 @@ mod tests {
     #[test]
     fn scan_counts_hazard_scan_event() {
         use lcrq_util::metrics::{self, Event};
-        metrics::flush();
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         let d = Domain::new();
         d.scan();
-        metrics::flush();
-        let delta = metrics::snapshot().delta_since(&before);
+        let delta = metrics::local_snapshot().delta_since(&before);
         assert!(delta.get(Event::HazardScan) >= 1);
     }
 }

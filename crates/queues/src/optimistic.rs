@@ -256,13 +256,11 @@ mod tests {
         use lcrq_util::metrics::{self, Event};
         let q = OptimisticQueue::new();
         q.enqueue(0); // warm the dummy path
-        metrics::flush();
-        let before = metrics::snapshot();
+        let before = metrics::local_snapshot();
         for i in 0..100 {
             q.enqueue(i);
         }
-        metrics::flush();
-        let d = metrics::snapshot().delta_since(&before);
+        let d = metrics::local_snapshot().delta_since(&before);
         assert_eq!(
             d.get(Event::CasAttempt),
             100,

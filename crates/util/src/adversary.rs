@@ -101,14 +101,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_by_default_and_cheap() {
-        assert_eq!(preempt_ppm(), 0);
-        for _ in 0..10_000 {
-            preempt_point(); // must be a near-noop
-        }
-    }
-
-    #[test]
     fn thread_streams_are_decorrelated() {
         // Two threads' first rolls must come from distinct streams: with
         // the old constant thread-local seed both threads would produce
@@ -126,8 +118,14 @@ mod tests {
         );
     }
 
+    // One ordered test: the rate is process-wide, so "off by default" and
+    // "arming" cannot run as two tests in parallel.
     #[test]
-    fn arming_and_clamping() {
+    fn disabled_by_default_then_arming_and_clamping() {
+        assert_eq!(preempt_ppm(), 0);
+        for _ in 0..10_000 {
+            preempt_point(); // must be a near-noop
+        }
         set_preempt_ppm(2_000_000);
         assert_eq!(preempt_ppm(), 1_000_000);
         set_preempt_ppm(500);

@@ -8,11 +8,14 @@
 //! explain the same wasted-work story the cache-miss columns tell.
 //!
 //! Counting uses plain thread-local `Cell`s (no atomics, no locks on the hot
-//! path). Each worker thread calls [`flush`] when it finishes; the harness
-//! then reads an aggregate [`snapshot`].
+//! path), and those cells are the only store: a thread reads its own with
+//! [`local_snapshot`] and nothing else can. A measured run's total is the sum
+//! of the [`Snapshot`]s its worker closures return through `join` — a freshly
+//! spawned worker returns `local_snapshot()` at exit, a long-lived thread
+//! returns `local_snapshot().delta_since(&before)` — so two runs in one
+//! process never see each other's counts.
 
 use std::cell::Cell;
-use std::sync::Mutex;
 
 /// Countable event kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,8 +148,6 @@ thread_local! {
     static LOCAL: [Cell<u64>; NUM_EVENTS] = const { [const { Cell::new(0) }; NUM_EVENTS] };
 }
 
-static GLOBAL: Mutex<[u64; NUM_EVENTS]> = Mutex::new([0; NUM_EVENTS]);
-
 /// Increments `event` by one in the calling thread's local counters.
 #[inline]
 pub fn inc(event: Event) {
@@ -162,31 +163,8 @@ pub fn add(event: Event, n: u64) {
     });
 }
 
-/// Adds the calling thread's local counters into the global aggregate and
-/// zeroes the local counters. Call once per worker thread at the end of a
-/// measured region.
-pub fn flush() {
-    LOCAL.with(|l| {
-        let mut g = GLOBAL.lock().unwrap();
-        for (cell, slot) in l.iter().zip(g.iter_mut()) {
-            *slot = slot.wrapping_add(cell.get());
-            cell.set(0);
-        }
-    });
-}
-
-/// Zeroes the global aggregate **and** the calling thread's local counters.
-/// (Other threads' unflushed locals are untouched; reset before spawning.)
-pub fn reset() {
-    LOCAL.with(|l| {
-        for cell in l.iter() {
-            cell.set(0);
-        }
-    });
-    *GLOBAL.lock().unwrap() = [0; NUM_EVENTS];
-}
-
-/// An aggregate view of all flushed counters.
+/// Event counts: one thread's ([`local_snapshot`]), a bracketed region's
+/// ([`Snapshot::delta_since`]), or the sum of several of either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
     counts: [u64; NUM_EVENTS],
@@ -201,18 +179,10 @@ impl Default for Snapshot {
     }
 }
 
-/// Returns the current global aggregate (flushed counters only).
-pub fn snapshot() -> Snapshot {
-    Snapshot {
-        counts: *GLOBAL.lock().unwrap(),
-    }
-}
-
-/// Returns the calling thread's **unflushed local** counters as a snapshot,
-/// without modifying them. Unlike [`snapshot`], this is immune to other
-/// threads flushing into the global aggregate, so a single thread can
-/// bracket a region of its own work (e.g. "this `recv` performed zero F&A
-/// while parked") even while unrelated threads run concurrently.
+/// Returns the calling thread's counters as a snapshot, without modifying
+/// them. No other thread can touch them, so a single thread can bracket a
+/// region of its own work (e.g. "this `recv` performed zero F&A while
+/// parked") even while unrelated threads run concurrently.
 pub fn local_snapshot() -> Snapshot {
     LOCAL.with(|l| {
         let mut counts = [0u64; NUM_EVENTS];
@@ -354,6 +324,24 @@ impl Snapshot {
     }
 }
 
+impl core::ops::AddAssign for Snapshot {
+    fn add_assign(&mut self, other: Snapshot) {
+        for (c, o) in self.counts.iter_mut().zip(other.counts) {
+            *c = c.wrapping_add(o);
+        }
+    }
+}
+
+impl core::iter::Sum for Snapshot {
+    fn sum<I: Iterator<Item = Snapshot>>(iter: I) -> Snapshot {
+        let mut total = Snapshot::default();
+        for s in iter {
+            total += s;
+        }
+        total
+    }
+}
+
 impl core::fmt::Display for Snapshot {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         for (name, count) in self.nonzero() {
@@ -366,65 +354,72 @@ impl core::fmt::Display for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
 
-    // The global aggregate is process-wide; serialize tests that use it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-    fn guard() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    /// What `f` counted on this thread. Test threads are reused under
+    /// `--test-threads=1`, so assertions are on deltas, never on absolute
+    /// `local_snapshot()` values.
+    fn counted(f: impl FnOnce()) -> Snapshot {
+        let before = local_snapshot();
+        f();
+        local_snapshot().delta_since(&before)
     }
 
     #[test]
-    fn inc_flush_snapshot_round_trip() {
-        let _g = guard();
-        reset();
-        inc(Event::Faa);
-        add(Event::CasAttempt, 5);
-        add(Event::CasFailure, 2);
-        // Not yet visible before flush.
-        assert_eq!(snapshot().get(Event::Faa), 0);
-        flush();
-        let s = snapshot();
+    fn inc_add_snapshot_round_trip() {
+        let s = counted(|| {
+            inc(Event::Faa);
+            add(Event::CasAttempt, 5);
+            add(Event::CasFailure, 2);
+        });
         assert_eq!(s.get(Event::Faa), 1);
         assert_eq!(s.get(Event::CasAttempt), 5);
         assert_eq!(s.cas_failure_rate(), 0.4);
     }
 
     #[test]
-    fn multi_thread_flush_aggregates() {
-        let _g = guard();
-        reset();
+    fn worker_snapshots_sum_to_exactly_their_own_counts() {
+        use std::sync::{Arc, Barrier};
+        // An unrelated thread counts the same events before and after the
+        // workers start; none of it may reach the workers' sum.
+        let start = Arc::new(Barrier::new(5));
+        let bystander = {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                add(Event::Cas2Attempt, 777);
+                add(Event::EnqOp, 7);
+                start.wait();
+                add(Event::Cas2Attempt, 777);
+            })
+        };
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                std::thread::spawn(|| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
                     for _ in 0..1000 {
                         inc(Event::Cas2Attempt);
                     }
                     add(Event::EnqOp, 10);
-                    flush();
+                    local_snapshot()
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = snapshot();
+        let s: Snapshot = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        bystander.join().unwrap();
         assert_eq!(s.get(Event::Cas2Attempt), 4000);
         assert_eq!(s.get(Event::EnqOp), 40);
     }
 
     #[test]
     fn atomic_ops_sums_all_rmw_kinds() {
-        let _g = guard();
-        reset();
-        inc(Event::Faa);
-        inc(Event::Swap);
-        inc(Event::Tas);
-        add(Event::CasAttempt, 2);
-        add(Event::Cas2Attempt, 3);
-        add(Event::EnqOp, 2);
-        flush();
-        let s = snapshot();
+        let s = counted(|| {
+            inc(Event::Faa);
+            inc(Event::Swap);
+            inc(Event::Tas);
+            add(Event::CasAttempt, 2);
+            add(Event::Cas2Attempt, 3);
+            add(Event::EnqOp, 2);
+        });
         assert_eq!(s.atomic_ops(), 8);
         assert_eq!(s.total_ops(), 2);
         assert_eq!(s.atomic_ops_per_op(), 4.0);
@@ -432,25 +427,17 @@ mod tests {
 
     #[test]
     fn delta_since_brackets_a_region() {
-        let _g = guard();
-        reset();
         inc(Event::DeqOp);
-        flush();
-        let before = snapshot();
+        let before = local_snapshot();
         add(Event::DeqOp, 9);
-        flush();
-        let after = snapshot();
+        let after = local_snapshot();
         let d = after.delta_since(&before);
         assert_eq!(d.get(Event::DeqOp), 9);
     }
 
     #[test]
     fn display_lists_nonzero_only() {
-        let _g = guard();
-        reset();
-        inc(Event::CrqClosed);
-        flush();
-        let text = snapshot().to_string();
+        let text = counted(|| inc(Event::CrqClosed)).to_string();
         assert!(text.contains("crq_closed"));
         assert!(!text.contains("hazard_scan"));
     }
@@ -467,36 +454,31 @@ mod tests {
     }
 
     #[test]
-    fn local_snapshot_reads_without_flushing() {
-        let _g = guard();
-        reset();
+    fn local_snapshot_reads_without_modifying() {
+        let start = local_snapshot();
         inc(Event::Park);
         add(Event::Faa, 3);
         let local = local_snapshot();
-        assert_eq!(local.get(Event::Park), 1);
-        assert_eq!(local.get(Event::Faa), 3);
-        // Locals were not flushed: global stays empty, locals intact.
-        assert_eq!(snapshot().get(Event::Park), 0);
-        assert_eq!(local_snapshot().get(Event::Faa), 3);
+        assert_eq!(local.delta_since(&start).get(Event::Park), 1);
+        assert_eq!(local.delta_since(&start).get(Event::Faa), 3);
+        // Reading left the counters intact.
+        assert_eq!(local_snapshot(), local);
         // delta_since works on local snapshots for region bracketing.
         inc(Event::Unpark);
         let d = local_snapshot().delta_since(&local);
         assert_eq!(d.get(Event::Unpark), 1);
         assert_eq!(d.get(Event::Faa), 0);
-        reset();
     }
 
     #[test]
     fn allocs_per_op_counts_only_pool_misses() {
-        let _g = guard();
-        reset();
-        add(Event::RingAlloc, 1);
-        add(Event::RingReuse, 9);
-        add(Event::RingScrub, 10);
-        add(Event::EnqOp, 50);
-        add(Event::DeqOp, 50);
-        flush();
-        let s = snapshot();
+        let s = counted(|| {
+            add(Event::RingAlloc, 1);
+            add(Event::RingReuse, 9);
+            add(Event::RingScrub, 10);
+            add(Event::EnqOp, 50);
+            add(Event::DeqOp, 50);
+        });
         assert_eq!(s.allocs_per_op(), 0.01);
         assert_eq!(Snapshot::default().allocs_per_op(), 0.0);
         let text = s.to_string();
@@ -507,30 +489,26 @@ mod tests {
 
     #[test]
     fn parks_per_op_ratio() {
-        let _g = guard();
-        reset();
-        add(Event::Park, 2);
-        add(Event::DeqOp, 8);
-        flush();
-        let s = snapshot();
+        let s = counted(|| {
+            add(Event::Park, 2);
+            add(Event::DeqOp, 8);
+        });
         assert_eq!(s.parks_per_op(), 0.25);
         assert_eq!(Snapshot::default().parks_per_op(), 0.0);
     }
 
     #[test]
     fn batch_accounting_yields_mean_sizes_and_faa_amortization() {
-        let _g = guard();
-        reset();
-        // Two batched enqueues of 16 and 8 items, one F&A reservation each.
-        add(Event::BatchEnqueue, 2);
-        add(Event::BatchEnqueueItems, 24);
-        add(Event::BatchDequeue, 1);
-        add(Event::BatchDequeueItems, 16);
-        add(Event::Faa, 3);
-        add(Event::EnqOp, 24);
-        add(Event::DeqOp, 16);
-        flush();
-        let s = snapshot();
+        let s = counted(|| {
+            // Two batched enqueues of 16 and 8 items, one F&A reservation each.
+            add(Event::BatchEnqueue, 2);
+            add(Event::BatchEnqueueItems, 24);
+            add(Event::BatchDequeue, 1);
+            add(Event::BatchDequeueItems, 16);
+            add(Event::Faa, 3);
+            add(Event::EnqOp, 24);
+            add(Event::DeqOp, 16);
+        });
         assert_eq!(s.mean_enqueue_batch(), 12.0);
         assert_eq!(s.mean_dequeue_batch(), 16.0);
         assert_eq!(s.faa_per_op(), 3.0 / 40.0);

@@ -11,6 +11,11 @@
 //! SWAP, amortizing everything else through the combiner) and the MS queue
 //! averages 1.5+ (and melts under contention as its CASes start failing).
 //!
+//! Counts live in the thread that counted and `local_snapshot()` is the only
+//! read. `profile` works on one long-lived thread, so it brackets its region
+//! with two reads and takes the difference; a multi-threaded harness has
+//! each worker return its `Snapshot` through `join` and sums them.
+//!
 //! Run with: `cargo run --release --example counters_tour`
 
 use lcrq::util::metrics::{self, Event};
@@ -18,15 +23,13 @@ use lcrq::{CcQueue, ConcurrentQueue, Lcrq, MsQueue};
 
 fn profile<Q: ConcurrentQueue>(queue: &Q, ops_label: &str) {
     const PAIRS: u64 = 50_000;
-    metrics::flush();
-    let before = metrics::snapshot();
+    let before = metrics::local_snapshot();
     for i in 0..PAIRS {
         queue.enqueue(i);
         let got = queue.dequeue();
         debug_assert_eq!(got, Some(i));
     }
-    metrics::flush();
-    let d = metrics::snapshot().delta_since(&before);
+    let d = metrics::local_snapshot().delta_since(&before);
     let ops = 2 * PAIRS;
 
     println!("── {} ({ops_label}) ──", queue.name());
