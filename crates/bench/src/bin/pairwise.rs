@@ -12,7 +12,7 @@
 //!   artifact.
 //!   `pairwise [--threads 1,4] [--pairs 5000] [--runs 6] [--warmup 1]
 //!             [--delay 50,150] [--queues <spec;list>] [--external all|none]
-//!             [--flagship-only] [--smoke] [--out results/BENCH_arena.json]`
+//!             [--smoke] [--out results/BENCH_arena.json]`
 //! * **Gate**: compare two artifacts, exit nonzero on a flagship
 //!   regression (no benchmarking — deterministic, file-only).
 //!   `pairwise --gate --baseline results/BENCH_arena.json --candidate fresh.json`
@@ -153,12 +153,6 @@ fn roster(cli: &Cli, ring_order: u32) -> Result<Vec<Entry>, String> {
             spec
         }
     };
-    if cli.has("flagship-only") {
-        return flagship_names()
-            .iter()
-            .map(|name| QueueSpec::parse(name).map(|spec| Entry::from_spec(&reorder(spec))))
-            .collect();
-    }
     let mut entries = match cli.get_str("queues") {
         Some(list) => QueueSpec::parse_list(list)?
             .into_iter()

@@ -25,9 +25,10 @@
 //! fast-wait-free-queue methodology): every registry spec plus external
 //! baselines behind the [`arena::Contender`] trait, multi-run
 //! mean/stddev/margin-of-error statistics from [`stats`], and a
-//! schema-versioned `results/BENCH_arena.json` that ci.sh's regression
-//! gate diffs against the committed baseline. Every binary accepts
-//! `--smoke` for a seconds-long bit-rot check (ci.sh runs them all).
+//! schema-versioned `results/BENCH_arena.json` that `pairwise --gate`
+//! diffs against another (ci.sh self-tests it on two fixtures). Every
+//! binary accepts `--smoke` for a seconds-long bit-rot check (ci.sh runs
+//! them all).
 
 #![warn(missing_docs)]
 

@@ -101,7 +101,8 @@ impl LcrqConfig {
         self
     }
 
-    /// Sets the recycling-pool capacity (0 disables ring reuse).
+    /// Sets the recycling-pool capacity (0 disables ring reuse). The pool
+    /// is one 8-byte slot per ring of capacity, allocated with the queue.
     pub fn with_ring_pool_capacity(mut self, capacity: usize) -> Self {
         self.ring_pool_capacity = capacity;
         self

@@ -112,13 +112,9 @@ pub struct RingList<R: Ring> {
     closed: AtomicBool,
 }
 
-/// Hazard slot used for the ring an operation is about to access.
+/// Hazard slot used for the ring an operation is about to access — the
+/// only one the list needs.
 const HP_SLOT: usize = 0;
-
-/// Hazard slot used by [`RingPool::pop`] to protect its stack-pop candidate.
-/// Distinct from [`HP_SLOT`], which still protects the tail ring while the
-/// spill path shops for a replacement.
-const HP_POOL_SLOT: usize = 1;
 
 impl<R: Ring> RingList<R> {
     /// What [`close`](Self::close) stores in the last ring's `next`: not
@@ -188,7 +184,7 @@ impl<R: Ring> RingList<R> {
     /// path a real fallible allocator would use. The caller surfaces it as
     /// [`EnqueueError::AllocFailed`] instead of aborting.
     fn try_alloc_ring(&self, seed: &[u64]) -> Option<*mut R> {
-        if let Some(ring) = self.pool.pop(&self.domain, HP_POOL_SLOT) {
+        if let Some(ring) = self.pool.pop() {
             ring.reseed(seed);
             return Some(Box::into_raw(ring));
         }
@@ -201,16 +197,10 @@ impl<R: Ring> RingList<R> {
     }
 
     /// Disposes of a spill ring that lost its link race: back to the pool
-    /// for the next spill, else deferred-freed. The free goes through the
-    /// hazard domain even though the ring was never queue-visible — if it
-    /// came out of the pool, a concurrent [`RingPool::pop`] can still hold
-    /// a hazard-protected pointer to it from a lost pop race.
+    /// for the next spill, else freed. The ring was never queue-visible, so
+    /// no hazard can name it and a ring the pool refuses is simply dropped.
     fn release_ring(&self, ring: Box<R>) {
-        if let Err(ring) = self.pool.push(ring) {
-            // SAFETY: unpublished at queue level and uniquely owned here;
-            // the domain defers the free past any straggling pool popper.
-            unsafe { self.domain.retire(Box::into_raw(ring)) };
-        }
+        drop(self.pool.push(ring));
     }
 
     /// LCRQ+H cluster gate (§4.1.1): wait briefly for the ring's cluster to

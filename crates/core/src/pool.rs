@@ -7,122 +7,65 @@
 //! transient memory. The [`RingPool`] replaces *retire-means-free* with
 //! *retire-means-recycle*: a drained ring is [scrubbed](Ring::scrub)
 //! (its indices re-based onto a fresh reuse epoch so recycled
-//! `(safe, idx, val)` tuples can never alias live ones) and parked on a
-//! bounded lock-free freelist; the spill paths pop from the pool before
-//! falling back to allocation. Steady-state spills then allocate nothing,
-//! and idle memory beyond the live ring chain is bounded by
-//! `capacity × R × 128` bytes.
+//! `(safe, idx, val)` tuples can never alias live ones) and parked in the
+//! pool; the spill paths pop from the pool before falling back to
+//! allocation. Steady-state spills then allocate nothing, and idle memory
+//! beyond the live ring chain is bounded by `capacity × R × 128` bytes.
 //!
-//! # Structure
-//!
-//! * a striped array of single-ring **shard slots**, indexed by thread, give
-//!   an uncontended `XCHG`-only fast path;
-//! * a **Treiber stack** overflow list whose top carries a version counter
-//!   updated with CAS2, so a ring that is popped and re-pushed while a slow
-//!   popper naps (the classic ABA interleaving) makes that popper's CAS fail
-//!   instead of corrupting the list;
-//! * a CAS-maintained length that never exceeds `capacity`, even
-//!   transiently — `push` hands the ring back rather than over-filling.
-//!
-//! # Ownership protocol
+//! The pool is `capacity` pointer slots. [`push`](RingPool::push) CASes
+//! `null → ring` into the first vacant slot; [`pop`](RingPool::pop) swaps
+//! the first occupied slot to null. Whoever's swap returns the pointer owns
+//! the ring, so one slot holds the whole claim: a pooled ring is never
+//! dereferenced, there is no link between pooled rings to go stale (no ABA
+//! to version), and `len ≤ capacity` holds because there is nowhere else
+//! to put a ring. A queue reaches the pool about once per ring's worth of
+//! operations, so a walk over `capacity` slots is not worth avoiding.
 //!
 //! Rings enter by `Box` (exclusive ownership — the ring is unreachable from
-//! any queue and hazard-quiescent) and leave by `Box`. The only shared-access
-//! subtlety is *inside* `pop`: reading `top->next` races with a faster popper
-//! that takes the ring, loses its reuse race, and retires it — so poppers
-//! protect the candidate with a hazard slot before dereferencing, and every
-//! free of a ring that was ever pool-visible goes through [`Domain::retire`].
+//! any queue and hazard-quiescent) and leave by `Box`; a ring `push` hands
+//! back is still exclusively the caller's and may simply be dropped.
 
-// Atomics come from the sync facade so the pool's shard and length
-// operations are scheduler decision points under `--cfg loom`
-// (tests/loom.rs models the versioned Treiber pop's ABA window).
-use lcrq_util::sync::{AtomicPtr, AtomicUsize, Ordering};
+// Atomics come from the sync facade: every slot access is a scheduler
+// decision point under `--cfg loom` (tests/loom.rs).
+use lcrq_util::sync::{AtomicPtr, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use lcrq_atomic::AtomicPair;
-use lcrq_hazard::Domain;
 use lcrq_util::metrics::{self, Event};
 
 use crate::crq::Crq;
 use crate::ring::Ring;
 
-/// Upper bound on the number of shard slots (they hold rings, so they are
-/// counted against `capacity`; more shards than that would be dead weight).
-const MAX_SHARDS: usize = 8;
-
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static THREAD_SLOT: core::cell::Cell<usize> = const { core::cell::Cell::new(usize::MAX) };
-}
-
-/// Small dense thread index for shard striping (assigned on first use).
-/// Inside a model execution the model's own thread id is used instead: the
-/// global counter's value depends on how many executions ran before this
-/// one, which would make shard choice differ between a schedule's first
-/// run and its replay.
-fn thread_slot() -> usize {
-    #[cfg(loom)]
-    if let Some(id) = lcrq_util::model::current_thread_id() {
-        return id;
-    }
-    THREAD_SLOT.with(|c| {
-        let mut v = c.get();
-        if v == usize::MAX {
-            v = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-            c.set(v);
-        }
-        v
-    })
-}
-
 /// A bounded lock-free pool of scrubbed, ready-to-reseed rings. See the
 /// [module docs](self) for the design and ownership protocol.
 pub struct RingPool<R: Ring = Crq> {
-    /// Treiber-stack top as `(version, ring ptr)`: the version advances on
-    /// every successful push/pop, defusing ABA on the pointer.
-    top: AtomicPair,
-    /// Per-thread single-ring cache slots (XCHG in and out, never
-    /// dereferenced while shared).
-    shards: Box<[AtomicPtr<R>]>,
-    /// Rings currently in the pool. Maintained with CAS reservation so it
-    /// never exceeds `capacity`, even transiently.
-    len: AtomicUsize,
-    capacity: usize,
+    /// Per slot, one parked ring (from `Box::into_raw`) or null.
+    slots: Box<[AtomicPtr<R>]>,
 }
-
-// SAFETY: rings are transferred whole (Box in, Box out) through atomics;
-// while pooled they are touched only via their atomic fields.
-unsafe impl<R: Ring> Send for RingPool<R> {}
-unsafe impl<R: Ring> Sync for RingPool<R> {}
 
 impl<R: Ring> RingPool<R> {
     /// Creates a pool holding at most `capacity` rings (0 disables pooling:
     /// every `push` bounces and every `pop` misses).
     pub fn new(capacity: usize) -> Arc<Self> {
-        let shards = if capacity == 0 {
-            0
-        } else {
-            capacity.min(MAX_SHARDS)
-        };
         Arc::new(Self {
-            top: AtomicPair::new(0, 0),
-            shards: (0..shards)
+            slots: (0..capacity)
                 .map(|_| AtomicPtr::new(core::ptr::null_mut()))
                 .collect(),
-            len: AtomicUsize::new(0),
-            capacity,
         })
     }
 
     /// Maximum number of rings the pool will hold.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Rings currently pooled (racy snapshot; never exceeds
     /// [`capacity`](Self::capacity)).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
+        // Relaxed: a count, nothing is read through the pointers.
+        self.slots
+            .iter()
+            .filter(|s| !s.load(Ordering::Relaxed).is_null())
+            .count()
     }
 
     /// Whether the pool currently holds no rings (racy snapshot).
@@ -132,53 +75,40 @@ impl<R: Ring> RingPool<R> {
 
     /// Whether the pool is at capacity (racy snapshot).
     pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
+        self.len() >= self.capacity()
     }
 
     /// Scrubs `ring` and parks it for reuse. Hands the ring back unscrubbed
-    /// when the pool is full (or disabled), and hands it back *scrub-refused*
-    /// when its index space is nearly exhausted — either way the caller must
-    /// dispose of it (see the module docs: if the ring was ever pool-visible
-    /// that disposal must go through [`Domain::retire`], because a
-    /// concurrent [`pop`](Self::pop) may still hold a hazard-protected
-    /// pointer to it from a lost race).
+    /// when the pool is full (or disabled), *scrub-refused* when its index
+    /// space is nearly exhausted, and scrubbed when a racing `push` took
+    /// the last vacancy first — in every case it is still exclusively the
+    /// caller's, to drop.
     ///
     /// Taking the ring by `Box` is what makes scrubbing sound: exclusive
     /// ownership proves no in-flight protocol operation can observe the
     /// reset.
     pub fn push(&self, ring: Box<R>) -> Result<(), Box<R>> {
-        // Reserve a slot first; CAS (not F&A) so `len <= capacity` is a hard
-        // invariant rather than a transiently-violated one.
-        let mut len = self.len.load(Ordering::SeqCst);
-        loop {
-            if len >= self.capacity {
-                return Err(ring);
-            }
-            match self
-                .len
-                .compare_exchange(len, len + 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => break,
-                Err(cur) => len = cur,
-            }
+        // Full check *before* the scrub: a scrub rewrites all R nodes, and a
+        // drain retires rings far faster than spills take them back. Racy;
+        // losing the race below costs one wasted scrub.
+        if self.is_full() {
+            return Err(ring);
         }
         // Fail point around the scrub: the ring is exclusively owned here, so
         // a stall/panic leaks at most this one ring, never corrupts the pool.
         let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::PoolScrub);
         if !ring.scrub() {
-            // Scrub refused (index space nearly exhausted): die, not recycle.
-            self.len.fetch_sub(1, Ordering::SeqCst);
-            return Err(ring);
+            return Err(ring); // index space nearly exhausted: die, not recycle
         }
         let raw = Box::into_raw(ring);
-        // Fast path: the calling thread's shard slot, if free.
-        if !self.shards.is_empty() {
-            let shard = &self.shards[thread_slot() % self.shards.len()];
-            if shard
+        for slot in self.slots.iter() {
+            // Release pairs with the Acquire swap in `pop`: the popper sees
+            // the scrubbed contents.
+            if slot
                 .compare_exchange(
                     core::ptr::null_mut(),
                     raw,
-                    Ordering::AcqRel,
+                    Ordering::Release,
                     Ordering::Relaxed,
                 )
                 .is_ok()
@@ -186,132 +116,59 @@ impl<R: Ring> RingPool<R> {
                 return Ok(());
             }
         }
-        // Overflow: Treiber stack, version bumped so in-flight pops of the
-        // old top fail instead of acting on a recycled pointer.
-        loop {
-            let (version, top) = self.top.load();
-            // SAFETY: `raw` is exclusively ours until the CAS below publishes
-            // it. `next` doubles as the freelist link while pooled (scrub
-            // nulled it; a pop re-nulls it before handing the ring out).
-            unsafe { (*raw).next().store(top as *mut R, Ordering::Release) };
-            if self
-                .top
-                .compare_exchange((version, top), (version + 1, raw as u64))
-                .is_ok()
-            {
-                return Ok(());
-            }
-        }
+        // SAFETY: `raw` came from `Box::into_raw` above and no CAS published
+        // it, so it is still exclusively ours.
+        Err(unsafe { Box::from_raw(raw) })
     }
 
     /// Pops a scrubbed ring, ready to [`reseed`](Ring::reseed).
-    ///
-    /// `domain`/`slot` name a hazard slot of the calling thread, used to
-    /// protect the stack-pop candidate while its `next` link is read: a
-    /// faster popper may take that ring, lose its reuse race, and retire it,
-    /// and only the hazard keeps the retirement from freeing it under us.
-    /// The slot is left clear on return.
-    ///
-    /// Every concurrent user of one pool must therefore pass slots of the
-    /// **same** shared `Domain` (a queue passes its own), and any free of a
-    /// ring that was ever pool-visible must go through that domain's
-    /// [`retire`](Domain::retire) — a hazard in a domain the freeing thread
-    /// never consults protects nothing.
-    pub fn pop(&self, domain: &Domain, slot: usize) -> Option<Box<R>> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let shards = self.shards.len();
-        let s = if shards == 0 {
-            0
-        } else {
-            thread_slot() % shards
-        };
-        // Own shard first: XCHG only, nothing is dereferenced while shared.
-        if shards > 0 {
-            let p = self.shards[s].swap(core::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                return Some(self.take(p));
-            }
-        }
-        // Treiber stack.
-        loop {
-            let (version, raw) = self.top.load();
-            let p = raw as *mut R;
-            if p.is_null() {
-                break;
-            }
-            // Publish the hazard, then re-validate the top: if it moved, `p`
-            // may already be popped (and even retired/freed) — retry without
-            // dereferencing it.
-            domain.protect_raw(slot, p as *mut ());
-            // Fail point inside the protect→revalidate window: a delay here
-            // maximizes the chance a racing popper retires `p` while our
-            // hazard is the only thing keeping it alive.
-            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::PoolPop);
-            if self.top.load() != (version, raw) {
+    pub fn pop(&self) -> Option<Box<R>> {
+        for slot in self.slots.iter() {
+            // The load only skips the RMW on a vacant slot; the swap is the
+            // claim (Acquire, pairing with the Release CAS in `push`).
+            if slot.load(Ordering::Relaxed).is_null() {
                 continue;
             }
-            // SAFETY: `p` was the stack top after our hazard was published,
-            // so any retirement of `p` from here on must observe the hazard
-            // and defer its reclamation.
-            let next = unsafe { (*p).next().load(Ordering::Acquire) };
-            if self
-                .top
-                .compare_exchange((version, raw), (version + 1, next as u64))
-                .is_ok()
-            {
-                domain.clear(slot);
-                return Some(self.take(p));
-            }
-        }
-        domain.clear(slot);
-        // Last resort: raid the other threads' shard slots (still pure XCHG).
-        for i in 1..shards {
-            let p = self.shards[(s + i) % shards].swap(core::ptr::null_mut(), Ordering::AcqRel);
+            let p = slot.swap(core::ptr::null_mut(), Ordering::Acquire);
             if !p.is_null() {
-                return Some(self.take(p));
+                metrics::inc(Event::RingReuse);
+                // SAFETY: `p` came from `Box::into_raw` in `push`, and the
+                // swap that returned it left null behind for everyone else.
+                return Some(unsafe { Box::from_raw(p) });
             }
         }
         None
     }
 
-    /// Converts an exclusively-claimed raw ring back into a `Box`.
-    fn take(&self, p: *mut R) -> Box<R> {
-        self.len.fetch_sub(1, Ordering::SeqCst);
-        metrics::inc(Event::RingReuse);
-        // SAFETY: `p` came from `Box::into_raw` in `push` and the caller
-        // holds the unique claim (XCHG of a shard slot or a successful
-        // version-CAS pop).
-        let ring = unsafe { Box::from_raw(p) };
-        // While pooled, `next` served as the freelist link; the ring leaves
-        // the pool unlinked.
-        ring.next().store(core::ptr::null_mut(), Ordering::Relaxed);
-        ring
+    /// The planted-bug twin of [`pop`](Self::pop), reachable only by the
+    /// model checker: the claim is a load followed by a `store(null)`, so
+    /// two poppers can both load the same ring before either clears the
+    /// slot. `tests/loom.rs` asserts the checker finds the double hand-off.
+    #[cfg(loom)]
+    #[doc(hidden)]
+    pub fn pop_load_then_store(&self) -> Option<Box<R>> {
+        for slot in self.slots.iter() {
+            let p = slot.load(Ordering::Acquire);
+            if !p.is_null() {
+                slot.store(core::ptr::null_mut(), Ordering::Relaxed);
+                // SAFETY: none — that is the planted bug. The model compares
+                // addresses and never dereferences or frees a ring twice.
+                return Some(unsafe { Box::from_raw(p) });
+            }
+        }
+        None
     }
 }
 
 impl<R: Ring> Drop for RingPool<R> {
     fn drop(&mut self) {
-        // Exclusive access: pop everything and free it. Entries are walked
-        // through their freelist links — which, by the push/pop protocol,
-        // never point into any queue's live chain (scrub nulls the link and
-        // push only ever aims it at another pooled ring), so this cannot
-        // double-free a chain-reachable ring.
-        for shard in self.shards.iter() {
-            let p = shard.swap(core::ptr::null_mut(), Ordering::AcqRel);
+        for slot in self.slots.iter_mut() {
+            let p = *slot.get_mut();
             if !p.is_null() {
-                // SAFETY: pooled rings are exclusively owned by the pool.
+                // SAFETY: pooled rings are exclusively owned by the pool,
+                // and `&mut self` means no push or pop is in flight.
                 drop(unsafe { Box::from_raw(p) });
             }
-        }
-        let (_, mut raw) = self.top.load();
-        while raw != 0 {
-            let p = raw as *mut R;
-            // SAFETY: as above; the freelist is ours alone now.
-            let ring = unsafe { Box::from_raw(p) };
-            raw = ring.next().load(Ordering::Acquire) as u64;
-            drop(ring);
         }
     }
 }
@@ -320,13 +177,12 @@ impl<R: Ring> core::fmt::Debug for RingPool<R> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RingPool")
             .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("shards", &self.shards.len())
+            .field("capacity", &self.capacity())
             .finish()
     }
 }
 
-/// Reclamation callback for [`Domain::retire_with`]: once the hazard domain
+/// Reclamation callback for the hazard domain's `retire_with`: once it
 /// proves no thread still protects the ring, return it to its owning pool
 /// (scrubbed, on a fresh reuse epoch) — or free it when the pool is gone,
 /// full, or refuses the scrub.
@@ -340,9 +196,7 @@ pub(crate) unsafe fn recycle_ring<R: Ring>(p: *mut ()) {
     let ring = unsafe { Box::from_raw(p as *mut R) };
     let pool = ring.pool_slot().and_then(OnceLock::get);
     match pool.and_then(Weak::upgrade) {
-        // `push` scrubs; on Err the ring was never made pool-visible *this
-        // retirement* and no reference to it survives (we are its reclaimer),
-        // so dropping it directly is sound.
+        // On Err the ring is still exclusively ours: dropped.
         Some(pool) => drop(pool.push(ring)),
         // No pool: a ring type that is not recycled, or the queue is gone.
         None => drop(ring),
@@ -362,13 +216,12 @@ mod tests {
     #[test]
     fn push_pop_round_trips_scrubbed_rings() {
         let pool = RingPool::<Crq>::new(4);
-        let domain = Domain::new();
         let r = ring(3);
         r.enqueue(7).unwrap();
         r.close();
         assert!(pool.push(r).is_ok());
         assert_eq!(pool.len(), 1);
-        let r = pool.pop(&domain, 0).expect("pooled ring");
+        let r = pool.pop().expect("pooled ring");
         assert_eq!(pool.len(), 0);
         // Scrubbed: open, empty, on a fresh epoch. (Checked via indices:
         // an actual dequeue would advance head past the scrub base, and
@@ -400,17 +253,14 @@ mod tests {
     #[test]
     fn zero_capacity_disables_pooling() {
         let pool = RingPool::<Crq>::new(0);
-        let domain = Domain::new();
         assert!(pool.push(ring(2)).is_err());
-        assert!(pool.pop(&domain, 0).is_none());
+        assert!(pool.pop().is_none());
         assert_eq!(pool.capacity(), 0);
         assert!(pool.is_empty());
     }
 
     #[test]
     fn drop_frees_all_pooled_rings() {
-        // More rings than shard slots, so both the shards and the Treiber
-        // stack hold entries at drop time.
         let pool = RingPool::<Crq>::new(16);
         for _ in 0..16 {
             assert!(pool.push(ring(2)).is_ok());
@@ -420,10 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn pop_scans_other_threads_shards() {
+    fn pop_finds_rings_parked_by_other_threads() {
         let pool = RingPool::<Crq>::new(8);
-        let domain = Domain::new();
-        // Fill from other threads so the rings land in foreign shard slots.
         for _ in 0..3 {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || {
@@ -434,18 +282,17 @@ mod tests {
         }
         assert_eq!(pool.len(), 3);
         for _ in 0..3 {
-            assert!(pool.pop(&domain, 0).is_some());
+            assert!(pool.pop().is_some());
         }
-        assert!(pool.pop(&domain, 0).is_none());
+        assert!(pool.pop().is_none());
     }
 
     #[test]
     fn reuse_metric_counts_pool_hits() {
         let pool = RingPool::<Crq>::new(2);
-        let domain = Domain::new();
         let before = metrics::local_snapshot();
         assert!(pool.push(ring(2)).is_ok());
-        let r = pool.pop(&domain, 0).unwrap();
+        let r = pool.pop().unwrap();
         drop(r);
         let d = metrics::local_snapshot().delta_since(&before);
         assert_eq!(d.get(Event::RingScrub), 1);
@@ -455,37 +302,23 @@ mod tests {
     #[test]
     fn concurrent_push_pop_stress_keeps_the_bound_and_every_ring() {
         let pool = RingPool::<Crq>::new(4);
-        // One domain shared by every pool user, exactly as a queue shares
-        // its own domain: pop's hazard protection is only meaningful if the
-        // thread that frees a pool-visible ring retires it where that hazard
-        // is visible.
-        let domain = Arc::new(Domain::new());
         let threads = 4;
         let rounds = 500;
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let pool = Arc::clone(&pool);
-                let domain = Arc::clone(&domain);
                 std::thread::spawn(move || {
                     for i in 0..rounds {
                         assert!(pool.len() <= pool.capacity(), "bound violated");
                         if i % 3 == 0 {
-                            if let Err(r) = pool.push(ring(2)) {
-                                // Never pool-visible: direct drop is fine.
-                                drop(r);
-                            }
-                        } else if let Some(r) = pool.pop(&domain, 0) {
+                            // A bounced ring is still ours: drop it.
+                            drop(pool.push(ring(2)));
+                        } else if let Some(r) = pool.pop() {
                             r.reseed(&[i as u64 + 1]);
                             assert_eq!(r.dequeue(), Some(i as u64 + 1));
-                            if let Err(r) = pool.push(r) {
-                                // Was pool-visible: a concurrent popper may
-                                // still hold a hazard on it, so free through
-                                // the shared domain.
-                                unsafe { domain.retire(Box::into_raw(r)) };
-                            }
+                            drop(pool.push(r));
                         }
                     }
-                    domain.eager_reclaim();
                 })
             })
             .collect();
@@ -493,6 +326,5 @@ mod tests {
             h.join().unwrap();
         }
         assert!(pool.len() <= pool.capacity());
-        domain.eager_reclaim();
     }
 }

@@ -1,19 +1,18 @@
-//! Model-checked interleavings of the `RingPool` versioned Treiber stack
-//! and of the list of rings' shutdown protocol, run by the ci.sh loom gate:
+//! Model-checked interleavings of the `RingPool` slot claim and of the list
+//! of rings' shutdown protocol, run by the ci.sh loom gate:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p lcrq-core --test loom -q
 //! ```
 //!
-//! **Pool.** The property under test is exactly-once hand-off through the pop ABA
-//! window: a popper reads `top = (v, A)` and `A.next`, then CASes
-//! `(v, A) -> (v+1, next)`. Without the version word, a concurrent
-//! pop/re-push of `A` would let that stale CAS succeed and corrupt the
-//! stack; the version forces it to fail. These models drive poppers and
-//! re-pushers through that window and assert no ring is ever delivered
-//! twice or lost. Under `--cfg loom` every `AtomicPair` op goes through
-//! the instrumented seqlock fallback and the pool's shard striping is
-//! keyed by model thread id, so schedules replay deterministically.
+//! **Pool.** The pool is `capacity` pointer slots: `push` CASes `null →
+//! ring` into a vacant slot, `pop` swaps an occupied slot to null, and
+//! whoever's swap returns the pointer owns the ring. The model races a
+//! thread that pops twice and pushes both rings back against a thread that
+//! pops once, over a full two-slot pool. Property: every ring is delivered
+//! exactly once, none is lost, and `len()` never exceeds the capacity. The
+//! swap must hold it on every schedule; the planted load-then-`store(null)`
+//! twin must be caught handing one ring to two poppers.
 //!
 //! **Close.** `RingList`'s `head`/`tail`/`closed` and every ring's `next`
 //! come from the sync facade, so each step of enqueue, `close()` and
@@ -31,125 +30,79 @@ use lcrq_core::config::LcrqConfig;
 use lcrq_core::crq::{Crq, CrqClosed};
 use lcrq_core::pool::RingPool;
 use lcrq_core::{Ring, RingList};
-use lcrq_hazard::Domain;
 use lcrq_util::model::{thread, Builder, Report};
 use lcrq_util::sync::{AtomicPtr, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-fn ring() -> Box<Crq> {
-    Box::new(Crq::new(&LcrqConfig::new().with_ring_order(2)))
-}
-
-/// Pops one ring and returns its address (the Box is re-materialized by
-/// the caller so rings can be compared across threads).
-fn pop_addr(pool: &RingPool, domain: &Domain) -> Option<usize> {
-    pool.pop(domain, 0).map(|r| Box::into_raw(r) as usize)
-}
-
-/// Reclaims a ring previously leaked by [`pop_addr`].
-///
-/// # Safety
-/// `addr` must come from `pop_addr` and not have been freed already.
-unsafe fn free_addr(addr: usize) {
-    drop(Box::from_raw(addr as *mut Crq));
-}
-
-#[test]
-fn two_racing_poppers_get_distinct_rings() {
-    let report = Builder {
+/// Two parked rings; a cycler pops both and pushes both back while a racer
+/// pops one. `pop` is the claim under test.
+fn pool_model(pop: fn(&RingPool) -> Option<Box<Crq>>) -> Report {
+    Builder {
         max_executions: 2_000,
         ..Builder::new()
     }
-    .check(|| {
-        // Capacity 3 => 3 shards. The root (model tid 0) pushes three
-        // rings: the first parks in shard[0], the rest go to the Treiber
-        // stack — which tids 1 and 2 (shards empty) then race to pop.
-        let pool = RingPool::new(3);
-        let domain = Arc::new(Domain::new());
-        for _ in 0..3 {
-            assert!(pool.push(ring()).is_ok());
+    .check(move || {
+        let pool = RingPool::new(2);
+        let config = LcrqConfig::new().with_ring_order(2);
+        let mut parked = Vec::new();
+        for _ in 0..2 {
+            let ring = Box::new(Crq::new(&config));
+            parked.push(&*ring as *const Crq as usize);
+            assert!(pool.push(ring).is_ok());
         }
-        let (p1, d1) = (Arc::clone(&pool), Arc::clone(&domain));
-        let (p2, d2) = (Arc::clone(&pool), Arc::clone(&domain));
-        let t1 = thread::spawn(move || pop_addr(&p1, &d1));
-        let t2 = thread::spawn(move || pop_addr(&p2, &d2));
-        let a = t1.join().unwrap().expect("popper 1 found the stack empty");
-        let b = t2.join().unwrap().expect("popper 2 found the stack empty");
-        assert_ne!(a, b, "one ring delivered to two poppers");
-        assert_eq!(pool.len(), 1, "a ring was lost or double-counted");
-        let c = pop_addr(&pool, &domain).expect("third ring");
-        assert_ne!(c, a);
-        assert_ne!(c, b);
-        // SAFETY: each address was popped (hence exclusively owned) and is
-        // freed exactly once.
-        unsafe {
-            free_addr(a);
-            free_addr(b);
-            free_addr(c);
+        let (p1, p2) = (Arc::clone(&pool), Arc::clone(&pool));
+        let cycler = thread::spawn(move || {
+            // The racer may hold one ring, so the second pop can miss.
+            let held: Vec<Box<Crq>> = [pop(&p1), pop(&p1)].into_iter().flatten().collect();
+            for ring in held {
+                assert!(p1.len() <= p1.capacity());
+                assert!(p1.push(ring).is_ok(), "nobody else pushes");
+            }
+        });
+        // Rings travel as addresses: a double hand-off must be compared,
+        // not dropped twice.
+        let racer = thread::spawn(move || pop(&p2).map(|r| Box::into_raw(r) as usize));
+        cycler.join().unwrap();
+        let stolen = racer.join().unwrap();
+        assert!(pool.len() <= pool.capacity());
+        let mut seen: Vec<usize> = stolen.into_iter().collect();
+        while let Some(r) = pop(&pool) {
+            seen.push(Box::into_raw(r) as usize);
         }
-    });
+        seen.sort_unstable();
+        parked.sort_unstable();
+        assert_eq!(seen, parked, "a ring was lost or delivered twice");
+        for addr in seen {
+            // SAFETY: `seen == parked`, so each address is one distinct ring
+            // that was popped (hence exclusively owned) exactly once.
+            drop(unsafe { Box::from_raw(addr as *mut Crq) });
+        }
+    })
+}
+
+#[test]
+fn racing_pops_and_repushes_deliver_every_ring_exactly_once() {
+    let report = pool_model(RingPool::pop);
     assert!(
         report.executions > 1,
         "must explore >1 interleaving: {report:?}"
     );
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+/// Runs a planted-bug model and returns the failure the checker reports.
+fn rejection(model: impl FnOnce() -> Report + std::panic::UnwindSafe) -> String {
+    let payload =
+        std::panic::catch_unwind(model).expect_err("the checker must reject the planted twin");
+    let msg = payload.downcast_ref::<String>();
+    msg.expect("model failures carry a String").clone()
 }
 
 #[test]
-fn stale_version_cas_is_defeated_by_pop_repush() {
-    let report = Builder {
-        max_executions: 2_000,
-        ..Builder::new()
-    }
-    .check(|| {
-        // Capacity 4 => 4 shards. The root fills shard[0] and leaves three
-        // rings on the stack. Thread 1 pops twice and pushes both back
-        // (its first push lands in its empty shard[1], forcing the second
-        // back onto the *stack* — re-creating the classic ABA shape where
-        // a previously-seen head pointer returns with a bumped version).
-        // Thread 2 pops once, concurrently, possibly holding a stale
-        // (version, ptr) snapshot across the whole dance.
-        let pool = RingPool::new(4);
-        let domain = Arc::new(Domain::new());
-        for _ in 0..4 {
-            assert!(pool.push(ring()).is_ok());
-        }
-        let (p1, d1) = (Arc::clone(&pool), Arc::clone(&domain));
-        let (p2, d2) = (Arc::clone(&pool), Arc::clone(&domain));
-        let t1 = thread::spawn(move || {
-            let a = p1.pop(&d1, 0).expect("cycler pop 1");
-            let b = p1.pop(&d1, 0).expect("cycler pop 2");
-            assert!(p1.push(a).is_ok());
-            assert!(p1.push(b).is_ok());
-        });
-        let t2 = thread::spawn(move || pop_addr(&p2, &d2));
-        t1.join().unwrap();
-        let stolen = t2.join().unwrap().expect("racer pop");
-        // The cycler's net effect is zero, so exactly 3 rings remain and
-        // none of them may alias the racer's ring (exactly-once).
-        assert_eq!(pool.len(), 3, "ABA corrupted the stack length");
-        let mut rest = Vec::new();
-        while let Some(addr) = pop_addr(&pool, &domain) {
-            rest.push(addr);
-        }
-        assert_eq!(rest.len(), 3, "a ring was lost in the ABA window");
-        for &r in &rest {
-            assert_ne!(r, stolen, "ring delivered twice through a stale CAS");
-        }
-        // All survivors distinct among themselves, too.
-        let mut sorted = rest.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 3, "duplicate ring in the drained stack");
-        // SAFETY: every address was popped exactly once above.
-        unsafe {
-            free_addr(stolen);
-            for r in rest {
-                free_addr(r);
-            }
-        }
-    });
-    assert!(report.executions > 1);
+fn load_then_store_pop_is_caught_delivering_a_ring_twice() {
+    let msg = rejection(|| pool_model(RingPool::pop_load_then_store));
+    assert!(msg.contains("delivered twice"), "wrong failure: {msg}");
 }
 
 /// A ring that accepts two enqueues in its lifetime and throws its tantrum
@@ -282,10 +235,6 @@ fn flag_then_walk_close_is_caught_losing_an_item() {
         try_enqueue: TinyList::try_enqueue_flag_checked,
         close: TinyList::close_flag_then_walk,
     };
-    let r = std::panic::catch_unwind(|| settle_model(unsealed, true));
-    let payload = r.expect_err("the checker must reject the unsealed close");
-    let msg = payload
-        .downcast_ref::<String>()
-        .expect("model failures carry a String");
+    let msg = rejection(|| settle_model(unsealed, true));
     assert!(msg.contains("lost item"), "wrong failure: {msg}");
 }

@@ -79,9 +79,6 @@ pub enum Site {
     /// enqueue path degrades to `EnqueueError::AllocFailed` instead of
     /// allocating.
     RingAlloc,
-    /// `RingPool::pop`, between publishing the pop hazard and revalidating
-    /// the stack top. `Fail` is ignored.
-    PoolPop,
     /// `RingPool::push`, just before scrubbing a retired ring for reuse.
     /// `Fail` is ignored.
     PoolScrub,
@@ -136,7 +133,6 @@ impl Site {
         Site::ScqDequeue,
         Site::CloseRace,
         Site::RingAlloc,
-        Site::PoolPop,
         Site::PoolScrub,
         Site::HazardProtect,
         Site::HazardScan,
@@ -161,7 +157,6 @@ impl Site {
             Site::ScqDequeue => "scq-dequeue",
             Site::CloseRace => "close-race",
             Site::RingAlloc => "ring-alloc",
-            Site::PoolPop => "pool-pop",
             Site::PoolScrub => "pool-scrub",
             Site::HazardProtect => "hazard-protect",
             Site::HazardScan => "hazard-scan",

@@ -1,7 +1,7 @@
 //! An in-tree, loom-style model checker: bounded-exhaustive exploration of
 //! thread interleavings for the library's hand-rolled synchronization
 //! protocols (the seqlock CAS2 fallback, `parker::EventCount`, the
-//! `RingPool` versioned Treiber pop).
+//! `RingPool` slot claim, the list of rings' sealed close).
 //!
 //! # Why in-tree
 //!
@@ -179,14 +179,6 @@ where
     F: Fn() + Send + Sync + 'static,
 {
     let _ = Builder::new().check(f);
-}
-
-/// The small dense id (0 = the model's root thread, spawn order after
-/// that) of the calling thread inside an active model execution, or `None`
-/// outside one. Lets address- or thread-id-keyed striping in modeled code
-/// stay deterministic across executions.
-pub fn current_thread_id() -> Option<usize> {
-    CTX.with(|c| c.borrow().as_ref().map(|(_, id)| *id))
 }
 
 /// Whether the calling thread is currently inside a model execution.

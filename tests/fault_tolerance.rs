@@ -348,7 +348,6 @@ fn stress_sweep() {
         .with(Site::CrqEnqueue, 300, FaultAction::Fail)
         .with(Site::CloseRace, 2_000, FaultAction::Yield)
         .with(Site::RingAlloc, 20_000, FaultAction::Fail)
-        .with(Site::PoolPop, 2_000, FaultAction::Yield)
         .with(Site::PoolScrub, 2_000, FaultAction::Yield)
         .with(Site::HazardScan, 2_000, FaultAction::Yield)
         .with(Site::WcqEnqueue, 3_000, FaultAction::Fail)

@@ -216,6 +216,33 @@ fn pool_never_exceeds_its_configured_bound() {
     });
 }
 
+#[test]
+fn full_pool_refuses_rings_without_scrubbing_them() {
+    // A drain retires rings far faster than spills take them back: with two
+    // vacancies and >= 40 retired rings per drain, a push that scrubbed
+    // before looking for a slot would rewrite every one of them for nothing.
+    let q = Lcrq::with_config(
+        LcrqConfig::new()
+            .with_ring_order(2)
+            .with_ring_pool_capacity(2),
+    );
+    let before = metrics::local_snapshot();
+    for _ in 0..2 {
+        for i in 0..200 {
+            q.enqueue(i);
+        }
+        assert!(q.ring_count() >= 40);
+        assert_eq!(q.drain().count(), 200);
+    }
+    let d = metrics::local_snapshot().delta_since(&before);
+    assert_eq!(
+        d.get(Event::RingScrub),
+        d.get(Event::RingReuse) + q.ring_pool().len() as u64,
+        "every scrubbed ring was parked: reused since, or still pooled"
+    );
+    assert_eq!(q.ring_pool().len(), 2);
+}
+
 // --- ABA regression: a reader stalled with a hazard pointer on a ring must
 // not observe scrubbed/reused tuples after the ring is recycled. -----------
 
@@ -269,7 +296,7 @@ fn stalled_hazard_reader_never_observes_a_scrubbed_ring() {
     domain.clear(0);
     domain.scan();
     assert_eq!(pool.len(), 1, "quiescent ring is recycled");
-    let r = pool.pop(&domain, 0).expect("pooled ring");
+    let r = pool.pop().expect("pooled ring");
     assert_eq!(r.reuse_epoch(), 1);
     assert!(!r.is_closed());
     // The reuse-epoch re-base: every index of the new incarnation lies
