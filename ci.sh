@@ -18,9 +18,9 @@
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4; shard_scaling   | four replay seeds; analytic-envelope check, BENCH_shard.json  |  1 |
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
-# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core --test loom  | model-checked interleavings (built only under the cfg)        | 23 |
+# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 24 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
-# | bench smoke     | 14 bins --smoke                                      | every bin still runs and parses its flags                     |  1 |
+# | bench smoke     | 13 bins --smoke                                      | every bin still runs and parses its flags                     |  1 |
 # | arena           | pairwise --gate on the two committed fixtures        | the gate can still fail (planted drop) and still pass (identity) |  0 |
 # | nm probe        | nm on the release `progress` test binary             | no fault-registry symbol in the default build                 |  9 |
 # | objdump probe   | objdump -d on every target/release bin + that test binary | no `cmpxchg16b (%rbx)` anywhere, not only in `pairwise`  |  2 |
@@ -111,9 +111,11 @@ seed_sweep "stress sweep" "0x1 0x2 0x3 0x5EED 0xC0FFEE 0xDEADBEEF 0xFA175EED 0xF
 # checker explores thread interleavings of the seqlock CAS2 fallback, the
 # EventCount parker protocol, the RingPool slot claim (plus the planted
 # load-then-store twin, which it must catch handing one ring to two
-# poppers), and the list of rings' sealed close against a consumer's settle
+# poppers), the list of rings' sealed close against a consumer's settle
 # poll (plus the planted flag-then-walk twin, which it must catch losing an
-# item).
+# item), and the channel's async wait protocol: `poll_until` against a
+# notify and `release` of a woken future against a second waiter (plus the
+# no-re-attempt and no-pass-on twins, which it must catch losing a wakeup).
 # `--cfg loom` swaps the lcrq-util sync facade to the instrumented shims
 # (the crossbeam convention); the engine's own self-tests already ran in
 # tier-1 above.
@@ -121,6 +123,7 @@ echo "==> loom model-checking gate (--cfg loom)"
 RUSTFLAGS="--cfg loom" cargo test -p lcrq-util --test loom -q
 RUSTFLAGS="--cfg loom" cargo test -p lcrq-atomic --test loom -q
 RUSTFLAGS="--cfg loom" cargo test -p lcrq-core --test loom -q
+RUSTFLAGS="--cfg loom" cargo test -p lcrq-channel --test loom -q
 
 # Force-fallback gate: route x86 CAS2 through the portable seqlock path
 # and re-run the root suite (linearizability battery included) plus the
@@ -140,8 +143,7 @@ cargo test --features force-fallback,fault-injection --test fault_tolerance -q
 echo "==> bench smoke gate (all harness bins, --smoke)"
 for bin in table1_primitives fig1_counter fig2_livelock fig6_throughput \
     fig7_multiprocessor fig8_latency fig9_ringsize table2_stats \
-    table3_stats ring_churn channel_throughput batch_throughput \
-    shard_scaling pairwise; do
+    table3_stats ring_churn batch_throughput shard_scaling pairwise; do
     echo "    $bin --smoke"
     cargo run --release -q -p lcrq-bench --bin "$bin" -- --smoke >/dev/null
 done

@@ -1,12 +1,10 @@
 //! Executor-agnostic send/receive futures and a minimal [`block_on`].
 //!
-//! Both futures follow the same lost-wakeup-free protocol as the blocking
-//! side, with the waker registry standing in for the event count:
-//! fast-path poll → register the task's waker → **re-poll** → `Pending`.
-//! A producer that races the registration either completes before it (and
-//! the re-poll sees the result) or after it (and `wake_one` finds the
-//! registration). Dropping a future deregisters its waker, so cancelled
-//! operations leave no trace.
+//! Each future is one `WaitQueue::poll_until` around the same nonblocking
+//! attempt its blocking counterpart hands to `block_until` (see `wait.rs`
+//! for the protocol). Dropping a pending future releases its registration,
+//! passing on a wake it had already been sent, so a cancelled operation
+//! neither leaves a trace nor swallows a wake meant for a live one.
 
 use core::future::Future;
 use core::pin::Pin;
@@ -17,7 +15,7 @@ use std::task::Wake;
 use lcrq_core::{Crq, Ring};
 use lcrq_util::parker::Parker;
 
-use crate::error::{RecvError, SendError, TryRecvError, TrySendError};
+use crate::error::{RecvError, SendError};
 use crate::waker::Registration;
 use crate::{Receiver, Sender};
 
@@ -41,37 +39,15 @@ impl<T: Send, R: Ring> Future for RecvFuture<'_, T, R> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let shared = &*this.rx.shared;
-        if let Some(reg) = this.reg.take() {
-            shared.not_empty.wakers.deregister(reg);
-        }
-        match shared.try_recv_inner() {
-            Ok(v) => return Poll::Ready(Ok(v)),
-            Err(TryRecvError::Disconnected) => return Poll::Ready(Err(RecvError::Disconnected)),
-            Err(TryRecvError::Empty) => {}
-        }
-        let reg = shared.not_empty.wakers.register(cx.waker());
-        match shared.try_recv_inner() {
-            Ok(v) => {
-                shared.not_empty.wakers.deregister(reg);
-                Poll::Ready(Ok(v))
-            }
-            Err(TryRecvError::Disconnected) => {
-                shared.not_empty.wakers.deregister(reg);
-                Poll::Ready(Err(RecvError::Disconnected))
-            }
-            Err(TryRecvError::Empty) => {
-                this.reg = Some(reg);
-                Poll::Pending
-            }
-        }
+        shared
+            .not_empty
+            .poll_until(&mut this.reg, cx, || shared.recv_attempt())
     }
 }
 
 impl<T: Send, R: Ring> Drop for RecvFuture<'_, T, R> {
     fn drop(&mut self) {
-        if let Some(reg) = self.reg.take() {
-            self.rx.shared.not_empty.wakers.deregister(reg);
-        }
+        self.rx.shared.not_empty.release(&mut self.reg);
     }
 }
 
@@ -106,42 +82,15 @@ impl<T: Send, R: Ring> Future for SendFuture<'_, T, R> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let shared = &*this.tx.shared;
-        if let Some(reg) = this.reg.take() {
-            shared.not_full.wakers.deregister(reg);
-        }
-        let value = this
-            .value
-            .take()
-            .expect("SendFuture polled after completion");
-        let value = match shared.try_send_inner(value) {
-            Ok(()) => return Poll::Ready(Ok(())),
-            Err(TrySendError::Closed(v)) => return Poll::Ready(Err(SendError(v))),
-            Err(TrySendError::Full(v)) => v,
-        };
-        let reg = shared.not_full.wakers.register(cx.waker());
-        match shared.try_send_inner(value) {
-            Ok(()) => {
-                shared.not_full.wakers.deregister(reg);
-                Poll::Ready(Ok(()))
-            }
-            Err(TrySendError::Closed(v)) => {
-                shared.not_full.wakers.deregister(reg);
-                Poll::Ready(Err(SendError(v)))
-            }
-            Err(TrySendError::Full(v)) => {
-                this.value = Some(v);
-                this.reg = Some(reg);
-                Poll::Pending
-            }
-        }
+        shared
+            .not_full
+            .poll_until(&mut this.reg, cx, || shared.send_attempt(&mut this.value))
     }
 }
 
 impl<T: Send, R: Ring> Drop for SendFuture<'_, T, R> {
     fn drop(&mut self) {
-        if let Some(reg) = self.reg.take() {
-            self.tx.shared.not_full.wakers.deregister(reg);
-        }
+        self.tx.shared.not_full.release(&mut self.reg);
     }
 }
 

@@ -7,18 +7,19 @@
 //! in three pieces:
 //!
 //! 1. **Sync blocking layer** — [`Sender::send`] / [`Receiver::recv`] (plus
-//!    `try_*` and [`Receiver::recv_timeout`]) with an adaptive wait ladder:
-//!    poll → [`Backoff`] (spin, then yield) → park on an
-//!    [`EventCount`](lcrq_util::parker::EventCount). A parked consumer
+//!    `try_*` and [`Receiver::recv_timeout`]), each one call of the crate's
+//!    single wait ladder (`wait.rs`, `WaitQueue::block_until`): attempt →
+//!    [`Backoff`](lcrq_util::backoff::Backoff) (spin, then yield) → park on
+//!    an [`EventCount`](lcrq_util::parker::EventCount). A parked consumer
 //!    costs **zero** F&A — it touches no queue state until woken — and the
-//!    event-count's prepare/poll/park protocol makes the park race-free
+//!    event-count's prepare/attempt/park protocol makes the park race-free
 //!    against concurrent sends (no lost wakeup; see DESIGN.md "Channel
 //!    layer").
 //! 2. **Executor-agnostic async layer** — [`Sender::send_async`] /
 //!    [`Receiver::recv_async`] futures and the `Stream`-shaped
-//!    [`Receiver::poll_recv`], backed by a hazard-protected MPMC waker
-//!    registry. No runtime dependency; any executor (or the bundled
-//!    [`block_on`]) drives them.
+//!    [`Receiver::poll_recv`], each one call of the ladder's async twin
+//!    (`WaitQueue::poll_until`) over a FIFO waker registry. No runtime
+//!    dependency; any executor (or the bundled [`block_on`]) drives them.
 //! 3. **Lifecycle** — `close()`/drop-based shutdown reusing the CRQ tantrum
 //!    `CLOSED` mechanism to fence producers, draining stragglers exactly
 //!    once, with typed [`SendError`]/[`RecvError::Disconnected`], plus an
@@ -38,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod error;
 mod future;
@@ -46,6 +48,10 @@ mod waker;
 
 pub use error::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
 pub use future::{block_on, RecvFuture, SendFuture};
+/// The wait protocol, exported to the model checker only (`tests/loom.rs`).
+#[cfg(loom)]
+#[doc(hidden)]
+pub use {wait::WaitQueue, waker::Registration};
 
 use core::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use core::task::{Context, Poll};
@@ -53,12 +59,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lcrq_core::{Crq, LcrqConfig, Ring, Typed};
-use lcrq_util::backoff::Backoff;
 use lcrq_util::metrics::{self, Event};
 use lcrq_util::CachePadded;
-
-use crate::wait::WaitQueue;
-use crate::waker::Registration;
 
 /// State shared by all handles of one channel.
 struct Shared<T: Send, R: Ring> {
@@ -70,8 +72,8 @@ struct Shared<T: Send, R: Ring> {
     /// `fetch_sub` (F&A, never a CAS loop) and repaid by receivers with
     /// `fetch_add`; a non-positive result means "full, undo and wait".
     credits: CachePadded<AtomicI64>,
-    not_empty: WaitQueue,
-    not_full: WaitQueue,
+    not_empty: wait::WaitQueue,
+    not_full: wait::WaitQueue,
     senders: AtomicUsize,
     receivers: AtomicUsize,
 }
@@ -97,6 +99,16 @@ impl<T: Send, R: Ring> Shared<T, R> {
             return Err(TryRecvError::Disconnected);
         }
         Err(TryRecvError::Empty)
+    }
+
+    /// [`try_recv_inner`](Self::try_recv_inner) as a wait-protocol attempt:
+    /// `None` means "empty, keep waiting".
+    fn recv_attempt(&self) -> Option<Result<T, RecvError>> {
+        match self.try_recv_inner() {
+            Ok(v) => Some(Ok(v)),
+            Err(TryRecvError::Disconnected) => Some(Err(RecvError::Disconnected)),
+            Err(TryRecvError::Empty) => None,
+        }
     }
 
     /// Post-dequeue bookkeeping: repay credits and unblock senders.
@@ -139,15 +151,33 @@ impl<T: Send, R: Ring> Shared<T, R> {
         }
     }
 
+    /// [`try_send_inner`](Self::try_send_inner) as a wait-protocol attempt
+    /// on the value in `slot`: `None` means "full, keep waiting", and the
+    /// value is back in `slot` for the next attempt.
+    fn send_attempt(&self, slot: &mut Option<T>) -> Option<Result<(), SendError<T>>> {
+        let value = slot.take().expect("send attempted after it completed");
+        match self.try_send_inner(value) {
+            Ok(()) => Some(Ok(())),
+            Err(TrySendError::Closed(v)) => Some(Err(SendError(v))),
+            Err(TrySendError::Full(v)) => {
+                *slot = Some(v);
+                None
+            }
+        }
+    }
+
     /// Fences producers (sealing the list of rings, see [`Typed::close`])
     /// and wakes every waiter on both conditions so blocked/pending
-    /// operations observe the shutdown.
-    fn close(&self) {
-        if self.queue.close() {
+    /// operations observe the shutdown. Returns `true` to the one call that
+    /// placed the seal.
+    fn close(&self) -> bool {
+        let sealed = self.queue.close();
+        if sealed {
             metrics::inc(Event::ChannelClosed);
         }
         self.not_empty.notify_all();
         self.not_full.notify_all();
+        sealed
     }
 }
 
@@ -227,8 +257,8 @@ fn with_queue<T: Send, R: Ring>(
         queue,
         capacity,
         credits: CachePadded::new(AtomicI64::new(capacity.unwrap_or(0) as i64)),
-        not_empty: WaitQueue::new(),
-        not_full: WaitQueue::new(),
+        not_empty: Default::default(),
+        not_full: Default::default(),
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
     });
@@ -256,38 +286,11 @@ impl<T: Send, R: Ring> Sender<T, R> {
     /// sends never block). Fails only when the channel is closed, handing
     /// the value back.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut value = match self.shared.try_send_inner(value) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Closed(v)) => return Err(SendError(v)),
-            Err(TrySendError::Full(v)) => v,
-        };
-        // Bounded channel at capacity: escalate spin → yield → park.
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            backoff.snooze();
-            value = match self.shared.try_send_inner(value) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Closed(v)) => return Err(SendError(v)),
-                Err(TrySendError::Full(v)) => v,
-            };
-        }
-        loop {
-            let ticket = self.shared.not_full.evc.prepare();
-            value = match self.shared.try_send_inner(value) {
-                Ok(()) => {
-                    self.shared.not_full.evc.cancel(ticket);
-                    return Ok(());
-                }
-                Err(TrySendError::Closed(v)) => {
-                    self.shared.not_full.evc.cancel(ticket);
-                    return Err(SendError(v));
-                }
-                Err(TrySendError::Full(v)) => {
-                    self.shared.not_full.evc.wait(ticket);
-                    v
-                }
-            };
-        }
+        let mut value = Some(value);
+        self.shared
+            .not_full
+            .block_until(None, || self.shared.send_attempt(&mut value))
+            .expect("a wait without a deadline cannot time out")
     }
 
     /// Nonblocking send: fails with [`TrySendError::Full`] instead of
@@ -351,16 +354,18 @@ impl<T: Send, R: Ring> Sender<T, R> {
             if rest.is_empty() {
                 return Ok(());
             }
-            let ticket = self.shared.not_full.evc.prepare();
-            if self.shared.queue.is_closed() {
-                self.shared.not_full.evc.cancel(ticket);
+            // Wait until the channel closes (`Some(true)`) or credit comes
+            // back (`Some(false)`).
+            let closed = self.shared.not_full.block_until(None, || {
+                if self.shared.queue.is_closed() {
+                    Some(true)
+                } else {
+                    (self.shared.credits.load(Ordering::SeqCst) > 0).then_some(false)
+                }
+            });
+            if closed.expect("a wait without a deadline cannot time out") {
                 return Err(SendError(rest));
             }
-            if self.shared.credits.load(Ordering::SeqCst) > 0 {
-                self.shared.not_full.evc.cancel(ticket);
-                continue;
-            }
-            self.shared.not_full.evc.wait(ticket);
         }
     }
 
@@ -375,9 +380,7 @@ impl<T: Send, R: Ring> Sender<T, R> {
     /// are fenced, receivers drain the remaining items then see
     /// [`RecvError::Disconnected`]. Returns `true` on the transition.
     pub fn close(&self) -> bool {
-        let was_closed = self.shared.queue.is_closed();
-        self.shared.close();
-        !was_closed
+        self.shared.close()
     }
 
     /// Whether the channel is closed.
@@ -424,44 +427,19 @@ pub struct Receiver<T: Send, R: Ring = Crq> {
     shared: Arc<Shared<T, R>>,
     /// Standing waker registration used by [`poll_recv`](Self::poll_recv)
     /// between `Pending` polls.
-    poll_reg: Option<Registration>,
+    poll_reg: Option<waker::Registration>,
 }
 
 impl<T: Send, R: Ring> Receiver<T, R> {
     /// Receives the next item, blocking while the channel is empty. The
-    /// wait ladder escalates poll → [`Backoff`] (spin, then yield) → park;
-    /// a parked receiver performs no queue operations (zero F&A) until a
-    /// sender wakes it. Fails only when the channel is closed **and**
-    /// drained.
+    /// wait ladder escalates attempt → spin → yield → park; a parked
+    /// receiver performs no queue operations (zero F&A) until a sender
+    /// wakes it. Fails only when the channel is closed **and** drained.
     pub fn recv(&self) -> Result<T, RecvError> {
-        match self.shared.try_recv_inner() {
-            Ok(v) => return Ok(v),
-            Err(TryRecvError::Disconnected) => return Err(RecvError::Disconnected),
-            Err(TryRecvError::Empty) => {}
-        }
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            backoff.snooze();
-            match self.shared.try_recv_inner() {
-                Ok(v) => return Ok(v),
-                Err(TryRecvError::Disconnected) => return Err(RecvError::Disconnected),
-                Err(TryRecvError::Empty) => {}
-            }
-        }
-        loop {
-            let ticket = self.shared.not_empty.evc.prepare();
-            match self.shared.try_recv_inner() {
-                Ok(v) => {
-                    self.shared.not_empty.evc.cancel(ticket);
-                    return Ok(v);
-                }
-                Err(TryRecvError::Disconnected) => {
-                    self.shared.not_empty.evc.cancel(ticket);
-                    return Err(RecvError::Disconnected);
-                }
-                Err(TryRecvError::Empty) => self.shared.not_empty.evc.wait(ticket),
-            }
-        }
+        self.shared
+            .not_empty
+            .block_until(None, || self.shared.recv_attempt())
+            .expect("a wait without a deadline cannot time out")
     }
 
     /// Nonblocking receive.
@@ -475,46 +453,11 @@ impl<T: Send, R: Ring> Receiver<T, R> {
     /// independent of the timeout length — and zero F&A while parked.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
-        match self.shared.try_recv_inner() {
-            Ok(v) => return Ok(v),
-            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-            Err(TryRecvError::Empty) => {}
-        }
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            backoff.snooze();
-            match self.shared.try_recv_inner() {
-                Ok(v) => return Ok(v),
-                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-                Err(TryRecvError::Empty) => {
-                    if Instant::now() >= deadline {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
-                }
-            }
-        }
-        loop {
-            let ticket = self.shared.not_empty.evc.prepare();
-            match self.shared.try_recv_inner() {
-                Ok(v) => {
-                    self.shared.not_empty.evc.cancel(ticket);
-                    return Ok(v);
-                }
-                Err(TryRecvError::Disconnected) => {
-                    self.shared.not_empty.evc.cancel(ticket);
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                Err(TryRecvError::Empty) => {
-                    let Some(left) = deadline
-                        .checked_duration_since(Instant::now())
-                        .filter(|d| !d.is_zero())
-                    else {
-                        self.shared.not_empty.evc.cancel(ticket);
-                        return Err(RecvTimeoutError::Timeout);
-                    };
-                    self.shared.not_empty.evc.wait_timeout(ticket, left);
-                }
-            }
+        let attempt = || self.shared.recv_attempt();
+        match self.shared.not_empty.block_until(Some(deadline), attempt) {
+            Some(Ok(v)) => Ok(v),
+            Some(Err(RecvError::Disconnected)) => Err(RecvTimeoutError::Disconnected),
+            None => Err(RecvTimeoutError::Timeout),
         }
     }
 
@@ -553,32 +496,10 @@ impl<T: Send, R: Ring> Receiver<T, R> {
     /// the registry. A `futures::Stream` adapter is one `poll_next` =
     /// `poll_recv` away; the repo stays dependency-free.
     pub fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        if let Some(reg) = self.poll_reg.take() {
-            self.shared.not_empty.wakers.deregister(reg);
-        }
-        match self.shared.try_recv_inner() {
-            Ok(v) => return Poll::Ready(Some(v)),
-            Err(TryRecvError::Disconnected) => return Poll::Ready(None),
-            Err(TryRecvError::Empty) => {}
-        }
-        let reg = self.shared.not_empty.wakers.register(cx.waker());
-        // Re-poll after registering: a send racing the registration either
-        // sees it (and wakes us) or happened before it (and this poll sees
-        // the item) — the async twin of the event-count protocol.
-        match self.shared.try_recv_inner() {
-            Ok(v) => {
-                self.shared.not_empty.wakers.deregister(reg);
-                Poll::Ready(Some(v))
-            }
-            Err(TryRecvError::Disconnected) => {
-                self.shared.not_empty.wakers.deregister(reg);
-                Poll::Ready(None)
-            }
-            Err(TryRecvError::Empty) => {
-                self.poll_reg = Some(reg);
-                Poll::Pending
-            }
-        }
+        self.shared
+            .not_empty
+            .poll_until(&mut self.poll_reg, cx, || self.shared.recv_attempt())
+            .map(Result::ok)
     }
 
     /// A blocking iterator over received items; ends when the channel is
@@ -591,9 +512,7 @@ impl<T: Send, R: Ring> Receiver<T, R> {
     /// immediately (fail-fast instead of queueing unwatched items) while
     /// remaining items stay receivable. Returns `true` on the transition.
     pub fn close(&self) -> bool {
-        let was_closed = self.shared.queue.is_closed();
-        self.shared.close();
-        !was_closed
+        self.shared.close()
     }
 
     /// Whether the channel is closed (items may remain receivable).
@@ -620,9 +539,7 @@ impl<T: Send, R: Ring> Clone for Receiver<T, R> {
 
 impl<T: Send, R: Ring> Drop for Receiver<T, R> {
     fn drop(&mut self) {
-        if let Some(reg) = self.poll_reg.take() {
-            self.shared.not_empty.wakers.deregister(reg);
-        }
+        self.shared.not_empty.release(&mut self.poll_reg);
         if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
             self.shared.close();
         }
@@ -1063,6 +980,36 @@ mod tests {
     #[test]
     fn mpmc_channel_stress() {
         mpmc_stress(channel::<u64>());
+    }
+
+    /// F&As a `recv()` performs on its own thread when it finds the channel
+    /// empty, climbs the whole ladder, parks once, and is then sent one
+    /// item: nine empty attempts (one inline, seven between spins, one after
+    /// `prepare`) at 3 F&As each and the one that succeeds at 1. This is
+    /// the ladder's attempt budget, which the `openloop_*` benchmark
+    /// workloads pay per message; change it only with their numbers in hand.
+    const FAA_PER_PARKED_RECV: u64 = 9 * 3 + 1;
+
+    #[test]
+    fn recv_that_parks_once_performs_a_fixed_number_of_faa() {
+        // A send that lands before the park cuts the ladder short, so such
+        // a round (Park == 0) says nothing; the sleep makes them rare.
+        for _ in 0..20 {
+            let (tx, rx) = channel::<u64>();
+            let receiver = std::thread::spawn(move || {
+                let before = metrics::local_snapshot();
+                assert_eq!(rx.recv(), Ok(7));
+                metrics::local_snapshot().delta_since(&before)
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            tx.send(7).unwrap();
+            let d = receiver.join().unwrap();
+            if d.get(Event::Park) == 1 {
+                assert_eq!(d.get(Event::Faa), FAA_PER_PARKED_RECV);
+                return;
+            }
+        }
+        panic!("the receiver never parked ahead of the send");
     }
 
     #[test]

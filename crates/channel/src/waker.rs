@@ -1,186 +1,94 @@
-//! An MPMC waker registry: the async analogue of the event count.
+//! The waker registry: the async analogue of the event count.
 //!
-//! Each pending future parks its [`Waker`] here (a boxed entry published
-//! into a fixed array of atomic slots, spilling into a mutex-protected
-//! overflow list under extreme fan-in). Producers wake one or all entries.
-//! Three parties can race over one entry — the registering future
-//! (deregister on drop/completion), a producer's `wake_one` (consumes the
-//! entry), and a closer's `wake_all` (reads it in place) — so entries are
-//! reclaimed exclusively through a hazard-pointer [`Domain`]: readers
-//! protect the slot before dereferencing and whoever *removes* an entry
-//! retires it, never frees it directly.
+//! Each pending future parks a clone of its [`Waker`] here, in a FIFO
+//! behind one mutex. Producers wake the oldest entry ([`wake_one`], which
+//! consumes it) or all of them ([`wake_all`], which leaves them in place);
+//! a future that completes or is dropped removes its own entry by id.
 //!
-//! Slot reuse cannot misdirect a deregistration (the classic ABA: an
-//! entry's box is freed, the allocator reuses the address for a different
-//! future's entry in the same slot): every entry carries a process-unique
-//! `id`, and deregistration only removes the slot's current entry after
-//! reading — under hazard protection — that its id matches.
+//! A mutex is enough because only futures ever take it: a channel used
+//! through the blocking API never registers, so `registered` stays zero and
+//! every `wake_*` a producer issues is that one load. The two rules that
+//! keep the lock harmless when futures *are* in play: no waker is woken or
+//! dropped while it is held (a waker may poll its task inline and re-enter
+//! [`register`]), and `registered` is republished before every unlock, so
+//! whoever takes the lock next finds it equal to the FIFO's length.
+//!
+//! [`register`]: WakerRegistry::register
+//! [`wake_one`]: WakerRegistry::wake_one
+//! [`wake_all`]: WakerRegistry::wake_all
 
-use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use core::task::Waker;
-use std::sync::Mutex;
+use std::collections::VecDeque;
 
-use lcrq_hazard::Domain;
+use lcrq_util::sync::{AtomicUsize, Mutex, Ordering};
 
-/// Number of direct (lock-free) waker slots; the 33rd concurrent pending
-/// future on one wait queue spills into the overflow list.
-const WAKER_SLOTS: usize = 32;
-
-/// Hazard slot index used for entry reads (the registry owns a private
-/// [`Domain`], so this never collides with the queue's slots).
-const HP_SLOT: usize = 0;
-
-struct Entry {
-    /// Process-unique registration id (ABA guard, see module docs).
-    id: u64,
-    waker: Waker,
-}
-
-/// A handle to a registered waker; consumed by
-/// [`WakerRegistry::deregister`]. Dropping it without deregistering leaks
-/// the registration until a `wake_one` consumes it (safe, but wasteful).
+/// A handle to a registered waker: its id in the registry it came from.
+/// Redeemed by [`WakerRegistry::deregister`]; dropping it instead leaves
+/// the entry behind until a `wake_one` consumes it (safe, but wasteful).
 #[derive(Debug)]
-pub(crate) enum Registration {
-    /// Registered in direct slot `idx`.
-    Slot { idx: usize, id: u64 },
-    /// Registered in the overflow list.
-    Overflow { id: u64 },
+pub struct Registration(u64);
+
+#[derive(Default)]
+struct Fifo {
+    /// Oldest first; ids ascend because they are handed out under the lock.
+    entries: VecDeque<(u64, Waker)>,
+    next_id: u64,
 }
 
 /// Registry of wakers for futures pending on one condition ("not empty" or
-/// "not full"). See the module docs for the reclamation protocol.
+/// "not full").
+#[derive(Default)]
 pub(crate) struct WakerRegistry {
-    slots: [AtomicPtr<Entry>; WAKER_SLOTS],
-    overflow: Mutex<Vec<(u64, Waker)>>,
-    next_id: AtomicU64,
-    /// Live registrations (slots + overflow); `wake_*` with zero registered
-    /// is a single load — the producer fast path.
+    fifo: Mutex<Fifo>,
+    /// `fifo.entries.len()`, readable without the lock: `wake_*` with zero
+    /// registered is a single load — the producer fast path.
     registered: AtomicUsize,
-    domain: Domain,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl WakerRegistry {
-    pub(crate) fn new() -> Self {
-        Self {
-            slots: [const { AtomicPtr::new(core::ptr::null_mut()) }; WAKER_SLOTS],
-            overflow: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(1),
-            registered: AtomicUsize::new(0),
-            domain: Domain::new(),
-        }
+    /// Runs `f` on the locked FIFO and republishes its length before
+    /// unlocking. Every caller makes at most one push or remove, so a
+    /// poisoned lock still guards a consistent FIFO.
+    fn locked<V>(&self, f: impl FnOnce(&mut Fifo) -> V) -> V {
+        let mut fifo = self.fifo.lock().unwrap_or_else(|e| e.into_inner());
+        let out = f(&mut fifo);
+        self.registered.store(fifo.entries.len(), Ordering::SeqCst);
+        out
     }
 
     /// Registers a clone of `waker`. The caller must re-poll its condition
     /// *after* this returns (the registration is the async analogue of
     /// `EventCount::prepare`; the re-poll closes the lost-wakeup window).
     pub(crate) fn register(&self, waker: &Waker) -> Registration {
-        // Fail point in the register→re-poll window: a delay here widens
-        // the lost-wakeup race the mandatory re-poll exists to close.
+        // Fail point in the poll→register window: a delay here widens the
+        // lost-wakeup race the mandatory re-poll exists to close.
         let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::WakerRegister);
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let entry = Box::into_raw(Box::new(Entry {
-            id,
-            waker: waker.clone(),
-        }));
-        for idx in 0..WAKER_SLOTS {
-            if self.slots[idx]
-                .compare_exchange(
-                    core::ptr::null_mut(),
-                    entry,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                )
-                .is_ok()
-            {
-                self.registered.fetch_add(1, Ordering::SeqCst);
-                return Registration::Slot { idx, id };
-            }
-        }
-        // All direct slots taken: spill into the overflow list.
-        // SAFETY: the entry was never published; we still own it.
-        drop(unsafe { Box::from_raw(entry) });
-        lock(&self.overflow).push((id, waker.clone()));
-        self.registered.fetch_add(1, Ordering::SeqCst);
-        Registration::Overflow { id }
+        let waker = waker.clone();
+        self.locked(|fifo| {
+            let id = fifo.next_id;
+            fifo.next_id += 1;
+            fifo.entries.push_back((id, waker));
+            Registration(id)
+        })
     }
 
-    /// Removes a registration if it is still present (a concurrent
-    /// `wake_one` may already have consumed it — that is a no-op here).
-    pub(crate) fn deregister(&self, reg: Registration) {
-        match reg {
-            Registration::Slot { idx, id } => loop {
-                let cur = self.domain.protect(HP_SLOT, &self.slots[idx]);
-                if cur.is_null() {
-                    break; // consumed by a wake_one
-                }
-                // SAFETY: hazard-protected; entries are only freed through
-                // `domain.retire`, so `cur` is live while protected.
-                if unsafe { (*cur).id } != id {
-                    break; // slot reused by another future: ours is gone
-                }
-                if self.slots[idx]
-                    .compare_exchange(
-                        cur,
-                        core::ptr::null_mut(),
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .is_ok()
-                {
-                    self.registered.fetch_sub(1, Ordering::SeqCst);
-                    // SAFETY: we removed `cur` from the only shared
-                    // location; hazard retirement defers the free past any
-                    // concurrent `wake_all` reader.
-                    unsafe { self.domain.retire(cur) };
-                    break;
-                }
-                // CAS failure: a wake_one swapped it out between our read
-                // and the CAS; loop to confirm via the null/id checks.
-            },
-            Registration::Overflow { id } => {
-                let mut overflow = lock(&self.overflow);
-                if let Some(pos) = overflow.iter().position(|(eid, _)| *eid == id) {
-                    overflow.swap_remove(pos);
-                    self.registered.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-        }
-        self.domain.clear(HP_SLOT);
+    /// Removes a registration. Returns whether it was still there: `false`
+    /// means a `wake_one` already consumed it — this future was sent a wake.
+    pub(crate) fn deregister(&self, reg: Registration) -> bool {
+        let removed = self.locked(|fifo| {
+            let at = fifo.entries.iter().position(|(id, _)| *id == reg.0)?;
+            fifo.entries.remove(at)
+        });
+        removed.is_some()
     }
 
-    /// Consumes and wakes one registered waker, if any. One call per item
-    /// produced: each wake token lets one future re-poll.
+    /// Consumes and wakes the oldest registered waker, if any. One call per
+    /// item produced: each wake token lets one future re-poll.
     pub(crate) fn wake_one(&self) {
         if self.registered.load(Ordering::SeqCst) == 0 {
             return;
         }
-        for slot in &self.slots {
-            let entry = slot.swap(core::ptr::null_mut(), Ordering::SeqCst);
-            if entry.is_null() {
-                continue;
-            }
-            self.registered.fetch_sub(1, Ordering::SeqCst);
-            // SAFETY: the swap removed `entry` from the shared slot, so we
-            // are its unique owner (deregister lost any racing CAS); a
-            // concurrent `wake_all` may still be reading it under hazard
-            // protection, hence retire instead of drop.
-            unsafe {
-                (*entry).waker.wake_by_ref();
-                self.domain.retire(entry);
-            }
-            return;
-        }
-        let waker = {
-            let mut overflow = lock(&self.overflow);
-            overflow.pop().inspect(|_| {
-                self.registered.fetch_sub(1, Ordering::SeqCst);
-            })
-        };
-        if let Some((_, waker)) = waker {
+        if let Some((_, waker)) = self.locked(|fifo| fifo.entries.pop_front()) {
             waker.wake();
         }
     }
@@ -192,17 +100,11 @@ impl WakerRegistry {
         if self.registered.load(Ordering::SeqCst) == 0 {
             return;
         }
-        for slot in &self.slots {
-            let entry = self.domain.protect(HP_SLOT, slot);
-            if entry.is_null() {
-                continue;
-            }
-            // SAFETY: hazard-protected (see deregister).
-            unsafe { (*entry).waker.wake_by_ref() };
-        }
-        self.domain.clear(HP_SLOT);
-        for (_, waker) in lock(&self.overflow).iter() {
-            waker.wake_by_ref();
+        // Cloned under the lock, woken after it is released.
+        let wakers: Vec<Waker> =
+            self.locked(|fifo| fifo.entries.iter().map(|(_, w)| w.clone()).collect());
+        for waker in wakers {
+            waker.wake();
         }
     }
 
@@ -212,31 +114,6 @@ impl WakerRegistry {
         self.registered.load(Ordering::SeqCst)
     }
 }
-
-impl Drop for WakerRegistry {
-    fn drop(&mut self) {
-        // Exclusive access: free any entries still registered. Entries
-        // retired earlier are freed when `domain` drops.
-        for slot in &self.slots {
-            let entry = slot.swap(core::ptr::null_mut(), Ordering::SeqCst);
-            if !entry.is_null() {
-                // SAFETY: exclusive access in drop; never retired (it was
-                // still in its slot).
-                drop(unsafe { Box::from_raw(entry) });
-            }
-        }
-    }
-}
-
-// SAFETY: entries hold `Waker`s (Send + Sync); all shared state is atomic
-// or mutex-protected, and the hazard domain serializes reclamation.
-unsafe impl Send for WakerRegistry {}
-unsafe impl Sync for WakerRegistry {}
-
-// SAFETY: a Registration is an index + id ticket; it carries no reference
-// to the entry itself and may be redeemed from any thread.
-unsafe impl Send for Registration {}
-unsafe impl Sync for Registration {}
 
 #[cfg(test)]
 mod tests {
@@ -263,7 +140,7 @@ mod tests {
 
     #[test]
     fn wake_one_consumes_a_registration() {
-        let reg = WakerRegistry::new();
+        let reg = WakerRegistry::default();
         let (counter, waker) = counting_waker();
         let r = reg.register(&waker);
         assert_eq!(reg.registered_count(), 1);
@@ -272,15 +149,18 @@ mod tests {
         assert_eq!(reg.registered_count(), 0);
         reg.wake_one(); // nothing left: no-op
         assert_eq!(counter.0.load(Ordering::SeqCst), 1);
-        reg.deregister(r); // already consumed: no-op, no double free
+        assert!(
+            !reg.deregister(r),
+            "already consumed: reported, not removed"
+        );
     }
 
     #[test]
     fn deregister_prevents_wake() {
-        let reg = WakerRegistry::new();
+        let reg = WakerRegistry::default();
         let (counter, waker) = counting_waker();
         let r = reg.register(&waker);
-        reg.deregister(r);
+        assert!(reg.deregister(r));
         assert_eq!(reg.registered_count(), 0);
         reg.wake_one();
         assert_eq!(counter.0.load(Ordering::SeqCst), 0);
@@ -288,7 +168,7 @@ mod tests {
 
     #[test]
     fn wake_all_leaves_registrations_in_place() {
-        let reg = WakerRegistry::new();
+        let reg = WakerRegistry::default();
         let (c1, w1) = counting_waker();
         let (c2, w2) = counting_waker();
         let r1 = reg.register(&w1);
@@ -306,13 +186,10 @@ mod tests {
 
     #[test]
     fn overflow_spill_and_all_paths_work_past_32_registrations() {
-        let reg = WakerRegistry::new();
+        let reg = WakerRegistry::default();
         let wakers: Vec<_> = (0..40).map(|_| counting_waker()).collect();
         let regs: Vec<_> = wakers.iter().map(|(_, w)| reg.register(w)).collect();
         assert_eq!(reg.registered_count(), 40);
-        assert!(regs
-            .iter()
-            .any(|r| matches!(r, Registration::Overflow { .. })));
         reg.wake_all();
         let woken: usize = wakers.iter().map(|(c, _)| c.0.load(Ordering::SeqCst)).sum();
         assert_eq!(woken, 40);
@@ -328,16 +205,18 @@ mod tests {
 
     #[test]
     fn dropping_registry_with_live_registrations_is_clean() {
-        let reg = WakerRegistry::new();
-        let (_c, waker) = counting_waker();
+        let reg = WakerRegistry::default();
+        let (counter, waker) = counting_waker();
         let _r1 = reg.register(&waker);
         let _r2 = reg.register(&waker);
-        drop(reg); // must free the two live entries
+        drop(waker);
+        drop(reg); // must release the two clones it holds
+        assert_eq!(Arc::strong_count(&counter), 1);
     }
 
     #[test]
     fn concurrent_register_wake_deregister_stress() {
-        let reg = Arc::new(WakerRegistry::new());
+        let reg = Arc::new(WakerRegistry::default());
         let total_wakes = Arc::new(StdAtomicUsize::new(0));
         std::thread::scope(|s| {
             for _ in 0..3 {

@@ -72,8 +72,9 @@ pub enum Event {
     Park,
     /// A parked thread was woken by a notifier.
     Unpark,
-    /// A parked thread woke without its wakeup condition holding (spurious
-    /// condvar wakeup or epoch recheck loop iteration).
+    /// A parked thread's condvar wait returned with the epoch unmoved and the
+    /// deadline not reached (a spurious condvar wakeup). Going to sleep is
+    /// not counted.
     WakeSpurious,
     /// A channel was closed (sender drop or explicit `close()`).
     ChannelClosed,

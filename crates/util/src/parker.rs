@@ -163,56 +163,53 @@ impl EventCount {
     /// Step 3: parks until a notify arrives after `ticket` was issued.
     /// Returns immediately — without a syscall — if one already has.
     pub fn wait(&self, ticket: Ticket) {
-        // Fail point inside the poll→sleep window: the spot where a crashed
-        // waiter (or a lost wakeup, if the protocol were wrong) would hang.
-        let _ = crate::fault::inject(crate::fault::Site::ChannelPark);
-        let mut sleepers = lock(&self.sleepers);
-        if self.epoch.load(Ordering::SeqCst) != ticket.epoch {
-            drop(sleepers);
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        *sleepers += 1;
-        metrics::inc(Event::Park);
-        while self.epoch.load(Ordering::SeqCst) == ticket.epoch {
-            metrics::inc(Event::WakeSpurious);
-            sleepers = self.cv.wait(sleepers).unwrap_or_else(|e| e.into_inner());
-        }
-        *sleepers -= 1;
-        drop(sleepers);
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        self.wait_until(ticket, None);
     }
 
     /// Like [`wait`](Self::wait) with a timeout. Returns `true` if woken by
     /// a notify (or the epoch had already moved), `false` on timeout.
     pub fn wait_timeout(&self, ticket: Ticket, timeout: Duration) -> bool {
+        self.wait_until(ticket, Some(Instant::now() + timeout))
+    }
+
+    /// The one sleeping body behind [`wait`](Self::wait) and
+    /// [`wait_timeout`](Self::wait_timeout): parks until the epoch moves
+    /// past `ticket` (`true`) or `deadline` is reached with the epoch
+    /// unmoved (`false`). The epoch is always checked before the clock, and
+    /// without a deadline the clock is never read.
+    pub fn wait_until(&self, ticket: Ticket, deadline: Option<Instant>) -> bool {
+        // Fail point inside the poll→sleep window: the spot where a crashed
+        // waiter (or a lost wakeup, if the protocol were wrong) would hang.
         let _ = crate::fault::inject(crate::fault::Site::ChannelPark);
-        let deadline = Instant::now() + timeout;
         let mut sleepers = lock(&self.sleepers);
-        if self.epoch.load(Ordering::SeqCst) != ticket.epoch {
-            drop(sleepers);
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-            return true;
-        }
+        // Nobody sees the count before the condvar releases the lock.
         *sleepers += 1;
-        metrics::inc(Event::Park);
-        let mut notified = true;
-        while self.epoch.load(Ordering::SeqCst) == ticket.epoch {
-            let now = Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                notified = false;
-                break;
+        let mut slept = false;
+        let notified = loop {
+            if self.epoch.load(Ordering::SeqCst) != ticket.epoch {
+                break true;
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
+                break false;
+            }
+            // Back from the condvar with neither the epoch nor the clock
+            // saying why: that, and not going to sleep, is a spurious wake.
+            let event = if slept {
+                Event::WakeSpurious
+            } else {
+                Event::Park
             };
-            metrics::inc(Event::WakeSpurious);
-            let (guard, _timed_out) = self
-                .cv
-                .wait_timeout(sleepers, left)
-                .unwrap_or_else(|e| e.into_inner());
-            sleepers = guard;
-        }
+            metrics::inc(event);
+            slept = true;
+            sleepers = match left {
+                None => self.cv.wait(sleepers).unwrap_or_else(|e| e.into_inner()),
+                Some(left) => {
+                    let woken = self.cv.wait_timeout(sleepers, left);
+                    woken.unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
+        };
         *sleepers -= 1;
         drop(sleepers);
         self.waiters.fetch_sub(1, Ordering::SeqCst);
@@ -344,6 +341,27 @@ mod tests {
         flag.store(true, Ordering::SeqCst);
         e.notify_one();
         h.join().unwrap();
+    }
+
+    #[test]
+    fn eventcount_notified_park_counts_no_spurious_wake() {
+        let e = Arc::new(EventCount::new());
+        let e2 = Arc::clone(&e);
+        let waiter = std::thread::spawn(move || {
+            let before = metrics::local_snapshot();
+            let t = e2.prepare();
+            e2.wait(t);
+            metrics::local_snapshot().delta_since(&before)
+        });
+        // `sleepers` only rises under the lock the condvar releases, so
+        // seeing 1 means the waiter is inside `cv.wait`.
+        while *lock(&e.sleepers) == 0 {
+            std::thread::yield_now();
+        }
+        e.notify_one();
+        let d = waiter.join().unwrap();
+        assert_eq!(d.get(Event::Park), 1);
+        assert_eq!(d.get(Event::WakeSpurious), 0, "the first sleep is no wake");
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! genuinely outrun the producers on a single CPU.
 
 use std::collections::HashMap;
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 use lcrq::channel::{self, block_on, RecvError, RecvTimeoutError, TryRecvError, TrySendError};
@@ -227,6 +229,63 @@ fn async_roundtrip_across_threads() {
         }
     });
     assert_eq!(block_on(rx.recv_async()), Err(RecvError::Disconnected));
+}
+
+/// A waker that only counts how often it was woken.
+#[derive(Default)]
+struct CountingWake(AtomicU64);
+
+impl Wake for CountingWake {
+    fn wake(self: Arc<Self>) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Two futures pend on one condition, `event` makes it true once — which
+/// wakes the older (wakes go oldest first) — and the older is dropped
+/// without being polled again: the wake it was sent must move on to the
+/// younger, or that one sleeps beside the very thing it waits for. Returns
+/// what the younger then resolves to.
+fn cancel_the_woken_one_of_two<F: Future>(older: F, younger: F, event: impl FnOnce()) -> F::Output {
+    let wakes = [0, 1].map(|_| Arc::new(CountingWake::default()));
+    let counts = || [0, 1].map(|i| wakes[i].0.load(Ordering::SeqCst));
+    let [older_waker, younger_waker] = wakes.clone().map(Waker::from);
+    let (mut older, mut younger) = (Box::pin(older), Box::pin(younger));
+    let mut younger_cx = Context::from_waker(&younger_waker);
+    assert!(older
+        .as_mut()
+        .poll(&mut Context::from_waker(&older_waker))
+        .is_pending());
+    assert!(younger.as_mut().poll(&mut younger_cx).is_pending());
+
+    event();
+    assert_eq!(counts(), [1, 0]);
+    drop(older);
+    assert_eq!(counts(), [1, 1], "the wake died with its future");
+    match younger.as_mut().poll(&mut younger_cx) {
+        Poll::Ready(out) => out,
+        Poll::Pending => panic!("woken, yet still pending"),
+    }
+}
+
+#[test]
+fn cancelled_woken_recv_future_passes_the_wake_on() {
+    let (tx, rx) = channel::channel::<u64>();
+    let send = || tx.send(7).unwrap();
+    let got = cancel_the_woken_one_of_two(rx.recv_async(), rx.recv_async(), send);
+    assert_eq!(got, Ok(7));
+}
+
+/// The same shape on the other condition: two sends pend on a full
+/// channel, one `recv` frees one slot.
+#[test]
+fn cancelled_woken_send_future_passes_the_wake_on() {
+    let (tx, rx) = channel::bounded::<u64>(1);
+    tx.send(0).unwrap();
+    let recv = || assert_eq!(rx.recv(), Ok(0));
+    let sent = cancel_the_woken_one_of_two(tx.send_async(1), tx.send_async(2), recv);
+    assert_eq!(sent, Ok(()));
+    assert_eq!(rx.recv(), Ok(2));
 }
 
 #[test]

@@ -10,6 +10,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use lcrq::channel::{self, RecvError, TryRecvError, TrySendError};
+use lcrq::LcrqConfig;
 
 /// Producers race `close()`: every `send` that returned `Ok` must be
 /// delivered exactly once, every `Err(SendError)` must return the value, and
@@ -201,6 +202,42 @@ fn close_is_idempotent() {
     assert!(!tx.close());
     assert!(!rx.close());
     assert!(tx.is_closed() && rx.is_closed());
+}
+
+/// A sender and a receiver close the same channel at the same instant:
+/// however the two calls interleave, exactly one of them placed the seal
+/// and exactly one reports it. The closers are two long-lived threads that
+/// meet at a spin barrier before every round — a blocking barrier releases
+/// its waiters one after the other, which hides the race.
+#[test]
+fn concurrent_closers_see_exactly_one_transition() {
+    const CLOSERS: usize = 2;
+    const ROUNDS: usize = 200;
+    // Tiny rings: a default ring is 512 KiB, and there is one per round.
+    let tiny = LcrqConfig::new().with_ring_order(2);
+    let channels: Vec<_> = (0..ROUNDS)
+        .map(|_| channel::channel_with_config::<u64>(tiny.clone()))
+        .collect();
+    let arrived = AtomicU64::new(0);
+    let transitions: Vec<AtomicU64> = (0..ROUNDS).map(|_| AtomicU64::new(0)).collect();
+    std::thread::scope(|s| {
+        for closer in 0..CLOSERS {
+            let (channels, arrived, transitions) = (&channels, &arrived, &transitions);
+            s.spawn(move || {
+                for (round, (tx, rx)) in channels.iter().enumerate() {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    while arrived.load(Ordering::SeqCst) < ((round + 1) * CLOSERS) as u64 {
+                        std::hint::spin_loop();
+                    }
+                    let first = if closer == 0 { tx.close() } else { rx.close() };
+                    transitions[round].fetch_add(u64::from(first), Ordering::SeqCst);
+                }
+            });
+        }
+    });
+    for (round, reported) in transitions.iter().enumerate() {
+        assert_eq!(reported.load(Ordering::SeqCst), 1, "round {round}");
+    }
 }
 
 /// Many receivers blocked in `recv()` when the channel closes: all of them
