@@ -14,11 +14,11 @@
 # | release build   | cargo build --release                                | every lib and bench bin compiles optimised (later gates run them) | 76 |
 # | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench  | 13 |
 # | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
-# | repeat x20      | seed_sweep channel_shutdown / fault_tolerance        | 20 seeds each: a 1-in-6 flake cannot pass                     | 17 |
+# | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) | 20 runs each: a 1-in-6 flake cannot pass        | 33 |
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4; shard_scaling   | four replay seeds; analytic-envelope check, BENCH_shard.json  |  1 |
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
-# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 24 |
+# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 67 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
 # | bench smoke     | 13 bins --smoke                                      | every bin still runs and parses its flags                     |  1 |
 # | arena           | pairwise --gate on the two committed fixtures        | the gate can still fail (planted drop) and still pass (identity) |  0 |
@@ -61,12 +61,17 @@ cargo test --workspace --exclude lcrq --exclude lcrq-bench -q
 # of rings"); fault_tolerance is the crash-tolerance harness. (The bench
 # lib's third leg is gone with its cause: runs no longer share a metrics
 # tally, which `workload::tests::concurrent_runs_count_only_their_own_threads`
-# pins in tier-1.)
-echo "==> repeat-run gate (x20 seeds: shutdown, fault tolerance)"
+# pins in tier-1.) The third leg is the list's kept hazard slots: the three
+# tests that say what an idle, an emptied and an exited thread pin, and the
+# `ring_count` walk against concurrent head swings with retired rings really
+# freed; they take no seed, the sweep just runs them 20 times.
+echo "==> repeat-run gate (x20: shutdown, fault tolerance, kept hazard slots)"
 REPEAT_SEEDS=$(seq 1 20 | tr '\n' ' ')
 seed_sweep "channel_shutdown" "$REPEAT_SEEDS" --test channel_shutdown -q
 seed_sweep "fault_tolerance" "$REPEAT_SEEDS" \
     --features fault-injection --test fault_tolerance -q
+seed_sweep "reclamation: kept slots" "$REPEAT_SEEDS" \
+    --test reclamation -q -- pins_ ring_count_is_safe
 
 # wCQ gate (DESIGN.md "wCQ helping"): the request-record state-machine
 # suite, the full step-bound progress module (wcq holds the per-op step
@@ -113,7 +118,10 @@ seed_sweep "stress sweep" "0x1 0x2 0x3 0x5EED 0xC0FFEE 0xDEADBEEF 0xFA175EED 0xF
 # load-then-store twin, which it must catch handing one ring to two
 # poppers), the list of rings' sealed close against a consumer's settle
 # poll (plus the planted flag-then-walk twin, which it must catch losing an
-# item), and the channel's async wait protocol: `poll_until` against a
+# item), the list's kept hazard slots against a concurrent retire and scan
+# (plus the planted remembered-pointer twin of `Domain::protect`'s elision,
+# which it must catch entering a reclaimed ring), and the channel's async
+# wait protocol: `poll_until` against a
 # notify and `release` of a woken future against a second waiter (plus the
 # no-re-attempt and no-pass-on twins, which it must catch losing a wakeup).
 # `--cfg loom` swaps the lcrq-util sync facade to the instrumented shims

@@ -112,9 +112,26 @@ pub struct RingList<R: Ring> {
     closed: AtomicBool,
 }
 
-/// Hazard slot used for the ring an operation is about to access — the
-/// only one the list needs.
-const HP_SLOT: usize = 0;
+/// Hazard slot for the head ring (`dequeue`, `dequeue_batch`,
+/// `is_empty_hint`, and where `ring_count` starts).
+///
+/// The list keeps its slots published between calls: a ring changes once
+/// per `R` operations, and [`Domain::protect`] publishes nothing while the
+/// slot already names the ring `head`/`tail` names — so an operation on an
+/// unchanged ring is the ring's F&A and CAS2 and no third locked
+/// instruction. A slot is cleared exactly where its thread learns the ring
+/// is no longer the one to use: a dequeue that answers EMPTY, an enqueue
+/// that finds the ring closed (spill, refused allocation, seal), and the
+/// head swing. So an idle thread pins at most the ring it last enqueued
+/// into and the ring it last dequeued from, and one that saw EMPTY, spilled
+/// or exited pins nothing.
+const HP_HEAD: usize = 0;
+/// Hazard slot for the tail ring ([`RingList::last_ring`]); its own slot, so
+/// a thread alternating enqueue and dequeue on a queue deeper than one ring
+/// does not evict itself.
+const HP_TAIL: usize = 1;
+/// The moving hazard slot of [`RingList::ring_count`]'s walk.
+const HP_WALK: usize = 2;
 
 impl<R: Ring> RingList<R> {
     /// What [`close`](Self::close) stores in the last ring's `next`: not
@@ -282,7 +299,6 @@ impl<R: Ring> RingList<R> {
             };
             self.cluster_gate(ring);
             if ring.enqueue(value).is_ok() {
-                self.domain.clear(HP_SLOT);
                 return Ok(());
             }
             // Ring closed — by a tantrum or by `close()`; they look the same
@@ -290,7 +306,7 @@ impl<R: Ring> RingList<R> {
             // Race to append a fresh ring seeded with value (recycled from
             // the pool when one is available).
             let Some(newring) = self.try_alloc_ring(core::slice::from_ref(&value)) else {
-                self.domain.clear(HP_SLOT);
+                self.domain.clear(HP_TAIL);
                 return Err(EnqueueError::AllocFailed(value));
             };
             match self.try_link(ring, newring) {
@@ -305,13 +321,13 @@ impl<R: Ring> RingList<R> {
         }
     }
 
-    /// Protects (in [`HP_SLOT`]) and returns the last ring of the chain,
+    /// Protects (in [`HP_TAIL`]) and returns the last ring of the chain,
     /// helping a half-finished append on the way: `tail` must point at the
     /// last ring. `None`, with the slot cleared, once the list is sealed.
     #[inline]
     fn last_ring(&self) -> Option<&R> {
         loop {
-            let ring = self.domain.protect(HP_SLOT, &self.tail);
+            let ring = self.domain.protect(HP_TAIL, &self.tail);
             // SAFETY: `ring` is hazard-protected, so it cannot be reclaimed
             // until the slot is cleared or re-used; callers drop the
             // reference before either.
@@ -321,7 +337,7 @@ impl<R: Ring> RingList<R> {
                 return Some(ring_ref);
             }
             if next == Self::SEALED {
-                self.domain.clear(HP_SLOT);
+                self.domain.clear(HP_TAIL);
                 return None;
             }
             let _ = ops::ptr::cas_ptr(&self.tail, ring, next);
@@ -329,7 +345,7 @@ impl<R: Ring> RingList<R> {
     }
 
     /// Races to link `newring` (unpublished, uniquely owned) after `last`,
-    /// which the caller found closed; clears [`HP_SLOT`] either way. On a
+    /// which the caller found closed; clears [`HP_TAIL`] either way. On a
     /// loss the ring is released and the winner — another ring, or the seal
     /// — is returned.
     fn try_link(&self, last: &R, newring: *mut R) -> Result<(), *mut R> {
@@ -345,7 +361,7 @@ impl<R: Ring> RingList<R> {
             // uniquely owned.
             Err(_) => self.release_ring(unsafe { Box::from_raw(newring) }),
         }
-        self.domain.clear(HP_SLOT);
+        self.domain.clear(HP_TAIL);
         linked
     }
 
@@ -385,17 +401,16 @@ impl<R: Ring> RingList<R> {
     /// Figure 5b (December-2013 corrected version).
     pub fn dequeue(&self) -> Option<u64> {
         loop {
-            let ring = self.domain.protect(HP_SLOT, &self.head);
+            let ring = self.domain.protect(HP_HEAD, &self.head);
             // SAFETY: hazard-protected.
             let ring_ref = unsafe { &*ring };
             self.cluster_gate(ring_ref);
             if let Some(v) = ring_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
                 return Some(v);
             }
             let next = ring_ref.next().load(Ordering::SeqCst);
             if next.is_null() {
-                self.domain.clear(HP_SLOT);
+                self.domain.clear(HP_HEAD);
                 return None;
             }
             // Linked or sealed, so this ring is closed for good. An enqueue
@@ -409,19 +424,23 @@ impl<R: Ring> RingList<R> {
             // frozen and the scan terminates.
             ring_ref.rearm();
             if let Some(v) = ring_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
                 return Some(v);
             }
             if next == Self::SEALED {
                 // Last ring of a closed queue, and empty after the seal:
                 // nothing can be enqueued any more, this EMPTY is final.
-                self.domain.clear(HP_SLOT);
+                self.domain.clear(HP_HEAD);
                 return None;
             }
             if ops::ptr::cas_ptr(&self.head, ring, next).is_ok() {
-                // Drop our own protection first so the scan below can
-                // recycle `ring` immediately (we are done touching it).
-                self.domain.clear(HP_SLOT);
+                // Drop our own protection first — the tail slot's too, if
+                // this is the ring we last enqueued into — so the scan
+                // below can recycle `ring` immediately (we are done
+                // touching it).
+                self.domain.clear(HP_HEAD);
+                if self.domain.protected(HP_TAIL) == ring as *mut () {
+                    self.domain.clear(HP_TAIL);
+                }
                 // SAFETY: `ring` is now unreachable from the queue (head
                 // moved past it and enqueuers long since moved to `next` or
                 // later); hazard retirement defers reclamation until no
@@ -439,9 +458,9 @@ impl<R: Ring> RingList<R> {
                     // while the spill path allocates fresh ones.
                     self.domain.scan();
                 }
-            } else {
-                self.domain.clear(HP_SLOT);
             }
+            // Swing lost: someone else retires `ring`, and the next round's
+            // `protect` moves HP_HEAD to the new head ring.
         }
     }
 
@@ -526,7 +545,6 @@ impl<R: Ring> RingList<R> {
                 Err(_) => backoff.get_or_insert_with(Backoff::jittered).spin(),
             }
         }
-        self.domain.clear(HP_SLOT);
         Ok(())
     }
 
@@ -545,7 +563,7 @@ impl<R: Ring> RingList<R> {
     pub fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
         let mut taken = 0usize;
         while taken < max {
-            let ring = self.domain.protect(HP_SLOT, &self.head);
+            let ring = self.domain.protect(HP_HEAD, &self.head);
             // SAFETY: hazard-protected.
             let ring_ref = unsafe { &*ring };
             self.cluster_gate(ring_ref);
@@ -556,42 +574,63 @@ impl<R: Ring> RingList<R> {
             }
             // The ring's batch path found nothing: one scalar dequeue
             // settles emptiness (erratum double-check) and switches rings.
-            // It re-protects and clears HP_SLOT internally.
             match self.dequeue() {
                 Some(v) => {
                     out.push(v);
                     taken += 1;
                 }
-                None => break, // linearizable EMPTY
+                // Linearizable EMPTY; `dequeue` cleared HP_HEAD on it, the
+                // only way out of this loop with `taken < max`.
+                None => break,
             }
         }
-        self.domain.clear(HP_SLOT);
         taken
     }
 
     /// Whether the queue appears empty (racy snapshot; `dequeue` is the
     /// linearizable way to observe emptiness).
     pub fn is_empty_hint(&self) -> bool {
-        let ring = self.domain.protect(HP_SLOT, &self.head);
+        let ring = self.domain.protect(HP_HEAD, &self.head);
         // SAFETY: hazard-protected.
         let ring_ref = unsafe { &*ring };
         let next = ring_ref.next().load(Ordering::SeqCst);
         let empty = ring_ref.head_index() >= ring_ref.tail_index()
             && (next.is_null() || next == Self::SEALED);
-        self.domain.clear(HP_SLOT);
+        if empty {
+            self.domain.clear(HP_HEAD);
+        }
         empty
     }
 
-    /// Number of rings currently linked (diagnostic; racy).
+    /// Number of rings currently linked (diagnostic; a racy snapshot, but
+    /// safe to take while other threads enqueue, dequeue and retire rings).
     pub fn ring_count(&self) -> usize {
-        let mut count = 0;
-        let mut cur = self.head.load(Ordering::SeqCst);
-        while !cur.is_null() && cur != Self::SEALED {
-            count += 1;
-            // SAFETY: only used in quiescent diagnostics/tests; racing
-            // reclamation could invalidate this walk in live use.
-            cur = unsafe { (*cur).next().load(Ordering::SeqCst) };
-        }
+        let count = 'walk: loop {
+            // `start` stays pinned for the whole walk, so it cannot be
+            // recycled and `head == start` below cannot be an ABA.
+            let start = self.domain.protect(HP_HEAD, &self.head);
+            let (mut cur, mut count) = (start, 1);
+            loop {
+                // SAFETY: `cur` is `start`, or was published in HP_WALK
+                // while `head` was still `start` (below). `cur` is finished
+                // with once its `next` is read, so one moving slot suffices.
+                let next = unsafe { (*cur).next().load(Ordering::SeqCst) };
+                if next.is_null() || next == Self::SEALED {
+                    break 'walk count;
+                }
+                self.domain.protect_raw(HP_WALK, next as *mut ());
+                // Rings are retired in list order as `head` passes them:
+                // while `head` is `start`, no ring at or after it has been
+                // retired, so the publication above came in time.
+                if self.head.load(Ordering::SeqCst) != start {
+                    continue 'walk;
+                }
+                cur = next;
+                count += 1;
+            }
+        };
+        self.domain.clear(HP_HEAD);
+        self.domain.clear(HP_WALK);
         count
     }
 
@@ -625,11 +664,10 @@ impl<R: Ring> RingList<R> {
             }
             let ring = self.last_ring().expect("the twin never seals");
             if ring.enqueue(value).is_ok() {
-                self.domain.clear(HP_SLOT);
                 return Ok(());
             }
             if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
+                self.domain.clear(HP_TAIL);
                 return Err(value);
             }
             let newring = self.try_alloc_ring(&[value]).expect("no fail points");
@@ -646,7 +684,7 @@ impl<R: Ring> RingList<R> {
         // `last_ring` helps `tail` forward; closing the last ring ends the
         // walk, whether or not someone links behind it a moment later.
         self.last_ring().expect("the twin never seals").close();
-        self.domain.clear(HP_SLOT);
+        self.domain.clear(HP_TAIL);
         true
     }
 }
@@ -1152,6 +1190,54 @@ mod tests {
         assert_eq!(Lcrq::new().ring_pool().capacity(), 8);
         assert_eq!(Lscq::new().ring_pool().capacity(), 0);
         assert_eq!(Wcq::new().ring_pool().capacity(), 0);
+    }
+
+    /// What `f` counted on this thread.
+    fn counted(f: impl FnOnce()) -> metrics::Snapshot {
+        let before = metrics::local_snapshot();
+        f();
+        metrics::local_snapshot().delta_since(&before)
+    }
+
+    #[test]
+    fn steady_state_pairs_publish_each_slot_once() {
+        // The paper's cost model, as counts that repeat exactly: a pair on
+        // an unchanged ring is two F&As and two CAS2s, and the hazard slots
+        // are published once per ring, not once per call. With the slot
+        // cleared after every call (the list before it kept its slots) the
+        // first bracket below read HazardPublish 2000, one per call, beside
+        // the same Faa 2000 / Cas2Attempt 2000 — in debug and in --release.
+        let pair = |q: &Lcrq, i: u64| {
+            q.enqueue(i);
+            assert_eq!(q.dequeue(), Some(i));
+        };
+        let q = Lcrq::new();
+        pair(&q, 0); // warm-up: publishes HP_TAIL and HP_HEAD
+        let d = counted(|| (1..=1000).for_each(|i| pair(&q, i)));
+        assert_eq!(d.get(Event::HazardPublish), 0);
+        assert_eq!(d.get(Event::Faa), 2000);
+        assert_eq!(d.get(Event::Cas2Attempt), 2000);
+        assert_eq!(d.get(Event::Cas2Failure), 0);
+        // The warm-up pair inside the bracket: exactly the two publications.
+        let q = Lcrq::new();
+        let d = counted(|| (0..=1000).for_each(|i| pair(&q, i)));
+        assert_eq!(d.get(Event::HazardPublish), 2);
+        assert_eq!(d.get(Event::Faa), 2002);
+    }
+
+    #[test]
+    fn ring_churn_publishes_at_most_twice_per_ring() {
+        // R = 4, a backlog a hundred rings deep: each ring is published
+        // once by the thread as enqueuer and once as dequeuer.
+        let q = Lcrq::with_config(LcrqConfig::new().with_ring_order(2));
+        let d = counted(|| {
+            (0..400).for_each(|i| q.enqueue(i));
+            (0..400).for_each(|i| assert_eq!(q.dequeue(), Some(i)));
+        });
+        let rings = d.get(Event::RingAlloc) + d.get(Event::RingReuse);
+        assert!(rings >= 99, "R = 4 must spill: {rings}");
+        let published = d.get(Event::HazardPublish);
+        assert!(published <= 2 * rings + 4, "{published} for {rings} rings");
     }
 
     #[test]

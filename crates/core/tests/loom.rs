@@ -1,5 +1,6 @@
-//! Model-checked interleavings of the `RingPool` slot claim and of the list
-//! of rings' shutdown protocol, run by the ci.sh loom gate:
+//! Model-checked interleavings of the `RingPool` slot claim, of the list of
+//! rings' shutdown protocol and of its kept hazard slots, run by the ci.sh
+//! loom gate:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p lcrq-core --test loom -q
@@ -24,14 +25,31 @@
 //! once, and never after the consumer has concluded "closed and empty".
 //! The sealed protocol must hold it on every schedule; the planted
 //! flag-then-walk twin must be caught losing the item.
+//!
+//! **Kept slots.** The list leaves its hazard slots published between calls
+//! and `Domain::protect` publishes nothing while the slot already names the
+//! ring; the hazard slots come from the sync facade too, so the publish, the
+//! own-slot compare and every slot load of a scan are decision points. One
+//! model runs the list over watched rings (they count the threads inside
+//! them): a feeder enqueues twice, the second time through the elided
+//! publication, while a churner overflows the first ring, drains it, swings
+//! `head` past it and scans. Property: no ring is dropped with a thread
+//! inside it, and every `Ok` item is delivered exactly once. A second model
+//! cuts the rule down to one cell and one slot, so that the twin can be
+//! planted in it: enter, enter again (elided), clear, enter again, against
+//! replace + retire + scan. `protect` must hold it on every schedule; the
+//! planted twin that compares against a remembered copy of the pointer
+//! instead of the live slot must be caught entering a reclaimed ring.
 #![cfg(loom)]
 
 use lcrq_core::config::LcrqConfig;
 use lcrq_core::crq::{Crq, CrqClosed};
 use lcrq_core::pool::RingPool;
 use lcrq_core::{Ring, RingList};
+use lcrq_hazard::Domain;
 use lcrq_util::model::{thread, Builder, Report};
-use lcrq_util::sync::{AtomicPtr, Mutex};
+use lcrq_util::sync::{AtomicPtr, Mutex, Ordering};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -107,40 +125,78 @@ fn load_then_store_pop_is_caught_delivering_a_ring_twice() {
 
 /// A ring that accepts two enqueues in its lifetime and throws its tantrum
 /// at the third (no wrap-around, like a chunk of the Figure-2 infinite
-/// array). Trivially linearizable: one mutex around `(items, accepted,
-/// closed)`.
-struct TinyRing {
-    state: Mutex<(VecDeque<u64>, usize, bool)>,
-    next: AtomicPtr<TinyRing>,
+/// array). Trivially linearizable: one mutex around its whole state.
+///
+/// A `WATCHED` ring also counts the threads inside `enqueue`/`dequeue`.
+/// Entering and acting are two critical sections, so the scheduler can have
+/// the ring retired and reclaimed between them, and a reclaimed ring must be
+/// vacant.
+struct TinyRing<const WATCHED: bool = false> {
+    state: Mutex<TinyState>,
+    next: AtomicPtr<Self>,
 }
 
-impl Ring for TinyRing {
+#[derive(Default)]
+struct TinyState {
+    items: VecDeque<u64>,
+    accepted: usize,
+    closed: bool,
+    inside: usize,
+}
+
+impl<const WATCHED: bool> TinyRing<WATCHED> {
+    /// Runs `op` on the state, as a thread inside the ring if it is watched.
+    fn inside<T>(&self, op: impl FnOnce(&mut TinyState) -> T) -> T {
+        if WATCHED {
+            self.state.lock().unwrap().inside += 1;
+        }
+        let mut s = self.state.lock().unwrap();
+        if WATCHED {
+            s.inside -= 1;
+        }
+        op(&mut s)
+    }
+}
+
+impl<const WATCHED: bool> Drop for TinyRing<WATCHED> {
+    fn drop(&mut self) {
+        // Not while unwinding out of a failed execution: a second panic
+        // would abort the test process.
+        if !std::thread::panicking() {
+            let inside = self.state.get_mut().inside;
+            assert_eq!(inside, 0, "ring dropped while a thread is inside it");
+        }
+    }
+}
+
+impl<const WATCHED: bool> Ring for TinyRing<WATCHED> {
     fn new(_config: &LcrqConfig) -> Self {
         TinyRing {
-            state: Mutex::new((VecDeque::new(), 0, false)),
+            state: Mutex::new(TinyState::default()),
             next: AtomicPtr::new(core::ptr::null_mut()),
         }
     }
     fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
-        let mut s = self.state.lock().unwrap();
-        if s.1 == 2 {
-            s.2 = true;
-        }
-        if s.2 {
-            return Err(CrqClosed);
-        }
-        s.0.push_back(value);
-        s.1 += 1;
-        Ok(())
+        self.inside(|s| {
+            if s.accepted == 2 {
+                s.closed = true;
+            }
+            if s.closed {
+                return Err(CrqClosed);
+            }
+            s.items.push_back(value);
+            s.accepted += 1;
+            Ok(())
+        })
     }
     fn dequeue(&self) -> Option<u64> {
-        self.state.lock().unwrap().0.pop_front()
+        self.inside(|s| s.items.pop_front())
     }
     fn close(&self) {
-        self.state.lock().unwrap().2 = true;
+        self.state.lock().unwrap().closed = true;
     }
     fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().2
+        self.state.lock().unwrap().closed
     }
     fn next(&self) -> &AtomicPtr<Self> {
         &self.next
@@ -149,7 +205,7 @@ impl Ring for TinyRing {
         0
     }
     fn tail_index(&self) -> u64 {
-        self.state.lock().unwrap().0.len() as u64
+        self.state.lock().unwrap().items.len() as u64
     }
     fn name(_hierarchical: bool) -> &'static str {
         "tiny"
@@ -237,4 +293,127 @@ fn flag_then_walk_close_is_caught_losing_an_item() {
     };
     let msg = rejection(|| settle_model(unsealed, true));
     assert!(msg.contains("lost item"), "wrong failure: {msg}");
+}
+
+type WatchedRing = TinyRing<true>;
+
+#[test]
+fn kept_tail_slot_pins_its_ring_until_its_thread_moves_on() {
+    let report = Builder::new().check(|| {
+        let q = Arc::new(RingList::<WatchedRing>::new());
+        let (q1, q2) = (Arc::clone(&q), Arc::clone(&q));
+        // The second enqueue finds HP_TAIL still naming the tail ring and
+        // enters it without publishing anything.
+        let feeder = thread::spawn(move || [1, 2].map(|v| q1.try_enqueue(v).map_or(0, |()| v)));
+        let churner = thread::spawn(move || {
+            // Three enqueues overflow the first ring whatever the feeder
+            // put into it; three dequeues drain it, swing `head` past it
+            // and retire it.
+            [11, 12, 13].into_iter().for_each(|v| q2.enqueue(v));
+            let got = [(); 3].map(|()| q2.dequeue());
+            // No pool, so the list leaves retired rings to a scan: this
+            // one, which drops the first ring unless the feeder pins it.
+            q2.hazard_domain().scan();
+            got
+        });
+        let accepted = feeder.join().unwrap();
+        let got = churner.join().unwrap();
+        let mut delivered: Vec<u64> = got.into_iter().flatten().chain(q.drain()).collect();
+        delivered.sort_unstable();
+        let mut expected: Vec<u64> = accepted.into_iter().filter(|&v| v != 0).collect();
+        expected.extend([11, 12, 13]);
+        assert_eq!(delivered, expected, "an Ok item was lost or duplicated");
+    });
+    assert!(
+        report.executions > 1,
+        "must explore >1 interleaving: {report:?}"
+    );
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+/// How a thread protects the ring `src` names: `(domain, slot, src, last)`,
+/// where `last` is the caller's cell that only the twin uses.
+type Protect =
+    fn(&Domain, usize, &AtomicPtr<WatchedRing>, &Cell<*mut WatchedRing>) -> *mut WatchedRing;
+
+/// Reclaimer of [`keep_model`]: looks, does not free (the model's root does,
+/// at the end), so the planted twin is caught by this assertion and not by
+/// its victim touching freed memory.
+unsafe fn inspect(ring: *mut ()) {
+    // SAFETY: still allocated, see above.
+    let inside = unsafe { &*(ring as *const WatchedRing) }
+        .state
+        .lock()
+        .unwrap()
+        .inside;
+    assert_eq!(inside, 0, "ring reclaimed while a thread is inside it");
+}
+
+/// The list's keep rule cut down to one cell, where the twin can be planted:
+/// `cell` names the ring in use, as `tail` does. A user enters that ring
+/// three times under `protect` — the second time with its slot still in
+/// place, the third after clearing it, as a thread that saw the ring go out
+/// of use does — while a retirer replaces the ring, retires the old one and
+/// scans.
+fn keep_model(protect: Protect) -> Report {
+    Builder::new().check(move || {
+        let domain = Domain::new();
+        let rings = [(); 2].map(|()| Box::into_raw(Box::new(WatchedRing::new(&LcrqConfig::new()))));
+        let cell = Arc::new(AtomicPtr::new(rings[0]));
+        let user = {
+            let (domain, cell) = (domain.clone(), Arc::clone(&cell));
+            thread::spawn(move || {
+                let last = Cell::new(core::ptr::null_mut());
+                for (value, clear_first) in [(1, false), (2, false), (3, true)] {
+                    if clear_first {
+                        domain.clear(0);
+                    }
+                    let ring = protect(&domain, 0, &cell, &last);
+                    // SAFETY: protected; and if `protect` is the twin and it
+                    // is not, still allocated (see `inspect`).
+                    let _ = unsafe { &*ring }.enqueue(value);
+                }
+            })
+        };
+        let retirer = {
+            let (domain, cell, fresh) = (domain.clone(), Arc::clone(&cell), rings[1] as usize);
+            thread::spawn(move || {
+                let old = cell.swap(fresh as *mut WatchedRing, Ordering::SeqCst);
+                // SAFETY: unlinked by the swap, retired once, never freed by
+                // `inspect`.
+                unsafe { domain.retire_with(old as *mut (), inspect) };
+                domain.scan();
+            })
+        };
+        user.join().unwrap();
+        retirer.join().unwrap();
+        // The last handle: whatever is still retired is inspected now.
+        drop(domain);
+        for ring in rings {
+            // SAFETY: both threads are done and nothing else frees a ring.
+            drop(unsafe { Box::from_raw(ring) });
+        }
+    })
+}
+
+#[test]
+fn protect_keeps_a_ring_that_is_cleared_and_entered_again() {
+    let report = keep_model(|domain, slot, src, _| domain.protect(slot, src));
+    assert!(
+        report.executions > 1,
+        "must explore >1 interleaving: {report:?}"
+    );
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+#[test]
+fn remembered_pointer_is_caught_entering_a_reclaimed_ring() {
+    // The planted twin: the elision compares `src` against a remembered
+    // copy instead of the live slot. The clear empties the slot, the copy
+    // still matches, and the third entry goes in with nothing published.
+    let msg = rejection(|| keep_model(Domain::protect_remembering));
+    assert!(
+        msg.contains("reclaimed while a thread is inside"),
+        "wrong failure: {msg}"
+    );
 }

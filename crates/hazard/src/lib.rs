@@ -24,27 +24,57 @@
 //! dropping a `Domain` while worker threads are still parked is safe, and
 //! all remaining retired objects are freed when the last user goes away.
 //!
+//! # A publication already in place is not repeated
+//!
+//! [`Domain::protect`] first reads the source and compares it with what the
+//! calling thread's own slot holds; if the slot already names that
+//! (non-null) pointer it returns it and stores nothing. The invariant that
+//! makes this sound: every non-null store to a slot is `SeqCst` and made by
+//! the slot's owner (`protect`, `protect_raw`), so a slot that holds `p` has
+//! held it since such a store, and the source was read — `SeqCst`, `p` —
+//! after it. That is the very order publish → re-read establishes; a scan
+//! that misses the slot's store is ordered before it, and so is the unlink
+//! that scan followed, which the source read would then have seen.
+//! [`Domain::clear`] stores null, which never matches. The compare is
+//! against the live slot and nothing else: a copy of "the pointer I last
+//! protected" kept beside the slot survives a `clear` and then vouches for
+//! an empty slot (the planted twin lcrq-core's model checker must catch).
+//! A thread finds its record through a small thread-local cache keyed by
+//! domain id, so the whole call is a handful of loads.
+//!
 //! The MS-queue baseline and the LCRQ itself both reclaim through this
-//! module, so baseline-vs-LCRQ comparisons pay the identical reclamation
-//! cost, as in the paper's evaluation.
+//! module — same `Domain`, same `protect` — so baseline-vs-LCRQ comparisons
+//! pay the identical reclamation cost, as in the paper's evaluation. The
+//! elision fires whenever the protected object is unchanged since the
+//! slot's last use: for a list with a node per item that is never, for a
+//! list of rings it is 4095 operations in 4096 (an owner that wants it must
+//! leave its slot published between calls, as the list of rings does).
 
 #![warn(missing_docs)]
 
 use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use lcrq_util::metrics::{self, Event};
-use lcrq_util::sync::PtrCell;
-use std::cell::RefCell;
+// The slots and the record list's head come from the sync facade, so the
+// publish, the own-slot compare and a scan's slot loads are scheduler
+// decision points under `--cfg loom` (lcrq-core's tests/loom.rs).
+use lcrq_util::sync::{self, PtrCell};
+use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
 
-/// Hazard slots per thread record. LCRQ needs one (the CRQ about to be
-/// accessed); the MS queue needs two (a node and its successor); four leaves
-/// headroom for composed structures.
+/// Hazard slots per thread record. The list of rings keeps two (its head
+/// ring and its tail ring) and walks `ring_count` with a third; the MS queue
+/// needs two (a node and its successor); the optimistic queue uses all four.
 pub const SLOTS_PER_THREAD: usize = 4;
 
 struct Record {
     next: AtomicPtr<Record>,
     active: AtomicBool,
-    slots: [AtomicPtr<()>; SLOTS_PER_THREAD],
+    /// Invariant (what lets [`Domain::protect`] skip a publication that is
+    /// already in place): every non-null store to a slot is `SeqCst`
+    /// (`protect`, `protect_raw`) and made by the record's owner. The only
+    /// other stores are of null (`clear`, thread exit), which `protect`
+    /// never matches.
+    slots: [sync::AtomicPtr<()>; SLOTS_PER_THREAD],
 }
 
 impl Record {
@@ -52,7 +82,7 @@ impl Record {
         Self {
             next: AtomicPtr::new(core::ptr::null_mut()),
             active: AtomicBool::new(true),
-            slots: [const { AtomicPtr::new(core::ptr::null_mut()) }; SLOTS_PER_THREAD],
+            slots: [const { sync::AtomicPtr::new(core::ptr::null_mut()) }; SLOTS_PER_THREAD],
         }
     }
 }
@@ -67,7 +97,7 @@ struct Retired {
 unsafe impl Send for Retired {}
 
 struct Inner {
-    head: AtomicPtr<Record>,
+    head: sync::AtomicPtr<Record>,
     /// Number of records ever allocated (monotone; records are reused).
     num_records: AtomicUsize,
     orphans: Mutex<Vec<Retired>>,
@@ -111,6 +141,21 @@ static DOMAIN_IDS: AtomicUsize = AtomicUsize::new(1);
 thread_local! {
     /// One entry per domain this thread has touched.
     static THREAD_STATE: RefCell<Vec<ThreadEntry>> = const { RefCell::new(Vec::new()) };
+
+    /// `(domain id, this thread's record in it)`, direct-mapped by
+    /// `id % RECORD_CACHE_WAYS`, in front of the search through
+    /// `THREAD_STATE`; id 0 is no domain. Several ways, because a pipeline
+    /// stage or a sharded queue alternates domains on every call. It owns
+    /// nothing and has no destructor: [`ThreadEntry`]'s drop empties the way
+    /// that names it, so a hit always names a record this thread still holds.
+    static RECORD_CACHE: [Cell<(u64, *const Record)>; RECORD_CACHE_WAYS] =
+        const { [const { Cell::new((0, core::ptr::null())) }; RECORD_CACHE_WAYS] };
+}
+
+const RECORD_CACHE_WAYS: usize = 8;
+
+fn cache_way(id: u64) -> usize {
+    id as usize % RECORD_CACHE_WAYS
 }
 
 struct ThreadEntry {
@@ -121,6 +166,15 @@ struct ThreadEntry {
 
 impl Drop for ThreadEntry {
     fn drop(&mut self) {
+        // Before the record is released: a destructor that runs after this
+        // one must not find it through the cache once another thread may
+        // own it. Ids are never reused, so a way naming this id is ours.
+        RECORD_CACHE.with(|cache| {
+            let way = &cache[cache_way(self.inner.id)];
+            if way.get().0 == self.inner.id {
+                way.set((0, core::ptr::null()));
+            }
+        });
         // SAFETY: `record` points into `inner`'s record list, which lives as
         // long as the Arc we hold.
         unsafe {
@@ -151,7 +205,7 @@ impl Domain {
     pub fn new() -> Self {
         Self {
             inner: Arc::new(Inner {
-                head: AtomicPtr::new(core::ptr::null_mut()),
+                head: sync::AtomicPtr::new(core::ptr::null_mut()),
                 num_records: AtomicUsize::new(0),
                 orphans: Mutex::new(Vec::new()),
                 id: DOMAIN_IDS.fetch_add(1, Ordering::Relaxed) as u64,
@@ -226,10 +280,28 @@ impl Domain {
         })
     }
 
+    /// The calling thread's record: one compare when the cache names it.
+    #[inline]
     fn my_record(&self) -> &Record {
-        let ptr = self.with_entry(|e| e.record);
+        let id = self.inner.id;
+        let (cached, record) = RECORD_CACHE.with(|cache| cache[cache_way(id)].get());
+        if cached == id {
+            // SAFETY: a way names a record only while this thread's entry
+            // for the domain lives (its drop empties the way), and records
+            // live as long as `inner`, which we hold.
+            unsafe { &*record }
+        } else {
+            self.my_record_uncached()
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn my_record_uncached(&self) -> &Record {
+        let record = self.with_entry(|e| e.record);
+        RECORD_CACHE.with(|cache| cache[cache_way(self.inner.id)].set((self.inner.id, record)));
         // SAFETY: records live as long as `inner`, which we hold.
-        unsafe { &*ptr }
+        unsafe { &*record }
     }
 
     /// Publishes `ptr` in hazard `slot` of the calling thread, with
@@ -237,6 +309,7 @@ impl Domain {
     /// cannot be reordered before the publication.
     pub fn protect_raw(&self, slot: usize, ptr: *mut ()) {
         self.my_record().slots[slot].store(ptr, Ordering::SeqCst);
+        metrics::inc(Event::HazardPublish);
     }
 
     /// Protects the pointer currently stored in `src`: publish, fence,
@@ -244,11 +317,24 @@ impl Domain {
     /// safe to dereference until [`clear`](Self::clear) (or the next
     /// `protect` on the same slot), provided objects are only freed via
     /// [`retire`](Self::retire) on this domain.
+    ///
+    /// A publication already in place is not repeated: if the slot holds
+    /// the non-null pointer `src` names now, it has held it since an
+    /// earlier `SeqCst` store (the invariant at `Record::slots`) and `src`
+    /// was read after that store — which is all publish → re-read
+    /// establishes.
+    #[inline]
     pub fn protect<T>(&self, slot: usize, src: &impl PtrCell<T>) -> *mut T {
         let hazard = &self.my_record().slots[slot];
-        let mut ptr = src.load(Ordering::Acquire);
+        let mut ptr = src.load(Ordering::SeqCst);
+        // Only this thread stores to its slots, so `Relaxed` reads its own
+        // latest store.
+        if !ptr.is_null() && hazard.load(Ordering::Relaxed) == ptr as *mut () {
+            return ptr;
+        }
         loop {
             hazard.store(ptr as *mut (), Ordering::SeqCst);
+            metrics::inc(Event::HazardPublish);
             // Fail point inside the publish→revalidate window. A `Stall`
             // here parks the thread *holding a published hazard* — the
             // adversary that inflates retired lists, which scans must
@@ -262,9 +348,38 @@ impl Domain {
         }
     }
 
+    /// The planted-bug twin of [`protect`](Self::protect)'s elision,
+    /// reachable only by the model checker (lcrq-core's `tests/loom.rs`
+    /// asserts it is caught): the last pointer protected is remembered in
+    /// `last`, a cell of the caller's *beside* the slot, and a source that
+    /// still names it skips the publication. [`clear`](Self::clear) empties
+    /// the slot and knows nothing of the cell, so after it an unchanged
+    /// source is returned with nothing published.
+    #[cfg(loom)]
+    #[doc(hidden)]
+    pub fn protect_remembering<T>(
+        &self,
+        slot: usize,
+        src: &impl PtrCell<T>,
+        last: &Cell<*mut T>,
+    ) -> *mut T {
+        let ptr = src.load(Ordering::SeqCst);
+        if ptr.is_null() || last.get() != ptr {
+            last.set(self.protect(slot, src));
+        }
+        last.get()
+    }
+
     /// Clears hazard `slot` of the calling thread.
     pub fn clear(&self, slot: usize) {
         self.my_record().slots[slot].store(core::ptr::null_mut(), Ordering::Release);
+    }
+
+    /// What hazard `slot` of the calling thread holds (null when clear): how
+    /// a structure that keeps a slot published between calls asks whether it
+    /// still pins an object it is about to retire.
+    pub fn protected(&self, slot: usize) -> *mut () {
+        self.my_record().slots[slot].load(Ordering::Relaxed)
     }
 
     /// Retires a `Box`-allocated object: it will be dropped (via
@@ -687,6 +802,117 @@ mod tests {
         unsafe { d.retire(p) };
         d.eager_reclaim();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    /// `HazardPublish` events `f` counted on this thread.
+    fn publishes(f: impl FnOnce()) -> u64 {
+        let before = metrics::local_snapshot();
+        f();
+        let delta = metrics::local_snapshot().delta_since(&before);
+        delta.get(Event::HazardPublish)
+    }
+
+    #[test]
+    fn protect_of_an_unchanged_source_publishes_once() {
+        let d = Domain::new();
+        let (mut x, mut y) = (1u64, 2u64);
+        let (a, b): (*mut u64, *mut u64) = (&mut x, &mut y);
+        let src = AtomicPtr::new(a);
+        assert_eq!(publishes(|| assert_eq!(d.protect(0, &src), a)), 1);
+        // Same slot, same source, unchanged: the publication is in place.
+        assert_eq!(publishes(|| assert_eq!(d.protect(0, &src), a)), 0);
+        assert_eq!(d.protected(0), a as *mut ());
+        // A cleared slot matches nothing.
+        d.clear(0);
+        assert_eq!(publishes(|| assert_eq!(d.protect(0, &src), a)), 1);
+        // The source moved: the new pointer is published and returned.
+        src.store(b, Ordering::SeqCst);
+        assert_eq!(publishes(|| assert_eq!(d.protect(0, &src), b)), 1);
+        assert_eq!(d.protected(0), b as *mut ());
+        // The slot was given to something else in between.
+        assert_eq!(publishes(|| d.protect_raw(0, a as *mut ())), 1);
+        assert_eq!(publishes(|| assert_eq!(d.protect(0, &src), b)), 1);
+        // Another slot's publication does not stand in for this one's.
+        assert_eq!(publishes(|| assert_eq!(d.protect(1, &src), b)), 1);
+        // A null source is never "already published" by a clear slot.
+        d.clear(0);
+        src.store(core::ptr::null_mut(), Ordering::SeqCst);
+        assert_eq!(publishes(|| assert!(d.protect(0, &src).is_null())), 1);
+    }
+
+    #[test]
+    fn interleaved_domains_keep_their_own_records() {
+        // More domains than the record cache has ways, used round-robin on
+        // one thread, so every way is evicted and refilled many times over.
+        let n = 2 * RECORD_CACHE_WAYS + 1;
+        let domains: Vec<Domain> = (0..n).map(|_| Domain::new()).collect();
+        let drops = Arc::new(AtomicUsize::new(0));
+        for round in 0..3 {
+            // Object `own[i]` is held by a slot of domain i; `other[i]` only
+            // by a slot of domain i + 1, which shields nothing in domain i.
+            let own: Vec<*mut Counted> = (0..n).map(|_| counted(&drops)).collect();
+            let other: Vec<*mut Counted> = (0..n).map(|_| counted(&drops)).collect();
+            for i in 0..n {
+                domains[i].protect_raw(0, own[i] as *mut ());
+                domains[(i + 1) % n].protect_raw(1, other[i] as *mut ());
+            }
+            for (i, d) in domains.iter().enumerate() {
+                unsafe {
+                    d.retire(own[i]);
+                    d.retire(other[i]);
+                }
+                assert_eq!(d.scan(), 1, "round {round}, domain {i}");
+                assert_eq!(d.retired_count(), 1);
+            }
+            for d in &domains {
+                d.clear(0);
+                d.clear(1);
+                assert_eq!(d.scan(), 1);
+                assert_eq!(d.record_count(), 1);
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), (round + 1) * 2 * n);
+        }
+    }
+
+    #[test]
+    fn exited_thread_leaves_no_cached_record_behind() {
+        use std::sync::mpsc::channel;
+        let d = Domain::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        // Addresses travel as numbers: the threads publish, never touch.
+        let (a_obj, b_obj) = (counted(&drops), counted(&drops));
+        let (a_addr, b_addr) = (a_obj as usize, b_obj as usize);
+        {
+            // Thread A publishes and exits still holding its slot.
+            let d = d.clone();
+            std::thread::spawn(move || d.protect_raw(0, a_addr as *mut ()))
+                .join()
+                .unwrap();
+        }
+        // Thread B takes over the record A released, and publishes in it.
+        let (published, wait_published) = channel::<()>();
+        let (release, wait_release) = channel::<()>();
+        let b = {
+            let d = d.clone();
+            std::thread::spawn(move || {
+                assert!(d.protected(0).is_null(), "A's exit emptied the slot");
+                d.protect_raw(0, b_addr as *mut ());
+                published.send(()).unwrap();
+                wait_release.recv().unwrap();
+            })
+        };
+        wait_published.recv().unwrap();
+        assert_eq!(d.record_count(), 1, "B reuses A's record");
+        unsafe {
+            d.retire(a_obj);
+            d.retire(b_obj);
+        }
+        assert_eq!(d.scan(), 1, "A pins nothing any more, B pins its object");
+        assert_eq!(d.retired_count(), 1);
+        release.send(()).unwrap();
+        b.join().unwrap();
+        assert_eq!(d.scan(), 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -103,9 +103,13 @@ pub enum Event {
     /// A wCQ request record reached a terminal phase (done / ring-closed),
     /// whichever thread got it there.
     HelpFinalized,
+    /// A hazard slot was published (the `SeqCst` store in
+    /// `Domain::protect`/`protect_raw`). A `protect` that finds its slot
+    /// already naming the source's pointer publishes nothing.
+    HazardPublish,
 }
 
-const NUM_EVENTS: usize = Event::HelpFinalized as usize + 1;
+const NUM_EVENTS: usize = Event::HazardPublish as usize + 1;
 
 const EVENT_NAMES: [&str; NUM_EVENTS] = [
     "faa",
@@ -143,6 +147,7 @@ const EVENT_NAMES: [&str; NUM_EVENTS] = [
     "help_announce",
     "help_granted",
     "help_finalized",
+    "hazard_publish",
 ];
 
 thread_local! {

@@ -262,7 +262,9 @@ thread_local! {
 }
 
 fn ctx() -> Option<(Arc<Exec>, usize)> {
-    CTX.with(|c| c.borrow().clone())
+    // `try_with`: a shim op in some other thread-local's destructor may run
+    // after `CTX` itself is gone, and is then simply not instrumented.
+    CTX.try_with(|c| c.borrow().clone()).ok().flatten()
 }
 
 fn lock_st(e: &Exec) -> std::sync::MutexGuard<'_, ExecState> {
@@ -589,19 +591,27 @@ pub mod thread {
             st.threads.len() - 1
         };
         let result: Arc<StdMutex<Option<std::thread::Result<T>>>> = Arc::new(StdMutex::new(None));
-        let (e2, r2) = (Arc::clone(&exec), Arc::clone(&result));
+        let (e2, e3, r2) = (Arc::clone(&exec), Arc::clone(&exec), Arc::clone(&result));
         let real = std::thread::spawn(move || {
-            CTX.with(|c| *c.borrow_mut() = Some((Arc::clone(&e2), tid)));
-            e2.initial_wait(tid);
-            let r = panic::catch_unwind(AssertUnwindSafe(f));
-            if let Err(p) = &r {
-                if p.downcast_ref::<ModelAbort>().is_none() {
-                    e2.record_panic(panic_message(p.as_ref()));
+            // The body runs on an OS thread of its own, joined before the
+            // scheduler hears the modeled thread finished: its thread-local
+            // destructors (a hazard record going back to its domain, for the
+            // next thread to reuse) then run at a fixed point of the
+            // schedule instead of racing the threads still in it.
+            let body = std::thread::spawn(move || {
+                CTX.with(|c| *c.borrow_mut() = Some((Arc::clone(&e3), tid)));
+                e3.initial_wait(tid);
+                let r = panic::catch_unwind(AssertUnwindSafe(f));
+                if let Err(p) = &r {
+                    if p.downcast_ref::<ModelAbort>().is_none() {
+                        e3.record_panic(panic_message(p.as_ref()));
+                    }
                 }
-            }
-            *r2.lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
+                *r2.lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
+                CTX.with(|c| *c.borrow_mut() = None);
+            });
+            let _ = body.join();
             e2.finish(tid);
-            CTX.with(|c| *c.borrow_mut() = None);
         });
         exec.handles
             .lock()

@@ -243,6 +243,149 @@ fn full_pool_refuses_rings_without_scrubbing_them() {
     assert_eq!(q.ring_pool().len(), 2);
 }
 
+// --- What a kept hazard slot pins. The list leaves its head and tail slots
+// published between calls (DESIGN.md "List of rings"), so an idle thread can
+// hold back the ring it last used, and nothing else. Pool capacity 64: a
+// reclaimed ring is scrubbed into the pool, which the scanning thread counts.
+
+fn pinning_queue() -> Lcrq {
+    Lcrq::with_config(
+        LcrqConfig::new()
+            .with_ring_order(2) // R = 4
+            .with_ring_pool_capacity(64),
+    )
+}
+
+/// Main's side of the pinning tests: spill `q` ten rings past wherever it
+/// is, drain it dry, scan. Returns `(rings retired, rings scrubbed)`; what
+/// was retired and not scrubbed is still in main's retired list.
+fn spill_drain_scan(q: &Lcrq) -> (u64, u64) {
+    let before = metrics::local_snapshot();
+    for i in 0..40 {
+        q.enqueue(i);
+    }
+    let rings = q.ring_count() as u64;
+    assert!(rings >= 10);
+    assert!(q.drain().count() >= 40);
+    q.hazard_domain().scan();
+    let d = metrics::local_snapshot().delta_since(&before);
+    assert_eq!(q.ring_count(), 1, "drained down to the last ring");
+    (rings - 1, d.get(Event::RingScrub))
+}
+
+#[test]
+fn idle_producer_pins_only_the_ring_it_last_used() {
+    use std::sync::mpsc::channel;
+    let q = &pinning_queue();
+    let (to_t1, t1_inbox) = channel::<()>();
+    let (to_main, inbox) = channel::<()>();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for _ in 0..2 {
+                q.enqueue(7); // keeps HP_TAIL on the ring it went into
+                to_main.send(()).unwrap();
+                t1_inbox.recv().unwrap();
+            }
+        });
+        inbox.recv().unwrap();
+        // T1 idles on the first ring while main retires it and nine more.
+        let (retired, scrubbed) = spill_drain_scan(q);
+        assert_eq!(scrubbed, retired - 1, "every retired ring but T1's");
+        assert_eq!(q.hazard_domain().retired_count(), 1);
+        // T1's next enqueue moves its slot to the ring in use now.
+        to_t1.send(()).unwrap();
+        inbox.recv().unwrap();
+        let before = metrics::local_snapshot();
+        q.hazard_domain().scan();
+        let d = metrics::local_snapshot().delta_since(&before);
+        assert_eq!(d.get(Event::RingScrub), 1);
+        assert_eq!(q.hazard_domain().retired_count(), 0);
+        to_t1.send(()).unwrap();
+    });
+}
+
+#[test]
+fn consumer_that_saw_empty_pins_nothing() {
+    use std::sync::mpsc::channel;
+    let q = &pinning_queue();
+    q.enqueue(7);
+    let (to_t1, t1_inbox) = channel::<()>();
+    let (to_main, inbox) = channel::<()>();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            // Publishes HP_HEAD on the first ring; the EMPTY clears it.
+            assert_eq!(q.dequeue(), Some(7));
+            assert_eq!(q.dequeue(), None);
+            to_main.send(()).unwrap();
+            t1_inbox.recv().unwrap();
+        });
+        inbox.recv().unwrap();
+        let (retired, scrubbed) = spill_drain_scan(q);
+        assert_eq!(scrubbed, retired);
+        assert_eq!(q.hazard_domain().retired_count(), 0);
+        to_t1.send(()).unwrap();
+    });
+}
+
+#[test]
+fn exited_thread_pins_nothing() {
+    let q = Arc::new(pinning_queue());
+    // Exits with both slots published on the first ring. Joined by handle:
+    // that waits for the thread's destructors, which a scope's end does not.
+    let t1 = {
+        let q = Arc::clone(&q);
+        std::thread::spawn(move || {
+            q.enqueue(7);
+            q.enqueue(8);
+            assert_eq!(q.dequeue(), Some(7));
+        })
+    };
+    t1.join().unwrap();
+    let (retired, scrubbed) = spill_drain_scan(&q);
+    assert_eq!(scrubbed, retired);
+    assert_eq!(q.hazard_domain().retired_count(), 0);
+}
+
+#[test]
+fn ring_count_is_safe_against_concurrent_head_swings() {
+    // A guard, not a proof: `ring_count` (and `Debug`, which calls it) used
+    // to walk the chain unprotected, so with retired rings really freed
+    // (pool capacity 0) this was a read of freed memory that might or might
+    // not crash. Now the walk is hazard-protected and every answer must be a
+    // chain length that can have existed.
+    use std::sync::atomic::AtomicBool;
+    let q = Lcrq::with_config(
+        LcrqConfig::new()
+            .with_ring_order(2)
+            .with_ring_pool_capacity(0),
+    );
+    let stop = AtomicBool::new(false);
+    let (linked, (least, most)) = std::thread::scope(|s| {
+        let churner = s.spawn(|| {
+            let before = metrics::local_snapshot();
+            churn_rounds(&q, 20_000);
+            stop.store(true, Ordering::SeqCst);
+            // No pool: every ring ever linked after the first was allocated.
+            let d = metrics::local_snapshot().delta_since(&before);
+            1 + d.get(Event::RingAlloc) as usize
+        });
+        let reader = s.spawn(|| {
+            let (mut least, mut most) = (usize::MAX, 0);
+            while !stop.load(Ordering::SeqCst) {
+                let n = q.ring_count();
+                (least, most) = (least.min(n), most.max(n));
+                assert!(format!("{q:?}").contains("rings"));
+            }
+            (least, most)
+        });
+        (churner.join().unwrap(), reader.join().unwrap())
+    });
+    assert!(1 <= least && most <= linked, "{least}..={most} of {linked}");
+    // 16 items in flight at most: five rings of four, and the walk may
+    // count a ring or two linked behind it while head stood still.
+    assert!(most <= 8, "a chain of {most} rings never existed");
+}
+
 // --- ABA regression: a reader stalled with a hazard pointer on a ring must
 // not observe scrubbed/reused tuples after the ring is recycled. -----------
 
