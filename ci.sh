@@ -14,17 +14,18 @@
 # | release build   | cargo build --release                                | every lib and bench bin compiles optimised (later gates run them) | 76 |
 # | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench  | 13 |
 # | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
+# | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing in the optimised build either |  8 |
 # | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) | 20 runs each: a 1-in-6 flake cannot pass        | 33 |
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4; shard_scaling   | four replay seeds; analytic-envelope check, BENCH_shard.json  |  1 |
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
-# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 67 |
+# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 95 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
 # | bench smoke     | 13 bins --smoke                                      | every bin still runs and parses its flags                     |  1 |
 # | arena           | pairwise --gate on the two committed fixtures        | the gate can still fail (planted drop) and still pass (identity) |  0 |
 # | nm probe        | nm on the release `progress` test binary             | no fault-registry symbol in the default build                 |  9 |
 # | objdump probe   | objdump -d on every target/release bin + that test binary | no `cmpxchg16b (%rbx)` anywhere, not only in `pairwise`  |  2 |
-# | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints                                                        |  5 |
+# | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints; again under --cfg loom for the crates with a loom suite |  8 |
 # | fmt             | cargo fmt --all --check                              | formatting                                                    |  1 |
 # | TSan, ASan/LSan, Miri, aarch64 | guarded by installed toolchains       | skipped on this host (no nightly, no aarch64 target)          |  0 |
 set -euo pipefail
@@ -53,6 +54,14 @@ cargo test -q
 # other member crates instead of running those suites a second time.
 echo "==> cargo test --workspace --exclude lcrq --exclude lcrq-bench -q"
 cargo test --workspace --exclude lcrq --exclude lcrq-bench -q
+
+# Channel gate: what a message costs the allocator. tests/typed_inline.rs
+# (a test binary of its own: it installs a counting global allocator) ran
+# in tier-1 as a debug build; the zero allocations of a scalar message rest
+# on `Typed`'s type test folding away and the tag check being the only
+# branch left, so the optimised build is asked too.
+echo "==> channel gate (typed_inline --release)"
+cargo test --release --test typed_inline -q
 
 # Repeat-run gate (ROADMAP "tier-1 is green on every run"): the two suites
 # that used to fail one run in N each run 20 times under distinct seeds, so
@@ -120,10 +129,16 @@ seed_sweep "stress sweep" "0x1 0x2 0x3 0x5EED 0xC0FFEE 0xDEADBEEF 0xFA175EED 0xF
 # poll (plus the planted flag-then-walk twin, which it must catch losing an
 # item), the list's kept hazard slots against a concurrent retire and scan
 # (plus the planted remembered-pointer twin of `Domain::protect`'s elision,
-# which it must catch entering a reclaimed ring), and the channel's async
+# which it must catch entering a reclaimed ring), the channel's async
 # wait protocol: `poll_until` against a
 # notify and `release` of a woken future against a second waiter (plus the
-# no-re-attempt and no-pass-on twins, which it must catch losing a wakeup).
+# no-re-attempt and no-pass-on twins, which it must catch losing a wakeup),
+# and the bounded channel's capacity gate: two senders and a receiver over
+# a one-slot `Credit` never exceed the capacity and all finish (plus the
+# planted twin that answers "full" from its stale copy of `received`, which
+# it must catch stranding a sender), and a refused `try_send` racing a
+# `send` wakes the sender its overdraft hid room from (plus the twin that
+# does not look back).
 # `--cfg loom` swaps the lcrq-util sync facade to the instrumented shims
 # (the crossbeam convention); the engine's own self-tests already ran in
 # tier-1 above.
@@ -216,6 +231,10 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+# The loom suites and the `cfg(loom)` twins are compiled out of the pass
+# above.
+RUSTFLAGS="--cfg loom" cargo clippy -p lcrq-util -p lcrq-atomic -p lcrq-hazard \
+    -p lcrq-core -p lcrq-channel --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

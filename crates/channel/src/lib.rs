@@ -9,8 +9,9 @@
 //! 1. **Sync blocking layer** — [`Sender::send`] / [`Receiver::recv`] (plus
 //!    `try_*` and [`Receiver::recv_timeout`]), each one call of the crate's
 //!    single wait ladder (`wait.rs`, `WaitQueue::block_until`): attempt →
-//!    [`Backoff`](lcrq_util::backoff::Backoff) (spin, then yield) → park on
-//!    an [`EventCount`](lcrq_util::parker::EventCount). A parked consumer
+//!    7 × ([`Backoff`](lcrq_util::backoff::Backoff) spin, attempt) → park
+//!    on an [`EventCount`](lcrq_util::parker::EventCount); it never yields
+//!    the CPU in between. A parked consumer
 //!    costs **zero** F&A — it touches no queue state until woken — and the
 //!    event-count's prepare/attempt/park protocol makes the park race-free
 //!    against concurrent sends (no lost wakeup; see DESIGN.md "Channel
@@ -23,8 +24,14 @@
 //! 3. **Lifecycle** — `close()`/drop-based shutdown reusing the CRQ tantrum
 //!    `CLOSED` mechanism to fence producers, draining stragglers exactly
 //!    once, with typed [`SendError`]/[`RecvError::Disconnected`], plus an
-//!    optional [`bounded`] variant whose backpressure is a single F&A
-//!    credit counter (no CAS loop).
+//!    optional [`bounded`] variant whose backpressure is two F&A counters,
+//!    one written by senders and one by receivers (`credit.rs`; no CAS
+//!    loop, and no cache line both sides write).
+//!
+//! A message that is a primitive scalar (`u64`, `i32`, `f64`, `bool`, …)
+//! travels as the queue word itself and is never allocated; anything else
+//! is boxed by the sender and freed by the receiver (see
+//! [`lcrq_core::typed`]). Send an index or a `Box<T>` for anything bigger.
 //!
 //! Batch APIs ([`Sender::send_batch`], [`Receiver::recv_batch`]) ride the
 //! core's multi-slot reservations, preserving the F&A-per-op win.
@@ -41,6 +48,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod credit;
 mod error;
 mod future;
 mod wait;
@@ -48,30 +56,30 @@ mod waker;
 
 pub use error::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
 pub use future::{block_on, RecvFuture, SendFuture};
-/// The wait protocol, exported to the model checker only (`tests/loom.rs`).
+/// The wait protocol and the capacity gate, exported to the model checker
+/// only (`tests/loom.rs`).
 #[cfg(loom)]
 #[doc(hidden)]
-pub use {wait::WaitQueue, waker::Registration};
+pub use {credit::Credit, wait::WaitQueue, waker::Registration};
 
-use core::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicUsize, Ordering};
 use core::task::{Context, Poll};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lcrq_core::{Crq, LcrqConfig, Ring, Typed};
 use lcrq_util::metrics::{self, Event};
-use lcrq_util::CachePadded;
 
 /// State shared by all handles of one channel.
 struct Shared<T: Send, R: Ring> {
     queue: Typed<T, R>,
-    /// `None` for unbounded channels (the credit counter is then unused and
-    /// the send path performs no extra atomics).
+    /// `None` for unbounded channels (the capacity gate is then unused and
+    /// the send and receive paths perform no extra atomics). Lives here,
+    /// among fields nobody writes while the channel runs, because both
+    /// sides read it on every call.
     capacity: Option<u64>,
-    /// Remaining capacity of a bounded channel. Acquired by senders with
-    /// `fetch_sub` (F&A, never a CAS loop) and repaid by receivers with
-    /// `fetch_add`; a non-positive result means "full, undo and wait".
-    credits: CachePadded<AtomicI64>,
+    /// The capacity gate of a bounded channel.
+    credit: credit::Credit,
     not_empty: wait::WaitQueue,
     not_full: wait::WaitQueue,
     senders: AtomicUsize,
@@ -111,10 +119,10 @@ impl<T: Send, R: Ring> Shared<T, R> {
         }
     }
 
-    /// Post-dequeue bookkeeping: repay credits and unblock senders.
+    /// Post-dequeue bookkeeping: make room and unblock senders.
     fn on_dequeued(&self, n: u64) {
         if self.capacity.is_some() {
-            self.credits.fetch_add(n as i64, Ordering::SeqCst);
+            self.credit.on_received(n);
             if n == 1 {
                 self.not_full.notify_one();
             } else {
@@ -123,19 +131,15 @@ impl<T: Send, R: Ring> Shared<T, R> {
         }
     }
 
-    /// One nonblocking send attempt: acquire a credit (bounded only), then
+    /// One nonblocking send attempt: acquire room (bounded only), then
     /// enqueue, then wake one consumer. Failures hand the value back.
     fn try_send_inner(&self, value: T) -> Result<(), TrySendError<T>> {
-        if self.capacity.is_some() {
-            let prev = self.credits.fetch_sub(1, Ordering::SeqCst);
-            if prev <= 0 {
-                self.credits.fetch_add(1, Ordering::SeqCst);
-                return Err(if self.queue.is_closed() {
-                    TrySendError::Closed(value)
-                } else {
-                    TrySendError::Full(value)
-                });
-            }
+        if self.capacity.is_some() && self.credit.acquire(1) == 0 {
+            return Err(if self.queue.is_closed() {
+                TrySendError::Closed(value)
+            } else {
+                TrySendError::Full(value)
+            });
         }
         match self.queue.try_enqueue(value) {
             Ok(()) => {
@@ -144,7 +148,7 @@ impl<T: Send, R: Ring> Shared<T, R> {
             }
             Err(v) => {
                 if self.capacity.is_some() {
-                    self.credits.fetch_add(1, Ordering::SeqCst);
+                    self.credit.give_back(1);
                 }
                 Err(TrySendError::Closed(v))
             }
@@ -215,8 +219,9 @@ pub fn channel_with_backend<T: Send, R: Ring>(
 }
 
 /// Creates a bounded channel holding at most `capacity` items: sends block
-/// (or report `Full`) once the credit counter is exhausted, giving
-/// backpressure with one F&A per send/recv pair and no CAS loop.
+/// (or report `Full`) while that many are in flight. The backpressure costs
+/// one F&A a send and one a receive, each on its own side's cache line, and
+/// no CAS loop.
 ///
 /// # Panics
 ///
@@ -245,7 +250,6 @@ pub fn bounded_with_backend<T: Send, R: Ring>(
     config: LcrqConfig,
 ) -> (Sender<T, R>, Receiver<T, R>) {
     assert!(capacity > 0, "bounded channel capacity must be at least 1");
-    assert!(capacity as u64 <= i64::MAX as u64, "capacity too large");
     with_queue(Typed::with_config(config), Some(capacity as u64))
 }
 
@@ -256,7 +260,7 @@ fn with_queue<T: Send, R: Ring>(
     let shared = Arc::new(Shared {
         queue,
         capacity,
-        credits: CachePadded::new(AtomicI64::new(capacity.unwrap_or(0) as i64)),
+        credit: credit::Credit::new(capacity.unwrap_or(0)),
         not_empty: Default::default(),
         not_full: Default::default(),
         senders: AtomicUsize::new(1),
@@ -296,13 +300,22 @@ impl<T: Send, R: Ring> Sender<T, R> {
     /// Nonblocking send: fails with [`TrySendError::Full`] instead of
     /// waiting when a bounded channel is at capacity.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        self.shared.try_send_inner(value)
+        let sent = self.shared.try_send_inner(value);
+        // A refused attempt overdraws the gate for a moment, and a sender
+        // whose last attempt before parking fell into that moment sleeps
+        // beside room it could not see. Every other refused attempt is
+        // retried by its caller and takes that room itself; this one is
+        // not, so it wakes that sender on its way out.
+        if matches!(sent, Err(TrySendError::Full(_))) && self.shared.credit.has_room() {
+            self.shared.not_full.notify_one();
+        }
+        sent
     }
 
     /// Sends every value of `values` through the core's multi-slot batch
     /// reservations (one F&A per reservation instead of one per item; see
-    /// [`Typed::extend`]). On a bounded channel, credits for the whole
-    /// batch are acquired with bulk F&As, blocking as needed.
+    /// [`Typed::extend`]). On a bounded channel, room for the whole batch
+    /// is acquired with bulk F&As, blocking as needed.
     ///
     /// If the channel closes partway, `Err` returns the **unsent suffix**
     /// in order; the sent prefix will be delivered to receivers normally.
@@ -324,27 +337,18 @@ impl<T: Send, R: Ring> Sender<T, R> {
                 }
             };
         }
-        // Bounded: acquire credits in bulk (clamped to what is available),
+        // Bounded: acquire room in bulk (clamped to what is available),
         // send that many, park for the rest.
+        let credit = &self.shared.credit;
         let mut rest = values;
         loop {
-            let want = rest.len() as i64;
-            let prev = self.shared.credits.fetch_sub(want, Ordering::SeqCst);
-            let granted = prev.clamp(0, want);
-            if granted < want {
-                // Repay the overdraft beyond what was actually available.
-                self.shared
-                    .credits
-                    .fetch_add(want - granted, Ordering::SeqCst);
-            }
+            let granted = credit.acquire(rest.len() as u64) as usize;
             if granted > 0 {
-                let chunk: Vec<T> = rest.drain(..granted as usize).collect();
+                let chunk: Vec<T> = rest.drain(..granted).collect();
                 match self.shared.queue.try_extend(chunk) {
                     Ok(()) => self.shared.not_empty.notify_all(),
                     Err(mut rejected) => {
-                        self.shared
-                            .credits
-                            .fetch_add(rejected.len() as i64, Ordering::SeqCst);
+                        credit.give_back(rejected.len() as u64);
                         self.shared.not_empty.notify_all();
                         rejected.append(&mut rest);
                         return Err(SendError(rejected));
@@ -354,13 +358,13 @@ impl<T: Send, R: Ring> Sender<T, R> {
             if rest.is_empty() {
                 return Ok(());
             }
-            // Wait until the channel closes (`Some(true)`) or credit comes
+            // Wait until the channel closes (`Some(true)`) or room comes
             // back (`Some(false)`).
             let closed = self.shared.not_full.block_until(None, || {
                 if self.shared.queue.is_closed() {
                     Some(true)
                 } else {
-                    (self.shared.credits.load(Ordering::SeqCst) > 0).then_some(false)
+                    credit.has_room().then_some(false)
                 }
             });
             if closed.expect("a wait without a deadline cannot time out") {
@@ -432,7 +436,7 @@ pub struct Receiver<T: Send, R: Ring = Crq> {
 
 impl<T: Send, R: Ring> Receiver<T, R> {
     /// Receives the next item, blocking while the channel is empty. The
-    /// wait ladder escalates attempt → spin → yield → park; a parked
+    /// wait ladder escalates attempt → 7 × (spin, attempt) → park; a parked
     /// receiver performs no queue operations (zero F&A) until a sender
     /// wakes it. Fails only when the channel is closed **and** drained.
     pub fn recv(&self) -> Result<T, RecvError> {
@@ -741,7 +745,7 @@ mod tests {
             }
             got
         });
-        tx.send_batch((0..100).collect()).unwrap(); // blocks on credits
+        tx.send_batch((0..100).collect()).unwrap(); // blocks for room
         drop(tx);
         assert_eq!(consumer.join().unwrap(), (0..100).collect::<Vec<u64>>());
     }

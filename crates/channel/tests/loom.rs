@@ -1,20 +1,35 @@
-//! Model-checked interleavings of the async half of the channel's wait
-//! protocol (`WaitQueue::poll_until` / `release` over the FIFO waker
-//! registry), run by the ci.sh loom gate:
+//! Model-checked interleavings of the channel's own protocols, run by the
+//! ci.sh loom gate:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p lcrq-channel --test loom -q
 //! ```
 //!
-//! The blocking half (`block_until`) is the `EventCount` protocol, which
-//! `lcrq-util`'s loom suite checks. Here the condition is a facade
-//! `AtomicBool` standing in for "the queue has an item", and a lost wakeup
-//! is a future left `Pending` whose waker nobody woke. Each property is
-//! checked twice: the real protocol must hold it on every schedule, and a
-//! planted-bug twin must be caught breaking it.
+//! **The async half of the wait protocol** (`WaitQueue::poll_until` /
+//! `release` over the FIFO waker registry). The blocking half
+//! (`block_until`) is the `EventCount` protocol, which `lcrq-util`'s loom
+//! suite checks. Here the condition is a facade `AtomicBool` standing in for
+//! "the queue has an item", and a lost wakeup is a future left `Pending`
+//! whose waker nobody woke.
+//!
+//! **The bounded channel's capacity gate** (`Credit`: `sent` and a copy of
+//! `received` on the senders' line, `received` on the receivers'). A
+//! one-slot channel cut down to the gate, its two `WaitQueue`s and a count
+//! of items in flight: two senders wait for room through `block_until`,
+//! one receiver makes it. The gate must never admit an item beside one
+//! still in flight, and nobody may be left asleep — which stands on the
+//! sender's last attempt before a park reloading `received` itself, where
+//! every earlier attempt may answer from the copy. A second model has a
+//! `try_send` refused by the full channel race that: its F&A stands in
+//! `sent` until it is subtracted again, a sender that parks in that moment
+//! saw no room, and the refused caller — the one attempt nobody retries —
+//! has to look back for room and wake it.
+//!
+//! Each property is checked twice: the real protocol must hold it on every
+//! schedule, and a planted-bug twin must be caught breaking it.
 #![cfg(loom)]
 
-use lcrq_channel::{Registration, WaitQueue};
+use lcrq_channel::{Credit, Registration, WaitQueue};
 use lcrq_util::model::{thread, Builder, Report};
 use lcrq_util::sync::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -99,6 +114,115 @@ fn cancel_model(release: Release) -> Report {
     })
 }
 
+/// A `bounded(1)` channel without its queue: what `Shared` holds beside it,
+/// and a count of items where the queue would be.
+struct OneSlot {
+    credit: Credit,
+    not_full: WaitQueue,
+    not_empty: WaitQueue,
+    /// Items admitted and not yet taken out.
+    in_flight: AtomicUsize,
+}
+
+type Acquire = fn(&Credit, u64) -> u64;
+
+impl OneSlot {
+    fn new() -> Arc<Self> {
+        Arc::new(Self {
+            credit: Credit::new(1),
+            not_full: WaitQueue::default(),
+            not_empty: WaitQueue::default(),
+            in_flight: AtomicUsize::new(0),
+        })
+    }
+
+    /// `Shared::try_send_inner` once room was granted.
+    fn put(&self) {
+        assert_eq!(
+            self.in_flight.fetch_add(1, Ordering::SeqCst),
+            0,
+            "over capacity: admitted beside an item still in flight"
+        );
+        self.not_empty.notify_one();
+    }
+
+    /// `Sender::send`.
+    fn send(&self, acquire: Acquire) {
+        let room = || (acquire(&self.credit, 1) == 1).then_some(());
+        self.not_full.block_until(None, room);
+        self.put();
+    }
+
+    /// `Sender::try_send`; `wake` is its look for room on the way out of a
+    /// refusal. Returns whether the item went in.
+    fn try_send(&self, wake: bool) -> bool {
+        let granted = self.credit.acquire(1) == 1;
+        if granted {
+            self.put();
+        } else if wake && self.credit.has_room() {
+            self.not_full.notify_one();
+        }
+        granted
+    }
+
+    /// `Receiver::recv`.
+    fn recv(&self) {
+        let item = || (self.in_flight.load(Ordering::SeqCst) > 0).then_some(());
+        self.not_empty.block_until(None, item);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.credit.on_received(1);
+        self.not_full.notify_one();
+    }
+}
+
+/// A waiting sender makes nine attempts of up to five counter accesses each
+/// before it parks: the gate models run to ≈ 20 k schedules at the
+/// preemption bound.
+fn gate_builder() -> Builder {
+    Builder {
+        max_executions: 40_000,
+        ..Builder::new()
+    }
+}
+
+/// Two senders push one item each through the gate; the main thread takes
+/// both out.
+fn gate_model(acquire: Acquire) -> Report {
+    gate_builder().check(move || {
+        let ch = OneSlot::new();
+        let senders = [0, 1].map(|_| {
+            let ch = Arc::clone(&ch);
+            thread::spawn(move || ch.send(acquire))
+        });
+        ch.recv();
+        ch.recv();
+        for s in senders {
+            s.join().unwrap();
+        }
+    })
+}
+
+/// The channel is full; a `try_send` that will be refused races a `send`
+/// and the receive that makes room for it. While the refused attempt's
+/// F&A stands, `sent` is one too high, and a sender whose last attempt
+/// falls into that moment parks beside an empty channel: nobody is left to
+/// notify it, unless the refused caller looks back (`wake`).
+fn refusal_model(wake: bool) -> Report {
+    gate_builder().check(move || {
+        let ch = OneSlot::new();
+        assert!(ch.try_send(wake));
+        let (trier, sender) = (Arc::clone(&ch), Arc::clone(&ch));
+        let trier = thread::spawn(move || trier.try_send(wake));
+        let sender = thread::spawn(move || sender.send(Credit::acquire));
+        ch.recv();
+        ch.recv();
+        if trier.join().unwrap() {
+            ch.recv();
+        }
+        sender.join().unwrap();
+    })
+}
+
 /// Runs a planted-bug model and returns the failure the checker reports.
 fn rejection(model: impl FnOnce() -> Report + std::panic::UnwindSafe) -> String {
     let payload =
@@ -137,4 +261,36 @@ fn cancelling_a_woken_future_passes_the_wake_to_the_survivor() {
 fn release_without_pass_on_is_caught_losing_the_wakeup() {
     let msg = rejection(|| cancel_model(WaitQueue::release_without_pass_on));
     assert!(msg.contains("lost wakeup"), "wrong failure: {msg}");
+}
+
+#[test]
+fn capacity_one_admits_one_at_a_time_and_strands_nobody() {
+    let report = gate_model(Credit::acquire);
+    assert!(
+        report.executions > 1,
+        "must explore >1 interleaving: {report:?}"
+    );
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+#[test]
+fn refused_try_send_leaves_no_sender_asleep_beside_room() {
+    let report = refusal_model(true);
+    assert!(
+        report.executions > 1,
+        "must explore >1 interleaving: {report:?}"
+    );
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+#[test]
+fn refusal_that_does_not_look_back_is_caught_stranding_a_sender() {
+    let msg = rejection(|| refusal_model(false));
+    assert!(msg.contains("deadlock"), "wrong failure: {msg}");
+}
+
+#[test]
+fn gate_trusting_the_hint_is_caught_stranding_a_sender() {
+    let msg = rejection(|| gate_model(Credit::acquire_trusting_the_hint));
+    assert!(msg.contains("deadlock"), "wrong failure: {msg}");
 }

@@ -203,6 +203,94 @@ fn bounded_mpmc_stress_respects_capacity_and_delivers_all() {
     assert_eq!(total.load(Ordering::SeqCst), PRODUCERS * PER);
 }
 
+/// The capacity gate under contention, with nobody receiving: room only
+/// shrinks, so the first `Full` anyone sees is a full channel, and exactly
+/// `cap` of all the attempts get in. Afterwards, from one thread, each item
+/// taken out admits exactly one more.
+#[test]
+fn bounded_admits_exactly_capacity() {
+    const THREADS: usize = 4;
+    const ATTEMPTS: usize = 200;
+    for cap in [1, 3, 64] {
+        let (tx, rx) = channel::bounded::<u64>(cap);
+        let barrier = &Barrier::new(THREADS);
+        let admitted: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let tx = tx.clone();
+                    s.spawn(move || {
+                        barrier.wait();
+                        let sent = |_: &usize| match tx.try_send(7) {
+                            Ok(()) => true,
+                            Err(TrySendError::Full(7)) => false,
+                            Err(other) => panic!("neither sent nor full: {other:?}"),
+                        };
+                        (0..ATTEMPTS).filter(sent).count()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(admitted, cap, "capacity {cap}");
+        for _ in 0..2 * cap {
+            assert!(matches!(tx.try_send(8), Err(TrySendError::Full(8))));
+            assert!(rx.recv().is_ok());
+            assert_eq!(tx.try_send(8), Ok(()), "a receive made room for one");
+        }
+        assert!(matches!(tx.try_send(9), Err(TrySendError::Full(9))));
+    }
+}
+
+/// Capacity 1 is the gate with no slack at all: every send but the first
+/// waits for the receive before it, so a wakeup lost between two senders
+/// and the receiver stops the test (the timeout turns that into a failure).
+#[test]
+fn bounded_one_hands_off_in_order() {
+    const PER: u64 = 5_000;
+    let (tx, rx) = channel::bounded::<u64>(1);
+    std::thread::scope(|s| {
+        for p in 0..2 {
+            let tx = tx.clone();
+            s.spawn(move || (0..PER).for_each(|seq| tx.send(tag(p, seq)).unwrap()));
+        }
+        drop(tx);
+        let mut next = [0, 0];
+        for _ in 0..2 * PER {
+            let v = rx.recv_timeout(Duration::from_secs(10)).expect("handoff");
+            let (p, seq) = ((v >> 32) as usize, v & 0xffff_ffff);
+            assert_eq!(seq, next[p], "sender {p} out of order");
+            next[p] += 1;
+        }
+        assert_eq!(rx.recv(), Err(RecvError::Disconnected));
+    });
+}
+
+/// `send_batch` asks the gate for its whole batch at once, ten times what
+/// fits, and must be granted what fits: a receiver that takes everything
+/// there is never finds more than `CAP` items. (A call that had to block
+/// for its first item frees that item's slot before it drains the rest, so
+/// it alone may come back with one more.)
+#[test]
+fn batch_overdraft_never_exceeds_capacity() {
+    const CAP: usize = 16;
+    const ROUNDS: usize = 50;
+    let (tx, rx) = channel::bounded::<u64>(CAP);
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for round in 0..ROUNDS {
+                let from = (round * 10 * CAP) as u64;
+                tx.send_batch((from..from + 10 * CAP as u64).collect())
+                    .unwrap();
+            }
+        });
+        let mut got = Vec::new();
+        while let Ok(n) = rx.recv_batch(&mut got, usize::MAX) {
+            assert!(n <= CAP + 1, "{n} items in a channel of {CAP}");
+        }
+        assert_eq!(got, (0..(ROUNDS * 10 * CAP) as u64).collect::<Vec<_>>());
+    });
+}
+
 #[test]
 fn batch_send_recv_preserves_order_and_count() {
     let (tx, rx) = channel::channel::<u64>();
