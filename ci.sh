@@ -14,7 +14,7 @@
 # | release build   | cargo build --release                                | every lib and bench bin compiles optimised (later gates run them) | 76 |
 # | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench  | 13 |
 # | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
-# | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing in the optimised build either |  8 |
+# | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing, and a queued item costs <= 20 heap bytes, in the optimised build either |  8 |
 # | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) | 20 runs each: a 1-in-6 flake cannot pass        | 33 |
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4; shard_scaling   | four replay seeds; analytic-envelope check, BENCH_shard.json  |  1 |
@@ -59,7 +59,10 @@ cargo test --workspace --exclude lcrq --exclude lcrq-bench -q
 # (a test binary of its own: it installs a counting global allocator) ran
 # in tier-1 as a debug build; the zero allocations of a scalar message rest
 # on `Typed`'s type test folding away and the tag check being the only
-# branch left, so the optimised build is asked too.
+# branch left, so the optimised build is asked too. The same binary pins
+# what a queued item costs the heap, as a count beside the allocation count:
+# a default `Lcrq` 2^16 deep holds <= 20 live bytes an item (a `Crq` node is
+# its 16 bytes and the figure reads 16.2; the 128-byte padded node read 128.2).
 echo "==> channel gate (typed_inline --release)"
 cargo test --release --test typed_inline -q
 

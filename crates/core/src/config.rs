@@ -33,7 +33,7 @@ pub struct LcrqConfig {
     /// Maximum number of retired rings kept in the recycling pool
     /// ([`crate::pool::RingPool`]) for reuse by the spill path instead of
     /// being freed. Bounds the queue's idle memory at roughly
-    /// `ring_pool_capacity × R × 128` bytes beyond the live ring chain.
+    /// `ring_pool_capacity × R × 16` bytes beyond the live ring chain.
     /// `0` disables recycling (every spill allocates, every retire frees).
     pub ring_pool_capacity: usize,
 }

@@ -4,6 +4,11 @@
 //! indices, both updated with fetch-and-add. Index `i` refers to node
 //! `i mod R`. The most significant bit of `tail` marks the ring CLOSED.
 //!
+//! Nodes are dense (16 bytes each), not padded to a cache line as Figure 3a
+//! line 17 has them: logical node `i mod R` is *stored* where the rings'
+//! shared remap (`ring::spread`) puts it, so neighbouring indices still sit
+//! 128 bytes apart (DESIGN.md "Ring layout").
+//!
 //! Invariants maintained by the node transition protocol:
 //!
 //! * An occupied node `(s, i, x)` can only be emptied by the dequeuer whose
@@ -35,7 +40,7 @@ use lcrq_util::CachePadded;
 use crate::config::LcrqConfig;
 use crate::node::Node;
 use crate::pool::RingPool;
-use crate::ring::Ring;
+use crate::ring::{pos_of, spread, Ring, LANES};
 use crate::BOTTOM;
 
 /// Error returned by [`Crq::enqueue`] once the ring is closed (tantrum
@@ -66,8 +71,12 @@ pub struct Crq<P: FaaPolicy = HardwareFaa> {
     /// Identifies the cluster whose threads currently "own" the ring
     /// (LCRQ+H); unused unless the hierarchical optimization is enabled.
     cluster: CachePadded<AtomicU64>,
-    ring: Box<[Node]>,
-    mask: u64,
+    /// `max(R / 8, 1)` units of 8 nodes, in `ring::spread` order. The unit's
+    /// 128-byte alignment is what keeps neighbouring indices off each
+    /// other's line pair, so it is a type and not an allocator promise.
+    ring: Box<[CachePadded<[Node; LANES]>]>,
+    /// log2 of the ring size `R`.
+    order: u32,
     starvation_limit: u32,
     bounded_wait_spins: u32,
     /// Index base of the current incarnation: 0 for a fresh ring; each
@@ -95,50 +104,47 @@ impl<P: FaaPolicy> Crq<P> {
     /// ring mid-batch and spills its unplaced remainder into the fresh ring
     /// it appends.
     pub fn with_seed(config: &LcrqConfig, seed: &[u64]) -> Self {
-        let size = config.ring_size();
-        assert!(
-            seed.len() as u64 <= size,
-            "seed batch ({}) exceeds ring size ({size})",
-            seed.len()
-        );
-        let ring: Vec<Node> = (0..size).map(Node::new).collect();
-        for (u, &x) in seed.iter().enumerate() {
-            debug_assert!(x != BOTTOM);
-            // Exclusive ownership: the CAS2 can only fail spuriously (the
-            // `cas2` fail point); retry until the seed is placed.
-            loop {
-                let v = ring[u].read();
-                if ring[u].try_enqueue(&v, u as u64, x) {
-                    break;
-                }
-            }
-        }
-        let tail = seed.len() as u64;
+        let order = config.ring_order;
+        let units = (config.ring_size() as usize / LANES).max(1);
+        // Storage order is not index order: each node starts as the position
+        // that reaches it. (A ring of fewer than 8 nodes never reaches the
+        // spare lanes of its one unit.)
+        let ring = (0..units)
+            .map(|unit| {
+                CachePadded::new(core::array::from_fn(|lane| {
+                    Node::new(pos_of(unit * LANES + lane, order))
+                }))
+            })
+            .collect();
         metrics::inc(Event::RingAlloc);
-        Self {
+        let crq = Self {
             head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(tail)),
+            tail: CachePadded::new(AtomicU64::new(0)),
             next: CachePadded::new(AtomicPtr::new(core::ptr::null_mut())),
             cluster: CachePadded::new(AtomicU64::new(0)),
-            ring: ring.into_boxed_slice(),
-            mask: size - 1,
+            ring,
+            order,
             starvation_limit: config.starvation_limit,
             bounded_wait_spins: config.bounded_wait_spins,
             base: AtomicU64::new(0),
             reuse_epoch: AtomicU64::new(0),
             pool: OnceLock::new(),
             _faa: PhantomData,
-        }
+        };
+        crq.reseed(seed);
+        crq
     }
 
     /// Ring size `R`.
     pub fn ring_size(&self) -> u64 {
-        self.mask + 1
+        1 << self.order
     }
 
+    /// The node index `index` refers to: logical node `index mod R`.
     #[inline]
     pub(crate) fn node(&self, index: u64) -> &Node {
-        &self.ring[(index & self.mask) as usize]
+        let (unit, lane) = spread(index, self.order);
+        &self.ring[unit][lane]
     }
 
     /// Appends `value` (must be `< BOTTOM`), or reports the ring closed.
@@ -522,12 +528,16 @@ impl<P: FaaPolicy> Ring for Crq<P> {
         // Node indices of the old incarnation are bounded by top - 1 + R
         // (a vacated node advances by R past its claimed index): rounding
         // down to a ring boundary and skipping two laps clears them all.
-        let base = (top & !self.mask) + 2 * r;
+        let base = (top & !(r - 1)) + 2 * r;
         if base >= MAX_BASE {
             return false;
         }
-        for (u, node) in self.ring.iter().enumerate() {
-            node.reset(base + u as u64);
+        // A walk in storage order: each node re-bases to the position that
+        // reaches it, which is not its storage index. (`take`: a ring of
+        // fewer than 8 nodes never reaches the spare lanes of its one unit.)
+        let slots = self.ring.iter().flat_map(|unit| unit.iter());
+        for (slot, node) in slots.enumerate().take(r as usize) {
+            node.reset(base + pos_of(slot, self.order));
         }
         self.cluster.store(0, Ordering::Relaxed);
         self.next.store(core::ptr::null_mut(), Ordering::Relaxed);
@@ -945,6 +955,54 @@ mod tests {
         assert_eq!(q.dequeue(), Some(101));
         assert_eq!(q.dequeue(), Some(102));
         assert_eq!(q.dequeue(), None);
+    }
+
+    #[test]
+    fn neighbouring_indices_never_share_a_line_pair() {
+        const LINE_PAIR: usize = lcrq_util::pad::CACHE_LINE;
+        let q: Crq = Crq::new(&LcrqConfig::new());
+        let r = q.ring_size();
+        let addr = |i: u64| q.node(i) as *const Node as usize;
+        assert_eq!(q.ring.as_ptr() as usize % LINE_PAIR, 0);
+        assert_eq!(q.ring.len() * LINE_PAIR, r as usize * 16, "no padding");
+        for i in 0..2 * r {
+            assert_ne!(addr(i) / LINE_PAIR, addr(i + 1) / LINE_PAIR, "index {i}");
+            assert_eq!(addr(i), addr(i + r), "index {i} is node {i} mod R");
+        }
+        // The indices that do share a line pair are R/8 tickets apart.
+        assert_eq!(addr(0) + 16, addr(r / 8));
+    }
+
+    /// Every index of the current lap must reach a node that carries it:
+    /// storage order is not index order, so whatever walks the storage
+    /// (construction, `scrub`) has to translate.
+    #[test]
+    fn every_index_reaches_a_node_that_carries_it() {
+        fn check(q: &Crq, seeded: u64) {
+            let base = q.base_index();
+            for p in base..base + q.ring_size() {
+                let v = q.node(p).read();
+                assert!(v.safe);
+                assert_eq!(v.idx, p, "R = {}, base {base}", q.ring_size());
+                assert_eq!(!v.is_empty(), p - base < seeded, "index {p}");
+            }
+        }
+        for order in [1, 3, 4, 12] {
+            let q: Crq = Crq::with_seed(&small_config(order), &[7, 8]);
+            check(&q, 2);
+            assert_eq!(q.dequeue(), Some(7));
+            assert_eq!(q.dequeue(), Some(8));
+            q.close();
+            assert!(q.scrub());
+            check(&q, 0);
+            q.reseed(&[9]);
+            check(&q, 1);
+            // And the protocol agrees with the layout, across several laps.
+            for i in 0..3 * q.ring_size() {
+                q.enqueue(i).unwrap();
+                assert_eq!(q.dequeue(), Some(if i == 0 { 9 } else { i - 1 }));
+            }
+        }
     }
 
     #[test]

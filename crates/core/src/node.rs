@@ -12,7 +12,6 @@
 //! overtaken.
 
 use lcrq_atomic::AtomicPair;
-use lcrq_util::CachePadded;
 
 use crate::BOTTOM;
 
@@ -34,10 +33,13 @@ pub const fn unpack(word: u64) -> (bool, u64) {
     (word & SAFE_BIT != 0, word & IDX_MASK)
 }
 
-/// One ring node, padded to a cache line ("padded to cache line size",
-/// Figure 3a line 17) so neighbouring slots do not false-share.
+/// One ring node: exactly its 16-byte CAS2 pair. The paper pads each node
+/// "to cache line size" (Figure 3a line 17) so that neighbouring tickets do
+/// not false-share; here the ring's layout does that job instead (a
+/// [`Crq`](crate::Crq) stores consecutive indices 128 bytes apart), so a
+/// node costs what it holds.
 pub struct Node {
-    pair: CachePadded<AtomicPair>,
+    pair: AtomicPair,
 }
 
 /// A consistent (or transiently torn — CAS2 failure resolves it) node view.
@@ -64,7 +66,7 @@ impl Node {
     /// Initializes ring node `u` to `(1, u, ⊥)`.
     pub fn new(u: u64) -> Self {
         Self {
-            pair: CachePadded::new(AtomicPair::new(pack(true, u), BOTTOM)),
+            pair: AtomicPair::new(pack(true, u), BOTTOM),
         }
     }
 
@@ -166,9 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn node_is_cache_line_sized() {
-        assert!(core::mem::size_of::<Node>() >= 64);
-        assert_eq!(core::mem::size_of::<Node>() % 64, 0);
+    fn node_is_its_sixteen_bytes() {
+        assert_eq!(core::mem::size_of::<Node>(), 16);
+        assert_eq!(core::mem::align_of::<Node>(), 16);
     }
 
     #[test]

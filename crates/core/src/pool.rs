@@ -10,7 +10,7 @@
 //! `(safe, idx, val)` tuples can never alias live ones) and parked in the
 //! pool; the spill paths pop from the pool before falling back to
 //! allocation. Steady-state spills then allocate nothing, and idle memory
-//! beyond the live ring chain is bounded by `capacity × R × 128` bytes.
+//! beyond the live ring chain is bounded by `capacity × R × 16` bytes.
 //!
 //! The pool is `capacity` pointer slots. [`push`](RingPool::push) CASes
 //! `null → ring` into the first vacant slot; [`pop`](RingPool::pop) swaps

@@ -18,6 +18,10 @@
 //! | [`cluster`](Ring::cluster) | `Crq` | the LCRQ+H owner word (§4.1.1) |
 //! | [`scrub`](Ring::scrub) / [`reseed`](Ring::reseed) / [`pool_slot`](Ring::pool_slot) | `Crq` | recycling: re-basing every index makes a drained ring reusable; SCQ/wCQ rings are freed |
 //!
+//! What all three rings do share is where they *store* position `i`: the
+//! `spread` / `remap` / `pos_of` bijection below, which keeps neighbouring
+//! positions a cache line (pair) apart without padding the entries.
+//!
 //! [`RingList`]: crate::RingList
 
 use core::sync::atomic::AtomicU64;
@@ -28,6 +32,41 @@ use lcrq_util::sync::AtomicPtr;
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
 use crate::pool::RingPool;
+
+/// Slots per spreading unit: the entries one 128-byte prefetch pair holds of
+/// a `Crq` (16-byte nodes), and one 64-byte line of an `Scq` (8-byte entries).
+pub(crate) const LANES: usize = 8;
+
+/// Where position `pos` of a ring of `2^order` slots lives, as `(unit,
+/// lane)`: unit `j mod (slots / 8)`, lane `j div (slots / 8)` for `j = pos mod
+/// slots`. Consecutive positions land in consecutive units, so the winners of
+/// neighbouring F&As never false-share, and two positions meet in one unit
+/// only `slots / 8` tickets apart. This is SCQ's `Cache_Remap`
+/// (arXiv:1908.04511). A ring of ≤ 8 slots is one unit, identity-mapped.
+#[inline]
+pub(crate) fn spread(pos: u64, order: u32) -> (usize, usize) {
+    let j = pos & ((1 << order) - 1);
+    let shift = order.saturating_sub(3);
+    // The lane is below 8 by construction; the mask says so to the compiler.
+    (
+        (j & ((1 << shift) - 1)) as usize,
+        (j >> shift) as usize & (LANES - 1),
+    )
+}
+
+/// [`spread`] as an index into a flat array of `2^order` slots.
+#[inline]
+pub(crate) fn remap(pos: u64, order: u32) -> usize {
+    let (unit, lane) = spread(pos, order);
+    unit * LANES + lane
+}
+
+/// Inverse of [`remap`]: the in-lap position (`< 2^order`) that reaches `slot`.
+#[inline]
+pub(crate) fn pos_of(slot: usize, order: u32) -> u64 {
+    let (unit, lane) = ((slot / LANES) as u64, (slot % LANES) as u64);
+    (lane << order.saturating_sub(3)) | unit
+}
 
 /// A bounded tantrum ring of `u64` values (`< BOTTOM`) that
 /// [`RingList`](crate::RingList) can link. See the [module docs](self).
@@ -122,5 +161,34 @@ pub trait Ring: Sized + Send + Sync + 'static {
     /// pool, so every spill allocates and every retire frees.
     fn pool_slot(&self) -> Option<&OnceLock<Weak<RingPool<Self>>>> {
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn remap_is_a_permutation_and_spreads_neighbours() {
+        for order in 1..=12u32 {
+            let slots = 1usize << order;
+            let mut seen = vec![false; slots.max(LANES)];
+            for p in 0..slots as u64 {
+                let j = remap(p, order);
+                assert!(!seen[j], "remap must be a bijection (order {order})");
+                seen[j] = true;
+                assert_eq!(pos_of(j, order), p, "pos_of inverts remap");
+                assert_eq!(remap(p + 3 * slots as u64, order), j, "laps share a slot");
+                if slots <= LANES {
+                    assert_eq!(j, p as usize, "one unit is identity-mapped");
+                }
+            }
+            if slots > LANES {
+                // Consecutive positions land one whole unit apart, and the
+                // positions sharing a unit are `slots / 8` tickets apart.
+                assert_eq!(remap(1, order).abs_diff(remap(0, order)), LANES);
+                assert_eq!(remap((slots / LANES) as u64, order), remap(0, order) + 1);
+            }
+        }
     }
 }

@@ -165,17 +165,10 @@ impl<P: FaaPolicy> Scq<P> {
 
     /// Maps a position to an entry slot, spreading consecutive positions
     /// across cache lines (8 `u64` entries per 64-byte line) the way
-    /// Nikolaev's `lfring` does, so neighbouring F&A winners do not false-
-    /// share. Degenerates to the identity for rings of ≤ 8 entries.
+    /// Nikolaev's `lfring` does: the shared [`remap`](crate::ring::remap).
     #[inline]
     fn remap(&self, pos: u64) -> usize {
-        let slots = self.entries.len() as u64;
-        let j = pos & (slots - 1);
-        if slots >= 16 {
-            (((j & (slots / 8 - 1)) * 8) | (j / (slots / 8))) as usize
-        } else {
-            j as usize
-        }
+        crate::ring::remap(pos, self.array_order)
     }
 
     /// Appends index `index` (must be `< capacity`). Fails only once the
@@ -514,20 +507,6 @@ mod tests {
         }
         // ⊥ is all-ones in the index field of a 2^5-entry ring.
         assert_eq!(q.bottom_index(), 31);
-    }
-
-    #[test]
-    fn remap_is_a_permutation_and_spreads_neighbours() {
-        let q: Scq = Scq::new_empty(6); // 128 entries
-        let slots = q.entries.len();
-        let mut seen = vec![false; slots];
-        for p in 0..slots as u64 {
-            let j = q.remap(p);
-            assert!(!seen[j], "remap must be a bijection");
-            seen[j] = true;
-        }
-        // Consecutive positions land 8 entries (one cache line) apart.
-        assert_eq!(q.remap(1).abs_diff(q.remap(0)), 8);
     }
 
     #[test]

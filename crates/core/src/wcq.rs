@@ -32,8 +32,9 @@
 //! x86 reproduction with `CMPXCHG16B` already load-bearing ([`AtomicPair`],
 //! the CRQ), so entries here are double-width `(meta, value)` pairs — the
 //! same helping structure with a much shorter placement protocol. The
-//! threshold counter, cycle tags, catchup, and the cache-line remap are
-//! taken from [`crate::scq`] unchanged.
+//! threshold counter, cycle tags and catchup are taken from [`crate::scq`]
+//! unchanged; the cache-line remap is the one all rings share
+//! ([`crate::ring`]).
 //!
 //! [`Wcq`](crate::Wcq) is the unbounded queue: the shared list of rings
 //! ([`RingList`](crate::RingList)) over [`WcqRing`]s.
@@ -260,17 +261,11 @@ impl<P: FaaPolicy> WcqRing<P> {
         pos >> self.array_order
     }
 
-    /// Position → entry slot with `lfring` cache-line spreading (the
-    /// bijection from [`Scq`](crate::Scq)).
+    /// Position → entry slot: the shared cache-line spreading
+    /// [`remap`](crate::ring::remap).
     #[inline]
     fn remap(&self, pos: u64) -> usize {
-        let slots = self.entries.len() as u64;
-        let j = pos & (slots - 1);
-        if slots >= 16 {
-            (((j & (slots / 8 - 1)) * 8) | (j / (slots / 8))) as usize
-        } else {
-            j as usize
-        }
+        crate::ring::remap(pos, self.array_order)
     }
 
     /// Inverse of [`remap`](Self::remap): reconstructs the position of the
@@ -278,14 +273,7 @@ impl<P: FaaPolicy> WcqRing<P> {
     /// need the position to compare against the record's claim).
     #[inline]
     fn pos_of(&self, j: usize, cycle: u64) -> u64 {
-        let slots = self.entries.len() as u64;
-        let j = j as u64;
-        let x = if slots >= 16 {
-            (j & 7) * (slots / 8) + (j >> 3)
-        } else {
-            j
-        };
-        (cycle << self.array_order) | x
+        (cycle << self.array_order) | crate::ring::pos_of(j, self.array_order)
     }
 
     #[inline]

@@ -1,10 +1,12 @@
 //! Cache-line padding to prevent false sharing.
 //!
 //! The LCRQ paper stores the CRQ's `head`, `tail`, and `next` fields "on
-//! distinct cache lines" (Figure 3a) and pads each ring node to a cache line
-//! (Figure 3a, line 17). On Intel processors the prefetcher pulls cache lines
-//! in aligned 128-byte pairs, so we pad to 128 bytes on x86-64 — the same
-//! choice crossbeam makes.
+//! distinct cache lines" (Figure 3a), and so do we. (It also pads each ring
+//! node to a cache line, Figure 3a line 17; the CRQ here keeps nodes dense
+//! and aligns *units of eight* with this type instead — DESIGN.md "Ring
+//! layout".) On Intel processors the prefetcher pulls cache lines in aligned
+//! 128-byte pairs, so we pad to 128 bytes on x86-64 — the same choice
+//! crossbeam makes.
 
 use core::fmt;
 use core::ops::{Deref, DerefMut};

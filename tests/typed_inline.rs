@@ -2,6 +2,9 @@
 //! whose word has bit 63 clear is its own queue word and allocates nothing;
 //! with bit 63 set it is boxed, once; anything else is boxed as ever.
 //!
+//! And what a queued item costs the heap: a `Crq` node is its 16 bytes, so a
+//! deep `Lcrq` holds an item in under 20 (DESIGN.md "Ring layout").
+//!
 //! A test binary of its own because it installs a counting
 //! `#[global_allocator]`. The counts are per thread — each test sends and
 //! receives on its own — so the harness and the other tests do not show.
@@ -16,22 +19,24 @@ use lcrq::channel::{self, Receiver, Sender};
 struct Counting;
 
 thread_local! {
-    /// (allocations, frees) made by this thread. `const` and without a
-    /// destructor, so the allocator may touch it at any point of a thread's
-    /// life.
-    static CALLS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// (allocations, frees, bytes allocated − bytes freed) made by this
+    /// thread. `const` and without a destructor, so the allocator may touch
+    /// it at any point of a thread's life.
+    static CALLS: Cell<(u64, u64, i64)> = const { Cell::new((0, 0, 0)) };
 }
 
 // SAFETY: every request is forwarded to `System` unchanged.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.set((CALLS.get().0 + 1, CALLS.get().1));
+        let (allocs, frees, live) = CALLS.get();
+        CALLS.set((allocs + 1, frees, live + layout.size() as i64));
         // SAFETY: the caller's contract, passed on.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        CALLS.set((CALLS.get().0, CALLS.get().1 + 1));
+        let (allocs, frees, live) = CALLS.get();
+        CALLS.set((allocs, frees + 1, live - layout.size() as i64));
         // SAFETY: the caller's contract, passed on.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -94,4 +99,19 @@ fn anything_else_is_boxed_as_ever() {
     #[derive(Debug, PartialEq)]
     struct Id(u64);
     assert_eq!(calls_of(channel::bounded(8), Id), (MESSAGES, MESSAGES));
+}
+
+#[test]
+fn a_queued_item_costs_under_twenty_heap_bytes() {
+    const DEPTH: u64 = 1 << 16; // 16 default rings
+    let before = CALLS.get().2;
+    let q = lcrq::Lcrq::new();
+    (0..DEPTH).for_each(|i| q.enqueue(i));
+    let live = CALLS.get().2 - before;
+    assert!(
+        live <= 20 * DEPTH as i64,
+        "{live} B live for {DEPTH} queued items = {:.1} B an item",
+        live as f64 / DEPTH as f64
+    );
+    (0..DEPTH).for_each(|i| assert_eq!(q.dequeue(), Some(i)));
 }
