@@ -21,8 +21,7 @@
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
 # | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 95 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
-# | bench smoke     | 13 bins --smoke                                      | every bin still runs and parses its flags                     |  1 |
-# | arena           | pairwise --gate on the two committed fixtures        | the gate can still fail (planted drop) and still pass (identity) |  0 |
+# | bench smoke     | 12 bins --smoke                                      | every bin still runs and parses its flags; every pairs run reconciles delivery |  1 |
 # | nm probe        | nm on the release `progress` test binary             | no fault-registry symbol in the default build                 |  9 |
 # | objdump probe   | objdump -d on every target/release bin + that test binary | no `cmpxchg16b (%rbx)` anywhere, not only in `pairwise`  |  2 |
 # | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints; again under --cfg loom for the crates with a loom suite |  8 |
@@ -165,34 +164,16 @@ cargo test --features force-fallback,fault-injection --test fault_tolerance -q
 # redirect their default output under target/smoke/ so committed results/
 # artifacts are never clobbered). Catches bench bit-rot — a bin that
 # panics, hangs, or can no longer parse its flags fails CI even though
-# nothing else links it.
+# nothing else links it. Every pairs run (`run_workload`, which `pairwise`
+# drives too) drains the queue and reconciles count and checksum, so a
+# smoke run also fails on a queue that lost an item.
 echo "==> bench smoke gate (all harness bins, --smoke)"
 for bin in table1_primitives fig1_counter fig2_livelock fig6_throughput \
     fig7_multiprocessor fig8_latency fig9_ringsize table2_stats \
-    table3_stats ring_churn batch_throughput shard_scaling pairwise; do
+    table3_stats batch_throughput shard_scaling pairwise; do
     echo "    $bin --smoke"
     cargo run --release -q -p lcrq-bench --bin "$bin" -- --smoke >/dev/null
 done
-
-# Arena gate self-test (its unit suites, the contender contract battery and
-# the `arena_gate` integration suite ran in tier-1): the committed
-# planted-drop fixture must FAIL and the identity fixture must PASS, proving
-# `pairwise --gate` can still catch a 20% regression against the committed
-# baseline (fixtures regenerate via `pairwise --make-fixtures`; see
-# results/README.md). Nothing is measured here: a 0.7 s live run is bimodal
-# on this host, and comparing two commits is `benchmark compare`'s job.
-echo "==> arena gate self-test"
-echo "    gate self-test: planted-drop fixture must fail"
-if cargo run --release -q -p lcrq-bench --bin pairwise -- --gate \
-    --baseline results/BENCH_arena.json \
-    --candidate results/fixtures/BENCH_arena_drop.json >/dev/null 2>&1; then
-    echo "planted-drop fixture PASSED the arena gate — the gate is blind"
-    exit 1
-fi
-echo "    gate self-test: identity fixture must pass"
-cargo run --release -q -p lcrq-bench --bin pairwise -- --gate \
-    --baseline results/BENCH_arena.json \
-    --candidate results/fixtures/BENCH_arena_pass.json >/dev/null
 
 # Zero-cost assertion: the default (feature-off) release binary must not
 # contain the fault registry at all — every inject() site compiles to

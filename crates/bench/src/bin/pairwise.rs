@@ -6,141 +6,23 @@
 //! mean/stddev/margin-of-error over repeated runs — and emits the
 //! schema-versioned `results/BENCH_arena.json` perf-trajectory artifact.
 //!
-//! Modes:
+//! `pairwise [--threads 1,4] [--pairs 5000] [--runs 6] [--warmup 1]
+//!           [--delay 50,150] [--queues <spec;list>] [--external all|none]
+//!           [--smoke] [--out results/BENCH_arena.json]`
 //!
-//! * **Measure** (default): run the roster, print the table, write the
-//!   artifact.
-//!   `pairwise [--threads 1,4] [--pairs 5000] [--runs 6] [--warmup 1]
-//!             [--delay 50,150] [--queues <spec;list>] [--external all|none]
-//!             [--smoke] [--out results/BENCH_arena.json]`
-//! * **Gate**: compare two artifacts, exit nonzero on a flagship
-//!   regression (no benchmarking — deterministic, file-only).
-//!   `pairwise --gate --baseline results/BENCH_arena.json --candidate fresh.json`
-//! * **Fixtures**: derive the gate self-test fixtures from an artifact
-//!   (`_drop` plants a 20 % flagship regression, `_pass` is the identity
-//!   copy).
-//!   `pairwise --make-fixtures --baseline results/BENCH_arena.json --out-dir results/fixtures`
-//!
-//! The delay RNG threads `LCRQ_TEST_SEED` through `rng::test_seed`, the
-//! artifact records the seed, and every failure path prints it, so any
-//! arena anomaly replays exactly (the PR 4 deflake convention).
+//! Every run is `run_workload`, so every run is delivery-validated (count
+//! and checksum, queue drained) except the synthetic `faa` bound's. The
+//! base seed threads `LCRQ_TEST_SEED` through `rng::test_seed` and the
+//! artifact records it; run `r` of a cell (warmups first) pauses on
+//! `seed ^ splitmix64(r)`, and a delivery panic prints that run's seed, so
+//! any arena anomaly replays exactly (the PR 4 deflake convention).
 
-use lcrq_bench::arena::{
-    self, external_entries, flagship_names, registry_entries, ArenaArtifact, ArenaConfig, Entry,
-};
+use lcrq_bench::arena::{external_entries, registry_entries, ArenaArtifact, ArenaRow, Entry};
 use lcrq_bench::cli::Cli;
 use lcrq_bench::stats::Summary;
-use lcrq_bench::QueueSpec;
+use lcrq_bench::{run_workload, QueueSpec, RunConfig};
+use lcrq_util::rng::splitmix64;
 use std::process::ExitCode;
-
-fn read_artifact(path: &str) -> Result<ArenaArtifact, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    ArenaArtifact::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn write_text(path: &str, text: &str) -> Result<(), String> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
-}
-
-/// `--gate`: pure artifact comparison, no measurement.
-fn gate_mode(cli: &Cli) -> ExitCode {
-    let Some(baseline_path) = cli.get_str("baseline") else {
-        eprintln!("error: --gate needs --baseline <BENCH_arena.json>");
-        return ExitCode::from(2);
-    };
-    let Some(candidate_path) = cli.get_str("candidate") else {
-        eprintln!("error: --gate needs --candidate <BENCH_arena.json>");
-        return ExitCode::from(2);
-    };
-    let threshold_note = format!(
-        "drop > max({:.0}%, combined 95% margins) fails",
-        arena::GATE_DROP_PCT
-    );
-    let (baseline, candidate) = match (read_artifact(baseline_path), read_artifact(candidate_path))
-    {
-        (Ok(b), Ok(c)) => (b, c),
-        (b, c) => {
-            for e in [b.err(), c.err()].into_iter().flatten() {
-                eprintln!("error: {e}");
-            }
-            return ExitCode::from(2);
-        }
-    };
-    let flagships = flagship_list(cli);
-    println!(
-        "# arena regression gate — baseline {baseline_path}, candidate {candidate_path}\n\
-         # flagships: {}; {threshold_note}",
-        flagships.join(", ")
-    );
-    let out = arena::regression_gate(&baseline, &candidate, &flagships);
-    for line in &out.lines {
-        println!("  {line}");
-    }
-    if out.passed() {
-        println!("gate OK");
-        ExitCode::SUCCESS
-    } else {
-        for f in &out.failures {
-            eprintln!("error: {f}");
-        }
-        eprintln!(
-            "error: arena regression gate failed — replay the candidate with \
-             LCRQ_TEST_SEED={:#x} (baseline seed {:#x})",
-            candidate.seed, baseline.seed
-        );
-        ExitCode::FAILURE
-    }
-}
-
-/// `--make-fixtures`: derive the self-test fixtures from an artifact.
-fn fixtures_mode(cli: &Cli) -> ExitCode {
-    let Some(baseline_path) = cli.get_str("baseline") else {
-        eprintln!("error: --make-fixtures needs --baseline <BENCH_arena.json>");
-        return ExitCode::from(2);
-    };
-    let out_dir = cli.get_str("out-dir").unwrap_or("results/fixtures");
-    let baseline = match read_artifact(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let flagships = flagship_list(cli);
-    let (drop, pass) = match arena::make_fixtures(&baseline, &flagships) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (name, artifact) in [
-        ("BENCH_arena_drop.json", &drop),
-        ("BENCH_arena_pass.json", &pass),
-    ] {
-        let path = format!("{out_dir}/{name}");
-        if let Err(e) = write_text(&path, &artifact.render()) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    ExitCode::SUCCESS
-}
-
-fn flagship_list(cli: &Cli) -> Vec<String> {
-    match cli.get_str("flagships") {
-        Some(list) => list
-            .split(';')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
-        None => flagship_names(),
-    }
-}
 
 /// Builds the contender roster from the CLI selection. An explicit
 /// `--ring-order` overrides ring sizes everywhere; otherwise `--queues`
@@ -186,7 +68,8 @@ fn roster(cli: &Cli, ring_order: u32) -> Result<Vec<Entry>, String> {
     Ok(entries)
 }
 
-fn measure_mode(cli: &Cli) -> ExitCode {
+fn main() -> ExitCode {
+    let cli = Cli::from_env();
     let smoke = cli.has("smoke");
     let threads_list = cli.get_list("threads", if smoke { &[2] } else { &[1, 4] });
     let pairs: u64 = cli.get("pairs", if smoke { 300 } else { 5_000 });
@@ -210,7 +93,7 @@ fn measure_mode(cli: &Cli) -> ExitCode {
         })
         .to_string();
     let seed = lcrq_util::rng::test_seed(0xA5E2_A000_2026_0809);
-    let entries = match roster(cli, ring_order) {
+    let entries = match roster(&cli, ring_order) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("error: {e}");
@@ -241,21 +124,19 @@ fn measure_mode(cli: &Cli) -> ExitCode {
     let mut rows = Vec::new();
     for entry in &entries {
         for &threads in &threads_list {
-            let cfg = ArenaConfig {
-                threads,
-                pairs,
-                delay_ns: (delay_lo, delay_hi),
-                runs,
-                warmup,
-                seed,
+            let mut cfg = RunConfig::new(threads);
+            cfg.pairs = pairs;
+            cfg.delay_ns = (delay_lo, delay_hi);
+            // Each run draws its own pause schedule; a delivery panic
+            // prints that run's seed.
+            let mut run = |r: usize| {
+                cfg.seed = seed ^ splitmix64(r as u64);
+                run_workload(&entry.build(), &cfg).mops
             };
-            let samples = match arena::run_entry(entry, &cfg) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            for r in 0..warmup {
+                run(r);
+            }
+            let samples: Vec<f64> = (warmup..warmup + runs).map(&mut run).collect();
             let Some(summary) = Summary::from_samples(&samples) else {
                 eprintln!(
                     "error: {}: degenerate samples {samples:?} — replay with \
@@ -273,7 +154,7 @@ fn measure_mode(cli: &Cli) -> ExitCode {
                 summary.moe,
                 summary.moe_pct()
             );
-            rows.push(arena::ArenaRow {
+            rows.push(ArenaRow {
                 contender: entry.name.clone(),
                 external: entry.external,
                 synthetic: entry.synthetic,
@@ -293,23 +174,15 @@ fn measure_mode(cli: &Cli) -> ExitCode {
         cas2_backend: lcrq_atomic::cas2_backend().to_string(),
         rows,
     };
-    match write_text(&out_path, &artifact.render()) {
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    match std::fs::write(&out_path, artifact.render()) {
         Ok(()) => println!("\nwrote {out_path}"),
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: writing {out_path}: {e}");
             return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let cli = Cli::from_env();
-    if cli.has("gate") {
-        gate_mode(&cli)
-    } else if cli.has("make-fixtures") {
-        fixtures_mode(&cli)
-    } else {
-        measure_mode(&cli)
-    }
 }

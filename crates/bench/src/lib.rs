@@ -6,7 +6,9 @@
 //! (defeating artificial "long runs"), threads are pinned when the host has
 //! multiple CPUs, results are averaged over repeated runs, and software
 //! event counters stand in for the paper's hardware performance counters
-//! (DESIGN.md substitution P3).
+//! (DESIGN.md substitution P3). [`run_workload`] is the one pairs loop; it
+//! drains and reconciles the queue after every run, so no bin reports a
+//! number for a queue that lost an item.
 //!
 //! The `src/bin/` binaries regenerate the paper's figures and tables:
 //!
@@ -22,11 +24,10 @@
 //! | `table3_stats` | Table 3 — per-op stats, 80 threads, empty & full |
 //!
 //! Beyond the paper, `pairwise` runs the cross-library arena (chaoran's
-//! fast-wait-free-queue methodology): every registry spec plus external
-//! baselines behind the [`arena::Contender`] trait, multi-run
-//! mean/stddev/margin-of-error statistics from [`stats`], and a
-//! schema-versioned `results/BENCH_arena.json` that `pairwise --gate`
-//! diffs against another (ci.sh self-tests it on two fixtures). Every
+//! fast-wait-free-queue methodology): every registry spec plus the
+//! external baselines of [`arena`] through [`run_workload`] with a
+//! 50–150 ns pause, multi-run mean/stddev/margin-of-error statistics from
+//! [`stats`], and a schema-versioned `results/BENCH_arena.json`. Every
 //! binary accepts `--smoke` for a seconds-long bit-rot check (ci.sh runs
 //! them all).
 
@@ -34,13 +35,11 @@
 
 pub mod arena;
 pub mod cli;
-pub mod json;
-pub mod microbench;
 pub mod registry;
 pub mod stats;
 pub mod workload;
 
-pub use arena::{ArenaArtifact, ArenaConfig, Contender};
+pub use arena::ArenaArtifact;
 pub use registry::{QueueKind, QueueSpec, ALL_KINDS};
 pub use stats::Summary;
 pub use workload::{run_averaged, run_workload, RunConfig, RunResult};

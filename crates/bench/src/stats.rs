@@ -6,8 +6,7 @@
 //! the same way. This module reproduces that reporting: sample mean,
 //! sample (n−1) standard deviation, and a 95 % confidence half-width from
 //! Student's t distribution — the margin of error the `pairwise` arena
-//! writes into `results/BENCH_arena.json` and the regression gate uses to
-//! separate real throughput drops from run-to-run noise.
+//! writes into `results/BENCH_arena.json`.
 
 /// Two-sided 97.5 % Student's t quantiles for 1–30 degrees of freedom;
 /// larger samples fall back to the normal quantile 1.96. Values are the

@@ -1,8 +1,9 @@
 //! Contract tests for arena contenders (ISSUE 9, satellite 3).
 //!
-//! Every [`Contender`] the arena can put on the scoreboard — registry
-//! queues and external baselines alike — must behave like a concurrent
-//! multiset channel before its throughput numbers mean anything:
+//! Every queue the arena can put on the scoreboard — registry queues and
+//! external baselines alike, each a `Box<dyn ConcurrentQueue>` from
+//! `Entry::build` — must behave like a concurrent multiset channel before
+//! its throughput numbers mean anything:
 //!
 //! * **exactly-once delivery** — N producers push disjoint tagged values,
 //!   N consumers drain; every value comes out exactly once, nothing else;
@@ -14,10 +15,11 @@
 //!
 //! The synthetic F&A upper bound (`faa`) is exempt from delivery and
 //! empty-queue checks — it transfers no values by design (that is what
-//! `is_synthetic` means); its own test pins the ticket semantics the
+//! `Entry::synthetic` marks); its own test pins the ticket semantics the
 //! arena relies on instead.
 
-use lcrq_bench::arena::{self, Contender, Entry};
+use lcrq_bench::arena::{self, Entry};
+use lcrq_queues::ConcurrentQueue;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -26,15 +28,9 @@ use std::sync::Barrier;
 /// test rather than staying inside one ring.
 const RING_ORDER: u32 = 6;
 
-fn all_entries() -> Vec<Entry> {
-    let mut v = arena::registry_entries(RING_ORDER);
-    v.extend(arena::external_entries());
-    v
-}
-
 /// N producers enqueue disjoint tagged ranges while N consumers drain.
 /// Returns the multiset of dequeued values.
-fn hammer(c: &dyn Contender, producers: usize, per: u64) -> HashMap<u64, u64> {
+fn hammer(c: &dyn ConcurrentQueue, producers: usize, per: u64) -> HashMap<u64, u64> {
     let total = producers as u64 * per;
     let consumed = AtomicU64::new(0);
     let barrier = Barrier::new(2 * producers);
@@ -81,7 +77,7 @@ fn hammer(c: &dyn Contender, producers: usize, per: u64) -> HashMap<u64, u64> {
 fn every_contender_delivers_exactly_once() {
     let producers = 3;
     let per = 500u64;
-    for e in all_entries() {
+    for e in arena::default_roster(RING_ORDER) {
         if e.synthetic {
             continue; // faa transfers no values by design
         }
@@ -112,7 +108,7 @@ fn every_contender_delivers_exactly_once() {
 
 #[test]
 fn empty_contender_dequeues_none() {
-    for e in all_entries() {
+    for e in arena::default_roster(RING_ORDER) {
         if e.synthetic {
             continue; // the F&A bound has no notion of empty
         }
@@ -134,7 +130,7 @@ fn empty_contender_dequeues_none() {
 
 #[test]
 fn single_thread_order_is_fifo() {
-    for e in all_entries() {
+    for e in arena::default_roster(RING_ORDER) {
         if e.synthetic {
             continue; // tickets, not values
         }
@@ -158,8 +154,8 @@ fn synthetic_bound_is_marked_and_hands_out_tickets() {
         .filter(|e| e.synthetic)
         .collect();
     assert_eq!(faa.len(), 1, "exactly one synthetic upper bound expected");
+    assert_eq!(faa[0].name, "faa");
     let c = faa[0].build();
-    assert!(c.is_synthetic());
     // Unconditional F&A on both ends: every dequeue succeeds with a
     // monotone ticket regardless of enqueues. The arena must therefore
     // route it around delivery validation — pinned here so a refactor
