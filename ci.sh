@@ -17,11 +17,11 @@
 # | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing, and a queued item costs <= 20 heap bytes, in the optimised build either |  8 |
 # | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) | 20 runs each: a 1-in-6 flake cannot pass        | 33 |
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
-# | sharded         | seed_sweep sharded seeded_stress x4; shard_scaling   | four replay seeds; analytic-envelope check, BENCH_shard.json  |  1 |
+# | sharded         | seed_sweep sharded seeded_stress x4                  | four replay seeds; a 16 x 1000-op history delivers exactly once |  7 |
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
 # | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 95 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
-# | bench smoke     | 12 bins --smoke                                      | every bin still runs and parses its flags; every pairs run reconciles delivery |  1 |
+# | bench smoke     | 11 bins --smoke                                      | every bin still runs and parses its flags; every pairs run reconciles delivery |  1 |
 # | nm probe        | nm on the release `progress` test binary             | no fault-registry symbol in the default build                 |  9 |
 # | objdump probe   | objdump -d on every target/release bin + that test binary | no `cmpxchg16b (%rbx)` anywhere, not only in `pairwise`  |  2 |
 # | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints; again under --cfg loom for the crates with a loom suite |  8 |
@@ -101,17 +101,17 @@ seed_sweep "wcq stall sweep" "0x1 0x5EED 0xC0FFEE 0xDEADBEEF" \
 # Sharded front-end gate (DESIGN.md "Sharded front-end & semantic
 # relaxation"): the seeded relaxed stress entry points replayed under four
 # LCRQ_TEST_SEED values against all three inner backend families
-# (sharded:inner=lcrq, =lscq, and =wcq), then shard_scaling emitting the
-# machine-readable perf-trajectory artifact results/BENCH_shard.json
-# (nonzero exit if measured relaxation ever exceeds the analytic envelope).
+# (sharded:inner=lcrq, =lscq, and =wcq). The lcrq entry point also records
+# a 16-worker x 1000-op history on sharded:shards=8,d=2,inner=lcrq and
+# fails on a duplicate, lost or invented value or a dishonest EMPTY. (It
+# also scores the history against the analytic envelope, but at this size
+# the envelope exceeds the history's enqueue count, so that arm cannot
+# fail; nor is the removed bench bin's 500 ppm preemption reproduced.)
 # (The relaxation checker's and the QueueSpec registry's unit suites ran in
 # the workspace and tier-1 passes above.)
 echo "==> sharded front-end gate"
 seed_sweep "sharded seeded stress" "0x1 0x5EED 0xC0FFEE 0xDEADBEEF" \
     --test sharded -q seeded_stress
-echo "    shard_scaling -> results/BENCH_shard.json"
-cargo run --release -q -p lcrq-bench --bin shard_scaling -- \
-    --threads 8 --shards 1,8 --d 2 --pairs 4000 --relax-ops 1000 >/dev/null
 
 # Fault-injection gate (DESIGN.md "Fault injection & degradation"): the
 # fail-point registry's own unit suite and a deterministic multi-seed stress
@@ -170,7 +170,7 @@ cargo test --features force-fallback,fault-injection --test fault_tolerance -q
 echo "==> bench smoke gate (all harness bins, --smoke)"
 for bin in table1_primitives fig1_counter fig2_livelock fig6_throughput \
     fig7_multiprocessor fig8_latency fig9_ringsize table2_stats \
-    table3_stats batch_throughput shard_scaling pairwise; do
+    table3_stats batch_throughput pairwise; do
     echo "    $bin --smoke"
     cargo run --release -q -p lcrq-bench --bin "$bin" -- --smoke >/dev/null
 done

@@ -161,8 +161,6 @@ pub enum QueueSpec {
         shards: usize,
         /// Shards sampled per operation.
         d: usize,
-        /// Thread-local estimate refresh interval.
-        refresh: u32,
         /// Spec each shard is built from.
         inner: Box<QueueSpec>,
     },
@@ -175,16 +173,6 @@ impl QueueSpec {
             kind,
             ring_order: DEFAULT_RING_ORDER,
             clusters: DEFAULT_CLUSTERS,
-        }
-    }
-
-    /// A sharded spec with default shards/d/refresh over `inner`.
-    pub fn sharded(inner: QueueSpec) -> Self {
-        Self::Sharded {
-            shards: DEFAULT_SHARDED.shards,
-            d: DEFAULT_SHARDED.d,
-            refresh: DEFAULT_SHARDED.refresh,
-            inner: Box::new(inner),
         }
     }
 
@@ -230,7 +218,6 @@ impl QueueSpec {
     fn parse_sharded(params: &str) -> Result<Self, String> {
         let mut shards = DEFAULT_SHARDED.shards;
         let mut d = DEFAULT_SHARDED.d;
-        let mut refresh = DEFAULT_SHARDED.refresh;
         let mut inner = QueueSpec::backend(QueueKind::Lcrq);
         let mut rest = params;
         while !rest.trim().is_empty() {
@@ -254,11 +241,10 @@ impl QueueSpec {
             match key.trim() {
                 "shards" => shards = parse_num(key, val)?,
                 "d" => d = parse_num(key, val)?,
-                "refresh" => refresh = parse_num(key, val)?,
                 other => {
                     return Err(format!(
                         "unknown parameter '{other}' for sharded \
-                         (expected shards=, d=, refresh=, inner=; inner= must be last)"
+                         (expected shards=, d=, inner=; inner= must be last)"
                     ))
                 }
             }
@@ -266,7 +252,6 @@ impl QueueSpec {
         Ok(Self::Sharded {
             shards,
             d,
-            refresh,
             inner: Box::new(inner),
         })
     }
@@ -301,15 +286,9 @@ impl QueueSpec {
                 ring_order,
                 clusters,
             },
-            Self::Sharded {
+            Self::Sharded { shards, d, inner } => Self::Sharded {
                 shards,
                 d,
-                refresh,
-                inner,
-            } => Self::Sharded {
-                shards,
-                d,
-                refresh,
                 inner: Box::new(inner.with_ring_order(ring_order)),
             },
         }
@@ -326,68 +305,11 @@ impl QueueSpec {
                 ring_order,
                 clusters,
             },
-            Self::Sharded {
+            Self::Sharded { shards, d, inner } => Self::Sharded {
                 shards,
                 d,
-                refresh,
-                inner,
-            } => Self::Sharded {
-                shards,
-                d,
-                refresh,
                 inner: Box::new(inner.with_clusters(clusters)),
             },
-        }
-    }
-
-    /// Returns a sharded spec with the shard count overridden (no-op on
-    /// backends).
-    pub fn with_shards(self, shards: usize) -> Self {
-        match self {
-            Self::Sharded {
-                d, refresh, inner, ..
-            } => Self::Sharded {
-                shards,
-                d,
-                refresh,
-                inner,
-            },
-            other => other,
-        }
-    }
-
-    /// Returns a sharded spec with the sample width overridden (no-op on
-    /// backends).
-    pub fn with_d(self, d: usize) -> Self {
-        match self {
-            Self::Sharded {
-                shards,
-                refresh,
-                inner,
-                ..
-            } => Self::Sharded {
-                shards,
-                d,
-                refresh,
-                inner,
-            },
-            other => other,
-        }
-    }
-
-    /// Returns a sharded spec with the refresh interval overridden (no-op
-    /// on backends).
-    pub fn with_refresh(self, refresh: u32) -> Self {
-        match self {
-            Self::Sharded {
-                shards, d, inner, ..
-            } => Self::Sharded {
-                shards,
-                d,
-                refresh,
-                inner,
-            },
-            other => other,
         }
     }
 
@@ -416,13 +338,10 @@ impl QueueSpec {
     pub fn rank_error_bound(&self, threads: usize) -> u64 {
         match self {
             Self::Backend { .. } => 0,
-            Self::Sharded {
-                shards,
-                d,
-                refresh,
-                inner,
-            } => lcrq_core::rank_error_bound_for(*shards, *d, *refresh, threads)
-                .saturating_add((*shards as u64).saturating_mul(inner.rank_error_bound(threads))),
+            Self::Sharded { shards, d, inner } => lcrq_core::rank_error_bound_for(
+                *shards, *d, threads,
+            )
+            .saturating_add((*shards as u64).saturating_mul(inner.rank_error_bound(threads))),
         }
     }
 
@@ -457,16 +376,8 @@ impl QueueSpec {
                     QueueKind::Baskets => Box::new(BasketsQueue::new()),
                 }
             }
-            Self::Sharded {
-                shards,
-                d,
-                refresh,
-                inner,
-            } => {
-                let cfg = ShardedConfig::new()
-                    .with_shards(*shards)
-                    .with_d(*d)
-                    .with_refresh(*refresh);
+            Self::Sharded { shards, d, inner } => {
+                let cfg = ShardedConfig::new().with_shards(*shards).with_d(*d);
                 Box::new(ShardedQueue::from_factory(&cfg, |_| inner.build()))
             }
         }
@@ -482,8 +393,8 @@ fn parse_num<T: std::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
 impl core::fmt::Display for QueueSpec {
     /// Canonical form: parameters at their defaults are omitted for
     /// backends; sharded specs always spell out `shards`, `d`, and
-    /// `inner` (self-description beats brevity there), omitting only a
-    /// default `refresh`. `parse(x.to_string()) == x` in all cases.
+    /// `inner` (self-description beats brevity there).
+    /// `parse(x.to_string()) == x` in all cases.
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             Self::Backend {
@@ -502,17 +413,8 @@ impl core::fmt::Display for QueueSpec {
                 }
                 Ok(())
             }
-            Self::Sharded {
-                shards,
-                d,
-                refresh,
-                inner,
-            } => {
-                write!(f, "sharded:shards={shards},d={d}")?;
-                if *refresh != DEFAULT_SHARDED.refresh {
-                    write!(f, ",refresh={refresh}")?;
-                }
-                write!(f, ",inner={inner}")
+            Self::Sharded { shards, d, inner } => {
+                write!(f, "sharded:shards={shards},d={d},inner={inner}")
             }
         }
     }
@@ -560,7 +462,7 @@ mod tests {
             "h-queue:clusters=4",
             "lcrq:ring=16,clusters=2",
             "sharded:shards=8,d=2,inner=lcrq",
-            "sharded:shards=4,d=3,refresh=32,inner=lscq:ring=10",
+            "sharded:shards=4,d=3,inner=lscq:ring=10",
             "sharded:shards=2,d=2,inner=sharded:shards=3,d=1,inner=ms",
         ] {
             let spec = QueueSpec::parse(s).unwrap_or_else(|e| panic!("{s}: {e}"));
@@ -568,7 +470,7 @@ mod tests {
             assert_eq!(QueueSpec::parse(&spec.to_string()).unwrap(), spec);
         }
         // Non-canonical inputs still round-trip through one print cycle.
-        for s in ["lcrq:ring=12", "sharded", "sharded:refresh=64,inner=lcrq"] {
+        for s in ["lcrq:ring=12", "sharded", "sharded:d=2,inner=lcrq"] {
             let spec = QueueSpec::parse(s).unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(QueueSpec::parse(&spec.to_string()).unwrap(), spec, "{s}");
         }
@@ -598,7 +500,6 @@ mod tests {
             QueueSpec::Sharded {
                 shards: 1 + rng.next_below(9) as usize,
                 d: 1 + rng.next_below(4) as usize,
-                refresh: 1 + rng.next_below(128) as u32,
                 inner: Box::new(random_spec(rng, depth - 1)),
             }
         } else {
@@ -612,6 +513,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_specs() {
+        // A retired key is refused with the list of accepted ones.
+        let retired = "sharded:refresh=64,inner=lcrq";
         for bad in [
             "nope",
             "lcrq:bogus=1",
@@ -619,10 +522,13 @@ mod tests {
             "sharded:shards=x,inner=lcrq",
             "sharded:inner=nope",
             "sharded:wat=1",
+            retired,
             "lcrq:ring",
         ] {
             assert!(QueueSpec::parse(bad).is_err(), "'{bad}' must be rejected");
         }
+        let err = QueueSpec::parse(retired).unwrap_err();
+        assert!(err.contains("expected shards=, d=, inner="), "{err}");
     }
 
     #[test]

@@ -22,10 +22,9 @@
 //! already own that shard's lines). Reading all of them on every operation
 //! would re-centralize the very traffic sharding removes, so each thread
 //! keeps a private cached copy, adjusted optimistically by its own
-//! operations and re-read from the real counters only every
-//! [`refresh`](ShardedConfig::refresh) operations. Correctness never
-//! depends on the estimates — they only steer placement; the fallback
-//! sweep consults the real shards.
+//! operations and re-read from the real counters only every `REFRESH`
+//! (64) operations. Correctness never depends on the estimates — they
+//! only steer placement; the fallback sweep consults the real shards.
 //!
 //! # Semantic relaxation
 //!
@@ -42,6 +41,11 @@ use lcrq_util::{fault, CachePadded, XorShift64Star};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Operations a thread runs on its cached length estimates before it
+/// re-reads the real per-shard counters. Larger would make the balancer
+/// cheaper and the relaxation window wider.
+const REFRESH: u32 = 64;
+
 /// Construction parameters for a [`ShardedQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedConfig {
@@ -51,20 +55,12 @@ pub struct ShardedConfig {
     /// degenerates to uniform random placement; d ≥ 2 gives the
     /// power-of-d-choices balance.
     pub d: usize,
-    /// Operations between re-reads of the real per-shard counters into the
-    /// thread-local estimate cache (clamped to ≥ 1). Larger values make
-    /// the balancer cheaper and the relaxation window wider.
-    pub refresh: u32,
 }
 
 impl ShardedConfig {
-    /// The default: 8 shards, d = 2, refresh every 64 operations.
+    /// The default: 8 shards, d = 2.
     pub const fn new() -> Self {
-        Self {
-            shards: 8,
-            d: 2,
-            refresh: 64,
-        }
+        Self { shards: 8, d: 2 }
     }
 
     /// Returns `self` with the shard count set.
@@ -76,12 +72,6 @@ impl ShardedConfig {
     /// Returns `self` with the sample width set.
     pub fn with_d(mut self, d: usize) -> Self {
         self.d = d;
-        self
-    }
-
-    /// Returns `self` with the estimate refresh interval set.
-    pub fn with_refresh(mut self, refresh: u32) -> Self {
-        self.refresh = refresh;
         self
     }
 }
@@ -110,7 +100,6 @@ struct Shard<Q> {
 pub struct ShardedQueue<Q> {
     shards: Box<[Shard<Q>]>,
     d: usize,
-    refresh: u32,
     /// Process-unique id distinguishing this queue's thread-local sampler
     /// state from other (possibly freed-and-reallocated) instances.
     instance: u64,
@@ -151,7 +140,6 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
                 })
                 .collect(),
             d: cfg.d.clamp(1, shards),
-            refresh: cfg.refresh.max(1),
             instance: next_instance_id(),
         }
     }
@@ -164,11 +152,6 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
     /// Shards sampled per operation.
     pub fn d(&self) -> usize {
         self.d
-    }
-
-    /// Estimate refresh interval, in operations per thread.
-    pub fn refresh(&self) -> u32 {
-        self.refresh
     }
 
     /// Snapshot length estimate: total enqueues minus total dequeues
@@ -185,7 +168,7 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
     /// The analytic rank-error envelope for this configuration at the
     /// given concurrency — see [`rank_error_bound_for`].
     pub fn rank_error_bound(&self, threads: usize) -> u64 {
-        rank_error_bound_for(self.shards.len(), self.d, self.refresh, threads)
+        rank_error_bound_for(self.shards.len(), self.d, threads)
     }
 
     /// Re-reads the real counters into the sampler's estimate cache.
@@ -195,7 +178,7 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
             let d = sh.deq.load(Ordering::Relaxed);
             *slot = e.wrapping_sub(d) as i64;
         }
-        smp.until_refresh = self.refresh;
+        smp.until_refresh = REFRESH;
     }
 
     /// Samples `d` shards by cached estimate and returns the best index
@@ -300,14 +283,14 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
 
 /// The analytic rank-error envelope asserted by the relaxation checker: a
 /// generous bound on how many strictly older elements one dequeue may
-/// overtake under d-choice balancing with estimates up to `refresh`
+/// overtake under d-choice balancing with estimates up to `REFRESH` (64)
 /// operations stale per thread.
 ///
 /// Reasoning (probabilistic envelope, not a worst-case theorem):
 ///
-/// * **Staleness.** Every concurrent thread can issue up to `2 × refresh`
+/// * **Staleness.** Every concurrent thread can issue up to `2 × REFRESH`
 ///   operations against an estimate snapshot before re-reading, so shard
-///   lengths can drift apart by `2 × refresh × threads` in the worst
+///   lengths can drift apart by `2 × REFRESH × threads` in the worst
 ///   herd, and each of the other `shards − 1` shards can hold that many
 ///   strictly older elements when an unlucky head is taken.
 /// * **Sampling.** Shards are sampled with replacement, so a shard can go
@@ -323,13 +306,13 @@ impl<Q: ConcurrentQueue> ShardedQueue<Q> {
 ///   envelope honest for the run lengths exercised by the test harness;
 ///   prefer `d ≥ 2` whenever the rank bound matters.
 ///
-/// `refresh` counts *operations*, so callers moving `k` elements per
+/// `REFRESH` counts *operations*, so callers moving `k` elements per
 /// batched call should scale the envelope by their batch size.
-pub fn rank_error_bound_for(shards: usize, d: usize, refresh: u32, threads: usize) -> u64 {
+pub fn rank_error_bound_for(shards: usize, d: usize, threads: usize) -> u64 {
     if shards <= 1 {
         return 0;
     }
-    let staleness = 2 * refresh as u64 * threads.max(1) as u64;
+    let staleness = 2 * REFRESH as u64 * threads.max(1) as u64;
     let sampling = if d <= 1 { 64 } else { 8 };
     (shards as u64 - 1) * (staleness + 2 * d as u64 + 16) * sampling
 }
@@ -436,41 +419,29 @@ mod tests {
     use crate::Lcrq;
     use lcrq_queues::testing;
 
-    fn sharded(shards: usize, d: usize, refresh: u32) -> ShardedQueue<Lcrq> {
-        ShardedQueue::from_factory(
-            &ShardedConfig::new()
-                .with_shards(shards)
-                .with_d(d)
-                .with_refresh(refresh),
-            |_| Lcrq::new(),
-        )
+    fn sharded(shards: usize, d: usize) -> ShardedQueue<Lcrq> {
+        ShardedQueue::from_factory(&ShardedConfig::new().with_shards(shards).with_d(d), |_| {
+            Lcrq::new()
+        })
     }
 
     #[test]
     fn config_is_clamped() {
-        let q = ShardedQueue::from_factory(
-            &ShardedConfig {
-                shards: 0,
-                d: 99,
-                refresh: 0,
-            },
-            |_| Lcrq::new(),
-        );
+        let q = ShardedQueue::from_factory(&ShardedConfig { shards: 0, d: 99 }, |_| Lcrq::new());
         assert_eq!(q.shards(), 1);
         assert_eq!(q.d(), 1);
-        assert_eq!(q.refresh(), 1);
     }
 
     #[test]
     fn single_shard_is_strict_fifo() {
-        let q = sharded(1, 2, 1);
+        let q = sharded(1, 2);
         testing::model_check(&q, 0x51);
         assert_eq!(q.rank_error_bound(8), 0);
     }
 
     #[test]
     fn delivers_every_element_exactly_once() {
-        let q = sharded(4, 2, 4);
+        let q = sharded(4, 2);
         for i in 0..1_000u64 {
             q.enqueue(i);
         }
@@ -482,12 +453,14 @@ mod tests {
 
     #[test]
     fn sequential_drain_stays_within_the_rank_bound() {
-        let q = sharded(4, 2, 1);
-        let total = 2_000u64;
+        let q = sharded(4, 2);
+        let bound = q.rank_error_bound(1);
+        // Several bounds' worth of elements, so a balancer that drains
+        // one shard ahead of the others displaces elements past the bound.
+        let total = 4 * bound;
         for i in 0..total {
             q.enqueue(i);
         }
-        let bound = q.rank_error_bound(1);
         // Element i dequeued at position p overtook at most (p - i) older
         // elements; displacement must respect the analytic envelope.
         for p in 0..total {
@@ -505,7 +478,7 @@ mod tests {
         // The sweep must find the only element no matter how wrong the
         // estimates are (they start synced here; the cross-thread desync
         // case lives in tests/sharded.rs).
-        let q = sharded(8, 2, 1000);
+        let q = sharded(8, 2);
         for round in 0..500u64 {
             assert_eq!(q.dequeue(), None);
             q.enqueue(round);
@@ -515,7 +488,7 @@ mod tests {
 
     #[test]
     fn batches_ride_one_shard_in_order() {
-        let q = sharded(4, 2, 1);
+        let q = sharded(4, 2);
         q.enqueue_batch(&[1, 2, 3, 4, 5]);
         let mut out = Vec::new();
         // One shard holds the whole batch, so a full drain through the
@@ -527,7 +500,7 @@ mod tests {
 
     #[test]
     fn close_fences_every_shard() {
-        let q = sharded(3, 2, 1);
+        let q = sharded(3, 2);
         q.enqueue(7);
         assert!(q.close());
         assert!(!q.close());
@@ -539,7 +512,7 @@ mod tests {
 
     #[test]
     fn len_estimate_tracks_occupancy() {
-        let q = sharded(4, 2, 1);
+        let q = sharded(4, 2);
         assert_eq!(q.len_estimate(), 0);
         for i in 0..100 {
             q.enqueue(i);
@@ -553,7 +526,7 @@ mod tests {
 
     #[test]
     fn mpmc_delivery_is_exactly_once() {
-        let q = sharded(4, 2, 8);
+        let q = sharded(4, 2);
         testing::mpmc_stress_relaxed(&q, 3, 3, 2_000, q.rank_error_bound(6));
     }
 }

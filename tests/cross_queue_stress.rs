@@ -186,15 +186,18 @@ fn alternating_empty_nonempty_every_kind() {
 /// The sharded specs the shared battery runs against: LCRQ and LSCQ inner
 /// backends (the ci.sh sharded gate's pair), plus a nested composition.
 const SHARDED_SPECS: &[&str] = &[
-    "sharded:shards=4,d=2,refresh=8,inner=lcrq:ring=6",
-    "sharded:shards=4,d=2,refresh=8,inner=lscq:ring=6",
-    "sharded:shards=4,d=2,refresh=8,inner=wcq:ring=6",
-    "sharded:shards=2,d=2,refresh=4,inner=sharded:shards=2,d=1,refresh=4,inner=lcrq:ring=6",
+    "sharded:shards=4,d=2,inner=lcrq:ring=6",
+    "sharded:shards=4,d=2,inner=lscq:ring=6",
+    "sharded:shards=4,d=2,inner=wcq:ring=6",
+    "sharded:shards=2,d=2,inner=sharded:shards=2,d=1,inner=lcrq:ring=6",
 ];
 
 /// Empirical relaxation windows in these tests are far below the analytic
 /// envelope; the stress harness uses the spec's bound at the test's
-/// concurrency.
+/// concurrency. At these sizes the bound exceeds the pending count of the
+/// model check and stress runs, so only their exactly-once and EMPTY arms
+/// can fail; the sequential burst-and-drain holds enough elements for the
+/// flat specs' rank arm to bite.
 fn parsed_sharded() -> Vec<QueueSpec> {
     SHARDED_SPECS
         .iter()
@@ -206,8 +209,8 @@ fn parsed_sharded() -> Vec<QueueSpec> {
 fn relaxed_model_check_sharded_specs() {
     for spec in parsed_sharded() {
         let q = spec.build();
-        // Sequential, single sampler, refresh up to 8 stale: the d-choice
-        // window stays within the bound for 1 thread.
+        // Sequential, single sampler, estimates up to 64 operations
+        // stale: the d-choice window stays within the bound for 1 thread.
         let window = spec.rank_error_bound(1) as usize;
         testing::relaxed_model_check(&q, 0x54AD ^ window as u64, window);
     }
@@ -225,8 +228,8 @@ fn mpmc_stress_relaxed_sharded_specs() {
 fn mpmc_batch_stress_relaxed_sharded_specs() {
     for spec in parsed_sharded() {
         let q = spec.build();
-        // `refresh` counts operations and each batched call moves up to 16
-        // elements, so the envelope scales by the batch size.
+        // The estimate refresh counts operations and each batched call
+        // moves up to 16 elements, so the envelope scales by the batch size.
         let bound = spec.rank_error_bound(6).saturating_mul(16);
         testing::mpmc_batch_stress_relaxed(&q, 3, 3, 3_000, 16, bound);
     }

@@ -393,13 +393,9 @@ fn survivors_outlive_peers_stalled_in_the_sampling_window() {
     let stext = scenario.to_string();
     scenario.arm();
 
-    let q = ShardedQueue::from_factory(
-        &ShardedConfig::new()
-            .with_shards(4)
-            .with_d(2)
-            .with_refresh(16),
-        |_| Lcrq::with_config(tiny()),
-    );
+    let q = ShardedQueue::from_factory(&ShardedConfig::new().with_shards(4).with_d(2), |_| {
+        Lcrq::with_config(tiny())
+    });
     let done = AtomicUsize::new(0);
     let (q, done) = (&q, &done);
     let all: Vec<Vec<u64>> = std::thread::scope(|s| {
@@ -471,16 +467,12 @@ fn failed_sampling_degrades_to_uniform_choice_not_lost_elements() {
     let stext = scenario.to_string();
     scenario.arm();
     let result = std::panic::catch_unwind(|| {
-        let q = ShardedQueue::from_factory(
-            &ShardedConfig::new()
-                .with_shards(4)
-                .with_d(2)
-                .with_refresh(16),
-            |_| Lcrq::with_config(tiny()),
-        );
+        let q = ShardedQueue::from_factory(&ShardedConfig::new().with_shards(4).with_d(2), |_| {
+            Lcrq::with_config(tiny())
+        });
         // Half the picks lose their extra samples, so judge against the
         // d = 1 envelope rather than the configured d = 2 one.
-        let bound = rank_error_bound_for(4, 1, 16, 6);
+        let bound = rank_error_bound_for(4, 1, 6);
         mpmc_stress_relaxed(&q, 3, 3, 4_000, bound);
     });
     fault::disarm();
