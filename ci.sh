@@ -25,6 +25,7 @@
 # | nm probe        | nm on the release `progress` test binary             | no fault-registry symbol in the default build                 |  9 |
 # | objdump probe   | objdump -d on every target/release bin + that test binary | no `cmpxchg16b (%rbx)` anywhere, not only in `pairwise`  |  2 |
 # | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints; again under --cfg loom for the crates with a loom suite |  8 |
+# | rustdoc         | RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps | every intra-doc link resolves: a deleted name leaves no dangling link |  4 |
 # | fmt             | cargo fmt --all --check                              | formatting                                                    |  1 |
 # | TSan, ASan/LSan, Miri, aarch64 | guarded by installed toolchains       | skipped on this host (no nightly, no aarch64 target)          |  0 |
 set -euo pipefail
@@ -124,7 +125,9 @@ seed_sweep "stress sweep" "0x1 0x2 0x3 0x5EED 0xC0FFEE 0xDEADBEEF 0xFA175EED 0xF
     --features fault-injection --test fault_tolerance -q stress_sweep
 
 # Loom gate (DESIGN.md "Weak memory & model checking"): the in-tree model
-# checker explores thread interleavings of the seqlock CAS2 fallback, the
+# checker explores thread interleavings of the seqlock CAS2 fallback (plus
+# the planted word-0-first store twin, which it must catch pairing the new
+# word 0 with the old word 1), the
 # EventCount parker protocol, the RingPool slot claim (plus the planted
 # load-then-store twin, which it must catch handing one ring to two
 # poppers), the list of rings' sealed close against a consumer's settle
@@ -219,6 +222,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # above.
 RUSTFLAGS="--cfg loom" cargo clippy -p lcrq-util -p lcrq-atomic -p lcrq-hazard \
     -p lcrq-core -p lcrq-channel --all-targets -- -D warnings
+
+# Rustdoc gate: a broken intra-doc link is a warning, and this makes it an
+# error, so deleting or renaming an item fails here until every doc that
+# named it is fixed. Items that exist only under a feature (the fault
+# registry's `Scenario`, `disarm`, ...) are named in code spans, not linked.
+echo "==> rustdoc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -4,7 +4,7 @@
 //!
 //! | paper name | x86 instruction  | here |
 //! |------------|------------------|------|
-//! | `F&A`      | `LOCK XADD`      | [`ops::faa`] with [`HardwareFaa`] |
+//! | `F&A`      | `LOCK XADD`      | [`FaaPolicy::fetch_add`] with [`HardwareFaa`] |
 //! | `SWAP`     | `XCHG`           | [`ops::swap`] |
 //! | `T&S`      | `LOCK BTS`       | [`ops::tas_bit`] |
 //! | `CAS`      | `LOCK CMPXCHG`   | [`ops::cas`] |

@@ -53,7 +53,8 @@ pub fn cas(a: &AtomicU64, old: u64, new: u64) -> Result<(), u64> {
 }
 
 /// Counted pointer-sized CAS over a `AtomicPtr`-shaped `AtomicU64` is not
-/// provided; list queues use [`cas_ptr`] on `AtomicPtr` directly.
+/// provided; list queues use [`cas_ptr`](ptr::cas_ptr) on `AtomicPtr`
+/// directly.
 pub mod ptr {
     use core::sync::atomic::{AtomicPtr, Ordering};
     use lcrq_util::metrics::{self, Event};

@@ -332,6 +332,43 @@ mod fallback {
             Err(cur)
         }
     }
+
+    /// The planted-bug twin of [`cmpxchg16b`]: word 0 is stored first, so a
+    /// reader can pair the new word 0 with the old word 1.
+    #[cfg(loom)]
+    pub fn cmpxchg16b_word0_first(
+        ptr: *mut [u64; 2],
+        old: (u64, u64),
+        new: (u64, u64),
+    ) -> Result<(), (u64, u64)> {
+        let _g = lock(ptr as usize);
+        // SAFETY: as in `cmpxchg16b`.
+        let (w0, w1) = unsafe { words(ptr) };
+        let cur = (w0.load(Ordering::Relaxed), w1.load(Ordering::Relaxed));
+        if cur == old {
+            w0.store(new.0, Ordering::Release);
+            w1.store(new.1, Ordering::Release);
+            Ok(())
+        } else {
+            Err(cur)
+        }
+    }
+}
+
+/// The planted-bug twin of the fallback's store order, reachable only by
+/// the model checker: `tests/loom.rs` runs it against the same per-word
+/// reader and asserts the checker finds the new word 0 beside the old
+/// word 1.
+#[cfg(loom)]
+#[doc(hidden)]
+impl AtomicPair {
+    pub fn compare_exchange_word0_first(
+        &self,
+        old: (u64, u64),
+        new: (u64, u64),
+    ) -> Result<(), (u64, u64)> {
+        fallback::cmpxchg16b_word0_first(self.words.get(), old, new)
+    }
 }
 
 #[cfg(test)]

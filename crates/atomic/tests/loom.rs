@@ -9,11 +9,13 @@
 //! These models check the properties the CRQ algorithms lean on: CAS2 is
 //! atomic across both words (no lost updates, no torn 128-bit loads), and
 //! the lock-free per-word reads of `load_first`/`load_second` observe only
-//! values that some CAS2 actually committed.
+//! values that some CAS2 actually committed, torn only the way the native
+//! instruction can tear them (plus the planted word-0-first twin, which
+//! the checker must catch tearing the other way).
 #![cfg(loom)]
 
 use lcrq_atomic::{cas2_backend, AtomicPair};
-use lcrq_util::model::{thread, Builder};
+use lcrq_util::model::{thread, Builder, Report};
 use std::sync::Arc;
 
 #[test]
@@ -65,27 +67,50 @@ fn pair_load_probe_is_never_torn() {
     assert!(report.executions > 1);
 }
 
-#[test]
-fn per_word_loads_observe_only_committed_values() {
-    // load_first/load_second deliberately skip the stripe lock (the CRQ
-    // reads val and <safe, idx> as two independent words). Racing a CAS2
-    // they may see the pair *mixed across words* — the CRQ's documented
-    // access model — but each individual word must be a value some CAS2
-    // wrote, never an out-of-thin-air or shredded one.
-    let report = Builder::new().check(|| {
+type Cas2 = fn(&AtomicPair, (u64, u64), (u64, u64)) -> Result<(), (u64, u64)>;
+
+/// load_first/load_second deliberately skip the stripe lock (the CRQ reads
+/// val and <safe, idx> as two independent words). Racing a CAS2 they may
+/// see the pair *mixed across words* — the CRQ's documented access model —
+/// but each individual word must be a value some CAS2 wrote, and the mix
+/// is one-way: read word 0 then word 1, the new word 0 never appears beside
+/// the old word 1, as with the native instruction's one 16-byte store.
+fn per_word_model(cas2: Cas2) -> Report {
+    Builder::new().check(move || {
         let p = Arc::new(AtomicPair::new(1, 2));
         let p2 = Arc::clone(&p);
         let w = thread::spawn(move || {
-            assert_eq!(p2.compare_exchange((1, 2), (3, 4)), Ok(()));
+            assert_eq!(cas2(&p2, (1, 2), (3, 4)), Ok(()));
         });
         let a = p.load_first();
         let b = p.load_second();
         assert!(a == 1 || a == 3, "word 0 out of thin air: {a}");
         assert!(b == 2 || b == 4, "word 1 out of thin air: {b}");
+        assert!((a, b) != (3, 2), "new word 0 beside the old word 1");
         w.join().unwrap();
         assert_eq!(p.load(), (3, 4));
-    });
+    })
+}
+
+#[test]
+fn per_word_loads_observe_only_committed_values() {
+    let report = per_word_model(AtomicPair::compare_exchange);
     assert!(report.executions > 1);
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+#[test]
+fn word0_first_store_is_caught_tearing_the_wrong_way() {
+    let payload =
+        std::panic::catch_unwind(|| per_word_model(AtomicPair::compare_exchange_word0_first))
+            .expect_err("the checker must reject the planted twin");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("model failures carry a String");
+    assert!(
+        msg.contains("beside the old word 1"),
+        "wrong failure: {msg}"
+    );
 }
 
 #[test]

@@ -68,10 +68,6 @@ impl ConcurrentQueue for StdMpsc {
     fn name(&self) -> &'static str {
         "std-mpsc"
     }
-
-    fn is_nonblocking(&self) -> bool {
-        false
-    }
 }
 
 /// `std::sync::mpsc::sync_channel` — the bounded rendezvous-buffer
@@ -106,10 +102,6 @@ impl ConcurrentQueue for StdMpscBounded {
     fn name(&self) -> &'static str {
         "std-mpsc-bounded"
     }
-
-    fn is_nonblocking(&self) -> bool {
-        false
-    }
 }
 
 /// The classic coarse-grained baseline every lock-free paper races: one
@@ -130,10 +122,6 @@ impl ConcurrentQueue for MutexDeque {
 
     fn name(&self) -> &'static str {
         "mutex-deque"
-    }
-
-    fn is_nonblocking(&self) -> bool {
-        false
     }
 }
 
@@ -158,10 +146,6 @@ impl ConcurrentQueue for FaaBound {
 
     fn name(&self) -> &'static str {
         SYNTHETIC
-    }
-
-    fn is_nonblocking(&self) -> bool {
-        true
     }
 }
 

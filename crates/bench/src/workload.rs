@@ -487,10 +487,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "lossy"
         }
-
-        fn is_nonblocking(&self) -> bool {
-            false
-        }
     }
 
     #[test]

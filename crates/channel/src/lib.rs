@@ -21,9 +21,10 @@
 //!    [`Receiver::poll_recv`], each one call of the ladder's async twin
 //!    (`WaitQueue::poll_until`) over a FIFO waker registry. No runtime
 //!    dependency; any executor (or the bundled [`block_on`]) drives them.
-//! 3. **Lifecycle** — `close()`/drop-based shutdown reusing the CRQ tantrum
-//!    `CLOSED` mechanism to fence producers, draining stragglers exactly
-//!    once, with typed [`SendError`]/[`RecvError::Disconnected`], plus an
+//! 3. **Lifecycle** — `close()`/drop-based shutdown on the ring list's seal
+//!    ([`RingList::close`](lcrq_core::RingList::close)): every send accepted
+//!    before it is received exactly once, and none is accepted after it,
+//!    with typed [`SendError`]/[`RecvError::Disconnected`], plus an
 //!    optional [`bounded`] variant whose backpressure is two F&A counters,
 //!    one written by senders and one by receivers (`credit.rs`; no CAS
 //!    loop, and no cache line both sides write).

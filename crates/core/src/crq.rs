@@ -22,7 +22,7 @@
 //!   matching dequeuer has not started (`head <= t`).
 //!
 //! Because a dequeuer's F&A can push `head` past `tail`, the queue can enter
-//! the transient "inconsistent" state `head > tail`; [`Crq::fix_state`]
+//! the transient "inconsistent" state `head > tail`; `Crq::fix_state`
 //! repairs it before a dequeue reports empty, so enqueuers are not forced to
 //! burn F&As on already-skipped indices.
 

@@ -158,11 +158,6 @@ impl<P: FaaPolicy> lcrq_queues::ConcurrentQueue for InfiniteArrayQueue<P> {
     fn name(&self) -> &'static str {
         "infinite-array"
     }
-    fn is_nonblocking(&self) -> bool {
-        // Nonblocking in Herlihy's sense per the paper, but not livelock-free
-        // op-wise (a dequeuer can starve its matching enqueuer forever).
-        true
-    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! (`null → SEALED`). A ring's `next` leaves null exactly once, so the seal
 //! and a spilling enqueuer's link CAS exclude each other: either the link
 //! wins (close moves on to the new last ring and seals that) or the seal
-//! wins (the enqueuer gets its value back as `Closed`). Once the seal is in
+//! wins (the enqueuer gets its value back as `Err`). Once the seal is in
 //! place every ring of the chain is closed and no `next` can change, so *no
 //! enqueue can succeed any more*: every `Ok` item is linked in front of the
 //! seal, where dequeuers reach it first. A dequeue that sees the seal
@@ -40,9 +40,7 @@ use std::sync::Arc;
 
 use lcrq_atomic::{ops, CasLoopFaa, HardwareFaa};
 use lcrq_hazard::Domain;
-use lcrq_queues::EnqueueError;
 use lcrq_util::backoff::Backoff;
-use lcrq_util::metrics::{self, Event};
 use lcrq_util::spin::SpinDeadline;
 // Atomics come from the sync facade so every step of the list protocol is
 // a scheduler decision point under `--cfg loom` (tests/loom.rs models
@@ -197,16 +195,14 @@ impl<R: Ring> RingList<R> {
     ///
     /// Returns `None` only when the pool had no ring **and** the heap
     /// allocation was refused — today that refusal exists only as the
-    /// `ring-alloc` fail point, but the plumbing is the graceful-degradation
-    /// path a real fallible allocator would use. The caller surfaces it as
-    /// [`EnqueueError::AllocFailed`] instead of aborting.
+    /// `ring-alloc` fail point. [`spill`](Self::spill) backs off and
+    /// retries it; nothing reports it.
     fn try_alloc_ring(&self, seed: &[u64]) -> Option<*mut R> {
         if let Some(ring) = self.pool.pop() {
             ring.reseed(seed);
             return Some(Box::into_raw(ring));
         }
         if lcrq_util::fault::inject(lcrq_util::fault::Site::RingAlloc) {
-            metrics::inc(Event::AllocDegraded);
             return None;
         }
         let ring = Box::new(R::with_seed(&self.config, seed));
@@ -267,58 +263,47 @@ impl<R: Ring> RingList<R> {
     /// return it — also when the enqueue raced the close (see the
     /// [module docs](self) on the seal).
     pub fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            match self.try_enqueue_fallible(value) {
-                Ok(()) => return Ok(()),
-                Err(EnqueueError::Closed(v)) => return Err(v),
-                Err(EnqueueError::AllocFailed(_)) => {
-                    // A refused ring allocation is transient (the pool can
-                    // refill, the injected refusal is probabilistic): back
-                    // off and retry, preserving this method's historical
-                    // "closed is the only failure" contract. Callers that
-                    // want to *see* the refusal use
-                    // [`try_enqueue_fallible`](Self::try_enqueue_fallible).
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
-    }
-
-    /// Like [`try_enqueue`](Self::try_enqueue), but also surfaces a refused
-    /// ring allocation as [`EnqueueError::AllocFailed`] instead of retrying
-    /// internally. The queue stays open and fully usable after an
-    /// `AllocFailed` — the value was not placed and is handed back, so the
-    /// caller may retry, shed load, or propagate the error.
-    pub fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
         assert!(value != BOTTOM, "BOTTOM (u64::MAX) is reserved");
         let mut backoff: Option<Backoff> = None;
         loop {
             let Some(ring) = self.last_ring() else {
-                return Err(EnqueueError::Closed(value));
+                return Err(value);
             };
             self.cluster_gate(ring);
             if ring.enqueue(value).is_ok() {
                 return Ok(());
             }
-            // Ring closed — by a tantrum or by `close()`; they look the same
-            // here and need not be told apart: the link CAS decides.
-            // Race to append a fresh ring seeded with value (recycled from
-            // the pool when one is available).
-            let Some(newring) = self.try_alloc_ring(core::slice::from_ref(&value)) else {
-                self.domain.clear(HP_TAIL);
-                return Err(EnqueueError::AllocFailed(value));
-            };
-            match self.try_link(ring, newring) {
-                Ok(()) => return Ok(()),
-                Err(found) if found == Self::SEALED => return Err(EnqueueError::Closed(value)),
-                // Lost link race: the winner's ring has room, but under
-                // heavy churn repeated losses waste an allocation each
-                // round — bounded backoff with deterministic jitter
-                // de-synchronizes the contenders.
-                Err(_) => backoff.get_or_insert_with(Backoff::jittered).spin(),
+            let linked = self.spill(ring, core::slice::from_ref(&value), &mut backoff);
+            if linked.ok_or(value)? {
+                return Ok(());
             }
         }
+    }
+
+    /// The spill step of both enqueues, taken once `last` is found closed —
+    /// by a tantrum or by `close()`; they look the same here and need not
+    /// be told apart: the link CAS decides. Races to link a fresh ring
+    /// pre-seeded with `seed` (recycled from the pool when one is
+    /// available) after `last`, and clears [`HP_TAIL`] whatever happens.
+    ///
+    /// `Some(true)`: linked, `seed` is in the queue. `None`: the seal won,
+    /// the queue is closed. `Some(false)`: back off and start again from
+    /// [`last_ring`](Self::last_ring) — either another ring won the link
+    /// race (it has room, but under heavy churn repeated losses waste an
+    /// allocation each round, and the jitter de-synchronizes the
+    /// contenders) or the allocation was refused, which is transient (the
+    /// pool can refill, an injected refusal is probabilistic).
+    #[cold]
+    fn spill(&self, last: &R, seed: &[u64], backoff: &mut Option<Backoff>) -> Option<bool> {
+        let linked = self.try_alloc_ring(seed).map(|r| self.try_link(last, r));
+        match linked {
+            Some(Ok(())) => return Some(true),
+            Some(Err(found)) if found == Self::SEALED => return None,
+            Some(Err(_)) => {}
+            None => self.domain.clear(HP_TAIL),
+        }
+        backoff.get_or_insert_with(Backoff::jittered).spin();
+        Some(false)
     }
 
     /// Protects (in [`HP_TAIL`]) and returns the last ring of the chain,
@@ -525,24 +510,13 @@ impl<R: Ring> RingList<R> {
                 // still open: take a fresh reservation for the remainder.
                 continue;
             }
-            // Ring closed mid-batch: spill the remainder (up to one ring's
-            // worth) into a fresh ring — recycled from the pool when
-            // possible — and race to link it, exactly like the scalar
-            // path's seeded ring.
+            // Ring closed mid-batch: spill the remainder, up to one ring's
+            // worth, exactly like the scalar path's seeded ring.
             let seed_len = (rest.len() as u64).min(self.config.ring_size()) as usize;
-            let Some(newring) = self.try_alloc_ring(&rest[..seed_len]) else {
-                // Refused allocation is transient here: back off and retry
-                // rather than reporting a partial batch as a shutdown.
-                backoff.get_or_insert_with(Backoff::jittered).spin();
-                continue;
-            };
-            match self.try_link(ring, newring) {
-                Ok(()) => {
-                    placed_total += seed_len;
-                    rest = &rest[seed_len..];
-                }
-                Err(found) if found == Self::SEALED => return Err(placed_total),
-                Err(_) => backoff.get_or_insert_with(Backoff::jittered).spin(),
+            let linked = self.spill(ring, &rest[..seed_len], &mut backoff);
+            if linked.ok_or(placed_total)? {
+                placed_total += seed_len;
+                rest = &rest[seed_len..];
             }
         }
         Ok(())
@@ -766,26 +740,6 @@ impl<R: Ring> lcrq_queues::ConcurrentQueue for RingList<R> {
     fn name(&self) -> &'static str {
         RingList::name(self)
     }
-    fn is_nonblocking(&self) -> bool {
-        true
-    }
-}
-
-impl<R: Ring> lcrq_queues::ClosableQueue for RingList<R> {
-    fn close(&self) -> bool {
-        RingList::close(self)
-    }
-    fn is_closed(&self) -> bool {
-        RingList::is_closed(self)
-    }
-    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        RingList::try_enqueue(self, value)
-    }
-    // Native override: surfaces a refused ring allocation as
-    // `AllocFailed` instead of the default's retry-until-closed.
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        RingList::try_enqueue_fallible(self, value)
-    }
 }
 
 #[cfg(test)]
@@ -793,6 +747,7 @@ mod tests {
     use super::*;
     use crate::config::HierarchicalConfig;
     use lcrq_queues::testing;
+    use lcrq_util::metrics::{self, Event};
 
     fn tiny() -> LcrqConfig {
         LcrqConfig::new().with_ring_order(3) // R = 8: force frequent closes
@@ -1122,18 +1077,6 @@ mod tests {
                 }
 
                 #[test]
-                fn closable_trait_object_round_trip() {
-                    use lcrq_queues::ClosableQueue;
-                    let q: Box<dyn ClosableQueue> = Box::new(Q::with_config(tiny()));
-                    assert_eq!(q.try_enqueue(9), Ok(()));
-                    assert!(q.close());
-                    assert!(q.is_closed());
-                    assert_eq!(q.try_enqueue(10), Err(10));
-                    assert_eq!(q.dequeue(), Some(9));
-                    assert_eq!(q.dequeue(), None);
-                }
-
-                #[test]
                 fn drop_with_items_across_rings_is_clean() {
                     let q = Q::with_config(tiny());
                     for i in 0..500 {
@@ -1172,17 +1115,14 @@ mod tests {
 
     #[test]
     fn names_reflect_variant() {
-        use lcrq_queues::ConcurrentQueue as _;
         assert_eq!(Lcrq::new().name(), "lcrq");
         assert_eq!(LcrqCas::new().name(), "lcrq-cas");
         let h =
             Lcrq::with_config(LcrqConfig::new().with_hierarchical(HierarchicalConfig::default()));
         assert_eq!(h.name(), "lcrq+h");
-        assert!(h.is_nonblocking());
         assert_eq!(Lscq::new().name(), "lscq");
         assert_eq!(LscqCas::new().name(), "lscq-cas");
         assert_eq!(Wcq::new().name(), "wcq");
-        assert!(Wcq::new().is_nonblocking());
     }
 
     #[test]

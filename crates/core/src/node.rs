@@ -4,7 +4,7 @@
 //! is the 3-tuple `(safe: 1 bit, idx: 63 bits, val: 64 bits)`:
 //!
 //! * word 0 — bit 63 is the *safe* bit, bits 62..0 are the node's *index*;
-//! * word 1 — the value, or [`BOTTOM`](crate::BOTTOM) when the node is empty.
+//! * word 1 — the value, or [`BOTTOM`] when the node is empty.
 //!
 //! Node `u` starts as `(1, u, ⊥)`. An index with value `i` refers to ring
 //! node `i mod R`; the node's stored index advances by `R` every time the

@@ -36,7 +36,7 @@
 //! against it. With `shards = 1` the facade adds no reordering at all and
 //! the queue remains strictly linearizable FIFO.
 
-use lcrq_queues::{ClosableQueue, ConcurrentQueue, EnqueueError};
+use lcrq_queues::ConcurrentQueue;
 use lcrq_util::{fault, CachePadded, XorShift64Star};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -373,44 +373,6 @@ impl<Q: ConcurrentQueue> ConcurrentQueue for ShardedQueue<Q> {
     fn name(&self) -> &'static str {
         "sharded"
     }
-
-    fn is_nonblocking(&self) -> bool {
-        self.shards.iter().all(|sh| sh.queue.is_nonblocking())
-    }
-}
-
-impl<Q: ClosableQueue> ClosableQueue for ShardedQueue<Q> {
-    fn close(&self) -> bool {
-        // First-closer semantics aggregate over shards: true iff any shard
-        // transitioned on this call.
-        let mut first = false;
-        for sh in self.shards.iter() {
-            first |= sh.queue.close();
-        }
-        first
-    }
-
-    fn is_closed(&self) -> bool {
-        // close() fences every shard, so any closed shard means the facade
-        // is (at least partially) fenced; report fully-closed only.
-        self.shards.iter().all(|sh| sh.queue.is_closed())
-    }
-
-    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        let i = self.pick(true, 1);
-        let sh = &self.shards[i];
-        sh.queue.try_enqueue(value)?;
-        sh.enq.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        let i = self.pick(true, 1);
-        let sh = &self.shards[i];
-        sh.queue.try_enqueue_fallible(value)?;
-        sh.enq.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -496,18 +458,6 @@ mod tests {
         assert_eq!(q.dequeue_batch(&mut out, 5), 5);
         assert_eq!(out, vec![1, 2, 3, 4, 5]);
         assert_eq!(q.dequeue_batch(&mut out, 1), 0);
-    }
-
-    #[test]
-    fn close_fences_every_shard() {
-        let q = sharded(3, 2);
-        q.enqueue(7);
-        assert!(q.close());
-        assert!(!q.close());
-        assert!(q.is_closed());
-        assert_eq!(q.try_enqueue(8), Err(8));
-        assert_eq!(q.dequeue(), Some(7));
-        assert_eq!(q.dequeue(), None);
     }
 
     #[test]

@@ -888,7 +888,7 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
     // --- public operations --------------------------------------------
 
     /// Appends `value` (must be `< BOTTOM`); fails only if the ring was
-    /// finalized. Bounded: [`FAST_ATTEMPTS`] FAA attempts, then the
+    /// finalized. Bounded: `FAST_ATTEMPTS` FAA attempts, then the
     /// announced slow path whose claim terminates within the starvation
     /// limit.
     fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {

@@ -1,5 +1,5 @@
 //! The Baskets queue of Hoffman, Shalev & Shavit (OPODIS 2007), another
-//! related-work MS descendant from the paper's §2 ([15]).
+//! related-work MS descendant from the paper's §2 (ref. 15).
 //!
 //! Idea: when several enqueuers contend on the same tail, their operations
 //! are concurrent, so their relative order is *free*. A loser of the
@@ -8,7 +8,7 @@
 //! the MS queue's retry storm into useful insertions. Dequeue logically
 //! deletes by *marking* the `next` pointer (LSB tag) and physically
 //! advances `head` in batches once a deleted chain grows past
-//! [`MAX_HOPS`] — amortizing the head CAS just like the basket amortizes
+//! `MAX_HOPS` — amortizing the head CAS just like the basket amortizes
 //! the tail CAS.
 //!
 //! The paper's verdict still holds, though: every operation ends in a CAS
@@ -311,9 +311,6 @@ impl crate::ConcurrentQueue for BasketsQueue {
     }
     fn name(&self) -> &'static str {
         "baskets"
-    }
-    fn is_nonblocking(&self) -> bool {
-        true
     }
 }
 

@@ -144,9 +144,6 @@ impl ConcurrentQueue for CcQueue {
     fn name(&self) -> &'static str {
         "cc-queue"
     }
-    fn is_nonblocking(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

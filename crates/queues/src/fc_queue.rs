@@ -194,9 +194,6 @@ impl ConcurrentQueue for FcQueue {
     fn name(&self) -> &'static str {
         "fc-queue"
     }
-    fn is_nonblocking(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -64,9 +64,6 @@ impl ConcurrentQueue for HQueue {
     fn name(&self) -> &'static str {
         "h-queue"
     }
-    fn is_nonblocking(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -45,5 +45,5 @@ pub use h_queue::HQueue;
 pub use ms_queue::MsQueue;
 pub use optimistic::OptimisticQueue;
 pub use sim_queue::SimQueue;
-pub use traits::{ClosableQueue, ConcurrentQueue, EnqueueError};
+pub use traits::ConcurrentQueue;
 pub use two_lock::TwoLockQueue;

@@ -159,9 +159,6 @@ impl crate::ConcurrentQueue for MsQueue {
     fn name(&self) -> &'static str {
         "ms"
     }
-    fn is_nonblocking(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The optimistic FIFO queue of Ladan-Mozes & Shavit (DISC 2004), one of
 //! the MS-queue descendants the paper's related work cites as "still
-//! suffering from the CAS retry problem" (§2, [17]).
+//! suffering from the CAS retry problem" (§2, ref. 17).
 //!
 //! Idea: the MS queue needs **two** CASes per enqueue (link `next`, swing
 //! `tail`); the optimistic queue needs **one** (swing `tail`), because the
@@ -209,9 +209,6 @@ impl crate::ConcurrentQueue for OptimisticQueue {
     }
     fn name(&self) -> &'static str {
         "optimistic"
-    }
-    fn is_nonblocking(&self) -> bool {
-        true
     }
 }
 

@@ -57,9 +57,6 @@ impl ConcurrentQueue for SimQueue {
     fn name(&self) -> &'static str {
         "sim-queue"
     }
-    fn is_nonblocking(&self) -> bool {
-        true // wait-free, in fact
-    }
 }
 
 #[cfg(test)]

@@ -458,9 +458,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "lossy"
         }
-        fn is_nonblocking(&self) -> bool {
-            false
-        }
     }
 
     #[test]
@@ -491,9 +488,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "stack"
         }
-        fn is_nonblocking(&self) -> bool {
-            false
-        }
     }
 
     #[test]
@@ -520,9 +514,6 @@ mod tests {
             fn name(&self) -> &'static str {
                 "good"
             }
-            fn is_nonblocking(&self) -> bool {
-                false
-            }
         }
         let q = GoodQueue(Default::default());
         model_check(&q, 7);
@@ -541,9 +532,6 @@ mod tests {
             }
             fn name(&self) -> &'static str {
                 "good"
-            }
-            fn is_nonblocking(&self) -> bool {
-                false
             }
         }
         let q = GoodQueue(Default::default());
@@ -577,9 +565,6 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "alt-skew"
-        }
-        fn is_nonblocking(&self) -> bool {
-            false
         }
     }
 
@@ -619,9 +604,6 @@ mod tests {
             }
             fn name(&self) -> &'static str {
                 "invent"
-            }
-            fn is_nonblocking(&self) -> bool {
-                true
             }
         }
         let result = std::panic::catch_unwind(|| {

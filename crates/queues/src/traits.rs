@@ -66,89 +66,6 @@ pub trait ConcurrentQueue: Send + Sync {
 
     /// Short algorithm name for harness output (e.g. `"lcrq"`, `"ms"`).
     fn name(&self) -> &'static str;
-
-    /// Whether the implementation is nonblocking (lock-free). Lock-based
-    /// algorithms lose progress when a lock holder / combiner is preempted,
-    /// the effect Figure 6b measures.
-    fn is_nonblocking(&self) -> bool;
-}
-
-/// Why a fallible enqueue rejected a value. Returned by
-/// [`ClosableQueue::try_enqueue_fallible`]; the rejected value rides along
-/// so the caller can retry or surface it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnqueueError {
-    /// The queue is closed: no enqueue will ever succeed again.
-    Closed(u64),
-    /// The queue needed a fresh ring but its allocation was refused (pool
-    /// empty and the — possibly fault-injected — allocator declined). The
-    /// queue stays open and usable; the condition is transient, so a
-    /// retry may succeed. This is the graceful-degradation alternative to
-    /// aborting on allocation failure.
-    AllocFailed(u64),
-}
-
-impl EnqueueError {
-    /// The value the enqueue handed back.
-    pub fn value(self) -> u64 {
-        match self {
-            EnqueueError::Closed(v) | EnqueueError::AllocFailed(v) => v,
-        }
-    }
-}
-
-impl core::fmt::Display for EnqueueError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            EnqueueError::Closed(v) => write!(f, "enqueue of {v} on a closed queue"),
-            EnqueueError::AllocFailed(v) => {
-                write!(f, "enqueue of {v} could not allocate a fresh ring")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EnqueueError {}
-
-/// A [`ConcurrentQueue`] that supports shutdown: enqueues can be fenced off
-/// while dequeues keep draining what was already placed.
-///
-/// This is the queue-level hook the channel layer builds its close/drop
-/// lifecycle on. The contract:
-///
-/// * After [`close`] returns, every [`try_enqueue`] fails and every
-///   [`ConcurrentQueue::enqueue`] panics. An enqueue that completed before
-///   `close` began is unaffected — its item remains dequeuable.
-/// * Dequeues are never fenced: they drain remaining items and then report
-///   empty as usual. "Closed **and** observed empty" is therefore a stable
-///   terminal state a consumer can act on (no later dequeue will succeed,
-///   modulo enqueuers racing the close itself — see the implementation's
-///   documentation for its straggler bound).
-///
-/// [`close`]: ClosableQueue::close
-/// [`try_enqueue`]: ClosableQueue::try_enqueue
-pub trait ClosableQueue: ConcurrentQueue {
-    /// Fences off all future enqueues. Returns `true` on the first call,
-    /// `false` if the queue was already closed.
-    fn close(&self) -> bool;
-
-    /// Whether [`close`](ClosableQueue::close) has been called.
-    fn is_closed(&self) -> bool;
-
-    /// Appends `value`, or returns it as `Err(value)` if the queue is
-    /// closed.
-    fn try_enqueue(&self, value: u64) -> Result<(), u64>;
-
-    /// Like [`try_enqueue`](ClosableQueue::try_enqueue), but distinguishes
-    /// *why* the value was rejected — and, for implementations with a
-    /// fallible allocation path, surfaces a refused ring allocation as
-    /// [`EnqueueError::AllocFailed`] instead of retrying internally.
-    ///
-    /// The default forwards to `try_enqueue` (whose only failure is
-    /// [`EnqueueError::Closed`]); ring-based queues override it.
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        self.try_enqueue(value).map_err(EnqueueError::Closed)
-    }
 }
 
 impl<Q: ConcurrentQueue + ?Sized> ConcurrentQueue for &Q {
@@ -166,9 +83,6 @@ impl<Q: ConcurrentQueue + ?Sized> ConcurrentQueue for &Q {
     }
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-    fn is_nonblocking(&self) -> bool {
-        (**self).is_nonblocking()
     }
 }
 
@@ -188,9 +102,6 @@ impl<Q: ConcurrentQueue + ?Sized> ConcurrentQueue for Box<Q> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn is_nonblocking(&self) -> bool {
-        (**self).is_nonblocking()
-    }
 }
 
 impl<Q: ConcurrentQueue + ?Sized> ConcurrentQueue for std::sync::Arc<Q> {
@@ -208,54 +119,6 @@ impl<Q: ConcurrentQueue + ?Sized> ConcurrentQueue for std::sync::Arc<Q> {
     }
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-    fn is_nonblocking(&self) -> bool {
-        (**self).is_nonblocking()
-    }
-}
-
-impl<Q: ClosableQueue + ?Sized> ClosableQueue for &Q {
-    fn close(&self) -> bool {
-        (**self).close()
-    }
-    fn is_closed(&self) -> bool {
-        (**self).is_closed()
-    }
-    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        (**self).try_enqueue(value)
-    }
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        (**self).try_enqueue_fallible(value)
-    }
-}
-
-impl<Q: ClosableQueue + ?Sized> ClosableQueue for Box<Q> {
-    fn close(&self) -> bool {
-        (**self).close()
-    }
-    fn is_closed(&self) -> bool {
-        (**self).is_closed()
-    }
-    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        (**self).try_enqueue(value)
-    }
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        (**self).try_enqueue_fallible(value)
-    }
-}
-
-impl<Q: ClosableQueue + ?Sized> ClosableQueue for std::sync::Arc<Q> {
-    fn close(&self) -> bool {
-        (**self).close()
-    }
-    fn is_closed(&self) -> bool {
-        (**self).is_closed()
-    }
-    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        (**self).try_enqueue(value)
-    }
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        (**self).try_enqueue_fallible(value)
     }
 }
 
@@ -284,9 +147,6 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "model"
-        }
-        fn is_nonblocking(&self) -> bool {
-            false
         }
     }
 

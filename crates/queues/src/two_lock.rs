@@ -99,9 +99,6 @@ impl crate::ConcurrentQueue for TwoLockQueue {
     fn name(&self) -> &'static str {
         "two-lock"
     }
-    fn is_nonblocking(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -158,6 +155,5 @@ mod tests {
     fn trait_metadata() {
         let q = TwoLockQueue::new();
         assert_eq!(q.name(), "two-lock");
-        assert!(!q.is_nonblocking());
     }
 }

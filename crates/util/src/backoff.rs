@@ -126,7 +126,7 @@ impl Backoff {
     /// Busy-waits for `2^step` iterations — plus, for a
     /// [`jittered`](Self::jittered) backoff, a deterministic extra in
     /// `[0, 2^step)` — and advances the step, saturating at
-    /// `2^`[`7`]` = 128` base iterations.
+    /// `2^7 = 128` base iterations.
     pub fn spin(&self) {
         let step = self.step.get();
         let mut iters = 1u32 << step;

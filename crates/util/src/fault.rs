@@ -6,10 +6,11 @@
 //! F&A and its CAS2 placement, between publishing a hazard and revalidating
 //! it, between a close race losing and its loser ring being released. This
 //! module names those windows as **fail points** ([`Site`]) and lets a test
-//! arm a [`Scenario`] of per-site actions ([`FaultAction`]): yield, bounded
+//! arm a `Scenario` of per-site actions ([`FaultAction`]): yield, bounded
 //! spin-delay, site-interpreted *failure* (spurious CAS2 miss, refused ring
 //! allocation, forced ring close), a permanent stall ("thread crash"), or a
-//! panic.
+//! panic. `Scenario`, `disarm` and `take_hit_log` exist only with the
+//! `fault-injection` feature.
 //!
 //! Three properties make the registry usable as a test substrate rather
 //! than a fuzzer:
@@ -21,8 +22,8 @@
 //!    sequence byte-for-byte; a multi-threaded one replays per thread up to
 //!    scheduling of the ordinal assignment.
 //! 2. **Replayability.** A recording scenario appends every fired site to a
-//!    global hit log ([`take_hit_log`]); failing harnesses print the
-//!    [`Scenario`] (seed + armed sites) so the exact run can be re-armed.
+//!    global hit log (`take_hit_log`); failing harnesses print the
+//!    `Scenario` (seed + armed sites) so the exact run can be re-armed.
 //! 3. **Zero cost when disabled.** Without the `fault-injection` cargo
 //!    feature, [`inject`] is an `#[inline(always)]` constant `false`: every
 //!    call site folds to nothing (the adversary's `preempt_point` keeps its
@@ -30,7 +31,7 @@
 //!    armed, the cost is one relaxed load of a generation counter.
 //!
 //! `Stall` does not literally stall forever: the thread parks until
-//! [`disarm`] (or the next [`Scenario::arm`]) so test harnesses can release
+//! `disarm` (or the next `Scenario::arm`) so test harnesses can release
 //! and join their "crashed" threads after asserting that survivors made
 //! progress.
 
@@ -75,9 +76,9 @@ pub enum Site {
     /// the failure mode; arm [`Site::RingAlloc`] to refuse the ring).
     CloseRace,
     /// Fresh-ring allocation on the spill path, consulted only after the
-    /// recycling pool misses. `Fail` refuses the allocation: the fallible
-    /// enqueue path degrades to `EnqueueError::AllocFailed` instead of
-    /// allocating.
+    /// recycling pool misses. `Fail` refuses the allocation: the enqueue
+    /// backs off and retries inside `try_enqueue` / `try_enqueue_batch`,
+    /// and no caller sees the refusal.
     RingAlloc,
     /// `RingPool::push`, just before scrubbing a retired ring for reuse.
     /// `Fail` is ignored.
@@ -187,9 +188,9 @@ pub enum FaultAction {
     /// `true`): a spurious CAS2/CAS miss, a refused ring allocation, a
     /// forced ring close — see each [`Site`]'s documentation.
     Fail,
-    /// Permanently stall the thread ("crash"): park until [`disarm`] or the
-    /// next [`Scenario::arm`] releases it. Bounded per scenario by
-    /// [`Scenario::max_stalls`].
+    /// Permanently stall the thread ("crash"): park until `disarm` or the
+    /// next `Scenario::arm` releases it. Bounded per scenario by
+    /// `Scenario::max_stalls`.
     Stall,
     /// Panic with a message naming the site and seed. Pair with
     /// `std::panic::catch_unwind` to test panic-safety of the window.

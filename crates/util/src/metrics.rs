@@ -90,9 +90,6 @@ pub enum Event {
     /// A fail point fired under the `fault-injection` feature (any action;
     /// see `lcrq_util::fault`).
     FaultInjected,
-    /// A fallible enqueue degraded to `AllocFailed` because the ring pool
-    /// was empty and the (injected) allocator refused a fresh ring.
-    AllocDegraded,
     /// A wCQ operation exhausted its bounded fast path and announced a
     /// request record (escaped to the helping slow path).
     HelpAnnounce,
@@ -143,7 +140,6 @@ const EVENT_NAMES: [&str; NUM_EVENTS] = [
     "ring_scrub",
     "threshold_exhausted",
     "fault_injected",
-    "alloc_degraded",
     "help_announce",
     "help_granted",
     "help_finalized",

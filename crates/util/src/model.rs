@@ -20,7 +20,7 @@
 //! # How it works
 //!
 //! Every instrumented operation — an access through the
-//! [`sync`](self::sync) shim atomics, a [`sync::Mutex`] lock, a
+//! [`sync`] shim atomics, a [`sync::Mutex`] lock, a
 //! [`sync::Condvar`] wait/notify, a [`thread::spawn`]/join — is a
 //! *decision point*: the running thread pauses and the scheduler picks who
 //! runs next. Exactly one thread runs between decision points, so each

@@ -151,9 +151,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "lock"
         }
-        fn is_nonblocking(&self) -> bool {
-            false
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! *test* those claims on real executions:
 //!
 //! * [`record`] — runs a concurrent workload against any
-//!   [`ConcurrentQueue`], recording each operation's invocation/response
+//!   [`ConcurrentQueue`](lcrq_queues::ConcurrentQueue), recording each operation's invocation/response
 //!   interval on a global atomic clock;
 //! * [`check_fifo`] — a Wing & Gong style exhaustive search (with
 //!   memoization) deciding whether a recorded history has a linearization

@@ -70,6 +70,4 @@ pub use lcrq_core::{
     LcrqGeneric, Lscq, LscqCas, LscqGeneric, Ring, RingList, RingPool, Scq, ScqD, ShardedConfig,
     ShardedQueue, Typed, TypedLcrq, TypedLscq, TypedWcq, Wcq, WcqGeneric, WcqRing,
 };
-pub use lcrq_queues::{
-    CcQueue, ClosableQueue, ConcurrentQueue, FcQueue, HQueue, MsQueue, TwoLockQueue,
-};
+pub use lcrq_queues::{CcQueue, ConcurrentQueue, FcQueue, HQueue, MsQueue, TwoLockQueue};

@@ -16,11 +16,12 @@ use std::time::{Duration, Instant};
 use lcrq::core::LcrqConfig;
 use lcrq::hazard::{Domain, SLOTS_PER_THREAD};
 use lcrq::queues::testing::{encode, mpmc_stress, mpmc_stress_relaxed};
-use lcrq::queues::EnqueueError;
 use lcrq::util::fault::{self, FaultAction, Scenario, Site};
+use lcrq::util::metrics::{self, Event};
 use lcrq::util::rng::test_seed;
 use lcrq::{
-    rank_error_bound_for, ConcurrentQueue, Lcrq, Lscq, LscqCas, ShardedConfig, ShardedQueue, Wcq,
+    rank_error_bound_for, ConcurrentQueue, Lcrq, Lscq, LscqCas, Ring, RingList, ShardedConfig,
+    ShardedQueue, Wcq,
 };
 
 /// Serializes tests: the fail-point registry is process-global.
@@ -199,66 +200,60 @@ fn same_seed_replays_an_identical_hit_log() {
     assert_ne!(a, c, "distinct seeds must produce distinct schedules");
 }
 
-/// Graceful degradation: when the pool is empty and the (injected)
-/// allocator refuses a fresh ring, `try_enqueue_fallible` reports
-/// `AllocFailed` with the value handed back — the queue stays open and
-/// recovers as soon as allocation succeeds again.
+/// A refused ring allocation is retried inside the enqueue, not reported:
+/// with no ring to recycle and the first `REFUSALS` allocations refused,
+/// every `try_enqueue` / `try_enqueue_batch` still returns `Ok`, the queue
+/// never reports closed, and the drain is exactly FIFO. The calling
+/// thread's `FaultInjected` count shows the refusals really fired.
 #[test]
-fn refused_ring_allocation_degrades_instead_of_aborting() {
+fn refused_ring_allocation_is_retried_not_reported() {
     let _g = guard();
-    let seed = test_seed(0xA110_C000_0000_0001);
-
-    // LCRQ with the recycling pool disabled: every spill must allocate.
-    let q = Lcrq::with_config(
+    // R = 8 and no pool (an Lscq never has one): every spill allocates.
+    let tiny_unpooled = || {
         LcrqConfig::new()
             .with_ring_order(3)
-            .with_ring_pool_capacity(0),
-    );
-    Scenario::new(seed)
-        .with(Site::RingAlloc, 1_000_000, FaultAction::Fail)
-        .arm();
-    let mut placed = 0u64;
-    let err = loop {
-        match q.try_enqueue_fallible(placed) {
-            Ok(()) => placed += 1,
-            Err(e) => break e,
-        }
-        assert!(placed < 10_000, "the first ring never filled");
+            .with_ring_pool_capacity(0)
     };
-    assert_eq!(err, EnqueueError::AllocFailed(placed));
-    assert!(
-        !q.is_closed(),
-        "a refused allocation must not close the queue"
-    );
-    fault::disarm();
-    // Allocator "recovered": the same value goes through, FIFO intact.
-    q.try_enqueue_fallible(placed).unwrap();
-    for i in 0..=placed {
-        assert_eq!(q.dequeue(), Some(i));
+    for batch in [false, true] {
+        retries_refused_allocations("lcrq", &Lcrq::with_config(tiny_unpooled()), batch);
+        retries_refused_allocations("lscq", &Lscq::with_config(tiny_unpooled()), batch);
     }
-    assert_eq!(q.dequeue(), None);
+}
 
-    // LSCQ: no pool at all, same surface.
-    let q = Lscq::with_config(LcrqConfig::new().with_ring_order(3));
+fn retries_refused_allocations<R: Ring>(label: &str, q: &RingList<R>, batch: bool) {
+    const REFUSALS: u64 = 16;
+    let seed = test_seed(0xA110_C000_0000_0001);
+    let values: Vec<u64> = (0..400).collect();
+    let before = metrics::local_snapshot();
     Scenario::new(seed)
-        .with(Site::RingAlloc, 1_000_000, FaultAction::Fail)
+        .with_limited(Site::RingAlloc, 1_000_000, FaultAction::Fail, REFUSALS)
         .arm();
-    let mut placed = 0u64;
-    let err = loop {
-        match q.try_enqueue_fallible(placed) {
-            Ok(()) => placed += 1,
-            Err(e) => break e,
-        }
-        assert!(placed < 10_000, "the first ring never filled");
+    // Batches of 50 close a ring mid-batch, so the batch leg refuses the
+    // remainder's seeded ring.
+    let refused = if batch {
+        values
+            .chunks(50)
+            .position(|c| q.try_enqueue_batch(c).is_err() || q.is_closed())
+    } else {
+        values
+            .iter()
+            .position(|&v| q.try_enqueue(v).is_err() || q.is_closed())
     };
-    assert_eq!(err, EnqueueError::AllocFailed(placed));
-    assert!(!q.is_closed());
     fault::disarm();
-    q.try_enqueue_fallible(placed).unwrap();
-    for i in 0..=placed {
-        assert_eq!(q.dequeue(), Some(i));
-    }
-    assert_eq!(q.dequeue(), None);
+    let fired = metrics::local_snapshot()
+        .delta_since(&before)
+        .get(Event::FaultInjected);
+    let leg = format!("[{label} batch={batch}] (replay with LCRQ_TEST_SEED={seed:#x})");
+    assert_eq!(refused, None, "{leg} an enqueue failed or closed the queue");
+    assert!(
+        fired >= REFUSALS,
+        "{leg} only {fired} of {REFUSALS} refusals fired"
+    );
+    assert_eq!(
+        q.drain().collect::<Vec<_>>(),
+        values,
+        "{leg} drain is not FIFO"
+    );
 }
 
 /// Panic-safety: a producer that dies between its F&A reservation and the

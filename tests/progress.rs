@@ -112,9 +112,6 @@ fn step_meter_flags_a_planted_retry_loop_backend() {
         fn name(&self) -> &'static str {
             "retry-loop-mutant"
         }
-        fn is_nonblocking(&self) -> bool {
-            true
-        }
     }
     let q = RetryLoopQueue {
         inner: Lscq::with_config(LcrqConfig::new().with_ring_order(4)),
