@@ -15,11 +15,11 @@
 # | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench  | 13 |
 # | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
 # | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing, and a queued item costs <= 20 heap bytes, in the optimised build either |  8 |
-# | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) | 20 runs each: a 1-in-6 flake cannot pass        | 33 |
+# | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) / channel / lcrq-channel --lib | 20 runs each: a 1-in-6 flake cannot pass | 43 |
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4                  | four replay seeds; a 16 x 1000-op history delivers exactly once |  7 |
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
-# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 95 |
+# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 38 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
 # | bench smoke     | 11 bins --smoke                                      | every bin still runs and parses its flags; every pairs run reconciles delivery |  1 |
 # | nm probe        | nm on the release `progress` test binary             | no fault-registry symbol in the default build                 |  9 |
@@ -77,13 +77,20 @@ cargo test --release --test typed_inline -q
 # tests that say what an idle, an emptied and an exited thread pin, and the
 # `ring_count` walk against concurrent head swings with retired rings really
 # freed; they take no seed, the sweep just runs them 20 times.
-echo "==> repeat-run gate (x20: shutdown, fault tolerance, kept hazard slots)"
+echo "==> repeat-run gate (x20: shutdown, fault tolerance, kept hazard slots, channel)"
 REPEAT_SEEDS=$(seq 1 20 | tr '\n' ' ')
 seed_sweep "channel_shutdown" "$REPEAT_SEEDS" --test channel_shutdown -q
 seed_sweep "fault_tolerance" "$REPEAT_SEEDS" \
     --features fault-injection --test fault_tolerance -q
 seed_sweep "reclamation: kept slots" "$REPEAT_SEEDS" \
     --test reclamation -q -- pins_ ring_count_is_safe
+# The channel's wait ladder: a consumer that keeps finding nothing skips the
+# watch and parks from its second wait on, so the lost-wakeup stress in
+# tests/channel.rs and the crate's own parked-receiver tests (zero F&A while
+# parked, the fixed F&A count of a parked recv, the watch/probe rule) run
+# the park path on most messages; 20 runs each.
+seed_sweep "channel" "$REPEAT_SEEDS" --test channel -q
+seed_sweep "lcrq-channel lib" "$REPEAT_SEEDS" -p lcrq-channel --lib -q
 
 # wCQ gate (DESIGN.md "wCQ helping"): the request-record state-machine
 # suite, the full step-bound progress module (wcq holds the per-op step
@@ -139,7 +146,8 @@ seed_sweep "stress sweep" "0x1 0x2 0x3 0x5EED 0xC0FFEE 0xDEADBEEF 0xFA175EED 0xF
 # notify and `release` of a woken future against a second waiter (plus the
 # no-re-attempt and no-pass-on twins, which it must catch losing a wakeup),
 # and the bounded channel's capacity gate: two senders and a receiver over
-# a one-slot `Credit` never exceed the capacity and all finish (plus the
+# a one-slot `Credit`, waiting through the whole ladder (its watch is two
+# steps under the cfg), never exceed the capacity and all finish (plus the
 # planted twin that answers "full" from its stale copy of `received`, which
 # it must catch stranding a sender), and a refused `try_send` racing a
 # `send` wakes the sender its overdraft hid room from (plus the twin that

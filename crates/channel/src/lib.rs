@@ -9,9 +9,11 @@
 //! 1. **Sync blocking layer** — [`Sender::send`] / [`Receiver::recv`] (plus
 //!    `try_*` and [`Receiver::recv_timeout`]), each one call of the crate's
 //!    single wait ladder (`wait.rs`, `WaitQueue::block_until`): attempt →
-//!    7 × ([`Backoff`](lcrq_util::backoff::Backoff) spin, attempt) → park
-//!    on an [`EventCount`](lcrq_util::parker::EventCount); it never yields
-//!    the CPU in between. A parked consumer
+//!    watch, or skip it after parked waits → prepare → attempt → park on an
+//!    [`EventCount`](lcrq_util::parker::EventCount). The watch spins on a
+//!    read-only readiness check (for `recv`, the queue's emptiness hint)
+//!    and attempts only when that says an attempt could succeed; it never
+//!    yields the CPU. A parked consumer
 //!    costs **zero** F&A — it touches no queue state until woken — and the
 //!    event-count's prepare/attempt/park protocol makes the park race-free
 //!    against concurrent sends (no lost wakeup; see DESIGN.md "Channel
@@ -108,6 +110,13 @@ impl<T: Send, R: Ring> Shared<T, R> {
             return Err(TryRecvError::Disconnected);
         }
         Err(TryRecvError::Empty)
+    }
+
+    /// What a waiting receiver watches: whether a receive attempt made now
+    /// could end the wait. Reads only (the hint publishes this thread's
+    /// hazard slot, nothing shared).
+    fn recv_ready(&self) -> bool {
+        !self.queue.is_empty_hint() || self.queue.is_closed()
     }
 
     /// [`try_recv_inner`](Self::try_recv_inner) as a wait-protocol attempt:
@@ -292,9 +301,12 @@ impl<T: Send, R: Ring> Sender<T, R> {
     /// the value back.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let mut value = Some(value);
-        self.shared
+        let shared = &*self.shared;
+        // Watched while full: could an attempt made now end the wait?
+        let ready = || shared.credit.has_room() || shared.queue.is_closed();
+        shared
             .not_full
-            .block_until(None, || self.shared.send_attempt(&mut value))
+            .block_until(None, ready, || shared.send_attempt(&mut value))
             .expect("a wait without a deadline cannot time out")
     }
 
@@ -360,14 +372,19 @@ impl<T: Send, R: Ring> Sender<T, R> {
                 return Ok(());
             }
             // Wait until the channel closes (`Some(true)`) or room comes
-            // back (`Some(false)`).
-            let closed = self.shared.not_full.block_until(None, || {
-                if self.shared.queue.is_closed() {
-                    Some(true)
-                } else {
-                    credit.has_room().then_some(false)
-                }
-            });
+            // back (`Some(false)`). The attempt only reads, so the watch
+            // may make it at every step.
+            let closed = self.shared.not_full.block_until(
+                None,
+                || true,
+                || {
+                    if self.shared.queue.is_closed() {
+                        Some(true)
+                    } else {
+                        credit.has_room().then_some(false)
+                    }
+                },
+            );
             if closed.expect("a wait without a deadline cannot time out") {
                 return Err(SendError(rest));
             }
@@ -437,13 +454,16 @@ pub struct Receiver<T: Send, R: Ring = Crq> {
 
 impl<T: Send, R: Ring> Receiver<T, R> {
     /// Receives the next item, blocking while the channel is empty. The
-    /// wait ladder escalates attempt → 7 × (spin, attempt) → park; a parked
-    /// receiver performs no queue operations (zero F&A) until a sender
-    /// wakes it. Fails only when the channel is closed **and** drained.
+    /// wait ladder escalates attempt → watch (skipped after parked waits) →
+    /// prepare → attempt → park; the watch spins on a read-only emptiness
+    /// check, and a parked receiver performs no queue operations (zero F&A)
+    /// until a sender wakes it. Fails only when the channel is closed
+    /// **and** drained.
     pub fn recv(&self) -> Result<T, RecvError> {
-        self.shared
+        let shared = &*self.shared;
+        shared
             .not_empty
-            .block_until(None, || self.shared.recv_attempt())
+            .block_until(None, || shared.recv_ready(), || shared.recv_attempt())
             .expect("a wait without a deadline cannot time out")
     }
 
@@ -458,8 +478,9 @@ impl<T: Send, R: Ring> Receiver<T, R> {
     /// independent of the timeout length — and zero F&A while parked.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
-        let attempt = || self.shared.recv_attempt();
-        match self.shared.not_empty.block_until(Some(deadline), attempt) {
+        let shared = &*self.shared;
+        let (ready, attempt) = (|| shared.recv_ready(), || shared.recv_attempt());
+        match shared.not_empty.block_until(Some(deadline), ready, attempt) {
             Some(Ok(v)) => Ok(v),
             Some(Err(RecvError::Disconnected)) => Err(RecvTimeoutError::Disconnected),
             None => Err(RecvTimeoutError::Timeout),
@@ -989,11 +1010,12 @@ mod tests {
 
     /// F&As a `recv()` performs on its own thread when it finds the channel
     /// empty, climbs the whole ladder, parks once, and is then sent one
-    /// item: nine empty attempts (one inline, seven between spins, one after
-    /// `prepare`) at 3 F&As each and the one that succeeds at 1. This is
+    /// item: the ladder's two empty attempts (one inline, one after
+    /// `prepare`) at 3 F&As each and the one that succeeds at 1. The watch
+    /// between them reads the emptiness hint and attempts nothing. This is
     /// the ladder's attempt budget, which the `openloop_*` benchmark
     /// workloads pay per message; change it only with their numbers in hand.
-    const FAA_PER_PARKED_RECV: u64 = 9 * 3 + 1;
+    const FAA_PER_PARKED_RECV: u64 = 2 * 3 + 1;
 
     #[test]
     fn recv_that_parks_once_performs_a_fixed_number_of_faa() {

@@ -166,12 +166,6 @@ impl Backoff {
             }
         }
     }
-
-    /// Returns `true` once the exponential budget is exhausted, i.e. when
-    /// further waiting should escalate (yield, close the queue, ...).
-    pub fn is_completed(&self) -> bool {
-        self.step.get() >= SPIN_LIMIT
-    }
 }
 
 impl Default for Backoff {
@@ -184,14 +178,20 @@ impl Default for Backoff {
 mod tests {
     use super::*;
 
+    /// The exponential budget is spent: `spin` waits its longest and
+    /// `snooze` escalates.
+    fn exhausted(b: &Backoff) -> bool {
+        b.step.get() >= SPIN_LIMIT
+    }
+
     #[test]
     fn starts_incomplete_and_completes() {
         let b = Backoff::new();
-        assert!(!b.is_completed());
+        assert!(!exhausted(&b));
         for _ in 0..SPIN_LIMIT {
             b.spin();
         }
-        assert!(b.is_completed());
+        assert!(exhausted(&b));
     }
 
     #[test]
@@ -200,9 +200,9 @@ mod tests {
         for _ in 0..SPIN_LIMIT + 3 {
             b.spin();
         }
-        assert!(b.is_completed());
+        assert!(exhausted(&b));
         b.reset();
-        assert!(!b.is_completed());
+        assert!(!exhausted(&b));
     }
 
     #[test]
@@ -212,17 +212,17 @@ mod tests {
             b.snooze();
         }
         b.snooze(); // now yields
-        assert!(b.is_completed());
+        assert!(exhausted(&b));
     }
 
     #[test]
     fn jittered_backoff_completes_and_stays_bounded() {
         let b = Backoff::jittered();
-        assert!(!b.is_completed());
+        assert!(!exhausted(&b));
         for _ in 0..SPIN_LIMIT {
             b.spin(); // base 2^step + jitter < 2^step: bounded per call
         }
-        assert!(b.is_completed());
+        assert!(exhausted(&b));
         b.snooze(); // escalation path unchanged for jittered backoffs
     }
 

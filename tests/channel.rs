@@ -3,9 +3,10 @@
 //! precision, backpressure, batch ordering, and the async API driven by the
 //! crate's own `block_on`.
 //!
-//! Thread counts stay small (this host has one core) but every test funnels
-//! through the full wait ladder — spin, yield, park — because the consumers
-//! genuinely outrun the producers on a single CPU.
+//! Thread counts stay small, but every test funnels through the full wait
+//! ladder — attempt, watch, park — because the consumers outrun the
+//! producers; a consumer that keeps finding nothing stops watching and parks
+//! from its second wait on, so the park path runs on most messages.
 
 use std::collections::HashMap;
 use std::future::Future;
