@@ -12,7 +12,7 @@
 # | gate            | command                                              | what it adds over the gates above it                          |  s |
 # |-----------------|------------------------------------------------------|---------------------------------------------------------------|----|
 # | release build   | cargo build --release                                | every lib and bench bin compiles optimised (later gates run them) | 76 |
-# | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench  | 13 |
+# | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench  | 15 |
 # | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
 # | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing, and a queued item costs <= 20 heap bytes, in the optimised build either |  8 |
 # | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) / channel / lcrq-channel --lib | 20 runs each: a 1-in-6 flake cannot pass | 43 |
@@ -21,10 +21,10 @@
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
 # | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg) | 38 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
-# | bench smoke     | 11 bins --smoke                                      | every bin still runs and parses its flags; every pairs run reconciles delivery |  1 |
-# | nm probe        | nm on the release `progress` test binary             | no fault-registry symbol in the default build                 |  9 |
+# | bench smoke     | 11 bins --smoke; table2_stats armed + refused        | every bin still runs and parses its flags; every pairs run reconciles delivery; `--preempt-ppm` arms only the fault-injection build |  2 |
+# | nm probe        | nm on every target/release executable                | no fault-registry symbol or `PREEMPT_PPM` in the default build (also builds the release `progress` test binary for objdump) | 12 |
 # | objdump probe   | objdump -d on every target/release bin + that test binary | no `cmpxchg16b (%rbx)` anywhere, not only in `pairwise`  |  2 |
-# | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints; again under --cfg loom for the crates with a loom suite |  8 |
+# | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints; again for the lcrq-bench bins with fault-injection, and under --cfg loom for the crates with a loom suite |  6 |
 # | rustdoc         | RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps | every intra-doc link resolves: a deleted name leaves no dangling link |  4 |
 # | fmt             | cargo fmt --all --check                              | formatting                                                    |  1 |
 # | TSan, ASan/LSan, Miri, aarch64 | guarded by installed toolchains       | skipped on this host (no nightly, no aarch64 target)          |  0 |
@@ -185,29 +185,55 @@ for bin in table1_primitives fig1_counter fig2_livelock fig6_throughput \
     echo "    $bin --smoke"
     cargo run --release -q -p lcrq-bench --bin "$bin" -- --smoke >/dev/null
 done
+# The scheduler adversary (`--preempt-ppm`) is the fail-point registry's
+# `Site::Preempt` yield, compiled in only by lcrq-bench's `fault-injection`
+# feature. The armed path runs once, as a debug build so the release bins
+# the probes below read stay the default build; and a default bin must
+# refuse a non-zero rate rather than run silently unarmed.
+echo "    table2_stats --smoke --preempt-ppm 5000 (--features fault-injection)"
+armed_out=$(cargo run -q -p lcrq-bench --features fault-injection \
+    --bin table2_stats -- --smoke --preempt-ppm 5000)
+armed_label=${armed_out%%$'\n'*}
+if [ "$armed_label" != "# adversarial, preempt_ppm=5000" ]; then
+    echo "armed table2_stats printed '$armed_label' first"
+    exit 1
+fi
+echo "    table2_stats --smoke --preempt-ppm 1 (default build: must refuse)"
+if cargo run --release -q -p lcrq-bench --bin table2_stats -- \
+    --smoke --preempt-ppm 1 >/dev/null 2>&1; then
+    echo "the default build ran --preempt-ppm 1 without the adversary"
+    exit 1
+fi
 
-# Zero-cost assertion: the default (feature-off) release binary must not
-# contain the fault registry at all — every inject() site compiles to
-# nothing, not even the disabled-check load.
+# Zero-cost assertion: no executable `cargo build --release` left in
+# target/release may contain the fault registry — every inject() site,
+# the scheduler adversary's `Site::Preempt` included, compiles to nothing,
+# not even the disabled-check load — nor the deleted adversary dial
+# `PREEMPT_PPM`. (Test binaries carry the registry by design: the root
+# package's dev-dependencies compile it in for the adversarial tests.)
 echo "==> fault registry absent from default build"
-probe_bin=$(cargo test --release -q --test progress --no-run \
-    --message-format=json 2>/dev/null |
-    grep -o '"executable":"[^"]*"' | head -1 | cut -d'"' -f4)
-if [ -n "$probe_bin" ] && command -v nm >/dev/null 2>&1; then
-    if nm -C "$probe_bin" 2>/dev/null | grep -qi 'fault.*registry\|fault::inject'; then
-        echo "fault registry symbols leaked into the default build"
-        exit 1
-    fi
+if command -v nm >/dev/null 2>&1; then
+    for bin in $(find target/release -maxdepth 1 -type f -executable); do
+        if nm -C "$bin" 2>/dev/null |
+            grep -qi 'fault.*registry\|fault::inject\|PREEMPT_PPM'; then
+            echo "$bin: fault registry symbols leaked into the default build"
+            exit 1
+        fi
+    done
 else
     echo "    (nm probe unavailable; relying on the cfg unit test)"
 fi
+# The release `progress` test binary, for the objdump probe below.
+probe_bin=$(cargo test --release -q --test progress --no-run \
+    --message-format=json 2>/dev/null |
+    grep -o '"executable":"[^"]*"' | head -1 | cut -d'"' -f4)
 
 # Register-clobber probe for the inline `lock cmpxchg16b` block
 # (crates/atomic/src/pair.rs): RBX carries the low new word while the
 # instruction runs, so the address operand must never be allocated there —
 # `cmpxchg16b (%rbx)` in a release binary means it was swapped away before
-# being dereferenced. Every release bin is probed, and the release test
-# binary the nm probe just built: the encoding depends on the inlining
+# being dereferenced. Every release bin is probed, and the release
+# `progress` test binary built above: the encoding depends on the inlining
 # context, and the three bad ones benchmark/README.md Findings 1 located
 # were not in `pairwise`. A hit is the `rbx` pin in pair.rs failing; fix it
 # there.
@@ -226,6 +252,9 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+# The bins' `fault-injection` branch (`Cli::arm_preemption`) is compiled
+# out of the pass above.
+cargo clippy -p lcrq-bench --features fault-injection --bins -- -D warnings
 # The loom suites and the `cfg(loom)` twins are compiled out of the pass
 # above.
 RUSTFLAGS="--cfg loom" cargo clippy -p lcrq-util -p lcrq-atomic -p lcrq-hazard \

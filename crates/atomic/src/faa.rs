@@ -70,9 +70,9 @@ impl FaaPolicy for CasLoopFaa {
         let mut cur = a.load(Ordering::Acquire);
         loop {
             // The read→CAS window that hardware F&A does not have: a
-            // preemption landing here wastes the whole attempt (see
-            // lcrq_util::adversary; disabled by default).
-            lcrq_util::adversary::preempt_point();
+            // preemption landing here wastes the whole attempt (the
+            // scheduler adversary's `Site::Preempt`; inert by default).
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
             if lcrq_util::fault::inject(lcrq_util::fault::Site::Faa) {
                 // Injected spurious CAS failure: waste this attempt exactly
                 // as a contending increment would.

@@ -8,14 +8,17 @@
 //! close the ring and move on.
 //!
 //! This binary runs an enqueuer against a pack of empty-hammering dequeuers
-//! on both queues (with the scheduler adversary making the interleavings a
-//! parallel machine would produce) and reports, per completed enqueue, how
-//! many *placement attempts* were burned — F&As for the infinite queue,
-//! ring-node visits for LCRQ — plus LCRQ's escape-hatch usage (rings
-//! closed).
+//! on both queues (with the scheduler adversary, `--preempt-ppm`, making
+//! the interleavings a parallel machine would produce) and reports, per
+//! completed enqueue, how many *placement attempts* were burned — F&As for
+//! the infinite queue, ring-node visits for LCRQ — plus LCRQ's
+//! escape-hatch usage (rings closed).
 //!
-//! Usage: `fig2_livelock [--dequeuers 3] [--enqueues 20000] [--preempt-ppm 2000]
+//! Usage: `fig2_livelock [--dequeuers 3] [--enqueues 20000] [--preempt-ppm 0]
 //!         [--smoke]`
+//!
+//! A non-zero `--preempt-ppm` needs `--features fault-injection` (DESIGN.md
+//! P6); run_experiments.sh passes 2000.
 
 use lcrq_bench::cli::Cli;
 use lcrq_core::infinite::InfiniteArrayQueue;
@@ -69,8 +72,7 @@ fn main() {
     let cli = Cli::from_env();
     let dequeuers: usize = cli.get_smoke("dequeuers", 3usize, 2);
     let enqueues: u64 = cli.get_smoke("enqueues", 20_000u64, 1_000);
-    lcrq_util::adversary::set_preempt_ppm(cli.get("preempt-ppm", 2_000u32));
-
+    println!("{}", cli.arm_preemption());
     println!("# Figure 2 / §4: dequeuer-poisoning pressure on an enqueuer");
     println!("# {dequeuers} empty-hammering dequeuers vs 1 enqueuer, {enqueues} enqueues");
     println!();
@@ -130,5 +132,4 @@ fn main() {
     println!("LSCQ needs no double-width CAS for this bound: cycle-tagged 64-bit");
     println!("entries plus the threshold counter give the same livelock freedom");
     println!("with single-word primitives.");
-    lcrq_util::adversary::set_preempt_ppm(0);
 }

@@ -14,7 +14,11 @@
 //!
 //! Usage: `fig6_throughput [--threads 1,2,4,8,16,20] [--pairs 20000]
 //!         [--runs 3] [--ring-order 12] [--oversubscribed]
-//!         [--queues lcrq,lcrq-cas,lscq,wcq,cc-queue,fc-queue,ms] [--smoke]`
+//!         [--queues lcrq,lcrq-cas,lscq,wcq,cc-queue,fc-queue,ms]
+//!         [--preempt-ppm 0] [--smoke]`
+//!
+//! A non-zero `--preempt-ppm` needs `--features fault-injection` (DESIGN.md
+//! P6); run_experiments.sh passes 1000 for part (b).
 //!
 //! `--queues` takes spec strings (`sharded:shards=8,d=2,inner=lcrq` works;
 //! separate parameterized specs with `;`).
@@ -38,12 +42,9 @@ fn main() {
         _ => WaitMode::SpinThenYield,
     };
     set_wait_mode(mode);
-    // In oversubscribed mode, also arm the scheduler adversary so
-    // preemptions land inside critical windows at a realistic rate for an
-    // oversubscribed multicore (natural preemption on this 1-core host is
-    // too coarse to ever hit a ~100 ns window; DESIGN.md P1).
-    let ppm: u32 = cli.get("preempt-ppm", if over { 1000 } else { 0 });
-    lcrq_util::adversary::set_preempt_ppm(ppm);
+    // Part (b) also wants the scheduler adversary, `--preempt-ppm 1000`
+    // (DESIGN.md P6): natural preemption never hits a ~100 ns window.
+    println!("{}", cli.arm_preemption());
     let default_threads: &[usize] = if over {
         &[4, 8, 16, 32, 64, 128]
     } else {

@@ -14,7 +14,9 @@
 //!
 //! Usage: `fig7_multiprocessor [--threads 4,8,16,32,80] [--pairs 10000]
 //!         [--runs 3] [--ring-order 12] [--clusters 4] [--prefill 65536]
-//!         [--smoke]`
+//!         [--preempt-ppm 0] [--smoke]`
+//!
+//! A non-zero `--preempt-ppm` needs `--features fault-injection` (DESIGN.md P6).
 
 use lcrq_bench::cli::Cli;
 use lcrq_bench::{run_averaged, QueueKind, QueueSpec, RunConfig};
@@ -27,10 +29,8 @@ fn main() {
     let ring_order: u32 = cli.get("ring-order", 12u32);
     let clusters: usize = cli.get("clusters", 4usize);
     let prefill: u64 = cli.get("prefill", 0u64);
-    // Optional scheduler adversary (see lcrq_util::adversary and DESIGN.md
-    // P1): emulates preemption landing inside critical windows, which this
-    // 1-core host's natural scheduling cannot produce.
-    lcrq_util::adversary::set_preempt_ppm(cli.get("preempt-ppm", 0u32));
+    // The scheduler adversary, off by default (DESIGN.md P6).
+    println!("{}", cli.arm_preemption());
     let specs: Vec<QueueSpec> = [
         QueueKind::LcrqH,
         QueueKind::Lcrq,

@@ -8,7 +8,10 @@
 //! but rare tail from its cluster-gate timeout.
 //!
 //! Usage: `fig8_latency [--threads 20] [--pairs 5000] [--ring-order 12]
-//!         [--clusters 1] [--queues lcrq,cc-queue,fc-queue,ms] [--smoke]`
+//!         [--clusters 1] [--queues lcrq,cc-queue,fc-queue,ms]
+//!         [--preempt-ppm 0] [--smoke]`
+//!
+//! A non-zero `--preempt-ppm` needs `--features fault-injection` (DESIGN.md P6).
 
 use lcrq_bench::cli::Cli;
 use lcrq_bench::{run_workload, QueueKind, QueueSpec, RunConfig};
@@ -19,10 +22,8 @@ fn main() {
     let pairs: u64 = cli.get_smoke("pairs", 5_000u64, 300);
     let ring_order: u32 = cli.get("ring-order", 12u32);
     let clusters: usize = cli.get("clusters", 1usize);
-    // Optional scheduler adversary (see lcrq_util::adversary and DESIGN.md
-    // P1): emulates preemption landing inside critical windows, which this
-    // 1-core host's natural scheduling cannot produce.
-    lcrq_util::adversary::set_preempt_ppm(cli.get("preempt-ppm", 0u32));
+    // The scheduler adversary, off by default (DESIGN.md P6).
+    println!("{}", cli.arm_preemption());
     let specs: Vec<QueueSpec> = match cli.get_str("queues") {
         Some(s) => QueueSpec::parse_list(s).unwrap_or_else(|e| panic!("--queues: {e}")),
         None => [QueueKind::Lcrq, QueueKind::Cc, QueueKind::Fc, QueueKind::Ms]

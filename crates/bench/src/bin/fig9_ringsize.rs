@@ -9,7 +9,10 @@
 //! processors R = 1024 gives the full ≈1.5× advantage).
 //!
 //! Usage: `fig9_ringsize [--threads 16] [--pairs 10000] [--runs 3]
-//!         [--orders 3,5,7,9,11,13,15,17] [--clusters 1] [--smoke]`
+//!         [--orders 3,5,7,9,11,13,15,17] [--clusters 1] [--preempt-ppm 0]
+//!         [--smoke]`
+//!
+//! A non-zero `--preempt-ppm` needs `--features fault-injection` (DESIGN.md P6).
 
 use lcrq_bench::cli::Cli;
 use lcrq_bench::{run_averaged, QueueKind, QueueSpec, RunConfig};
@@ -21,10 +24,8 @@ fn main() {
     let runs: usize = cli.get_smoke("runs", 3usize, 1);
     let orders = cli.get_list_smoke("orders", &[3, 5, 7, 9, 11, 13, 15, 17], &[3, 7]);
     let clusters: usize = cli.get("clusters", 1usize);
-    // Optional scheduler adversary (see lcrq_util::adversary and DESIGN.md
-    // P1): emulates preemption landing inside critical windows, which this
-    // 1-core host's natural scheduling cannot produce.
-    lcrq_util::adversary::set_preempt_ppm(cli.get("preempt-ppm", 0u32));
+    // The scheduler adversary, off by default (DESIGN.md P6).
+    println!("{}", cli.arm_preemption());
     let hierarchical = clusters > 1;
 
     println!("# Figure 9: ring-size sensitivity at {threads} threads (Mops/s)");

@@ -13,7 +13,9 @@
 //! failures.
 //!
 //! Usage: `table2_stats [--threads 1,20] [--pairs 20000] [--ring-order 12]
-//!         [--smoke]`
+//!         [--preempt-ppm 0] [--smoke]`
+//!
+//! A non-zero `--preempt-ppm` needs `--features fault-injection` (DESIGN.md P6).
 
 use lcrq_bench::cli::Cli;
 use lcrq_bench::{run_workload, QueueKind, QueueSpec, RunConfig};
@@ -24,10 +26,8 @@ fn main() {
     let thread_points = cli.get_list_smoke("threads", &[1, 20], &[1, 2]);
     let pairs: u64 = cli.get_smoke("pairs", 20_000u64, 300);
     let ring_order: u32 = cli.get("ring-order", 12u32);
-    // Optional scheduler adversary (see lcrq_util::adversary and DESIGN.md
-    // P1): emulates preemption landing inside critical windows, which this
-    // 1-core host's natural scheduling cannot produce.
-    lcrq_util::adversary::set_preempt_ppm(cli.get("preempt-ppm", 0u32));
+    // The scheduler adversary, off by default (DESIGN.md P6).
+    println!("{}", cli.arm_preemption());
     let kinds = [
         QueueKind::Lcrq,
         QueueKind::LcrqCas,

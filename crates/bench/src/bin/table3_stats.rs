@@ -9,7 +9,9 @@
 //! ops per operation in both settings.
 //!
 //! Usage: `table3_stats [--threads 80] [--pairs 2000] [--ring-order 12]
-//!         [--clusters 4] [--smoke]`
+//!         [--clusters 4] [--preempt-ppm 0] [--smoke]`
+//!
+//! A non-zero `--preempt-ppm` needs `--features fault-injection` (DESIGN.md P6).
 
 use lcrq_bench::cli::Cli;
 use lcrq_bench::{run_workload, QueueKind, QueueSpec, RunConfig};
@@ -21,10 +23,8 @@ fn main() {
     let pairs: u64 = cli.get_smoke("pairs", 2_000u64, 200);
     let ring_order: u32 = cli.get("ring-order", 12u32);
     let clusters: usize = cli.get("clusters", 4usize);
-    // Optional scheduler adversary (see lcrq_util::adversary and DESIGN.md
-    // P1): emulates preemption landing inside critical windows, which this
-    // 1-core host's natural scheduling cannot produce.
-    lcrq_util::adversary::set_preempt_ppm(cli.get("preempt-ppm", 0u32));
+    // The scheduler adversary, off by default (DESIGN.md P6).
+    println!("{}", cli.arm_preemption());
     let kinds = [
         QueueKind::LcrqH,
         QueueKind::Lcrq,

@@ -93,6 +93,37 @@ impl Cli {
         let d = if self.smoke() { smoke_default } else { default };
         self.get_list(key, d)
     }
+
+    /// Arms the scheduler adversary from `--preempt-ppm` (default 0): every
+    /// `Site::Preempt` visit yields with probability N per million
+    /// (DESIGN.md P6). Returns the line a bin prints first: `# real, N
+    /// hardware threads` or `# adversarial, preempt_ppm=N`. Only this
+    /// crate's `fault-injection` feature compiles the registry in; without
+    /// it a non-zero rate exits with an error instead of running unarmed.
+    pub fn arm_preemption(&self) -> String {
+        let ppm = self.get("preempt-ppm", 0u32).min(1_000_000);
+        if ppm == 0 {
+            let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+            return format!("# real, {threads} hardware threads");
+        }
+        #[cfg(feature = "fault-injection")]
+        {
+            use lcrq_util::fault::{FaultAction, Scenario, Site};
+            Scenario::new(lcrq_util::rng::test_seed(0x853C_49E6_748F_EA9B))
+                .with(Site::Preempt, ppm, FaultAction::Yield)
+                .arm();
+            format!("# adversarial, preempt_ppm={ppm}")
+        }
+        #[cfg(not(feature = "fault-injection"))]
+        {
+            eprintln!(
+                "--preempt-ppm {ppm} needs the scheduler adversary, which this build \
+                 leaves out: rebuild with `cargo build --release -p lcrq-bench \
+                 --features fault-injection`"
+            );
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Prints a markdown table row.
@@ -129,6 +160,12 @@ mod tests {
     fn bad_values_fall_back_to_default() {
         let c = cli(&["--pairs", "abc"]);
         assert_eq!(c.get("pairs", 42u64), 42);
+    }
+
+    #[test]
+    fn no_preemption_labels_the_run_real() {
+        let label = cli(&["--preempt-ppm", "0"]).arm_preemption();
+        assert!(label.starts_with("# real, ") && label.ends_with(" hardware threads"));
     }
 
     #[test]

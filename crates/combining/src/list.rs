@@ -105,7 +105,7 @@ impl<S: SeqObject> RequestList<S> {
         let cur_node = swap_ptr(&self.tail, next_node);
         // Most damaging preemption point: we hold the list position every
         // later arrival depends on, but have not yet published our request.
-        lcrq_util::adversary::preempt_point();
+        let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
         // SAFETY: cur_node was the tail; by protocol its previous owner will
         // never touch op/ret/next again — they are ours to write until the
         // release-store of `next` publishes them to the combiner.

@@ -52,7 +52,7 @@ impl TasLock {
             None
         } else {
             // Most damaging preemption point: lock held, work not yet done.
-            lcrq_util::adversary::preempt_point();
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
             Some(TasGuard { lock: self })
         }
     }

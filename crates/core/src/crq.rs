@@ -163,11 +163,11 @@ impl<P: FaaPolicy> Crq<P> {
             let node = self.node(t);
             metrics::inc(Event::NodeVisit);
             let view = node.read();
-            // Adversary injection inside the read→CAS2 window (see
-            // lcrq_util::adversary). LCRQ's CAS2 targets a slot only this
+            // Scheduler-adversary point inside the read→CAS2 window
+            // (`Site::Preempt`). LCRQ's CAS2 targets a slot only this
             // F&A winner races for, so even a mid-window preemption rarely
             // fails it — and a preempted operation blocks nobody.
-            lcrq_util::adversary::preempt_point();
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
             // Fail point between the F&A and the CAS2 placement: `Fail`
             // force-closes the ring (an injected tantrum), `Panic` aborts
             // the enqueue with the tail index consumed but the slot never
@@ -203,7 +203,7 @@ impl<P: FaaPolicy> Crq<P> {
             loop {
                 metrics::inc(Event::NodeVisit);
                 let view = node.read();
-                lcrq_util::adversary::preempt_point(); // inside the read→CAS2 window
+                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
                 let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CrqDequeue);
                 if view.idx > h {
                     break; // overtaken between our F&A and the read
@@ -297,7 +297,7 @@ impl<P: FaaPolicy> Crq<P> {
             loop {
                 metrics::inc(Event::NodeVisit);
                 let view = node.read();
-                lcrq_util::adversary::preempt_point(); // read→CAS2 window
+                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
                 if lcrq_util::fault::inject(lcrq_util::fault::Site::CrqEnqueue) {
                     self.close(); // injected tantrum, as in the scalar path
                 }
@@ -368,7 +368,7 @@ impl<P: FaaPolicy> Crq<P> {
             loop {
                 metrics::inc(Event::NodeVisit);
                 let view = node.read();
-                lcrq_util::adversary::preempt_point(); // read→CAS2 window
+                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
                 let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CrqDequeue);
                 if view.idx > h {
                     break; // overtaken between the reservation and the read

@@ -41,7 +41,7 @@ use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use lcrq_atomic::{ops, FaaPolicy, HardwareFaa};
 use lcrq_util::metrics::{self, Event};
 use lcrq_util::sync::AtomicPtr;
-use lcrq_util::{adversary, CachePadded};
+use lcrq_util::CachePadded;
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
@@ -195,7 +195,7 @@ impl<P: FaaPolicy> Scq<P> {
                     // The read→CAS window a preemption can waste. A `Fail`
                     // here is a spurious CAS miss: re-read and retry, the
                     // same path a lost race takes.
-                    adversary::preempt_point();
+                    let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
                     if lcrq_util::fault::inject(lcrq_util::fault::Site::ScqEnqueue) {
                         e = self.entries[j].load(Ordering::SeqCst);
                         continue;
@@ -243,7 +243,7 @@ impl<P: FaaPolicy> Scq<P> {
                     // consume slot j at this cycle, so the unconditional OR
                     // (index := ⊥) cannot clobber anything except a racing
                     // unsafe-marking, which it preserves.
-                    adversary::preempt_point();
+                    let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
                     // `Fail` = spurious consume failure: re-read the slot
                     // and re-run the transition logic before the fetch-OR.
                     if lcrq_util::fault::inject(lcrq_util::fault::Site::ScqDequeue) {
@@ -267,7 +267,7 @@ impl<P: FaaPolicy> Scq<P> {
                         self.pack(ecycle, false, idx)
                     };
                     if new != e {
-                        adversary::preempt_point();
+                        let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
                         if let Err(cur) = ops::cas(&self.entries[j], e, new) {
                             e = cur;
                             continue;

@@ -46,7 +46,7 @@ use lcrq_atomic::{ops, AtomicPair, FaaPolicy, HardwareFaa};
 use lcrq_util::fault::{self, Site};
 use lcrq_util::metrics::{self, Event};
 use lcrq_util::sync::AtomicPtr;
-use lcrq_util::{adversary, CachePadded};
+use lcrq_util::CachePadded;
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
@@ -437,7 +437,7 @@ impl<P: FaaPolicy> WcqRing<P> {
         {
             // Placeable: phase 1, the tentative entry. Invisible to
             // consumers until the claim validates it.
-            adversary::preempt_point();
+            let _ = fault::inject(Site::Preempt);
             let v = r.arg.load(Ordering::SeqCst);
             let _ = self.entries[j]
                 .compare_exchange((meta, val), (mpack(c, true, TENT_BIT, i as u64), v));
@@ -546,7 +546,7 @@ impl<P: FaaPolicy> WcqRing<P> {
             if mrec(meta) != REC_NONE {
                 self.finalize_src(mrec(meta) as usize, h);
             }
-            adversary::preempt_point();
+            let _ = fault::inject(Site::Preempt);
             let _ = self.entries[j].compare_exchange(
                 (meta, val),
                 (mpack(c, msafe(meta), BOUND_BIT, i as u64), val),
@@ -578,7 +578,7 @@ impl<P: FaaPolicy> WcqRing<P> {
                 }
                 return false;
             }
-            adversary::preempt_point();
+            let _ = fault::inject(Site::Preempt);
             let swapped = self.entries[j].compare_exchange((meta, val), (new, val));
             if swapped.is_ok() {
                 metrics::inc(if val == BOTTOM {
@@ -922,7 +922,7 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
                     && meta & (TENT_BIT | BOUND_BIT) == 0
                     && (msafe(meta) || self.head.load(Ordering::SeqCst) <= t)
                 {
-                    adversary::preempt_point();
+                    let _ = fault::inject(Site::Preempt);
                     if self.entries[j]
                         .compare_exchange((meta, val), (mpack(c, true, 0, REC_NONE), value))
                         .is_ok()
@@ -981,7 +981,7 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
                     if mrec(meta) != REC_NONE {
                         self.finalize_src(mrec(meta) as usize, h);
                     }
-                    adversary::preempt_point();
+                    let _ = fault::inject(Site::Preempt);
                     if fault::inject(Site::WcqDequeue) {
                         continue; // lost window: one round, not unbounded
                     }
@@ -1001,7 +1001,7 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
                 } else {
                     mpack(mcycle(meta), false, 0, mrec(meta))
                 };
-                adversary::preempt_point();
+                let _ = fault::inject(Site::Preempt);
                 if self.entries[j]
                     .compare_exchange((meta, val), (new, val))
                     .is_ok()

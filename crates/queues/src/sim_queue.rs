@@ -92,14 +92,4 @@ mod tests {
     fn model_check_against_vecdeque() {
         testing::model_check(&SimQueue::new(), 0x51);
     }
-
-    #[test]
-    fn completes_under_adversarial_preemption() {
-        // Wait-freedom smoke: heavy injected preemption must not prevent a
-        // fixed workload from finishing.
-        lcrq_util::adversary::set_preempt_ppm(5_000);
-        let q = SimQueue::new();
-        testing::pairs_smoke(&q, 4, 500);
-        lcrq_util::adversary::set_preempt_ppm(0);
-    }
 }

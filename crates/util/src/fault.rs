@@ -26,9 +26,11 @@
 //!    `Scenario` (seed + armed sites) so the exact run can be re-armed.
 //! 3. **Zero cost when disabled.** Without the `fault-injection` cargo
 //!    feature, [`inject`] is an `#[inline(always)]` constant `false`: every
-//!    call site folds to nothing (the adversary's `preempt_point` keeps its
-//!    documented one-relaxed-load budget). With the feature on but nothing
-//!    armed, the cost is one relaxed load of a generation counter.
+//!    call site folds to nothing, so the shipped build carries no
+//!    injection at all, the scheduler adversary ([`Site::Preempt`])
+//!    included. With the feature on, a visit to a site the armed scenario
+//!    (if any) leaves alone costs one relaxed load of a site mask, and one
+//!    to an armed site that does not fire touches only thread-local state.
 //!
 //! `Stall` does not literally stall forever: the thread parks until
 //! `disarm` (or the next `Scenario::arm`) so test harnesses can release
@@ -44,8 +46,11 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Site {
-    /// The generic scheduler-adversary point ([`crate::adversary::preempt_point`]),
-    /// reached from every algorithm's read→CAS window. `Fail` is ignored.
+    /// The scheduler adversary: where a real preemption hurts most, in every
+    /// algorithm's read→CAS window (combining: after taking a list
+    /// position; locks: just after acquisition). The figures arm it with
+    /// [`FaultAction::Yield`] at `--preempt-ppm` (DESIGN.md P6). `Fail` is
+    /// ignored.
     Preempt,
     /// `AtomicPair::compare_exchange` (`lock cmpxchg16b`). `Fail` reports a
     /// spurious CAS2 failure with the current contents, without attempting
@@ -214,7 +219,7 @@ mod registry {
     use super::{FaultAction, Site, NUM_SITES};
     use crate::metrics::{self, Event};
     use crate::rng::splitmix64;
-    use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use core::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
     use std::cell::Cell;
     use std::sync::{Arc, Condvar, Mutex};
 
@@ -333,6 +338,8 @@ mod registry {
             // about to park on the old generation cannot miss the wakeup.
             let _g = STALL_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
             GENERATION.store(gen, Ordering::SeqCst);
+            let mask = self.sites.iter().fold(0, |m, s| m | (1 << s.0 as u32));
+            ARMED_SITES.store(mask, Ordering::SeqCst);
             STALL_CV.notify_all();
         }
     }
@@ -359,6 +366,10 @@ mod registry {
 
     /// 0 = nothing armed; otherwise the generation of the armed scenario.
     static GENERATION: AtomicU64 = AtomicU64::new(0);
+    /// Bit `site` is set iff the armed scenario arms `site`: a visit to any
+    /// other site costs one relaxed load, armed scenario or not.
+    static ARMED_SITES: AtomicU32 = AtomicU32::new(0);
+    const _: () = assert!(NUM_SITES <= 32);
     static ARMED: Mutex<Option<Arc<Armed>>> = Mutex::new(None);
     static HIT_LOG: Mutex<Vec<SiteHit>> = Mutex::new(Vec::new());
     static STALL_MUTEX: Mutex<()> = Mutex::new(());
@@ -372,6 +383,8 @@ mod registry {
         static CACHED: Cell<u64> = const { Cell::new(0) };
         static CACHED_ARMED: std::cell::RefCell<Option<Arc<Armed>>> =
             const { std::cell::RefCell::new(None) };
+        /// The cached scenario's per-site probabilities (0 = unarmed).
+        static PPM: [Cell<u32>; NUM_SITES] = const { [const { Cell::new(0) }; NUM_SITES] };
         /// Per-thread xorshift64* state, reseeded per generation.
         static RNG: Cell<u64> = const { Cell::new(0) };
         static ORDINAL: Cell<u64> = const { Cell::new(0) };
@@ -403,37 +416,20 @@ mod registry {
 
     /// Visits the fail point `site`. Returns `true` iff an armed
     /// [`FaultAction::Fail`] fired — the caller applies the site-specific
-    /// failure. All other actions are performed internally.
+    /// failure. All other actions are performed internally. A visit to an
+    /// armed site rolls on thread-local state only, inline, so an armed
+    /// scheduler adversary widens its windows by little more than its
+    /// yields; resyncing and firing are out of line.
     #[inline]
     pub fn inject(site: Site) -> bool {
+        if ARMED_SITES.load(Ordering::Relaxed) & (1 << site as u32) == 0 {
+            return false;
+        }
         let gen = GENERATION.load(Ordering::Relaxed);
-        if gen == 0 {
+        if gen == 0 || (CACHED.with(Cell::get) != gen && !resync(gen)) {
             return false;
         }
-        inject_armed(site, gen)
-    }
-
-    #[cold]
-    fn inject_armed(site: Site, gen: u64) -> bool {
-        // Refresh the cached scenario (and reseed the RNG stream) when the
-        // generation moved under us.
-        if CACHED.with(|c| c.get()) != gen {
-            let cur = ARMED.lock().unwrap_or_else(|e| e.into_inner()).clone();
-            // Re-check: if the scenario changed between the load and the
-            // lock, skip this visit; the next one resyncs.
-            if GENERATION.load(Ordering::SeqCst) != gen {
-                return false;
-            }
-            let Some(armed) = cur else { return false };
-            RNG.with(|r| r.set(stream_seed(armed.seed)));
-            CACHED_ARMED.with(|c| *c.borrow_mut() = Some(armed));
-            CACHED.with(|c| c.set(gen));
-        }
-        let armed = CACHED_ARMED.with(|c| c.borrow().clone());
-        let Some(armed) = armed else { return false };
-        let Some(arm) = &armed.sites[site as usize] else {
-            return false;
-        };
+        let ppm = PPM.with(|p| p[site as usize].get());
         let roll = RNG.with(|state| {
             let mut x = state.get();
             x ^= x << 13;
@@ -442,9 +438,41 @@ mod registry {
             state.set(x);
             ((x.wrapping_mul(0x2545_F491_4F6C_DD1D) as u128 * 1_000_000) >> 64) as u32
         });
-        if roll >= arm.ppm {
+        roll < ppm && fire(site, gen)
+    }
+
+    /// Refreshes the cached scenario (and reseeds the RNG stream) when the
+    /// generation moved under us; `false` skips this visit.
+    #[cold]
+    fn resync(gen: u64) -> bool {
+        let cur = ARMED.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        // Re-check: if the scenario changed between the load and the lock,
+        // skip this visit; the next one resyncs.
+        if GENERATION.load(Ordering::SeqCst) != gen {
             return false;
         }
+        let Some(armed) = cur else { return false };
+        RNG.with(|r| r.set(stream_seed(armed.seed)));
+        PPM.with(|ppm| {
+            for (p, arm) in ppm.iter().zip(&armed.sites) {
+                p.set(arm.as_ref().map_or(0, |a| a.ppm));
+            }
+        });
+        CACHED_ARMED.with(|c| *c.borrow_mut() = Some(armed));
+        CACHED.with(|c| c.set(gen));
+        true
+    }
+
+    /// Takes the armed action at `site` once its roll fired: the only
+    /// visit that touches (here, clones) the shared scenario.
+    #[cold]
+    fn fire(site: Site, gen: u64) -> bool {
+        let Some(armed) = CACHED_ARMED.with(|c| c.borrow().clone()) else {
+            return false;
+        };
+        let Some(arm) = &armed.sites[site as usize] else {
+            return false;
+        };
         // Hit cap (process-wide, e.g. "panic exactly once").
         if arm
             .hits_left
@@ -510,6 +538,7 @@ mod registry {
 
     /// Uninstalls the armed scenario and releases every stalled thread.
     pub fn disarm() {
+        ARMED_SITES.store(0, Ordering::SeqCst);
         *ARMED.lock().unwrap_or_else(|e| e.into_inner()) = None;
         let _g = STALL_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
         GENERATION.store(0, Ordering::SeqCst);
@@ -659,6 +688,24 @@ mod registry {
             // Hit cap of 1: the site is spent.
             assert!(!inject(Site::CrqEnqueue));
             disarm();
+        }
+
+        #[test]
+        fn thread_streams_are_decorrelated() {
+            // One stream for all threads would fire them in lockstep: the
+            // adversary's preemptions would hit the same ops of each one.
+            let mut seeds: Vec<u64> = (0..4)
+                .map(|_| std::thread::spawn(|| stream_seed(7)).join().unwrap())
+                .collect();
+            seeds.sort_unstable();
+            seeds.dedup();
+            assert_eq!(seeds.len(), 4, "stream seeds collided: {seeds:?}");
+        }
+
+        #[test]
+        fn preempt_yield_clamps_its_rate_to_certainty() {
+            let s = Scenario::new(1).with(Site::Preempt, 2_000_000, FaultAction::Yield);
+            assert!(s.to_string().contains("preempt:1000000ppm:yield"), "{s}");
         }
 
         #[test]

@@ -7,7 +7,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adversary;
 pub mod affinity;
 pub mod backoff;
 pub mod fault;

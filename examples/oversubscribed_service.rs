@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --release --example oversubscribed_service`
 
-use lcrq::util::adversary;
+use lcrq::util::fault::{self, FaultAction, Scenario, Site};
+use lcrq::util::rng::test_seed;
 use lcrq::util::{set_wait_mode, WaitMode};
 use lcrq::{CcQueue, ConcurrentQueue, Lcrq};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,9 +48,12 @@ fn main() {
 
     // Emulate the paper's oversubscribed regime (see DESIGN.md P1): waiters
     // spin as the paper's C implementations do, and the scheduler adversary
+    // (`Site::Preempt`; the root package's dev-dependencies compile it in)
     // preempts threads inside critical windows at a realistic rate.
     set_wait_mode(WaitMode::Spin);
-    adversary::set_preempt_ppm(1_000);
+    Scenario::new(test_seed(0x853C_49E6_748F_EA9B))
+        .with(Site::Preempt, 1_000, FaultAction::Yield)
+        .arm();
 
     println!("oversubscribed service: {workers} workers, {requests} requests each\n");
 
@@ -63,7 +67,7 @@ fn main() {
     let tput_cc = (workers as u64 * requests) as f64 / t_cc.as_secs_f64() / 1e6;
     println!("  cc-queue  (lock-based) : {t_cc:>10.2?}  ({tput_cc:.2} Mreq/s)");
 
-    adversary::set_preempt_ppm(0);
+    fault::disarm();
     set_wait_mode(WaitMode::SpinThenYield);
 
     println!(

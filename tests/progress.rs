@@ -5,8 +5,11 @@
 //! every optimistic attempt is made to fail, a bound the lock-free
 //! backends demonstrably cannot meet (see the `step_bound` module).
 
-use lcrq::queues::ConcurrentQueue;
-use lcrq::util::adversary;
+mod common;
+
+use common::adversarial_preemption;
+use lcrq::queues::testing::{mpmc_stress, pairs_smoke};
+use lcrq::queues::{BasketsQueue, ConcurrentQueue, OptimisticQueue, SimQueue};
 use lcrq::util::metrics::{self, Event, Snapshot};
 use lcrq::{Lcrq, LcrqConfig, Lscq, Wcq};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -197,7 +200,7 @@ fn dequeues_make_progress_under_enqueue_pressure() {
 /// complete a fixed workload promptly (nobody waits on a preempted thread).
 #[test]
 fn lcrq_completes_under_adversarial_preemption() {
-    adversary::set_preempt_ppm(5_000);
+    let _adversary = adversarial_preemption(5_000);
     let q = Lcrq::with_config(LcrqConfig::new().with_ring_order(5));
     let total = AtomicU64::new(0);
     let (q, total) = (&q, &total);
@@ -213,7 +216,6 @@ fn lcrq_completes_under_adversarial_preemption() {
             });
         }
     });
-    adversary::set_preempt_ppm(0);
     // Drain the imbalance.
     let mut leftover = 0;
     while q.dequeue().is_some() {
@@ -290,11 +292,11 @@ fn lscq_enqueues_are_not_livelocked_by_empty_dequeuers() {
 }
 
 /// LSCQ under heavy injected preemption: same fixed workload as the LCRQ
-/// adversary test, exercising the `preempt_point` hooks inside the SCQ
+/// adversary test, exercising the `Site::Preempt` points inside the SCQ
 /// entry loops.
 #[test]
 fn lscq_completes_under_adversarial_preemption() {
-    adversary::set_preempt_ppm(5_000);
+    let _adversary = adversarial_preemption(5_000);
     let q = Lscq::with_config(LcrqConfig::new().with_ring_order(5));
     let total = AtomicU64::new(0);
     let (q, total) = (&q, &total);
@@ -310,7 +312,6 @@ fn lscq_completes_under_adversarial_preemption() {
             });
         }
     });
-    adversary::set_preempt_ppm(0);
     let mut leftover = 0;
     while q.dequeue().is_some() {
         leftover += 1;
@@ -382,7 +383,7 @@ fn wcq_enqueues_are_not_livelocked_by_empty_dequeuers() {
 /// the fast path and the helping steps.
 #[test]
 fn wcq_completes_under_adversarial_preemption() {
-    adversary::set_preempt_ppm(5_000);
+    let _adversary = adversarial_preemption(5_000);
     let q = Wcq::with_config(LcrqConfig::new().with_ring_order(5));
     let total = AtomicU64::new(0);
     let (q, total) = (&q, &total);
@@ -398,7 +399,6 @@ fn wcq_completes_under_adversarial_preemption() {
             });
         }
     });
-    adversary::set_preempt_ppm(0);
     let mut leftover = 0;
     while q.dequeue().is_some() {
         leftover += 1;
@@ -510,7 +510,7 @@ fn scq_dequeue_storm_on_empty_queue_terminates() {
 /// only asserts they still *complete* (blocking, not deadlocking).
 #[test]
 fn combining_queues_complete_under_adversarial_preemption() {
-    adversary::set_preempt_ppm(2_000);
+    let _adversary = adversarial_preemption(2_000);
     let q = lcrq::CcQueue::new();
     let q = &q;
     std::thread::scope(|s| {
@@ -523,8 +523,31 @@ fn combining_queues_complete_under_adversarial_preemption() {
             });
         }
     });
-    adversary::set_preempt_ppm(0);
     while q.dequeue().is_some() {}
+}
+
+/// Preemption inside the Baskets queue's read→CAS windows produces the
+/// tail-CAS failures that send enqueuers down the basket-insertion path.
+#[test]
+fn stress_under_adversarial_preemption_exercises_baskets() {
+    let _adversary = adversarial_preemption(5_000);
+    mpmc_stress(&BasketsQueue::new(), 3, 3, 2_000);
+}
+
+/// Preemption between the optimistic queue's tail CAS and its prev store
+/// leaves broken prev chains that dequeuers must repair via `fix_list`.
+#[test]
+fn stress_under_adversarial_preemption_exercises_fix_list() {
+    let _adversary = adversarial_preemption(5_000);
+    mpmc_stress(&OptimisticQueue::new(), 3, 3, 2_000);
+}
+
+/// Wait-freedom smoke for the Sim queue: heavy injected preemption must not
+/// prevent a fixed workload from finishing.
+#[test]
+fn completes_under_adversarial_preemption() {
+    let _adversary = adversarial_preemption(5_000);
+    pairs_smoke(&SimQueue::new(), 4, 500);
 }
 
 // ---------------------------------------------------------------------------
@@ -552,6 +575,7 @@ fn combining_queues_complete_under_adversarial_preemption() {
 
 #[cfg(feature = "fault-injection")]
 mod step_bound {
+    use super::common::registry;
     use super::{steps_in, WCQ_STEP_CEILING};
     use lcrq::queues::testing::encode;
     use lcrq::queues::ConcurrentQueue;
@@ -560,14 +584,7 @@ mod step_bound {
     use lcrq::util::rng::test_seed;
     use lcrq::{LcrqConfig, Lscq, Wcq};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Mutex;
     use std::time::{Duration, Instant};
-
-    /// Serializes the module's tests: the fail-point registry is global.
-    static LOCK: Mutex<()> = Mutex::new(());
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     const WORKERS: usize = 8;
     const STALLS: usize = 2;
@@ -666,7 +683,7 @@ mod step_bound {
     /// and finishes what it starts).
     #[test]
     fn wcq_helping_machinery_engages_and_finalizes() {
-        let _g = guard();
+        let _registry = registry();
         let seed = test_seed(0x57E9_B0D5_EED0_0003);
         let scenario = Scenario::new(seed).with(Site::WcqEnqueue, 1_000_000, FaultAction::Fail);
         scenario.arm();
@@ -714,7 +731,7 @@ mod step_bound {
     /// through at most one claim/CAS chain per position.
     #[test]
     fn wcq_survivors_hold_the_step_bound_with_stalled_peers() {
-        let _g = guard();
+        let _registry = registry();
         let seed = test_seed(0x57E9_B0D5_EED0_0001);
         let q = Wcq::with_config(LcrqConfig::new().with_ring_order(6));
         assert_step_bound(
@@ -733,7 +750,7 @@ mod step_bound {
     #[test]
     #[should_panic(expected = "per-op step bound exceeded")]
     fn lscq_blows_the_step_bound_under_the_same_adversary() {
-        let _g = guard();
+        let _registry = registry();
         let seed = test_seed(0x57E9_B0D5_EED0_0002);
         let q = Lscq::with_config(LcrqConfig::new().with_ring_order(6));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

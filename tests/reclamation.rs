@@ -3,6 +3,9 @@
 //! exactly once, sustained ring churn does not accumulate unbounded
 //! garbage, and steady-state churn through the pool allocates nothing.
 
+mod common;
+
+use common::adversarial_preemption;
 use lcrq::hazard::Domain;
 use lcrq::util::metrics::{self, Event};
 use lcrq::{
@@ -404,7 +407,7 @@ unsafe fn recycle_into_stall_pool(p: *mut ()) {
 fn stalled_hazard_reader_never_observes_a_scrubbed_ring() {
     // Arm the scheduler adversary so the protect/retire interleaving below
     // runs with preemption injected inside read→CAS2 windows too.
-    lcrq::util::adversary::set_preempt_ppm(10_000);
+    let _adversary = adversarial_preemption(10_000);
     let pool = Arc::clone(STALL_POOL.get_or_init(|| RingPool::new(4)));
     let domain = Domain::new();
     let ring: Box<Crq> = Box::new(Crq::new(&LcrqConfig::new().with_ring_order(3)));
@@ -450,7 +453,6 @@ fn stalled_hazard_reader_never_observes_a_scrubbed_ring() {
         "base {} must clear the old incarnation (top {top_before})",
         r.base_index()
     );
-    lcrq::util::adversary::set_preempt_ppm(0);
 }
 
 #[test]
@@ -459,7 +461,7 @@ fn adversary_churn_with_recycling_preserves_per_producer_fifo() {
     // injecting preemptions inside read→CAS2 windows: per-producer
     // sequences must come out strictly in order, each value exactly once —
     // an ABA through a recycled ring would surface as loss or duplication.
-    lcrq::util::adversary::set_preempt_ppm(20_000);
+    let _adversary = adversarial_preemption(20_000);
     let q = Lcrq::with_config(
         LcrqConfig::new()
             .with_ring_order(2)
@@ -518,7 +520,6 @@ fn adversary_churn_with_recycling_preserves_per_producer_fifo() {
     for (t, &c) in counts.iter().enumerate() {
         assert_eq!(c, PER, "producer {t}: lost or duplicated items");
     }
-    lcrq::util::adversary::set_preempt_ppm(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -596,7 +597,7 @@ fn lscq_stalled_hazard_reader_defers_ring_reclamation() {
     // keep the ring alive — if it were freed (or its slots reused) under
     // the hazard, the reader's cycle-tagged views would alias a new
     // incarnation.
-    lcrq::util::adversary::set_preempt_ppm(10_000);
+    let _adversary = adversarial_preemption(10_000);
     let domain = Domain::new();
     let ring: Box<ScqD> = Box::new(ScqD::new(&LcrqConfig::new().with_ring_order(3)));
     for i in 0..5 {
@@ -635,7 +636,6 @@ fn lscq_stalled_hazard_reader_defers_ring_reclamation() {
         1,
         "quiescent SCQ ring is freed exactly once"
     );
-    lcrq::util::adversary::set_preempt_ppm(0);
 }
 
 #[test]
@@ -644,7 +644,7 @@ fn lscq_adversary_churn_preserves_per_producer_fifo() {
     // injecting preemptions inside the entry CAS windows: per-producer
     // sequences must come out strictly in order, each value exactly once —
     // an ABA through a reclaimed ring would surface as loss or duplication.
-    lcrq::util::adversary::set_preempt_ppm(20_000);
+    let _adversary = adversarial_preemption(20_000);
     let q = Lscq::with_config(LcrqConfig::new().with_ring_order(2));
     const PRODUCERS: u64 = 2;
     const PER: u64 = 20_000;
@@ -697,7 +697,6 @@ fn lscq_adversary_churn_preserves_per_producer_fifo() {
     for (t, &c) in counts.iter().enumerate() {
         assert_eq!(c, PER, "producer {t}: lost or duplicated items");
     }
-    lcrq::util::adversary::set_preempt_ppm(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -762,7 +761,7 @@ fn wcq_adversary_churn_preserves_per_producer_fifo() {
     // Same ABA-through-reclamation hunt as the LSCQ variant, with the extra
     // hazard that a helper may finish a dequeue against a ring another
     // thread is about to retire.
-    lcrq::util::adversary::set_preempt_ppm(20_000);
+    let _adversary = adversarial_preemption(20_000);
     let q = Wcq::with_config(LcrqConfig::new().with_ring_order(2));
     const PRODUCERS: u64 = 2;
     const PER: u64 = 20_000;
@@ -815,5 +814,4 @@ fn wcq_adversary_churn_preserves_per_producer_fifo() {
     for (t, &c) in counts.iter().enumerate() {
         assert_eq!(c, PER, "producer {t}: lost or duplicated items");
     }
-    lcrq::util::adversary::set_preempt_ppm(0);
 }
