@@ -12,6 +12,11 @@
 //!         [--orders 3,5,7,9,11,13,15,17] [--clusters 1] [--preempt-ppm 0]
 //!         [--smoke]`
 //!
+//! Each order is the queue's `ring_order`, the cap on its ring size: the
+//! list's first ring has `min(2^8, R)` slots and every spill's ring has
+//! `R`. Orders ≤ 8 therefore run every ring at `R`, as in the paper; above
+//! 8 a run starts on a 256-slot ring and reaches `R` at its first spill.
+//!
 //! A non-zero `--preempt-ppm` needs `--features fault-injection` (DESIGN.md P6).
 
 use lcrq_bench::cli::Cli;

@@ -5,7 +5,11 @@ use std::time::Duration;
 /// Configuration for [`crate::Lcrq`] and the underlying CRQ rings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LcrqConfig {
-    /// Ring size exponent: each CRQ has `R = 1 << ring_order` nodes.
+    /// Ring size cap exponent: no ring of the list has more than
+    /// `R = 1 << ring_order` nodes. The list's first ring has
+    /// `min(2^8, R)` and every spill's ring has `R` (see
+    /// [`RingList`](crate::RingList)), so with `ring_order ≤ 8` every ring
+    /// has exactly `R` nodes.
     ///
     /// The paper's evaluation uses `R = 2^17` (§5, "LCRQ implementation");
     /// its sensitivity study (Figure 9) shows performance saturates once the
@@ -32,8 +36,10 @@ pub struct LcrqConfig {
 
     /// Maximum number of retired rings kept in the recycling pool
     /// ([`crate::pool::RingPool`]) for reuse by the spill path instead of
-    /// being freed. Bounds the queue's idle memory at roughly
-    /// `ring_pool_capacity × R × 16` bytes beyond the live ring chain.
+    /// being freed. Only full-size (`R`-node) rings are pooled, which
+    /// bounds the queue's idle memory at roughly
+    /// `ring_pool_capacity × R × 16` bytes beyond the live ring chain;
+    /// closing the queue frees the pool.
     /// `0` disables recycling (every spill allocates, every retire frees).
     pub ring_pool_capacity: usize,
 }
@@ -108,7 +114,7 @@ impl LcrqConfig {
         self
     }
 
-    /// Ring size `R` in nodes.
+    /// Ring size cap `R` in nodes.
     pub fn ring_size(&self) -> u64 {
         1u64 << self.ring_order
     }

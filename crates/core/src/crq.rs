@@ -95,17 +95,17 @@ pub struct Crq<P: FaaPolicy = HardwareFaa> {
 impl<P: FaaPolicy> Crq<P> {
     /// Creates an empty ring of `1 << config.ring_order` nodes.
     pub fn new(config: &LcrqConfig) -> Self {
-        Self::with_seed(config, &[])
+        Self::with_seed(config, config.ring_order, &[])
     }
 
-    /// Creates a ring pre-seeded with `seed` (at most `R` items): one item
+    /// Creates a ring of `R = 2^order` nodes pre-seeded with `seed` (at
+    /// most `R` items): one item
     /// when an enqueuer appends a fresh CRQ "initialized to contain x"
     /// (Figure 5c line 162), several when a batch enqueue closes the tail
     /// ring mid-batch and spills its unplaced remainder into the fresh ring
     /// it appends.
-    pub fn with_seed(config: &LcrqConfig, seed: &[u64]) -> Self {
-        let order = config.ring_order;
-        let units = (config.ring_size() as usize / LANES).max(1);
+    pub fn with_seed(config: &LcrqConfig, order: u32, seed: &[u64]) -> Self {
+        let units = ((1usize << order) / LANES).max(1);
         // Storage order is not index order: each node starts as the position
         // that reaches it. (A ring of fewer than 8 nodes never reaches the
         // spare lanes of its one unit.)
@@ -454,12 +454,15 @@ impl<P: FaaPolicy> Crq<P> {
 /// it overrides are its `FAA(k)` batches, the LCRQ+H cluster word, and
 /// recycling (scrub / reseed / pool back-pointer).
 impl<P: FaaPolicy> Ring for Crq<P> {
-    fn new(config: &LcrqConfig) -> Self {
-        Crq::new(config)
+    fn new(config: &LcrqConfig, order: u32) -> Self {
+        Crq::with_seed(config, order, &[])
     }
     // Seeds node by node, without the F&As the default would spend.
-    fn with_seed(config: &LcrqConfig, seed: &[u64]) -> Self {
-        Crq::with_seed(config, seed)
+    fn with_seed(config: &LcrqConfig, order: u32, seed: &[u64]) -> Self {
+        Crq::with_seed(config, order, seed)
+    }
+    fn order(&self) -> u32 {
+        self.order
     }
     fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
         Crq::enqueue(self, value)
@@ -988,7 +991,7 @@ mod tests {
             }
         }
         for order in [1, 3, 4, 12] {
-            let q: Crq = Crq::with_seed(&small_config(order), &[7, 8]);
+            let q: Crq = Crq::with_seed(&LcrqConfig::new(), order, &[7, 8]);
             check(&q, 2);
             assert_eq!(q.dequeue(), Some(7));
             assert_eq!(q.dequeue(), Some(8));
@@ -1114,7 +1117,7 @@ mod tests {
     #[test]
     fn seeded_batch_ring_drains_in_order() {
         let seed: Vec<u64> = (10..18).collect();
-        let q: Crq = Crq::with_seed(&small_config(3), &seed);
+        let q: Crq = Crq::with_seed(&LcrqConfig::new(), 3, &seed);
         assert_eq!(q.tail_index(), 8);
         assert_eq!(q.head_index(), 0);
         let mut out = Vec::new();
@@ -1127,7 +1130,7 @@ mod tests {
     #[should_panic(expected = "exceeds ring size")]
     fn oversized_seed_batch_panics() {
         let seed: Vec<u64> = (0..9).collect();
-        let _q: Crq = Crq::with_seed(&small_config(3), &seed); // R = 8
+        let _q: Crq = Crq::with_seed(&LcrqConfig::new(), 3, &seed); // R = 8
     }
 
     #[test]

@@ -12,6 +12,22 @@
 //! swings `head` to the next ring, retiring the old one through hazard
 //! pointers.
 //!
+//! # Ring sizes: a small first ring, then full-size rings
+//!
+//! The list chooses each ring's size. The first ring has `2^FIRST_ORDER`
+//! = 256 slots (or `2^ring_order`, if that is smaller), and every spill
+//! links a full-size ring of `2^`[`ring_order`](LcrqConfig::ring_order).
+//! So a queue that never holds more than 256 items carries a 4 KiB ring,
+//! not a 64 KiB one, and a queue that once overflowed its first ring runs
+//! on full-size rings, as if it had started with them. Two sizes, not a
+//! ladder: a ring that grew with every spill would end at the size the
+//! queue's largest backlog needed, so the footprint of a busy queue would
+//! follow the worst scheduling stall it ever met; with two sizes it
+//! depends only on whether the queue ever held more than 256 items. Only
+//! full-size rings enter the pool, so a pooled ring serves any spill.
+//! Nothing else depends on a ring's size: the seal, the erratum
+//! double-check and hazard publication never read it.
+//!
 //! # Shutdown: the seal
 //!
 //! [`close`](RingList::close) linearizes **on the list itself**: it closes
@@ -131,6 +147,13 @@ const HP_TAIL: usize = 1;
 /// The moving hazard slot of [`RingList::ring_count`]'s walk.
 const HP_WALK: usize = 2;
 
+/// log2 of the first ring's size (capped at `ring_order`). 256 slots hold
+/// a 12 ms consumer stall at 20 000 msg/s; 64 overflowed in a third of the
+/// 0.7 s `openloop_sparse` repetitions on a 2-CPU host (EXPERIMENTS.md "A
+/// queue that starts small"). 1 under the model checker, so a model with
+/// `ring_order` 2 crosses the spill from the small ring to a full one.
+const FIRST_ORDER: u32 = if cfg!(loom) { 1 } else { 8 };
+
 impl<R: Ring> RingList<R> {
     /// What [`close`](Self::close) stores in the last ring's `next`: not
     /// null, not a ring (rings are aligned far above 1), never dereferenced.
@@ -143,15 +166,15 @@ impl<R: Ring> RingList<R> {
     }
 
     /// Creates an empty queue with an explicit configuration
-    /// (`ring_order` sets the per-ring capacity; knobs a ring type has no
-    /// use for — hierarchy, bounded wait, the ring pool outside the CRQ —
-    /// are ignored by it).
+    /// (`ring_order` caps the per-ring capacity, see the [module
+    /// docs](self); knobs a ring type has no use for — hierarchy, bounded
+    /// wait, the ring pool outside the CRQ — are ignored by it).
     pub fn with_config(config: LcrqConfig) -> Self {
-        let first = Box::new(R::new(&config));
+        let first = Box::new(R::new(&config, FIRST_ORDER.min(config.ring_order)));
         // A ring type without a pool back-pointer is not recycled.
         let capacity = first.pool_slot().map_or(0, |_| config.ring_pool_capacity);
         let pool = RingPool::new(capacity);
-        let first = Self::publishable(first, &pool);
+        let first = Self::publishable(first, &pool, config.ring_order);
         Self {
             head: CachePadded::new(AtomicPtr::new(first)),
             tail: CachePadded::new(AtomicPtr::new(first)),
@@ -162,10 +185,12 @@ impl<R: Ring> RingList<R> {
         }
     }
 
-    /// Gives a fresh ring the pool back-pointer (if its type recycles), so
-    /// its eventual retirement returns it there, and leaks it for linking.
-    fn publishable(ring: Box<R>, pool: &Arc<RingPool<R>>) -> *mut R {
-        if let Some(slot) = ring.pool_slot() {
+    /// Gives a fresh full-size ring (`order() == cap`) the pool
+    /// back-pointer (if its type recycles), so its eventual retirement
+    /// returns it there, and leaks it for linking. A smaller ring gets no
+    /// back-pointer: retired, it is freed.
+    fn publishable(ring: Box<R>, pool: &Arc<RingPool<R>>, cap: u32) -> *mut R {
+        if let Some(slot) = ring.pool_slot().filter(|_| ring.order() == cap) {
             let _ = slot.set(Arc::downgrade(pool));
         }
         Box::into_raw(ring)
@@ -190,8 +215,9 @@ impl<R: Ring> RingList<R> {
         &self.domain
     }
 
-    /// Produces a fresh open ring seeded with `seed`: recycled from the
-    /// pool when possible (allocation-free), otherwise heap-allocated.
+    /// Produces a fresh full-size open ring seeded with `seed`: recycled
+    /// from the pool when possible (allocation-free), otherwise
+    /// heap-allocated.
     ///
     /// Returns `None` only when the pool had no ring **and** the heap
     /// allocation was refused — today that refusal exists only as the
@@ -205,8 +231,8 @@ impl<R: Ring> RingList<R> {
         if lcrq_util::fault::inject(lcrq_util::fault::Site::RingAlloc) {
             return None;
         }
-        let ring = Box::new(R::with_seed(&self.config, seed));
-        Some(Self::publishable(ring, &self.pool))
+        let ring = Box::new(R::with_seed(&self.config, self.config.ring_order, seed));
+        Some(Self::publishable(ring, &self.pool, self.config.ring_order))
     }
 
     /// Disposes of a spill ring that lost its link race: back to the pool
@@ -372,6 +398,8 @@ impl<R: Ring> RingList<R> {
         // Raised by every closer, not only the one that sealed: no close()
         // returns before is_closed() is true.
         self.closed.store(true, Ordering::SeqCst);
+        // No spill can follow the seal: the pooled rings are dead weight.
+        self.pool.seal();
         sealed_here
     }
 
@@ -753,6 +781,20 @@ mod tests {
         LcrqConfig::new().with_ring_order(3) // R = 8: force frequent closes
     }
 
+    /// The order of every ring on the chain, head to tail.
+    fn chain_orders<R: Ring>(q: &mut RingList<R>) -> Vec<u32> {
+        let mut orders = Vec::new();
+        let mut cur = *q.head.get_mut();
+        while !cur.is_null() && cur != RingList::<R>::SEALED {
+            // SAFETY: `&mut` excludes every other operation, so no ring of
+            // the chain can be retired under the walk.
+            let ring = unsafe { &*cur };
+            orders.push(ring.order());
+            cur = ring.next().load(Ordering::Relaxed);
+        }
+        orders
+    }
+
     /// Sequential model check over random configurations: ring order,
     /// starvation limit, bounded wait and pool capacity are drawn per round,
     /// then scalar, batch and close steps run against a `VecDeque` plus a
@@ -865,6 +907,68 @@ mod tests {
                         assert_eq!(q.dequeue(), Some(i));
                     }
                     assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn the_first_ring_has_256_slots_and_every_spill_a_full_one() {
+                    let mut q = Q::new();
+                    for i in 0..1 << 14 {
+                        q.enqueue(i);
+                    }
+                    let orders = chain_orders(&mut q);
+                    assert!(orders.len() >= 3, "{orders:?}");
+                    assert_eq!(orders[0], 8, "{orders:?}");
+                    assert!(orders[1..].iter().all(|&o| o == 12), "{orders:?}");
+                    for i in 0..1 << 14 {
+                        assert_eq!(q.dequeue(), Some(i));
+                    }
+                    assert_eq!(q.dequeue(), None);
+                    // Only full rings are pooled; the small one was freed.
+                    let pool = q.ring_pool();
+                    let pooled = core::iter::from_fn(|| pool.pop())
+                        .inspect(|ring| assert_eq!(ring.order(), 12))
+                        .count();
+                    assert!(pooled <= pool.capacity());
+                    if pool.capacity() > 0 {
+                        assert!(pooled > 0, "the drain retired full rings");
+                    }
+                }
+
+                #[test]
+                fn close_frees_the_pooled_rings() {
+                    let q = Q::new();
+                    (0..1 << 14).for_each(|i| q.enqueue(i));
+                    assert!(q.drain().eq(0..1 << 14));
+                    let pooled = q.ring_pool().len();
+                    assert_eq!(pooled > 0, q.ring_pool().capacity() > 0);
+                    assert!(q.close());
+                    assert!(q.ring_pool().is_empty());
+                    assert_eq!(q.dequeue(), None);
+                }
+
+                #[test]
+                fn a_ring_order_at_most_eight_keeps_every_ring_that_size() {
+                    let mut q = Q::with_config(LcrqConfig::new().with_ring_order(4));
+                    for i in 0..1_000 {
+                        q.enqueue(i);
+                    }
+                    let orders = chain_orders(&mut q);
+                    assert!(
+                        orders.len() > 1 && orders.iter().all(|&o| o == 4),
+                        "{orders:?}"
+                    );
+                    assert!(q.drain().eq(0..1_000));
+                }
+
+                #[test]
+                fn a_batch_overflowing_the_small_ring_spills_into_full_rings() {
+                    // 5 000 values overflow the 256-slot first ring; the
+                    // spill seeds a full 4 096-slot ring with what it holds
+                    // and the remainder spills once more.
+                    let q = Q::new();
+                    let values: Vec<u64> = (0..5_000).collect();
+                    q.enqueue_batch(&values);
+                    assert!(q.drain().eq(values));
                 }
 
                 #[test]

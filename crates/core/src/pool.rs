@@ -12,6 +12,17 @@
 //! allocation. Steady-state spills then allocate nothing, and idle memory
 //! beyond the live ring chain is bounded by `capacity × R × 16` bytes.
 //!
+//! Only full-size rings (`R = 2^ring_order`) are pooled. The list's
+//! smaller first ring carries no pool back-pointer, so `recycle_ring`
+//! frees it; every spill builds a full-size ring, so a pooled ring fits
+//! any spill.
+//!
+//! The list's seal [seals](RingPool::seal) its pool too: a sealed list
+//! never spills again, so a parked ring could only wait for the list's
+//! drop. The seal frees every parked ring and every later `push` refuses,
+//! so a closed channel that is still draining, or drained and not yet
+//! dropped, holds its live rings and nothing more.
+//!
 //! The pool is `capacity` pointer slots. [`push`](RingPool::push) CASes
 //! `null → ring` into the first vacant slot; [`pop`](RingPool::pop) swaps
 //! the first occupied slot to null. Whoever's swap returns the pointer owns
@@ -27,7 +38,7 @@
 
 // Atomics come from the sync facade: every slot access is a scheduler
 // decision point under `--cfg loom` (tests/loom.rs).
-use lcrq_util::sync::{AtomicPtr, Ordering};
+use lcrq_util::sync::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use lcrq_util::metrics::{self, Event};
@@ -40,6 +51,8 @@ use crate::ring::Ring;
 pub struct RingPool<R: Ring = Crq> {
     /// Per slot, one parked ring (from `Box::into_raw`) or null.
     slots: Box<[AtomicPtr<R>]>,
+    /// Set by [`seal`](Self::seal); never cleared.
+    sealed: AtomicBool,
 }
 
 impl<R: Ring> RingPool<R> {
@@ -50,6 +63,7 @@ impl<R: Ring> RingPool<R> {
             slots: (0..capacity)
                 .map(|_| AtomicPtr::new(core::ptr::null_mut()))
                 .collect(),
+            sealed: AtomicBool::new(false),
         })
     }
 
@@ -79,10 +93,10 @@ impl<R: Ring> RingPool<R> {
     }
 
     /// Scrubs `ring` and parks it for reuse. Hands the ring back unscrubbed
-    /// when the pool is full (or disabled), *scrub-refused* when its index
-    /// space is nearly exhausted, and scrubbed when a racing `push` took
-    /// the last vacancy first — in every case it is still exclusively the
-    /// caller's, to drop.
+    /// when the pool is full, disabled or [sealed](Self::seal),
+    /// *scrub-refused* when its index space is nearly exhausted, and
+    /// scrubbed when a racing `push` took the last vacancy first — in every
+    /// case it is still exclusively the caller's, to drop.
     ///
     /// Taking the ring by `Box` is what makes scrubbing sound: exclusive
     /// ownership proves no in-flight protocol operation can observe the
@@ -91,7 +105,7 @@ impl<R: Ring> RingPool<R> {
         // Full check *before* the scrub: a scrub rewrites all R nodes, and a
         // drain retires rings far faster than spills take them back. Racy;
         // losing the race below costs one wasted scrub.
-        if self.is_full() {
+        if self.is_full() || self.sealed.load(Ordering::Relaxed) {
             return Err(ring);
         }
         // Fail point around the scrub: the ring is exclusively owned here, so
@@ -103,16 +117,23 @@ impl<R: Ring> RingPool<R> {
         let raw = Box::into_raw(ring);
         for slot in self.slots.iter() {
             // Release pairs with the Acquire swap in `pop`: the popper sees
-            // the scrubbed contents.
+            // the scrubbed contents. SeqCst on success orders the CAS before
+            // the `sealed` load below, against `seal`'s store-then-swaps.
             if slot
                 .compare_exchange(
                     core::ptr::null_mut(),
                     raw,
-                    Ordering::Release,
+                    Ordering::SeqCst,
                     Ordering::Relaxed,
                 )
                 .is_ok()
             {
+                // A seal that raced this push may have swept the slots
+                // before the CAS: sweep again. Either this load sees the
+                // seal or the seal's sweep sees the ring.
+                if self.sealed.load(Ordering::SeqCst) {
+                    self.free_parked();
+                }
                 return Ok(());
             }
         }
@@ -138,6 +159,29 @@ impl<R: Ring> RingPool<R> {
             }
         }
         None
+    }
+
+    /// Frees every parked ring and makes every later [`push`](Self::push)
+    /// refuse. The list calls it from its seal, after which no spill can
+    /// take a ring from the pool. A `pop` that races the seal still gets a
+    /// whole ring: each slot is claimed by one swap, whoever makes it.
+    pub fn seal(&self) {
+        if self.slots.is_empty() {
+            return; // nothing to free, and `push` already refuses
+        }
+        self.sealed.store(true, Ordering::SeqCst);
+        self.free_parked();
+    }
+
+    fn free_parked(&self) {
+        for slot in self.slots.iter() {
+            let p = slot.swap(core::ptr::null_mut(), Ordering::SeqCst);
+            if !p.is_null() {
+                // SAFETY: `p` came from `Box::into_raw` in `push`, and the
+                // swap that returned it left null behind for everyone else.
+                drop(unsafe { Box::from_raw(p) });
+            }
+        }
     }
 
     /// The planted-bug twin of [`pop`](Self::pop), reachable only by the
@@ -257,6 +301,21 @@ mod tests {
         assert!(pool.pop().is_none());
         assert_eq!(pool.capacity(), 0);
         assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn seal_frees_parked_rings_and_refuses_later_pushes() {
+        let pool = RingPool::<Crq>::new(4);
+        assert!(pool.push(ring(2)).is_ok());
+        assert!(pool.push(ring(2)).is_ok());
+        pool.seal();
+        assert!(pool.is_empty());
+        // Refused before the scrub: the ring comes back untouched.
+        let r = ring(2);
+        r.enqueue(9).unwrap();
+        let r = pool.push(r).expect_err("pool is sealed");
+        assert_eq!(r.dequeue(), Some(9));
+        assert!(pool.pop().is_none());
     }
 
     #[test]

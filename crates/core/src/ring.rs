@@ -8,6 +8,11 @@
 //! called — every later enqueue on that ring refuses too. The list turns a
 //! refusal into "append a fresh ring seeded with the item".
 //!
+//! The list, not the config, chooses each ring's size: it passes the order
+//! to build to [`new`](Ring::new) / [`with_seed`](Ring::with_seed) and
+//! reads a ring's back through [`order`](Ring::order), so its first ring
+//! is small and every spill's ring is full-size (`ring_order`).
+//!
 //! Hooks with defaults are what only some rings have; each default is the
 //! behaviour of a ring without the feature:
 //!
@@ -16,7 +21,7 @@
 //! | [`rearm`](Ring::rearm) | `ScqD`, `WcqRing` | their threshold counter can report EMPTY without scanning; the list's abandonment double-check must force a scan |
 //! | [`enqueue_batch`](Ring::enqueue_batch) / [`dequeue_batch`](Ring::dequeue_batch) | `Crq` | one `FAA(k)` reserves `k` slots; SCQ/wCQ cannot validate a group of cycles |
 //! | [`cluster`](Ring::cluster) | `Crq` | the LCRQ+H owner word (§4.1.1) |
-//! | [`scrub`](Ring::scrub) / [`reseed`](Ring::reseed) / [`pool_slot`](Ring::pool_slot) | `Crq` | recycling: re-basing every index makes a drained ring reusable; SCQ/wCQ rings are freed |
+//! | [`scrub`](Ring::scrub) / [`reseed`](Ring::reseed) / [`pool_slot`](Ring::pool_slot) | `Crq` | recycling: re-basing every index makes a drained ring reusable; SCQ/wCQ rings, and a CRQ smaller than `ring_order`, are freed |
 //!
 //! What all three rings do share is where they *store* position `i`: the
 //! `spread` / `remap` / `pos_of` bijection below, which keeps neighbouring
@@ -71,20 +76,24 @@ pub(crate) fn pos_of(slot: usize, order: u32) -> u64 {
 /// A bounded tantrum ring of `u64` values (`< BOTTOM`) that
 /// [`RingList`](crate::RingList) can link. See the [module docs](self).
 pub trait Ring: Sized + Send + Sync + 'static {
-    /// An empty open ring with capacity `config.ring_size()`.
-    fn new(config: &LcrqConfig) -> Self;
+    /// An empty open ring with capacity `2^order`. The list picks `order`
+    /// (at most `config.ring_order`); the rest of `config` tunes the ring.
+    fn new(config: &LcrqConfig, order: u32) -> Self;
 
-    /// An open ring pre-loaded with `seed` (at most one ring's worth), in
-    /// order — how a spilling enqueuer hands its item(s) to the ring it
-    /// appends without contending for them again.
-    fn with_seed(config: &LcrqConfig, seed: &[u64]) -> Self {
-        let ring = Self::new(config);
+    /// An open ring of `2^order` slots pre-loaded with `seed` (at most
+    /// `2^order` items), in order — how a spilling enqueuer hands its
+    /// item(s) to the ring it appends without contending for them again.
+    fn with_seed(config: &LcrqConfig, order: u32, seed: &[u64]) -> Self {
+        let ring = Self::new(config, order);
         for &v in seed {
             let placed = ring.enqueue(v);
             debug_assert!(placed.is_ok(), "seeding a fresh ring cannot fail");
         }
         ring
     }
+
+    /// log2 of the capacity this ring was built with.
+    fn order(&self) -> u32;
 
     /// Appends `value`, or reports the ring closed (and then stays closed).
     fn enqueue(&self, value: u64) -> Result<(), CrqClosed>;

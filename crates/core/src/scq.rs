@@ -400,10 +400,9 @@ impl<P: FaaPolicy> ScqD<P> {
 /// F&A would claim k entries whose cycles the single-word protocol cannot
 /// validate as a group) and no recycling.
 impl<P: FaaPolicy> Ring for ScqD<P> {
-    /// An empty ring with capacity `config.ring_size()`.
-    fn new(config: &LcrqConfig) -> Self {
+    /// An empty ring with capacity `2^order`.
+    fn new(_config: &LcrqConfig, order: u32) -> Self {
         metrics::inc(Event::RingAlloc);
-        let order = config.ring_size().trailing_zeros();
         let n = 1usize << order;
         ScqD {
             aq: Scq::new_empty(order),
@@ -457,6 +456,10 @@ impl<P: FaaPolicy> Ring for ScqD<P> {
 
     fn is_closed(&self) -> bool {
         self.aq.is_finalized()
+    }
+
+    fn order(&self) -> u32 {
+        self.capacity().trailing_zeros()
     }
 
     fn next(&self) -> &AtomicPtr<Self> {
@@ -606,7 +609,7 @@ mod tests {
 
     #[test]
     fn scqd_round_trips_arbitrary_values() {
-        let q: ScqD = ScqD::new(&LcrqConfig::new().with_ring_order(4));
+        let q: ScqD = ScqD::new(&LcrqConfig::new(), 4);
         for v in [0u64, 1, u64::MAX, u64::MAX - 1, 0xdead_beef_dead_beef] {
             q.enqueue(v).unwrap();
         }
@@ -618,7 +621,7 @@ mod tests {
 
     #[test]
     fn scqd_tantrums_when_full_and_drains_after() {
-        let q: ScqD = ScqD::new(&LcrqConfig::new().with_ring_order(2));
+        let q: ScqD = ScqD::new(&LcrqConfig::new(), 2);
         for v in 0..q.capacity() {
             q.enqueue(v).unwrap();
         }
@@ -634,7 +637,7 @@ mod tests {
 
     #[test]
     fn scqd_seeded_ring_serves_its_seed_first() {
-        let q: ScqD = ScqD::with_seed(&LcrqConfig::new().with_ring_order(3), &[7, 8, 9]);
+        let q: ScqD = ScqD::with_seed(&LcrqConfig::new(), 3, &[7, 8, 9]);
         q.enqueue(10).unwrap();
         assert_eq!(q.dequeue(), Some(7));
         assert_eq!(q.dequeue(), Some(8));
@@ -648,7 +651,7 @@ mod tests {
         const PER_THREAD: u64 = 2_000;
         // Capacity covers the whole run: a bare ScqD closes permanently on
         // full (the tantrum), so this test sizes it for the backlog.
-        let q: Arc<ScqD> = Arc::new(ScqD::new(&LcrqConfig::new().with_ring_order(13)));
+        let q: Arc<ScqD> = Arc::new(ScqD::new(&LcrqConfig::new(), 13));
         let seen = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for t in 0..THREADS as u64 {
@@ -688,7 +691,7 @@ mod tests {
 
     #[test]
     fn cas_policy_variant_works() {
-        let q: ScqD<CasLoopFaa> = ScqD::new(&LcrqConfig::new().with_ring_order(4));
+        let q: ScqD<CasLoopFaa> = ScqD::new(&LcrqConfig::new(), 4);
         for v in 0..10 {
             q.enqueue(v).unwrap();
         }

@@ -857,11 +857,11 @@ impl<P: FaaPolicy> WcqRing<P> {
 /// would reserve k positions whose helped completion the record protocol
 /// cannot express as a group.
 impl<P: FaaPolicy> Ring for WcqRing<P> {
-    /// An empty ring with capacity `config.ring_size()` values
-    /// (`2 × ring_size` entries, matching the SCQ's 2n sizing).
-    fn new(config: &LcrqConfig) -> Self {
+    /// An empty ring with capacity `2^order` values (`2^(order+1)`
+    /// entries, matching the SCQ's 2n sizing).
+    fn new(config: &LcrqConfig, order: u32) -> Self {
         metrics::inc(Event::RingAlloc);
-        let order = config.ring_size().trailing_zeros().clamp(1, 30);
+        let order = order.clamp(1, 30);
         let array_order = order + 1;
         let slots = 1usize << array_order;
         let entries: Box<[AtomicPair]> = (0..slots)
@@ -1046,6 +1046,10 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
         self.tail.load(Ordering::SeqCst) & FINALIZED_BIT != 0
     }
 
+    fn order(&self) -> u32 {
+        self.array_order - 1
+    }
+
     fn next(&self) -> &AtomicPtr<Self> {
         &self.next
     }
@@ -1073,13 +1077,14 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
 mod tests {
     use super::*;
 
-    fn tiny() -> LcrqConfig {
-        LcrqConfig::new().with_ring_order(3)
+    /// A ring of 8 values.
+    fn tiny() -> WcqRing {
+        WcqRing::new(&LcrqConfig::new(), 3)
     }
 
     #[test]
     fn ring_fifo_sequential() {
-        let r = WcqRing::<HardwareFaa>::new(&tiny());
+        let r = tiny();
         for i in 0..8 {
             assert!(r.enqueue(i).is_ok());
         }
@@ -1091,7 +1096,7 @@ mod tests {
 
     #[test]
     fn ring_wraps_cycles() {
-        let r = WcqRing::<HardwareFaa>::new(&tiny());
+        let r = tiny();
         for round in 0..50u64 {
             for i in 0..4 {
                 assert!(r.enqueue(round * 10 + i).is_ok());
@@ -1105,7 +1110,7 @@ mod tests {
 
     #[test]
     fn ring_full_tantrum_closes() {
-        let r = WcqRing::<HardwareFaa>::new(&tiny());
+        let r = tiny();
         let mut placed = 0u64;
         while r.enqueue(placed).is_ok() {
             placed += 1;
@@ -1124,7 +1129,7 @@ mod tests {
         // Drive the announced paths directly: the owner is its own helper,
         // so this exercises claim candidates, tentative placement,
         // promotion, binding, and delivery without concurrency.
-        let r = WcqRing::<HardwareFaa>::new(&tiny());
+        let r = tiny();
         for i in 0..6 {
             assert_eq!(r.enqueue_slow(i), Ok(()));
         }
@@ -1138,7 +1143,7 @@ mod tests {
 
     #[test]
     fn ring_slow_and_fast_paths_interleave_in_fifo_order() {
-        let r = WcqRing::<HardwareFaa>::new(&LcrqConfig::new().with_ring_order(5));
+        let r = WcqRing::<HardwareFaa>::new(&LcrqConfig::new(), 5);
         for i in 0..20u64 {
             if i % 2 == 0 {
                 assert!(r.enqueue(i).is_ok());
@@ -1164,7 +1169,7 @@ mod tests {
         // must mark the entry unsafe once and treat the position as dead,
         // not re-mark it until the stalled peer wakes. The record is driven
         // by hand so a regression fails the assert instead of spinning.
-        let r = WcqRing::<HardwareFaa>::new(&tiny());
+        let r = tiny();
         let slots = r.entries.len() as u64;
         let p = r.tail_index();
         r.enqueue(7).unwrap();
@@ -1183,7 +1188,7 @@ mod tests {
 
     #[test]
     fn ring_slow_enqueue_on_closed_ring_reports_closed() {
-        let r = WcqRing::<HardwareFaa>::new(&tiny());
+        let r = tiny();
         r.close();
         assert_eq!(r.enqueue_slow(1), Err(CrqClosed));
         assert_eq!(r.enqueue(2), Err(CrqClosed));

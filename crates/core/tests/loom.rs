@@ -18,13 +18,16 @@
 //! **Close.** `RingList`'s `head`/`tail`/`closed` and every ring's `next`
 //! come from the sync facade, so each step of enqueue, `close()` and
 //! dequeue is a decision point. The models run the list over [`TinyRing`]
-//! — a two-slot ring whose body is a mutex, so the schedule budget goes to
-//! the *list* protocol — and race one enqueuer, one `close()` and one
-//! consumer doing the channel's settle poll (`dequeue`, `is_closed`,
-//! `dequeue`). Property: an enqueue that returned `Ok` is delivered exactly
-//! once, and never after the consumer has concluded "closed and empty".
-//! The sealed protocol must hold it on every schedule; the planted
-//! flag-then-walk twin must be caught losing the item.
+//! — a ring of `2^order` slots whose body is a mutex, so the schedule
+//! budget goes to the *list* protocol — and race one enqueuer, one
+//! `close()` and one consumer doing the channel's settle poll (`dequeue`,
+//! `is_closed`, `dequeue`). Property: an enqueue that returned `Ok` is
+//! delivered exactly once, and never after the consumer has concluded
+//! "closed and empty". The sealed protocol must hold it on every schedule;
+//! the planted flag-then-walk twin must be caught losing the item. The
+//! list's first ring has order 1 under the cfg and `ring_order` is 2, so
+//! the enqueuer that finds the first ring exhausted crosses the spill from
+//! the small ring to a full-size one, twice its size.
 //!
 //! **Kept slots.** The list leaves its hazard slots published between calls
 //! and `Domain::protect` publishes nothing while the slot already names the
@@ -123,9 +126,10 @@ fn load_then_store_pop_is_caught_delivering_a_ring_twice() {
     assert!(msg.contains("delivered twice"), "wrong failure: {msg}");
 }
 
-/// A ring that accepts two enqueues in its lifetime and throws its tantrum
-/// at the third (no wrap-around, like a chunk of the Figure-2 infinite
-/// array). Trivially linearizable: one mutex around its whole state.
+/// A ring that accepts `2^order` enqueues in its lifetime and throws its
+/// tantrum at the next (no wrap-around, like a chunk of the Figure-2
+/// infinite array). Trivially linearizable: one mutex around its whole
+/// state. Under the cfg the list's first ring has order 1, so it takes two.
 ///
 /// A `WATCHED` ring also counts the threads inside `enqueue`/`dequeue`.
 /// Entering and acting are two critical sections, so the scheduler can have
@@ -133,6 +137,7 @@ fn load_then_store_pop_is_caught_delivering_a_ring_twice() {
 /// vacant.
 struct TinyRing<const WATCHED: bool = false> {
     state: Mutex<TinyState>,
+    order: u32,
     next: AtomicPtr<Self>,
 }
 
@@ -170,15 +175,19 @@ impl<const WATCHED: bool> Drop for TinyRing<WATCHED> {
 }
 
 impl<const WATCHED: bool> Ring for TinyRing<WATCHED> {
-    fn new(_config: &LcrqConfig) -> Self {
+    fn new(_config: &LcrqConfig, order: u32) -> Self {
         TinyRing {
             state: Mutex::new(TinyState::default()),
+            order,
             next: AtomicPtr::new(core::ptr::null_mut()),
         }
     }
+    fn order(&self) -> u32 {
+        self.order
+    }
     fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
         self.inside(|s| {
-            if s.accepted == 2 {
+            if s.accepted == 1 << self.order {
                 s.closed = true;
             }
             if s.closed {
@@ -225,15 +234,15 @@ struct Protocol {
 ///
 /// `exhausted` puts the enqueuer where the lost item lived: the tail ring
 /// has used up both its slots (and been drained), so the enqueue finds it
-/// closed and goes to link a fresh ring. Otherwise the tail ring is open
-/// and the enqueue races the close inside it.
+/// closed and goes to link a fresh full-size ring. Otherwise the tail ring
+/// is open and the enqueue races the close inside it.
 fn settle_model(p: Protocol, exhausted: bool) -> Report {
     Builder {
         max_executions: 40_000,
         ..Builder::new()
     }
     .check(move || {
-        let q = Arc::new(TinyList::new());
+        let q = Arc::new(TinyList::with_config(LcrqConfig::new().with_ring_order(2)));
         if exhausted {
             q.enqueue(1);
             q.enqueue(2);
@@ -358,7 +367,8 @@ unsafe fn inspect(ring: *mut ()) {
 fn keep_model(protect: Protect) -> Report {
     Builder::new().check(move || {
         let domain = Domain::new();
-        let rings = [(); 2].map(|()| Box::into_raw(Box::new(WatchedRing::new(&LcrqConfig::new()))));
+        let rings =
+            [(); 2].map(|()| Box::into_raw(Box::new(WatchedRing::new(&LcrqConfig::new(), 1))));
         let cell = Arc::new(AtomicPtr::new(rings[0]));
         let user = {
             let (domain, cell) = (domain.clone(), Arc::clone(&cell));

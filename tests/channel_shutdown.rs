@@ -213,7 +213,7 @@ fn close_is_idempotent() {
 fn concurrent_closers_see_exactly_one_transition() {
     const CLOSERS: usize = 2;
     const ROUNDS: usize = 200;
-    // Tiny rings: a default ring is 64 KiB, and there is one per round.
+    // Tiny rings: there is one channel, and so one ring, per round.
     let tiny = LcrqConfig::new().with_ring_order(2);
     let channels: Vec<_> = (0..ROUNDS)
         .map(|_| channel::channel_with_config::<u64>(tiny.clone()))

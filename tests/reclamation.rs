@@ -599,7 +599,7 @@ fn lscq_stalled_hazard_reader_defers_ring_reclamation() {
     // incarnation.
     let _adversary = adversarial_preemption(10_000);
     let domain = Domain::new();
-    let ring: Box<ScqD> = Box::new(ScqD::new(&LcrqConfig::new().with_ring_order(3)));
+    let ring: Box<ScqD> = Box::new(ScqD::new(&LcrqConfig::new(), 3));
     for i in 0..5 {
         ring.enqueue(i).unwrap();
     }
