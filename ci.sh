@@ -12,14 +12,14 @@
 # | gate            | command                                              | what it adds over the gates above it                          |  s |
 # |-----------------|------------------------------------------------------|---------------------------------------------------------------|----|
 # | release build   | cargo build --release                                | every lib and bench bin compiles optimised (later gates run them) | 76 |
-# | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench; tests/footprint.rs (own counting allocator) pins a one-item Lcrq <= 6 KiB, a one-item channel <= 8 KiB, a closed drained channel to its last ring | 15 |
+# | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench; tests/footprint.rs (own counting allocator) pins a one-item Lcrq <= 6 KiB, a one-item channel <= 8 KiB, a closed drained channel to its last ring, a drained Lscq/Wcq to its last ring, a drain that retires rings to 0 allocations | 15 |
 # | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
 # | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing, and a queued item costs <= 20 heap bytes, in the optimised build either |  8 |
 # | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) / channel / lcrq-channel --lib | 20 runs each: a 1-in-6 flake cannot pass | 43 |
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4                  | four replay seeds; a 16 x 1000-op history delivers exactly once |  7 |
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
-# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg); the list's seal model crosses the small-to-full spill | 53 |
+# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg); the list's seal model crosses the small-to-full spill | 64 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
 # | bench smoke     | 11 bins --smoke; table2_stats armed + refused        | every bin still runs and parses its flags; every pairs run reconciles delivery; `--preempt-ppm` arms only the fault-injection build |  2 |
 # | nm probe        | nm on every target/release executable                | no fault-registry symbol or `PREEMPT_PPM` in the default build (also builds the release `progress` test binary for objdump) | 12 |

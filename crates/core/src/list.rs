@@ -207,10 +207,11 @@ impl<R: Ring> RingList<R> {
         &self.pool
     }
 
-    /// The queue's hazard-pointer domain (diagnostic: lets tests assert the
-    /// calling thread's retired-ring backlog stays within the domain's
-    /// reclamation [`threshold`](Domain::threshold) even while other
-    /// participants are stalled holding published hazards).
+    /// The queue's hazard-pointer domain (diagnostic: lets tests count the
+    /// calling thread's retired rings). The list scans at every ring it
+    /// retires; a ring outlives its retirement only while a hazard slot
+    /// names it, so the backlog stays bounded even while other participants
+    /// are stalled holding published hazards.
     pub fn hazard_domain(&self) -> &Domain {
         &self.domain
     }
@@ -465,12 +466,11 @@ impl<R: Ring> RingList<R> {
                     self.domain
                         .retire_with(ring as *mut (), pool::recycle_ring::<R>)
                 };
-                if !self.pool.is_full() {
-                    // Feed the pool promptly: at the domain's default scan
-                    // threshold, a pile of reusable rings would sit retired
-                    // while the spill path allocates fresh ones.
-                    self.domain.scan();
-                }
+                // One scan per retired ring, not the domain's threshold: a
+                // ring serves 2^ring_order operations, so the scan is cheap
+                // beside them, and a drained ring leaves the heap (or enters
+                // the pool) now unless another thread's slot still names it.
+                self.domain.scan();
             }
             // Swing lost: someone else retires `ring`, and the next round's
             // `protect` moves HP_HEAD to the new head ring.
@@ -1028,8 +1028,8 @@ mod tests {
                 #[test]
                 fn retired_rings_are_reclaimed() {
                     // Churn through many rings; the hazard domain must not
-                    // accumulate them all (threshold scans reclaim in
-                    // batches) and the chain must not keep growing.
+                    // accumulate them (the list scans at every ring it
+                    // retires) and the chain must not keep growing.
                     let q = Q::with_config(LcrqConfig::new().with_ring_order(2));
                     for round in 0..1_000u64 {
                         for i in 0..10 {
@@ -1040,6 +1040,17 @@ mod tests {
                         }
                     }
                     assert!(q.ring_count() <= 2, "rings linked: {}", q.ring_count());
+                }
+
+                #[test]
+                fn a_drain_leaves_no_ring_retired() {
+                    // Every ring the drain retires is scanned at once, and
+                    // this thread's own slots name none of them: the pool
+                    // takes what it has room for, the rest is freed.
+                    let q = Q::new();
+                    (0..1 << 16).for_each(|i| q.enqueue(i));
+                    assert!(q.drain().eq(0..1 << 16));
+                    assert_eq!(q.hazard_domain().retired_count(), 0);
                 }
 
                 #[test]

@@ -10,7 +10,10 @@
 //! `(safe, idx, val)` tuples can never alias live ones) and parked in the
 //! pool; the spill paths pop from the pool before falling back to
 //! allocation. Steady-state spills then allocate nothing, and idle memory
-//! beyond the live ring chain is bounded by `capacity × R × 16` bytes.
+//! beyond the live ring chain is bounded by `capacity × R × 16` bytes plus
+//! the retired rings hazard slots pin: the list scans at every ring it
+//! retires, and a ring outlives its retirement only while a hazard slot
+//! names it (then until its retiring thread's next scan).
 //!
 //! Only full-size rings (`R = 2^ring_order`) are pooled. The list's
 //! smaller first ring carries no pool back-pointer, so `recycle_ring`

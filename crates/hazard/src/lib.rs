@@ -15,7 +15,13 @@
 //! * retired objects accumulate in a thread-local list and are reclaimed in
 //!   batched *scans* once the list exceeds a threshold proportional to the
 //!   number of live hazard slots — giving the amortized O(1) bound of the
-//!   original paper;
+//!   original paper. The threshold serves structures that retire a node
+//!   per item (the MS queue, the optimistic queue); the list of rings
+//!   retires one ring per `2^ring_order` operations and calls
+//!   [`Domain::scan`] at every ring it retires, so a ring outlives its
+//!   retirement only while a hazard slot names it. A scan reuses the
+//!   thread's retired list and hazard snapshot, and allocates nothing once
+//!   they have grown;
 //! * objects retired by exiting threads move to a domain *orphan* list that
 //!   subsequent scans (or the final teardown) drain.
 //!
@@ -150,6 +156,12 @@ thread_local! {
     /// that names it, so a hit always names a record this thread still holds.
     static RECORD_CACHE: [Cell<(u64, *const Record)>; RECORD_CACHE_WAYS] =
         const { [const { Cell::new((0, core::ptr::null())) }; RECORD_CACHE_WAYS] };
+
+    /// A scan's hazard snapshot, kept between scans of any domain so that a
+    /// scan allocates nothing once it has grown to the slot count. Here and
+    /// not in `ThreadEntry`, which every thread that touches a domain
+    /// carries, scanning or not.
+    static HAZARDS: Cell<Vec<*mut ()>> = const { Cell::new(Vec::new()) };
 }
 
 const RECORD_CACHE_WAYS: usize = 8;
@@ -409,8 +421,8 @@ impl Domain {
     /// `reclaim` may run on any thread that happens to [`scan`](Self::scan)
     /// (including a thread dropping its last handle to the domain), so the
     /// pointee must be `Send`. Re-entrant `retire`/`retire_with` calls from
-    /// inside `reclaim` are permitted: scans snapshot the retired list
-    /// before invoking reclaimers.
+    /// inside `reclaim` are permitted: scans take the retired list before
+    /// invoking reclaimers.
     ///
     /// # Safety
     ///
@@ -431,9 +443,9 @@ impl Domain {
         }
     }
 
-    /// Snapshot of every currently protected pointer, sorted.
-    fn collect_hazards(&self) -> Vec<*mut ()> {
-        let mut hazards = Vec::new();
+    /// Fills `hazards` with every currently protected pointer, sorted.
+    fn collect_hazards(&self, hazards: &mut Vec<*mut ()>) {
+        hazards.clear();
         let mut cur = self.inner.head.load(Ordering::Acquire);
         while !cur.is_null() {
             // SAFETY: records are never freed while `inner` is alive.
@@ -447,7 +459,6 @@ impl Domain {
             cur = rec.next.load(Ordering::Acquire);
         }
         hazards.sort_unstable();
-        hazards
     }
 
     /// Attempts to reclaim retired objects (the calling thread's list plus
@@ -457,29 +468,36 @@ impl Domain {
         // the snapshot against concurrent protect/retire traffic.
         let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::HazardScan);
         metrics::inc(Event::HazardScan);
-        // Take ownership of this thread's retired list and the orphans.
+        // Take this thread's retired list: a reclaimer that retires starts
+        // a new one.
         let mut candidates = self.with_entry(|e| core::mem::take(&mut e.retired));
         {
             let mut orphans = self.inner.orphans.lock().unwrap_or_else(|e| e.into_inner());
             candidates.append(&mut orphans);
         }
-        if candidates.is_empty() {
-            return 0;
-        }
-        let hazards = self.collect_hazards();
         let mut freed = 0;
-        let mut kept = Vec::new();
-        for r in candidates {
-            if hazards.binary_search(&r.ptr).is_ok() {
-                kept.push(r);
-            } else {
+        if !candidates.is_empty() {
+            let mut hazards = HAZARDS.take();
+            self.collect_hazards(&mut hazards);
+            candidates.retain(|r| {
+                if hazards.binary_search(&r.ptr).is_ok() {
+                    return true;
+                }
                 // SAFETY: no hazard slot protects r.ptr and retire()'s
                 // contract guarantees no new references can appear.
                 unsafe { (r.drop_fn)(r.ptr) };
                 freed += 1;
-            }
+                false
+            });
+            HAZARDS.set(hazards);
         }
-        self.with_entry(|e| e.retired.append(&mut kept));
+        // What a hazard kept is the retired list again, capacity and all, so
+        // the next retirement does not allocate; what the reclaimers retired
+        // joins it.
+        self.with_entry(|e| {
+            candidates.append(&mut e.retired);
+            e.retired = candidates;
+        });
         freed
     }
 

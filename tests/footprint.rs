@@ -3,17 +3,19 @@
 //! a queue that holds one item carries about 4.6 KiB of ring, not the
 //! 64 KiB of a full `2^12` ring; and once a deep queue drains, what is
 //! left is its last ring plus the rings its pool keeps — or, once it is
-//! closed, its last ring alone.
+//! closed, its last ring alone. The list scans at every ring it retires,
+//! so no drained ring waits retired unless a hazard slot names it, and the
+//! scan itself allocates nothing.
 //!
 //! A test binary of its own because it installs a counting
 //! `#[global_allocator]`. The counts are per thread — each test builds and
-//! uses its queue on its own thread — so the harness and the other tests
+//! uses its queue on its own threads — so the harness and the other tests
 //! do not show.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lcrq::{channel, Crq, Lcrq, LcrqConfig};
+use lcrq::{channel, Crq, Lcrq, LcrqConfig, Lscq, Ring, RingList, Wcq};
 
 struct Counting;
 
@@ -22,12 +24,15 @@ thread_local! {
     /// a destructor, so the allocator may touch it at any point of a
     /// thread's life.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Allocations made by this thread; the same holds.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every request is forwarded to `System` unchanged.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.set(LIVE.get() + layout.size() as i64);
+        ALLOCS.set(ALLOCS.get() + 1);
         // SAFETY: the caller's contract, passed on.
         unsafe { System.alloc(layout) }
     }
@@ -47,6 +52,13 @@ fn live_of<T>(make: impl FnOnce() -> T) -> (T, i64) {
     let before = LIVE.get();
     let value = make();
     (value, LIVE.get() - before)
+}
+
+/// The bytes of one full-size ring of type `R` (`2^ring_order` slots).
+fn ring_bytes<R: Ring>(config: &LcrqConfig) -> i64 {
+    let (ring, bytes) = live_of(|| Box::new(R::new(config, config.ring_order)));
+    drop(ring);
+    bytes
 }
 
 #[test]
@@ -72,22 +84,20 @@ fn a_channel_holding_one_item_stays_under_8_kib() {
     drop(tx);
 }
 
-#[test]
-fn a_drained_queue_keeps_its_last_ring_and_its_pool() {
+/// Fills the queue `new` builds 10^5 deep and drains it on this thread:
+/// what is left is its last ring and the rings its pool keeps (none for a
+/// ring type that is not recycled).
+fn a_drain_keeps_the_last_ring_and_the_pool<R: Ring>(new: fn() -> RingList<R>) {
     const DEPTH: u64 = 100_000;
     let config = LcrqConfig::new();
-    let (full_ring, ring_bytes) = live_of(|| Box::<Crq>::new(Crq::new(&config)));
-    drop(full_ring);
+    let ring_bytes = ring_bytes::<R>(&config);
     let before = LIVE.get();
-    let (q, empty) = live_of(Lcrq::new);
+    let (q, empty) = live_of(new);
     (0..DEPTH).for_each(|i| q.enqueue(i));
     (0..DEPTH).for_each(|i| assert_eq!(q.dequeue(), Some(i)));
     assert_eq!(q.dequeue(), None);
-    // Once the pool is full the list stops scanning eagerly, and the rings
-    // it retires wait for the domain's threshold scan; take that scan now.
-    q.hazard_domain().scan();
     let live = LIVE.get() - before;
-    let rings = 1 + config.ring_pool_capacity as i64;
+    let rings = 1 + q.ring_pool().capacity() as i64;
     assert!(
         live <= empty + rings * ring_bytes,
         "{live} B live after a drain; the empty queue took {empty} B \
@@ -96,10 +106,86 @@ fn a_drained_queue_keeps_its_last_ring_and_its_pool() {
 }
 
 #[test]
+fn a_drained_queue_keeps_its_last_ring_and_its_pool() {
+    a_drain_keeps_the_last_ring_and_the_pool(Lcrq::new);
+}
+
+#[test]
+fn a_drained_lscq_keeps_only_its_last_ring() {
+    a_drain_keeps_the_last_ring_and_the_pool(Lscq::new);
+}
+
+#[test]
+fn a_drained_wcq_keeps_only_its_last_ring() {
+    a_drain_keeps_the_last_ring_and_the_pool(Wcq::new);
+}
+
+#[test]
+fn four_consumers_leave_no_drained_ring_behind() {
+    const DEPTH: u64 = 1 << 17;
+    const CONSUMERS: i64 = 4;
+    let config = LcrqConfig::new();
+    let ring_bytes = ring_bytes::<Crq>(&config);
+    let before = LIVE.get();
+    let (q, empty) = live_of(Lcrq::new);
+    (0..DEPTH).for_each(|i| q.enqueue(i));
+    let q = std::sync::Arc::new(q);
+    // Each consumer drains until EMPTY and reports how many items it took
+    // and the bytes its thread left live (negative: the rings it freed).
+    let consumers: Vec<_> = (0..CONSUMERS)
+        .map(|_| {
+            let q = std::sync::Arc::clone(&q);
+            std::thread::spawn(move || {
+                let before = LIVE.get();
+                let taken = std::iter::from_fn(|| q.dequeue()).count() as u64;
+                (taken, LIVE.get() - before)
+            })
+        })
+        .collect();
+    let (mut taken, mut consumers_live) = (0, 0);
+    for c in consumers {
+        let (t, l) = c.join().unwrap();
+        taken += t;
+        consumers_live += l;
+    }
+    assert_eq!(taken, DEPTH);
+    let live = LIVE.get() - before + consumers_live;
+    // A consumer scans at every ring it retires, and a scan keeps only the
+    // rings other threads' slots name: here the other consumers' head
+    // slots, one ring each (the producer's names the last ring). So after
+    // its last scan a consumer holds at most CONSUMERS - 1 retired rings.
+    let rings = 1 + config.ring_pool_capacity as i64 + (CONSUMERS - 1) * CONSUMERS;
+    assert!(
+        live <= empty + rings * ring_bytes,
+        "{live} B live after {CONSUMERS} consumers drained the queue; the \
+         empty queue took {empty} B and {rings} rings of {ring_bytes} B \
+         are allowed"
+    );
+}
+
+#[test]
+fn a_drain_that_retires_rings_allocates_nothing() {
+    const DEPTH: u64 = 100_000;
+    let q = Lcrq::new();
+    // Warm: the first drain fills the pool and grows this thread's hazard
+    // buffers; the second fill takes the pool's rings back.
+    (0..DEPTH).for_each(|i| q.enqueue(i));
+    assert!(q.drain().eq(0..DEPTH));
+    (0..DEPTH).for_each(|i| q.enqueue(i));
+    let before = ALLOCS.get();
+    assert!(q.drain().eq(0..DEPTH));
+    let allocs = ALLOCS.get() - before;
+    assert!(
+        q.ring_pool().is_full(),
+        "the drain retired more rings than the pool keeps"
+    );
+    assert_eq!(allocs, 0, "allocations while draining {DEPTH} items");
+}
+
+#[test]
 fn a_closed_drained_channel_keeps_only_its_last_ring() {
     const DEPTH: u64 = 100_000;
-    let (full_ring, ring_bytes) = live_of(|| Box::<Crq>::new(Crq::new(&LcrqConfig::new())));
-    drop(full_ring);
+    let ring_bytes = ring_bytes::<Crq>(&LcrqConfig::new());
     let before = LIVE.get();
     let ((tx, rx), empty) = live_of(channel::channel::<u64>);
     (0..DEPTH).for_each(|i| tx.send(i).unwrap());
