@@ -12,14 +12,14 @@
 # | gate            | command                                              | what it adds over the gates above it                          |  s |
 # |-----------------|------------------------------------------------------|---------------------------------------------------------------|----|
 # | release build   | cargo build --release                                | every lib and bench bin compiles optimised (later gates run them) | 76 |
-# | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench; tests/footprint.rs (own counting allocator) pins a one-item Lcrq <= 6 KiB, a one-item channel <= 8 KiB, a closed drained channel to its last ring, a drained Lscq/Wcq to its last ring, a drain that retires rings to 0 allocations | 15 |
+# | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench; tests/footprint.rs (own counting allocator) pins a one-item Lcrq <= 6 KiB, a one-item channel <= 8 KiB, a closed drained channel to its last ring, a drained Lcrq/Lscq/Wcq to its last ring, a drain that retires rings to 0 allocations | 15 |
 # | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
 # | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing, and a queued item costs <= 20 heap bytes, in the optimised build either |  8 |
 # | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) / channel / lcrq-channel --lib | 20 runs each: a 1-in-6 flake cannot pass | 43 |
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4                  | four replay seeds; a 16 x 1000-op history delivers exactly once |  7 |
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
-# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg); the list's seal model crosses the small-to-full spill | 64 |
+# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg); the list's seal model crosses the small-to-full spill | 72 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
 # | bench smoke     | 11 bins --smoke; table2_stats armed + refused        | every bin still runs and parses its flags; every pairs run reconciles delivery; `--preempt-ppm` arms only the fault-injection build |  2 |
 # | nm probe        | nm on every target/release executable                | no fault-registry symbol or `PREEMPT_PPM` in the default build (also builds the release `progress` test binary for objdump) | 12 |
@@ -135,9 +135,7 @@ seed_sweep "stress sweep" "0x1 0x2 0x3 0x5EED 0xC0FFEE 0xDEADBEEF 0xFA175EED 0xF
 # checker explores thread interleavings of the seqlock CAS2 fallback (plus
 # the planted word-0-first store twin, which it must catch pairing the new
 # word 0 with the old word 1), the
-# EventCount parker protocol, the RingPool slot claim (plus the planted
-# load-then-store twin, which it must catch handing one ring to two
-# poppers), the list of rings' sealed close against a consumer's settle
+# EventCount parker protocol, the list of rings' sealed close against a consumer's settle
 # poll, across the spill from the list's small first ring (two slots under
 # the cfg) to a full-size ring (plus the planted flag-then-walk twin,
 # which it must catch losing an item), the list's kept hazard slots against a concurrent retire and scan
@@ -299,16 +297,17 @@ else
     echo "==> TSan skipped (nightly toolchain with rust-src not installed)"
 fi
 
-# AddressSanitizer + LeakSanitizer job: the ring recycling pool (DESIGN.md
-# "Ring recycling") turns retire-means-free into retire-means-recycle, so
-# leaks and use-after-scrub bugs are exactly what this job exists to catch.
+# AddressSanitizer + LeakSanitizer job: the lists free every retired ring
+# through hazard pointers once no slot names it (DESIGN.md "Retired rings
+# are freed"), so a ring freed under a reader or never freed at all is
+# exactly what this job exists to catch.
 # Same guard as TSan: runs only when a nightly toolchain with rust-src is
 # installed. Unlike TSan, any sanitizer ERROR (use-after-free, leak, ...)
 # FAILS the build.
 if rustup toolchain list 2>/dev/null | grep -q nightly &&
     rustup component list --toolchain nightly 2>/dev/null |
         grep -q 'rust-src (installed)'; then
-    echo "==> ASan/LSan (nightly): reclamation + recycle suites"
+    echo "==> ASan/LSan (nightly): hazard reclamation of retired rings"
     asan_log=$(mktemp)
     if ! RUSTFLAGS="-Zsanitizer=address" ASAN_OPTIONS="detect_leaks=1" \
         cargo +nightly test -Zbuild-std \

@@ -139,18 +139,6 @@ impl AtomicPair {
     pub fn store_mut(&mut self, first: u64, second: u64) {
         *self.words.get_mut() = [first, second];
     }
-
-    /// Atomically replaces the pair regardless of its current value, via an
-    /// (uncounted) CAS2 loop. Intended for logically-exclusive
-    /// re-initialization — e.g. scrubbing a retired ring node for reuse —
-    /// where it converges in one iteration; under contention it is a
-    /// last-writer-wins store.
-    pub fn store(&self, first: u64, second: u64) {
-        let mut cur = self.load();
-        while let Err(seen) = self.compare_exchange_internal(cur, (first, second), false) {
-            cur = seen;
-        }
-    }
 }
 
 impl core::fmt::Debug for AtomicPair {
@@ -413,17 +401,6 @@ mod tests {
         let mut p = AtomicPair::new(0, 0);
         p.store_mut(3, 4);
         assert_eq!(p.load(), (3, 4));
-    }
-
-    #[test]
-    fn shared_store_replaces_any_value_and_is_uncounted() {
-        use lcrq_util::metrics::{self, Event};
-        let p = AtomicPair::new(1, 2);
-        let before = metrics::local_snapshot();
-        p.store(8, 9);
-        assert_eq!(p.load(), (8, 9));
-        let d = metrics::local_snapshot().delta_since(&before);
-        assert_eq!(d.get(Event::Cas2Attempt), 0, "store must not skew counters");
     }
 
     #[test]

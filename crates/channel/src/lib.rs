@@ -876,10 +876,10 @@ mod tests {
 
     #[test]
     fn shutdown_with_recycled_rings_drops_in_flight_items_exactly_once() {
-        // Tiny rings + the ring recycling pool: traffic churns through many
-        // recycled ring incarnations, then the channel is torn down with a
-        // backlog in flight. Every undelivered value must drop exactly once
-        // (a recycled-ring aliasing bug would double-drop or leak).
+        // Tiny rings: traffic churns through many rings, each allocated by
+        // a spill and freed once drained, then the channel is torn down with
+        // a backlog in flight. Every undelivered value must drop exactly
+        // once (a churned-ring reclamation bug would double-drop or leak).
         struct Tally(std::sync::Arc<std::sync::atomic::AtomicUsize>);
         impl Drop for Tally {
             fn drop(&mut self) {
@@ -887,14 +887,10 @@ mod tests {
             }
         }
         let drops = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let (tx, rx) = channel_with_config::<Tally>(
-            LcrqConfig::new()
-                .with_ring_order(2)
-                .with_ring_pool_capacity(4),
-        );
+        let (tx, rx) = channel_with_config::<Tally>(LcrqConfig::new().with_ring_order(2));
         let total = 2_000usize;
         // Churn: deliver (and drop) the first half, leave the rest queued
-        // across several rings — many of them recycled incarnations.
+        // across several rings, behind many churned ones.
         for _ in 0..total {
             tx.send(Tally(std::sync::Arc::clone(&drops))).unwrap();
         }

@@ -33,15 +33,6 @@ pub struct LcrqConfig {
 
     /// Hierarchical cluster batching (LCRQ+H, §4.1.1). `None` = plain LCRQ.
     pub hierarchical: Option<HierarchicalConfig>,
-
-    /// Maximum number of retired rings kept in the recycling pool
-    /// ([`crate::pool::RingPool`]) for reuse by the spill path instead of
-    /// being freed. Only full-size (`R`-node) rings are pooled, which
-    /// bounds the queue's idle memory at roughly
-    /// `ring_pool_capacity × R × 16` bytes beyond the live ring chain;
-    /// closing the queue frees the pool.
-    /// `0` disables recycling (every spill allocates, every retire frees).
-    pub ring_pool_capacity: usize,
 }
 
 /// Parameters of the hierarchy-aware optimization (LCRQ+H).
@@ -62,14 +53,13 @@ impl Default for HierarchicalConfig {
 
 impl LcrqConfig {
     /// Library default: `R = 2^12`, starvation limit 1024, bounded wait 128,
-    /// no hierarchical batching, ring pool of 8.
+    /// no hierarchical batching.
     pub fn new() -> Self {
         Self {
             ring_order: 12,
             starvation_limit: 1024,
             bounded_wait_spins: 128,
             hierarchical: None,
-            ring_pool_capacity: 8,
         }
     }
 
@@ -107,13 +97,6 @@ impl LcrqConfig {
         self
     }
 
-    /// Sets the recycling-pool capacity (0 disables ring reuse). The pool
-    /// is one 8-byte slot per ring of capacity, allocated with the queue.
-    pub fn with_ring_pool_capacity(mut self, capacity: usize) -> Self {
-        self.ring_pool_capacity = capacity;
-        self
-    }
-
     /// Ring size cap `R` in nodes.
     pub fn ring_size(&self) -> u64 {
         1u64 << self.ring_order
@@ -136,15 +119,6 @@ mod tests {
         assert_eq!(c.ring_size(), 4096);
         assert!(c.starvation_limit >= 1);
         assert!(c.hierarchical.is_none());
-        assert!(c.ring_pool_capacity > 0, "recycling is on by default");
-    }
-
-    #[test]
-    fn ring_pool_capacity_builder() {
-        let c = LcrqConfig::new().with_ring_pool_capacity(0);
-        assert_eq!(c.ring_pool_capacity, 0);
-        let c = LcrqConfig::new().with_ring_pool_capacity(32);
-        assert_eq!(c.ring_pool_capacity, 32);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, Weak};
 
 use lcrq_atomic::{ops, FaaPolicy, HardwareFaa};
 use lcrq_util::metrics::{self, Event};
@@ -39,7 +38,6 @@ use lcrq_util::CachePadded;
 
 use crate::config::LcrqConfig;
 use crate::node::Node;
-use crate::pool::RingPool;
 use crate::ring::{pos_of, spread, Ring, LANES};
 use crate::BOTTOM;
 
@@ -50,12 +48,6 @@ pub struct CrqClosed;
 
 /// Bit 63 of `tail`: the ring is closed to further enqueues.
 const CLOSED_BIT: u64 = 1 << 63;
-
-/// Scrubbing refuses to re-base past this point, keeping every index a ring
-/// can hand out comfortably inside the 63-bit index space (bit 63 of `tail`
-/// is the CLOSED flag). Reaching it would take ~2^62 operations through one
-/// ring; the refusal path simply frees the ring instead of pooling it.
-const MAX_BASE: u64 = 1 << 62;
 
 /// A concurrent ring queue (bounded, closable). Most users want the
 /// unbounded [`Lcrq`](crate::Lcrq) built from a list of these.
@@ -79,16 +71,6 @@ pub struct Crq<P: FaaPolicy = HardwareFaa> {
     order: u32,
     starvation_limit: u32,
     bounded_wait_spins: u32,
-    /// Index base of the current incarnation: 0 for a fresh ring; each
-    /// recycle re-bases it strictly above every index the previous
-    /// incarnation could have handed out (see [`scrub`](Self::scrub)).
-    base: AtomicU64,
-    /// Number of times this ring has been scrubbed for reuse.
-    reuse_epoch: AtomicU64,
-    /// The recycling pool this ring returns to when retired (set once,
-    /// before the ring is published; `Weak` so the pool owning rings does
-    /// not keep itself alive through them).
-    pool: OnceLock<Weak<RingPool<Self>>>,
     _faa: PhantomData<P>,
 }
 
@@ -105,34 +87,38 @@ impl<P: FaaPolicy> Crq<P> {
     /// ring mid-batch and spills its unplaced remainder into the fresh ring
     /// it appends.
     pub fn with_seed(config: &LcrqConfig, order: u32, seed: &[u64]) -> Self {
+        assert!(
+            seed.len() <= 1 << order,
+            "seed batch ({}) exceeds ring size ({})",
+            seed.len(),
+            1u64 << order
+        );
+        debug_assert!(!seed.contains(&BOTTOM), "BOTTOM is reserved");
         let units = ((1usize << order) / LANES).max(1);
         // Storage order is not index order: each node starts as the position
-        // that reaches it. (A ring of fewer than 8 nodes never reaches the
-        // spare lanes of its one unit.)
+        // `j` that reaches it, holding seed item `j` if there is one — the
+        // state its enqueue transition would have left. (A ring of fewer
+        // than 8 nodes never reaches the spare lanes of its one unit.)
         let ring = (0..units)
             .map(|unit| {
                 CachePadded::new(core::array::from_fn(|lane| {
-                    Node::new(pos_of(unit * LANES + lane, order))
+                    let j = pos_of(unit * LANES + lane, order);
+                    Node::new(j, seed.get(j as usize).copied().unwrap_or(BOTTOM))
                 }))
             })
             .collect();
         metrics::inc(Event::RingAlloc);
-        let crq = Self {
+        Self {
             head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(0)),
+            tail: CachePadded::new(AtomicU64::new(seed.len() as u64)),
             next: CachePadded::new(AtomicPtr::new(core::ptr::null_mut())),
             cluster: CachePadded::new(AtomicU64::new(0)),
             ring,
             order,
             starvation_limit: config.starvation_limit,
             bounded_wait_spins: config.bounded_wait_spins,
-            base: AtomicU64::new(0),
-            reuse_epoch: AtomicU64::new(0),
-            pool: OnceLock::new(),
             _faa: PhantomData,
-        };
-        crq.reseed(seed);
-        crq
+        }
     }
 
     /// Ring size `R`.
@@ -434,25 +420,12 @@ impl<P: FaaPolicy> Crq<P> {
             }
         }
     }
-
-    /// Number of times this ring has been scrubbed and recycled
-    /// (diagnostic; used by the ABA regression tests).
-    pub fn reuse_epoch(&self) -> u64 {
-        self.reuse_epoch.load(Ordering::Acquire)
-    }
-
-    /// Index base of the current incarnation: 0 for a fresh ring, strictly
-    /// above every previously issued index after each recycle (diagnostic).
-    pub fn base_index(&self) -> u64 {
-        self.base.load(Ordering::Relaxed)
-    }
 }
 
 /// The CRQ as a [`Ring`]. Construction, `enqueue`, `dequeue` and the batch
 /// pair forward to the inherent methods above (callers without the trait in
 /// scope use those); the rest of the ring's surface lives here. The hooks
-/// it overrides are its `FAA(k)` batches, the LCRQ+H cluster word, and
-/// recycling (scrub / reseed / pool back-pointer).
+/// it overrides are its `FAA(k)` batches and the LCRQ+H cluster word.
 impl<P: FaaPolicy> Ring for Crq<P> {
     fn new(config: &LcrqConfig, order: u32) -> Self {
         Crq::with_seed(config, order, &[])
@@ -506,83 +479,6 @@ impl<P: FaaPolicy> Ring for Crq<P> {
     }
     fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
         Crq::dequeue_batch(self, out, max)
-    }
-
-    /// Scrubs an exclusively-owned ring for reuse: re-bases `head`, `tail`
-    /// and every node index onto a fresh *reuse epoch* strictly above any
-    /// index the previous incarnation could have handed out, clears the
-    /// CLOSED bit, the cluster owner, and the `next` link. Because all old
-    /// indices are dead, a CAS2 issued from any stale pre-scrub [`NodeView`]
-    /// (e.g. by an operation that was preempted inside its read→CAS2 window
-    /// in some *other* ring and misremembers this one) must fail — recycled
-    /// `(safe, idx, val)` tuples can never alias live ones.
-    ///
-    /// Callers must hold logical exclusive access: the ring is unreachable
-    /// from any queue and hazard-pointer quiescent (no slot protects it).
-    /// [`RingPool::push`] enforces this by taking the ring by `Box`.
-    ///
-    /// Returns `false` — leaving the ring dirty, to be freed rather than
-    /// pooled — when re-basing would approach the 63-bit index ceiling.
-    ///
-    /// [`NodeView`]: crate::node::NodeView
-    fn scrub(&self) -> bool {
-        let r = self.ring_size();
-        let top = self.head_index().max(self.tail_index());
-        // Node indices of the old incarnation are bounded by top - 1 + R
-        // (a vacated node advances by R past its claimed index): rounding
-        // down to a ring boundary and skipping two laps clears them all.
-        let base = (top & !(r - 1)) + 2 * r;
-        if base >= MAX_BASE {
-            return false;
-        }
-        // A walk in storage order: each node re-bases to the position that
-        // reaches it, which is not its storage index. (`take`: a ring of
-        // fewer than 8 nodes never reaches the spare lanes of its one unit.)
-        let slots = self.ring.iter().flat_map(|unit| unit.iter());
-        for (slot, node) in slots.enumerate().take(r as usize) {
-            node.reset(base + pos_of(slot, self.order));
-        }
-        self.cluster.store(0, Ordering::Relaxed);
-        self.next.store(core::ptr::null_mut(), Ordering::Relaxed);
-        self.base.store(base, Ordering::Relaxed);
-        self.head.store(base, Ordering::SeqCst);
-        // Also clears the CLOSED bit (bit 63).
-        self.tail.store(base, Ordering::SeqCst);
-        self.reuse_epoch.fetch_add(1, Ordering::Release);
-        metrics::inc(Event::RingScrub);
-        true
-    }
-
-    /// Seeds a freshly scrubbed (still exclusively-owned) ring with `seed`:
-    /// the pooled-ring counterpart of [`with_seed`](Crq::with_seed),
-    /// used when the spill path reuses a pooled ring instead of allocating.
-    fn reseed(&self, seed: &[u64]) {
-        let base = self.base.load(Ordering::Relaxed);
-        debug_assert_eq!(self.head_index(), base, "reseed requires a scrubbed ring");
-        debug_assert_eq!(self.tail_index(), base, "reseed requires a scrubbed ring");
-        assert!(
-            seed.len() as u64 <= self.ring_size(),
-            "seed batch ({}) exceeds ring size ({})",
-            seed.len(),
-            self.ring_size()
-        );
-        for (j, &x) in seed.iter().enumerate() {
-            debug_assert!(x != BOTTOM, "BOTTOM is reserved");
-            let node = self.node(base + j as u64);
-            // Exclusive ownership: scrubbed nodes accept their seed, so the
-            // CAS2 can only fail spuriously (the `cas2` fail point); retry.
-            loop {
-                let v = node.read();
-                if node.try_enqueue(&v, base + j as u64, x) {
-                    break;
-                }
-            }
-        }
-        self.tail.store(base + seed.len() as u64, Ordering::SeqCst);
-    }
-
-    fn pool_slot(&self) -> Option<&OnceLock<Weak<RingPool<Self>>>> {
-        Some(&self.pool)
     }
 }
 
@@ -876,91 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn scrub_rebases_past_all_old_indices_and_reopens() {
-        let q = crq(3); // R = 8
-        for i in 0..6 {
-            q.enqueue(i).unwrap();
-        }
-        for _ in 0..4 {
-            q.dequeue();
-        }
-        q.close();
-        while q.dequeue().is_some() {}
-        let top = q.head_index().max(q.tail_index());
-        assert!(q.is_closed());
-        assert!(q.scrub());
-        assert!(!q.is_closed());
-        assert_eq!(q.reuse_epoch(), 1);
-        let base = q.base_index();
-        assert!(
-            base > top + q.ring_size() - 1,
-            "base {base} must clear every old node index (top {top})"
-        );
-        assert_eq!(q.head_index(), base);
-        assert_eq!(q.tail_index(), base);
-        // The recycled incarnation behaves like a fresh ring.
-        q.enqueue(41).unwrap();
-        q.enqueue(42).unwrap();
-        assert_eq!(q.dequeue(), Some(41));
-        assert_eq!(q.dequeue(), Some(42));
-        assert_eq!(q.dequeue(), None);
-        assert!(q.scrub(), "rings recycle repeatedly");
-        assert_eq!(q.reuse_epoch(), 2);
-    }
-
-    #[test]
-    fn stale_pre_scrub_views_cannot_touch_a_recycled_ring() {
-        use crate::node::NodeView;
-        use crate::BOTTOM;
-        let q = crq(3);
-        q.enqueue(7).unwrap();
-        let node = q.node(0);
-        // The views a stalled operation (preempted inside its read→CAS2
-        // window, holding no hazard on this ring) might still hold:
-        let stale_full = node.read(); // (1, 0, 7)
-        let stale_empty = NodeView {
-            val: BOTTOM,
-            ..stale_full
-        };
-        assert!(q.scrub());
-        // Every transition from a pre-scrub view must fail against the
-        // recycled node: its index now lives in a fresh epoch.
-        assert!(!node.try_dequeue(&stale_full, q.ring_size()));
-        assert!(!node.try_mark_unsafe(&stale_full));
-        assert!(!node.try_enqueue(&stale_empty, 0, 9));
-        assert!(!node.try_empty(&stale_empty, 0, q.ring_size()));
-        // And the recycled node is intact.
-        let v = node.read();
-        assert!(v.safe && v.is_empty());
-        assert_eq!(v.idx, q.base_index());
-    }
-
-    #[test]
-    fn scrub_refuses_near_index_exhaustion() {
-        let q = crq(3);
-        q.head.store(MAX_BASE - 4, Ordering::SeqCst);
-        q.tail.store(MAX_BASE - 4, Ordering::SeqCst);
-        assert!(!q.scrub(), "must refuse to re-base near the index ceiling");
-        // The refusal leaves counters untouched (ring goes to the allocator).
-        assert_eq!(q.head_index(), MAX_BASE - 4);
-    }
-
-    #[test]
-    fn reseed_places_seed_at_the_fresh_base() {
-        let q = crq(3);
-        for i in 0..5 {
-            q.enqueue(i).unwrap();
-        }
-        assert!(q.scrub());
-        q.reseed(&[100, 101, 102]);
-        assert_eq!(q.tail_index() - q.base_index(), 3);
-        assert_eq!(q.dequeue(), Some(100));
-        assert_eq!(q.dequeue(), Some(101));
-        assert_eq!(q.dequeue(), Some(102));
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
     fn neighbouring_indices_never_share_a_line_pair() {
         const LINE_PAIR: usize = lcrq_util::pad::CACHE_LINE;
         let q: Crq = Crq::new(&LcrqConfig::new());
@@ -976,34 +787,26 @@ mod tests {
         assert_eq!(addr(0) + 16, addr(r / 8));
     }
 
-    /// Every index of the current lap must reach a node that carries it:
-    /// storage order is not index order, so whatever walks the storage
-    /// (construction, `scrub`) has to translate.
+    /// Every index of the first lap must reach a node that carries it, and
+    /// its seed item if it has one: storage order is not index order, so
+    /// construction, which walks the storage, has to translate.
     #[test]
     fn every_index_reaches_a_node_that_carries_it() {
-        fn check(q: &Crq, seeded: u64) {
-            let base = q.base_index();
-            for p in base..base + q.ring_size() {
-                let v = q.node(p).read();
-                assert!(v.safe);
-                assert_eq!(v.idx, p, "R = {}, base {base}", q.ring_size());
-                assert_eq!(!v.is_empty(), p - base < seeded, "index {p}");
-            }
-        }
         for order in [1, 3, 4, 12] {
             let q: Crq = Crq::with_seed(&LcrqConfig::new(), order, &[7, 8]);
-            check(&q, 2);
+            for p in 0..q.ring_size() {
+                let v = q.node(p).read();
+                assert!(v.safe);
+                assert_eq!(v.idx, p, "R = {}", q.ring_size());
+                assert_eq!(v.val, [7, 8].get(p as usize).copied().unwrap_or(BOTTOM));
+            }
+            assert_eq!((q.head_index(), q.tail_index()), (0, 2));
             assert_eq!(q.dequeue(), Some(7));
             assert_eq!(q.dequeue(), Some(8));
-            q.close();
-            assert!(q.scrub());
-            check(&q, 0);
-            q.reseed(&[9]);
-            check(&q, 1);
             // And the protocol agrees with the layout, across several laps.
             for i in 0..3 * q.ring_size() {
                 q.enqueue(i).unwrap();
-                assert_eq!(q.dequeue(), Some(if i == 0 { 9 } else { i - 1 }));
+                assert_eq!(q.dequeue(), Some(i));
             }
         }
     }

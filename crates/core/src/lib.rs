@@ -17,8 +17,8 @@
 //! * [`list::RingList`] — *the* Michael–Scott linked list of rings:
 //!   enqueuers that find the tail ring closed append a fresh ring;
 //!   dequeuers drain the head ring and swing past it when empty. Retired
-//!   rings are reclaimed with hazard pointers (and recycled through
-//!   [`pool::RingPool`] when the ring type can be scrubbed). This restores
+//!   rings are freed through hazard pointers once no thread names them,
+//!   as the paper frees them. This restores
 //!   unbounded, never-refusing queue semantics and the op-wise nonblocking
 //!   property. It also owns shutdown: `close()` seals the last ring's
 //!   `next`, so an accepted item can never appear after a consumer has seen
@@ -73,7 +73,6 @@ pub mod crq;
 pub mod infinite;
 pub mod list;
 pub mod node;
-pub mod pool;
 pub mod ring;
 pub mod scq;
 pub mod sharded;
@@ -83,7 +82,6 @@ pub mod wcq;
 pub use config::{HierarchicalConfig, LcrqConfig};
 pub use crq::{Crq, CrqClosed};
 pub use list::{Lcrq, LcrqCas, LcrqGeneric, Lscq, LscqCas, LscqGeneric, RingList, Wcq, WcqGeneric};
-pub use pool::RingPool;
 pub use ring::Ring;
 pub use scq::{Scq, ScqD};
 pub use sharded::{rank_error_bound_for, ShardedConfig, ShardedQueue};

@@ -10,7 +10,9 @@
 //! (the December-2013 erratum: without the second attempt an item enqueued
 //! between the first dequeue and the `next` check can be lost) and then
 //! swings `head` to the next ring, retiring the old one through hazard
-//! pointers.
+//! pointers, which free it once no thread's hazard slot names it — every
+//! list, whatever its ring type, allocates, retires and frees rings on
+//! this one path.
 //!
 //! # Ring sizes: a small first ring, then full-size rings
 //!
@@ -23,8 +25,7 @@
 //! ladder: a ring that grew with every spill would end at the size the
 //! queue's largest backlog needed, so the footprint of a busy queue would
 //! follow the worst scheduling stall it ever met; with two sizes it
-//! depends only on whether the queue ever held more than 256 items. Only
-//! full-size rings enter the pool, so a pooled ring serves any spill.
+//! depends only on whether the queue ever held more than 256 items.
 //! Nothing else depends on a ring's size: the seal, the erratum
 //! double-check and hazard publication never read it.
 //!
@@ -52,7 +53,6 @@
 //! for someone), and likewise for dequeues.
 
 use core::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use lcrq_atomic::{ops, CasLoopFaa, HardwareFaa};
 use lcrq_hazard::Domain;
@@ -67,7 +67,6 @@ use lcrq_util::CachePadded;
 
 use crate::config::LcrqConfig;
 use crate::crq::Crq;
-use crate::pool::{self, RingPool};
 use crate::ring::Ring;
 use crate::scq::ScqD;
 use crate::wcq::WcqRing;
@@ -114,12 +113,6 @@ pub struct RingList<R: Ring> {
     head: CachePadded<AtomicPtr<R>>,
     tail: CachePadded<AtomicPtr<R>>,
     domain: Domain,
-    /// Recycling pool for retired rings (see [`RingPool`]); capacity 0 for
-    /// ring types that are not recycled. Declared after `domain` so the
-    /// domain drops first: reclaim callbacks running during domain teardown
-    /// can still upgrade their `Weak` and park rings here, and the pool
-    /// then frees everything it holds.
-    pool: Arc<RingPool<R>>,
     config: LcrqConfig,
     /// Set once the seal is in place, so [`is_closed`](Self::is_closed) is
     /// one load. The seal, not this flag, is what fences enqueuers.
@@ -168,43 +161,22 @@ impl<R: Ring> RingList<R> {
     /// Creates an empty queue with an explicit configuration
     /// (`ring_order` caps the per-ring capacity, see the [module
     /// docs](self); knobs a ring type has no use for — hierarchy, bounded
-    /// wait, the ring pool outside the CRQ — are ignored by it).
+    /// wait outside the CRQ — are ignored by it).
     pub fn with_config(config: LcrqConfig) -> Self {
-        let first = Box::new(R::new(&config, FIRST_ORDER.min(config.ring_order)));
-        // A ring type without a pool back-pointer is not recycled.
-        let capacity = first.pool_slot().map_or(0, |_| config.ring_pool_capacity);
-        let pool = RingPool::new(capacity);
-        let first = Self::publishable(first, &pool, config.ring_order);
+        let order = FIRST_ORDER.min(config.ring_order);
+        let first = Box::into_raw(Box::new(R::new(&config, order)));
         Self {
             head: CachePadded::new(AtomicPtr::new(first)),
             tail: CachePadded::new(AtomicPtr::new(first)),
             domain: Domain::new(),
-            pool,
             config,
             closed: AtomicBool::new(false),
         }
     }
 
-    /// Gives a fresh full-size ring (`order() == cap`) the pool
-    /// back-pointer (if its type recycles), so its eventual retirement
-    /// returns it there, and leaks it for linking. A smaller ring gets no
-    /// back-pointer: retired, it is freed.
-    fn publishable(ring: Box<R>, pool: &Arc<RingPool<R>>, cap: u32) -> *mut R {
-        if let Some(slot) = ring.pool_slot().filter(|_| ring.order() == cap) {
-            let _ = slot.set(Arc::downgrade(pool));
-        }
-        Box::into_raw(ring)
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &LcrqConfig {
         &self.config
-    }
-
-    /// The ring recycling pool attached to this queue (diagnostic: its
-    /// `len`/`capacity` bound the retired-ring memory kept for reuse).
-    pub fn ring_pool(&self) -> &RingPool<R> {
-        &self.pool
     }
 
     /// The queue's hazard-pointer domain (diagnostic: lets tests count the
@@ -216,31 +188,17 @@ impl<R: Ring> RingList<R> {
         &self.domain
     }
 
-    /// Produces a fresh full-size open ring seeded with `seed`: recycled
-    /// from the pool when possible (allocation-free), otherwise
-    /// heap-allocated.
+    /// Allocates a fresh full-size open ring seeded with `seed`.
     ///
-    /// Returns `None` only when the pool had no ring **and** the heap
-    /// allocation was refused — today that refusal exists only as the
-    /// `ring-alloc` fail point. [`spill`](Self::spill) backs off and
-    /// retries it; nothing reports it.
+    /// Returns `None` only when the allocation was refused — today that
+    /// refusal exists only as the `ring-alloc` fail point.
+    /// [`spill`](Self::spill) backs off and retries it; nothing reports it.
     fn try_alloc_ring(&self, seed: &[u64]) -> Option<*mut R> {
-        if let Some(ring) = self.pool.pop() {
-            ring.reseed(seed);
-            return Some(Box::into_raw(ring));
-        }
         if lcrq_util::fault::inject(lcrq_util::fault::Site::RingAlloc) {
             return None;
         }
-        let ring = Box::new(R::with_seed(&self.config, self.config.ring_order, seed));
-        Some(Self::publishable(ring, &self.pool, self.config.ring_order))
-    }
-
-    /// Disposes of a spill ring that lost its link race: back to the pool
-    /// for the next spill, else freed. The ring was never queue-visible, so
-    /// no hazard can name it and a ring the pool refuses is simply dropped.
-    fn release_ring(&self, ring: Box<R>) {
-        drop(self.pool.push(ring));
+        let ring = R::with_seed(&self.config, self.config.ring_order, seed);
+        Some(Box::into_raw(Box::new(ring)))
     }
 
     /// LCRQ+H cluster gate (§4.1.1): wait briefly for the ring's cluster to
@@ -310,16 +268,16 @@ impl<R: Ring> RingList<R> {
     /// The spill step of both enqueues, taken once `last` is found closed —
     /// by a tantrum or by `close()`; they look the same here and need not
     /// be told apart: the link CAS decides. Races to link a fresh ring
-    /// pre-seeded with `seed` (recycled from the pool when one is
-    /// available) after `last`, and clears [`HP_TAIL`] whatever happens.
+    /// pre-seeded with `seed` after `last`, and clears [`HP_TAIL`] whatever
+    /// happens.
     ///
     /// `Some(true)`: linked, `seed` is in the queue. `None`: the seal won,
     /// the queue is closed. `Some(false)`: back off and start again from
     /// [`last_ring`](Self::last_ring) — either another ring won the link
     /// race (it has room, but under heavy churn repeated losses waste an
     /// allocation each round, and the jitter de-synchronizes the
-    /// contenders) or the allocation was refused, which is transient (the
-    /// pool can refill, an injected refusal is probabilistic).
+    /// contenders) or the allocation was refused, which is transient (an
+    /// injected refusal is probabilistic).
     #[cold]
     fn spill(&self, last: &R, seed: &[u64], backoff: &mut Option<Backoff>) -> Option<bool> {
         let linked = self.try_alloc_ring(seed).map(|r| self.try_link(last, r));
@@ -358,8 +316,8 @@ impl<R: Ring> RingList<R> {
 
     /// Races to link `newring` (unpublished, uniquely owned) after `last`,
     /// which the caller found closed; clears [`HP_TAIL`] either way. On a
-    /// loss the ring is released and the winner — another ring, or the seal
-    /// — is returned.
+    /// loss the ring is freed and the winner — another ring, or the seal —
+    /// is returned.
     fn try_link(&self, last: &R, newring: *mut R) -> Result<(), *mut R> {
         // Fail point in the close-race window: between observing the closed
         // ring and racing to link a replacement.
@@ -370,8 +328,8 @@ impl<R: Ring> RingList<R> {
                 let _ = ops::ptr::cas_ptr(&self.tail, last as *const R as *mut R, newring);
             }
             // SAFETY: the CAS failed, so newring is still unpublished and
-            // uniquely owned.
-            Err(_) => self.release_ring(unsafe { Box::from_raw(newring) }),
+            // uniquely owned: no hazard can name it.
+            Err(_) => drop(unsafe { Box::from_raw(newring) }),
         }
         self.domain.clear(HP_TAIL);
         linked
@@ -399,8 +357,6 @@ impl<R: Ring> RingList<R> {
         // Raised by every closer, not only the one that sealed: no close()
         // returns before is_closed() is true.
         self.closed.store(true, Ordering::SeqCst);
-        // No spill can follow the seal: the pooled rings are dead weight.
-        self.pool.seal();
         sealed_here
     }
 
@@ -449,27 +405,23 @@ impl<R: Ring> RingList<R> {
             if ops::ptr::cas_ptr(&self.head, ring, next).is_ok() {
                 // Drop our own protection first — the tail slot's too, if
                 // this is the ring we last enqueued into — so the scan
-                // below can recycle `ring` immediately (we are done
-                // touching it).
+                // below can free `ring` immediately (we are done touching
+                // it).
                 self.domain.clear(HP_HEAD);
                 if self.domain.protected(HP_TAIL) == ring as *mut () {
                     self.domain.clear(HP_TAIL);
                 }
-                // SAFETY: `ring` is now unreachable from the queue (head
-                // moved past it and enqueuers long since moved to `next` or
-                // later); hazard retirement defers reclamation until no
-                // operation still holds it protected, and the reclaimer
-                // scrubs it into the ring pool instead of freeing it
-                // (falling back to a free when the pool is full or gone, or
-                // the ring type does not recycle).
-                unsafe {
-                    self.domain
-                        .retire_with(ring as *mut (), pool::recycle_ring::<R>)
-                };
+                // SAFETY: every ring comes from `Box::into_raw`, and only
+                // the winner of this swing retires `ring`, once. It is now
+                // unreachable from the queue (head moved past it and
+                // enqueuers long since moved to `next` or later); hazard
+                // retirement defers the free until no operation still holds
+                // it protected.
+                unsafe { self.domain.retire(ring) };
                 // One scan per retired ring, not the domain's threshold: a
                 // ring serves 2^ring_order operations, so the scan is cheap
-                // beside them, and a drained ring leaves the heap (or enters
-                // the pool) now unless another thread's slot still names it.
+                // beside them, and a drained ring leaves the heap now unless
+                // another thread's slot still names it.
                 self.domain.scan();
             }
             // Swing lost: someone else retires `ring`, and the next round's
@@ -609,7 +561,8 @@ impl<R: Ring> RingList<R> {
     pub fn ring_count(&self) -> usize {
         let count = 'walk: loop {
             // `start` stays pinned for the whole walk, so it cannot be
-            // recycled and `head == start` below cannot be an ABA.
+            // freed and reallocated, and `head == start` below cannot be an
+            // ABA.
             let start = self.domain.protect(HP_HEAD, &self.head);
             let (mut cur, mut count) = (start, 1);
             loop {
@@ -703,7 +656,6 @@ impl<R: Ring> core::fmt::Debug for RingList<R> {
             .field("kind", &self.name())
             .field("ring_order", &self.config.ring_order)
             .field("rings", &self.ring_count())
-            .field("pooled_rings", &self.pool.len())
             .field("closed", &self.is_closed())
             .finish()
     }
@@ -727,14 +679,9 @@ impl<R: Ring> Extend<u64> for RingList<R> {
 impl<R: Ring> Drop for RingList<R> {
     fn drop(&mut self) {
         // Exclusive access: free the whole ring chain, up to its null or
-        // sealed end. A ring is reachable here *or* from the pool, never
-        // both — pooled rings had their `next` nulled by scrubbing (it then
-        // only ever links other pooled rings), and chain rings are by
-        // definition not yet retired — so the chain walk and the pool's own
-        // drop cannot double-free. Rings retired earlier but not yet
-        // reclaimed are dispatched when `domain` drops (before `pool`, see
-        // field order): each is either parked in the pool and freed by the
-        // pool's drop, or freed directly when the pool is full or unused.
+        // sealed end. Chain rings are by definition not yet retired, so
+        // this walk and the domain cannot double-free; rings retired
+        // earlier but not yet reclaimed are freed when `domain` drops.
         let mut cur = *self.head.get_mut();
         while !cur.is_null() && cur != Self::SEALED {
             // SAFETY: exclusive access in drop.
@@ -796,9 +743,9 @@ mod tests {
     }
 
     /// Sequential model check over random configurations: ring order,
-    /// starvation limit, bounded wait and pool capacity are drawn per round,
-    /// then scalar, batch and close steps run against a `VecDeque` plus a
-    /// closed flag, with the pool bound checked after every step. Tiny rings
+    /// starvation limit and bounded wait are drawn per round, then scalar,
+    /// batch and close steps run against a `VecDeque` plus a closed flag.
+    /// Tiny rings
     /// and starvation limits make the sequence churn through many ring
     /// incarnations; after the close, enqueues refuse and the backlog
     /// drains FIFO. `LCRQ_TEST_SEED` replays a failure.
@@ -807,13 +754,11 @@ mod tests {
         let seed = lcrq_util::rng::test_seed(seed);
         let mut rng = lcrq_util::XorShift64Star::new(seed);
         for round in 0..20 {
-            let pool_cap = rng.next_below(4) as usize;
             let q = RingList::<R>::with_config(
                 LcrqConfig::new()
                     .with_ring_order(1 + rng.next_below(7) as u32)
                     .with_starvation_limit(1 + rng.next_below(63) as u32)
-                    .with_bounded_wait(rng.next_below(64) as u32)
-                    .with_ring_pool_capacity(pool_cap),
+                    .with_bounded_wait(rng.next_below(64) as u32),
             );
             let at = |step: usize| format!("round {round} step {step} (LCRQ_TEST_SEED={seed})");
             let mut model: VecDeque<u64> = VecDeque::new();
@@ -862,7 +807,6 @@ mod tests {
                         assert_eq!(out, expect, "{}", at(step));
                     }
                 }
-                assert!(q.ring_pool().len() <= pool_cap, "{}", at(step));
             }
             assert_eq!(q.drain().collect::<VecDeque<_>>(), model, "round {round}");
             assert_eq!(q.dequeue(), None);
@@ -922,27 +866,6 @@ mod tests {
                     for i in 0..1 << 14 {
                         assert_eq!(q.dequeue(), Some(i));
                     }
-                    assert_eq!(q.dequeue(), None);
-                    // Only full rings are pooled; the small one was freed.
-                    let pool = q.ring_pool();
-                    let pooled = core::iter::from_fn(|| pool.pop())
-                        .inspect(|ring| assert_eq!(ring.order(), 12))
-                        .count();
-                    assert!(pooled <= pool.capacity());
-                    if pool.capacity() > 0 {
-                        assert!(pooled > 0, "the drain retired full rings");
-                    }
-                }
-
-                #[test]
-                fn close_frees_the_pooled_rings() {
-                    let q = Q::new();
-                    (0..1 << 14).for_each(|i| q.enqueue(i));
-                    assert!(q.drain().eq(0..1 << 14));
-                    let pooled = q.ring_pool().len();
-                    assert_eq!(pooled > 0, q.ring_pool().capacity() > 0);
-                    assert!(q.close());
-                    assert!(q.ring_pool().is_empty());
                     assert_eq!(q.dequeue(), None);
                 }
 
@@ -1045,8 +968,8 @@ mod tests {
                 #[test]
                 fn a_drain_leaves_no_ring_retired() {
                     // Every ring the drain retires is scanned at once, and
-                    // this thread's own slots name none of them: the pool
-                    // takes what it has room for, the rest is freed.
+                    // this thread's own slots name none of them: each is
+                    // freed.
                     let q = Q::new();
                     (0..1 << 16).for_each(|i| q.enqueue(i));
                     assert!(q.drain().eq(0..1 << 16));
@@ -1226,7 +1149,7 @@ mod tests {
     list_suite!(wcq_ring, WcqRing<HardwareFaa>);
 
     // What only some lists have stays below: names, the LCRQ+H gate, the
-    // CRQ's FAA(k) batches (the pool: pool.rs and tests/reclamation.rs).
+    // CRQ's FAA(k) batches.
 
     #[test]
     fn names_reflect_variant() {
@@ -1238,13 +1161,6 @@ mod tests {
         assert_eq!(Lscq::new().name(), "lscq");
         assert_eq!(LscqCas::new().name(), "lscq-cas");
         assert_eq!(Wcq::new().name(), "wcq");
-    }
-
-    #[test]
-    fn only_recyclable_rings_get_a_pool() {
-        assert_eq!(Lcrq::new().ring_pool().capacity(), 8);
-        assert_eq!(Lscq::new().ring_pool().capacity(), 0);
-        assert_eq!(Wcq::new().ring_pool().capacity(), 0);
     }
 
     /// What `f` counted on this thread.
@@ -1289,7 +1205,7 @@ mod tests {
             (0..400).for_each(|i| q.enqueue(i));
             (0..400).for_each(|i| assert_eq!(q.dequeue(), Some(i)));
         });
-        let rings = d.get(Event::RingAlloc) + d.get(Event::RingReuse);
+        let rings = d.get(Event::RingAlloc);
         assert!(rings >= 99, "R = 4 must spill: {rings}");
         let published = d.get(Event::HazardPublish);
         assert!(published <= 2 * rings + 4, "{published} for {rings} rings");

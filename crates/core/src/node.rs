@@ -6,7 +6,8 @@
 //! * word 0 — bit 63 is the *safe* bit, bits 62..0 are the node's *index*;
 //! * word 1 — the value, or [`BOTTOM`] when the node is empty.
 //!
-//! Node `u` starts as `(1, u, ⊥)`. An index with value `i` refers to ring
+//! Node `u` starts as `(1, u, ⊥)` — or as `(1, u, x)` when the ring is
+//! built seeded with `x` at index `u`. An index with value `i` refers to ring
 //! node `i mod R`; the node's stored index advances by `R` every time the
 //! node is vacated, which is what lets operations detect that they have been
 //! overtaken.
@@ -63,10 +64,11 @@ impl NodeView {
 }
 
 impl Node {
-    /// Initializes ring node `u` to `(1, u, ⊥)`.
-    pub fn new(u: u64) -> Self {
+    /// Initializes ring node `u` to `(1, u, val)`: `val` is [`BOTTOM`] for
+    /// an empty node, or the item a seeded ring holds at index `u`.
+    pub fn new(u: u64, val: u64) -> Self {
         Self {
-            pair: AtomicPair::new(pack(true, u), BOTTOM),
+            pair: AtomicPair::new(pack(true, u), val),
         }
     }
 
@@ -120,18 +122,6 @@ impl Node {
             .is_ok()
     }
 
-    /// Re-initializes the node to `(1, u, ⊥)` for ring reuse.
-    ///
-    /// The caller must hold *logical* exclusive access to the ring (no
-    /// in-flight protocol operation on it — enforced by hazard-pointer
-    /// quiescence before a ring enters the recycling pool). The store is
-    /// still a real atomic pair replacement, so even a CAS2 issued from a
-    /// stale pre-scrub [`NodeView`] fails cleanly rather than tearing.
-    #[inline]
-    pub fn reset(&self, u: u64) {
-        self.pair.store(pack(true, u), BOTTOM);
-    }
-
     /// Attempts the *unsafe transition* `(s, i, val) -> (0, i, val)`
     /// (Figure 3b line 45).
     #[inline]
@@ -160,7 +150,7 @@ mod tests {
 
     #[test]
     fn initial_state_is_safe_empty_with_own_index() {
-        let n = Node::new(17);
+        let n = Node::new(17, BOTTOM);
         let v = n.read();
         assert!(v.safe);
         assert_eq!(v.idx, 17);
@@ -176,7 +166,7 @@ mod tests {
     #[test]
     fn enqueue_then_dequeue_transition() {
         const R: u64 = 8;
-        let n = Node::new(3);
+        let n = Node::new(3, BOTTOM);
         let v = n.read();
         assert!(n.try_enqueue(&v, 3, 99));
         let v = n.read();
@@ -193,7 +183,7 @@ mod tests {
     #[test]
     fn empty_transition_advances_index_and_keeps_safe_bit() {
         const R: u64 = 8;
-        let n = Node::new(3);
+        let n = Node::new(3, BOTTOM);
         let v = n.read();
         // deq with h = 3 + R arrives before enq(3+R): empty transition.
         assert!(n.try_empty(&v, 3 + R, R));
@@ -205,7 +195,7 @@ mod tests {
 
     #[test]
     fn unsafe_transition_clears_safe_only() {
-        let n = Node::new(1);
+        let n = Node::new(1, BOTTOM);
         let v = n.read();
         assert!(n.try_enqueue(&v, 1, 55));
         let v = n.read();
@@ -223,28 +213,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_rebases_and_stale_prereset_views_fail() {
-        const R: u64 = 8;
-        let n = Node::new(3);
-        let v = n.read();
-        assert!(n.try_enqueue(&v, 3, 77));
-        let stale = n.read();
-        // Scrub onto a fresh epoch whose base exceeds every index the node
-        // could previously have carried.
-        n.reset(3 + 2 * R);
-        let v = n.read();
-        assert!(v.safe);
-        assert_eq!(v.idx, 3 + 2 * R);
-        assert!(v.is_empty());
-        // Transitions from pre-reset views must all fail.
-        assert!(!n.try_dequeue(&stale, R));
-        assert!(!n.try_mark_unsafe(&stale));
-        assert!(!n.try_enqueue(&stale, 3, 78));
-    }
-
-    #[test]
     fn stale_views_fail_their_transitions() {
-        let n = Node::new(0);
+        let n = Node::new(0, BOTTOM);
         let stale = n.read();
         let fresh = n.read();
         assert!(n.try_enqueue(&fresh, 0, 7));

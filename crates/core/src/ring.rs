@@ -21,7 +21,6 @@
 //! | [`rearm`](Ring::rearm) | `ScqD`, `WcqRing` | their threshold counter can report EMPTY without scanning; the list's abandonment double-check must force a scan |
 //! | [`enqueue_batch`](Ring::enqueue_batch) / [`dequeue_batch`](Ring::dequeue_batch) | `Crq` | one `FAA(k)` reserves `k` slots; SCQ/wCQ cannot validate a group of cycles |
 //! | [`cluster`](Ring::cluster) | `Crq` | the LCRQ+H owner word (§4.1.1) |
-//! | [`scrub`](Ring::scrub) / [`reseed`](Ring::reseed) / [`pool_slot`](Ring::pool_slot) | `Crq` | recycling: re-basing every index makes a drained ring reusable; SCQ/wCQ rings, and a CRQ smaller than `ring_order`, are freed |
 //!
 //! What all three rings do share is where they *store* position `i`: the
 //! `spread` / `remap` / `pos_of` bijection below, which keeps neighbouring
@@ -30,13 +29,11 @@
 //! [`RingList`]: crate::RingList
 
 use core::sync::atomic::AtomicU64;
-use std::sync::{OnceLock, Weak};
 
 use lcrq_util::sync::AtomicPtr;
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
-use crate::pool::RingPool;
 
 /// Slots per spreading unit: the entries one 128-byte prefetch pair holds of
 /// a `Crq` (16-byte nodes), and one 64-byte line of an `Scq` (8-byte entries).
@@ -150,26 +147,6 @@ pub trait Ring: Sized + Send + Sync + 'static {
         let before = out.len();
         out.extend(core::iter::from_fn(|| self.dequeue()).take(max));
         out.len() - before
-    }
-
-    /// Resets an exclusively-owned, drained ring for reuse. `false` — the
-    /// default — means "cannot, free it instead".
-    fn scrub(&self) -> bool {
-        false
-    }
-
-    /// Seeds a freshly [`scrub`](Self::scrub)bed, still exclusively-owned
-    /// ring: the recycled counterpart of [`with_seed`](Self::with_seed).
-    fn reseed(&self, _seed: &[u64]) {
-        unreachable!("only a ring that scrubs can come out of a pool");
-    }
-
-    /// Where a recyclable ring remembers the pool it returns to when the
-    /// hazard domain reclaims it. `None` — the default — also tells the
-    /// list this ring type is not recycled: it then keeps a zero-capacity
-    /// pool, so every spill allocates and every retire frees.
-    fn pool_slot(&self) -> Option<&OnceLock<Weak<RingPool<Self>>>> {
-        None
     }
 }
 

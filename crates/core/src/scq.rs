@@ -398,7 +398,7 @@ impl<P: FaaPolicy> ScqD<P> {
 /// without scanning — losing the item when `head` swings past the ring.
 /// (Nikolaev's unbounded SCQ does the same.) No batch reservation (a k-wide
 /// F&A would claim k entries whose cycles the single-word protocol cannot
-/// validate as a group) and no recycling.
+/// validate as a group).
 impl<P: FaaPolicy> Ring for ScqD<P> {
     /// An empty ring with capacity `2^order`.
     fn new(_config: &LcrqConfig, order: u32) -> Self {

@@ -1,19 +1,9 @@
-//! Model-checked interleavings of the `RingPool` slot claim, of the list of
-//! rings' shutdown protocol and of its kept hazard slots, run by the ci.sh
-//! loom gate:
+//! Model-checked interleavings of the list of rings' shutdown protocol and
+//! of its kept hazard slots, run by the ci.sh loom gate:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p lcrq-core --test loom -q
 //! ```
-//!
-//! **Pool.** The pool is `capacity` pointer slots: `push` CASes `null →
-//! ring` into a vacant slot, `pop` swaps an occupied slot to null, and
-//! whoever's swap returns the pointer owns the ring. The model races a
-//! thread that pops twice and pushes both rings back against a thread that
-//! pops once, over a full two-slot pool. Property: every ring is delivered
-//! exactly once, none is lost, and `len()` never exceeds the capacity. The
-//! swap must hold it on every schedule; the planted load-then-`store(null)`
-//! twin must be caught handing one ring to two poppers.
 //!
 //! **Close.** `RingList`'s `head`/`tail`/`closed` and every ring's `next`
 //! come from the sync facade, so each step of enqueue, `close()` and
@@ -46,8 +36,7 @@
 #![cfg(loom)]
 
 use lcrq_core::config::LcrqConfig;
-use lcrq_core::crq::{Crq, CrqClosed};
-use lcrq_core::pool::RingPool;
+use lcrq_core::crq::CrqClosed;
 use lcrq_core::{Ring, RingList};
 use lcrq_hazard::Domain;
 use lcrq_util::model::{thread, Builder, Report};
@@ -56,74 +45,12 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Two parked rings; a cycler pops both and pushes both back while a racer
-/// pops one. `pop` is the claim under test.
-fn pool_model(pop: fn(&RingPool) -> Option<Box<Crq>>) -> Report {
-    Builder {
-        max_executions: 2_000,
-        ..Builder::new()
-    }
-    .check(move || {
-        let pool = RingPool::new(2);
-        let config = LcrqConfig::new().with_ring_order(2);
-        let mut parked = Vec::new();
-        for _ in 0..2 {
-            let ring = Box::new(Crq::new(&config));
-            parked.push(&*ring as *const Crq as usize);
-            assert!(pool.push(ring).is_ok());
-        }
-        let (p1, p2) = (Arc::clone(&pool), Arc::clone(&pool));
-        let cycler = thread::spawn(move || {
-            // The racer may hold one ring, so the second pop can miss.
-            let held: Vec<Box<Crq>> = [pop(&p1), pop(&p1)].into_iter().flatten().collect();
-            for ring in held {
-                assert!(p1.len() <= p1.capacity());
-                assert!(p1.push(ring).is_ok(), "nobody else pushes");
-            }
-        });
-        // Rings travel as addresses: a double hand-off must be compared,
-        // not dropped twice.
-        let racer = thread::spawn(move || pop(&p2).map(|r| Box::into_raw(r) as usize));
-        cycler.join().unwrap();
-        let stolen = racer.join().unwrap();
-        assert!(pool.len() <= pool.capacity());
-        let mut seen: Vec<usize> = stolen.into_iter().collect();
-        while let Some(r) = pop(&pool) {
-            seen.push(Box::into_raw(r) as usize);
-        }
-        seen.sort_unstable();
-        parked.sort_unstable();
-        assert_eq!(seen, parked, "a ring was lost or delivered twice");
-        for addr in seen {
-            // SAFETY: `seen == parked`, so each address is one distinct ring
-            // that was popped (hence exclusively owned) exactly once.
-            drop(unsafe { Box::from_raw(addr as *mut Crq) });
-        }
-    })
-}
-
-#[test]
-fn racing_pops_and_repushes_deliver_every_ring_exactly_once() {
-    let report = pool_model(RingPool::pop);
-    assert!(
-        report.executions > 1,
-        "must explore >1 interleaving: {report:?}"
-    );
-    assert!(report.complete, "bounded space not exhausted: {report:?}");
-}
-
 /// Runs a planted-bug model and returns the failure the checker reports.
 fn rejection(model: impl FnOnce() -> Report + std::panic::UnwindSafe) -> String {
     let payload =
         std::panic::catch_unwind(model).expect_err("the checker must reject the planted twin");
     let msg = payload.downcast_ref::<String>();
     msg.expect("model failures carry a String").clone()
-}
-
-#[test]
-fn load_then_store_pop_is_caught_delivering_a_ring_twice() {
-    let msg = rejection(|| pool_model(RingPool::pop_load_then_store));
-    assert!(msg.contains("delivered twice"), "wrong failure: {msg}");
 }
 
 /// A ring that accepts `2^order` enqueues in its lifetime and throws its

@@ -415,8 +415,8 @@ impl Domain {
     /// Retires `ptr` with a custom reclaimer: `reclaim` runs exactly once,
     /// after no hazard slot protects `ptr` anymore. This generalizes
     /// [`retire`](Self::retire) (whose reclaimer is `Box::from_raw` + drop)
-    /// to non-freeing dispositions such as scrubbing an object into a
-    /// recycling pool.
+    /// to reclaimers that do more than the drop, such as a test's that
+    /// counts the objects it frees.
     ///
     /// `reclaim` may run on any thread that happens to [`scan`](Self::scan)
     /// (including a thread dropping its last handle to the domain), so the

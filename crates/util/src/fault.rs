@@ -80,14 +80,10 @@ pub enum Site {
     /// racing to link a fresh ring. `Fail` is ignored (the race itself is
     /// the failure mode; arm [`Site::RingAlloc`] to refuse the ring).
     CloseRace,
-    /// Fresh-ring allocation on the spill path, consulted only after the
-    /// recycling pool misses. `Fail` refuses the allocation: the enqueue
-    /// backs off and retries inside `try_enqueue` / `try_enqueue_batch`,
-    /// and no caller sees the refusal.
+    /// Fresh-ring allocation on the spill path. `Fail` refuses the
+    /// allocation: the enqueue backs off and retries inside `try_enqueue` /
+    /// `try_enqueue_batch`, and no caller sees the refusal.
     RingAlloc,
-    /// `RingPool::push`, just before scrubbing a retired ring for reuse.
-    /// `Fail` is ignored.
-    PoolScrub,
     /// `Domain::protect`, between publishing the hazard and revalidating
     /// the source pointer. A `Stall` here parks the thread while it holds a
     /// published hazard — the memory-bound adversary. `Fail` is ignored.
@@ -139,7 +135,6 @@ impl Site {
         Site::ScqDequeue,
         Site::CloseRace,
         Site::RingAlloc,
-        Site::PoolScrub,
         Site::HazardProtect,
         Site::HazardScan,
         Site::ChannelPark,
@@ -163,7 +158,6 @@ impl Site {
             Site::ScqDequeue => "scq-dequeue",
             Site::CloseRace => "close-race",
             Site::RingAlloc => "ring-alloc",
-            Site::PoolScrub => "pool-scrub",
             Site::HazardProtect => "hazard-protect",
             Site::HazardScan => "hazard-scan",
             Site::ChannelPark => "channel-park",

@@ -44,7 +44,8 @@ pub enum Event {
     UnsafeTransition,
     /// A CRQ was closed.
     CrqClosed,
-    /// A fresh CRQ ring was heap-allocated (the recycling pool missed).
+    /// A fresh CRQ ring was heap-allocated (the list's first ring, or a
+    /// spill).
     RingAlloc,
     /// Completed enqueue operations.
     EnqOp,
@@ -78,12 +79,6 @@ pub enum Event {
     WakeSpurious,
     /// A channel was closed (sender drop or explicit `close()`).
     ChannelClosed,
-    /// A retired ring was served back out of the recycling pool, avoiding a
-    /// heap allocation on the spill path.
-    RingReuse,
-    /// A drained ring was scrubbed (indices re-based onto a fresh reuse
-    /// epoch) on its way into the recycling pool.
-    RingScrub,
     /// An SCQ dequeue returned EMPTY straight from the exhausted threshold
     /// counter, without touching `head` (the livelock-freedom fast exit).
     ThresholdExhausted,
@@ -136,8 +131,6 @@ const EVENT_NAMES: [&str; NUM_EVENTS] = [
     "unpark",
     "wake_spurious",
     "channel_closed",
-    "ring_reuse",
-    "ring_scrub",
     "threshold_exhausted",
     "fault_injected",
     "help_announce",
@@ -261,9 +254,8 @@ impl Snapshot {
     }
 
     /// Fresh ring heap allocations per completed operation (0.0 when no
-    /// operations completed). With the recycling pool warm this sits near
-    /// zero even on spill-heavy workloads; without it every CRQ close costs
-    /// one allocation.
+    /// operations completed). Every ring close costs one allocation, so this
+    /// is about one per `2^ring_order` operations on a spill-heavy workload.
     pub fn allocs_per_op(&self) -> f64 {
         let ops = self.total_ops();
         if ops == 0 {
@@ -473,11 +465,9 @@ mod tests {
     }
 
     #[test]
-    fn allocs_per_op_counts_only_pool_misses() {
+    fn allocs_per_op_counts_ring_allocations() {
         let s = counted(|| {
             add(Event::RingAlloc, 1);
-            add(Event::RingReuse, 9);
-            add(Event::RingScrub, 10);
             add(Event::EnqOp, 50);
             add(Event::DeqOp, 50);
         });
@@ -485,8 +475,6 @@ mod tests {
         assert_eq!(Snapshot::default().allocs_per_op(), 0.0);
         let text = s.to_string();
         assert!(text.contains("ring_alloc"));
-        assert!(text.contains("ring_reuse"));
-        assert!(text.contains("ring_scrub"));
     }
 
     #[test]

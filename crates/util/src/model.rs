@@ -1,7 +1,8 @@
 //! An in-tree, loom-style model checker: bounded-exhaustive exploration of
 //! thread interleavings for the library's hand-rolled synchronization
-//! protocols (the seqlock CAS2 fallback, `parker::EventCount`, the
-//! `RingPool` slot claim, the list of rings' sealed close).
+//! protocols (the seqlock CAS2 fallback, `parker::EventCount`, the list of
+//! rings' sealed close and kept hazard slots, the channel's wait and
+//! capacity protocols).
 //!
 //! # Why in-tree
 //!
@@ -106,10 +107,10 @@ impl Builder {
         F: Fn() + Send + Sync + 'static,
     {
         // One model at a time, process-wide. Modeled code may touch
-        // process-global state (the CAS2 fallback's lock stripe, the ring
-        // pool's thread-slot counter), and `cargo test` runs tests on
-        // parallel threads: a second model holding the stripe looks to this
-        // one like a deadlock, or like nondeterminism on replay.
+        // process-global state (the CAS2 fallback's lock stripe), and
+        // `cargo test` runs tests on parallel threads: a second model
+        // holding the stripe looks to this one like a deadlock, or like
+        // nondeterminism on replay.
         static ONE_MODEL: StdMutex<()> = StdMutex::new(());
         let _one = ONE_MODEL.lock().unwrap_or_else(|e| e.into_inner());
         let f = Arc::new(f);

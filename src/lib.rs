@@ -67,7 +67,7 @@ pub use lcrq_util as util;
 
 pub use lcrq_core::{
     rank_error_bound_for, Crq, CrqClosed, HierarchicalConfig, Lcrq, LcrqCas, LcrqConfig,
-    LcrqGeneric, Lscq, LscqCas, LscqGeneric, Ring, RingList, RingPool, Scq, ScqD, ShardedConfig,
+    LcrqGeneric, Lscq, LscqCas, LscqGeneric, Ring, RingList, Scq, ScqD, ShardedConfig,
     ShardedQueue, Typed, TypedLcrq, TypedLscq, TypedWcq, Wcq, WcqGeneric, WcqRing,
 };
 pub use lcrq_queues::{CcQueue, ConcurrentQueue, FcQueue, HQueue, MsQueue, TwoLockQueue};

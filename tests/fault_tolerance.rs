@@ -201,22 +201,18 @@ fn same_seed_replays_an_identical_hit_log() {
 }
 
 /// A refused ring allocation is retried inside the enqueue, not reported:
-/// with no ring to recycle and the first `REFUSALS` allocations refused,
+/// with the first `REFUSALS` allocations refused,
 /// every `try_enqueue` / `try_enqueue_batch` still returns `Ok`, the queue
 /// never reports closed, and the drain is exactly FIFO. The calling
 /// thread's `FaultInjected` count shows the refusals really fired.
 #[test]
 fn refused_ring_allocation_is_retried_not_reported() {
     let _g = guard();
-    // R = 8 and no pool (an Lscq never has one): every spill allocates.
-    let tiny_unpooled = || {
-        LcrqConfig::new()
-            .with_ring_order(3)
-            .with_ring_pool_capacity(0)
-    };
+    // R = 8: a spill every few items, and every spill allocates.
+    let r8 = || LcrqConfig::new().with_ring_order(3);
     for batch in [false, true] {
-        retries_refused_allocations("lcrq", &Lcrq::with_config(tiny_unpooled()), batch);
-        retries_refused_allocations("lscq", &Lscq::with_config(tiny_unpooled()), batch);
+        retries_refused_allocations("lcrq", &Lcrq::with_config(r8()), batch);
+        retries_refused_allocations("lscq", &Lscq::with_config(r8()), batch);
     }
 }
 
@@ -343,7 +339,6 @@ fn stress_sweep() {
         .with(Site::CrqEnqueue, 300, FaultAction::Fail)
         .with(Site::CloseRace, 2_000, FaultAction::Yield)
         .with(Site::RingAlloc, 20_000, FaultAction::Fail)
-        .with(Site::PoolScrub, 2_000, FaultAction::Yield)
         .with(Site::HazardScan, 2_000, FaultAction::Yield)
         .with(Site::WcqEnqueue, 3_000, FaultAction::Fail)
         .with(Site::WcqDequeue, 3_000, FaultAction::Fail)

@@ -2,10 +2,9 @@
 //! and every spill's ring is full-size (`lcrq_core::list` module docs), so
 //! a queue that holds one item carries about 4.6 KiB of ring, not the
 //! 64 KiB of a full `2^12` ring; and once a deep queue drains, what is
-//! left is its last ring plus the rings its pool keeps — or, once it is
-//! closed, its last ring alone. The list scans at every ring it retires,
-//! so no drained ring waits retired unless a hazard slot names it, and the
-//! scan itself allocates nothing.
+//! left is its last ring alone. The list frees every ring it retires at
+//! once unless a hazard slot names it, and the scan that frees it
+//! allocates nothing.
 //!
 //! A test binary of its own because it installs a counting
 //! `#[global_allocator]`. The counts are per thread — each test builds and
@@ -85,9 +84,8 @@ fn a_channel_holding_one_item_stays_under_8_kib() {
 }
 
 /// Fills the queue `new` builds 10^5 deep and drains it on this thread:
-/// what is left is its last ring and the rings its pool keeps (none for a
-/// ring type that is not recycled).
-fn a_drain_keeps_the_last_ring_and_the_pool<R: Ring>(new: fn() -> RingList<R>) {
+/// what is left is its last ring.
+fn a_drain_keeps_only_the_last_ring<R: Ring>(new: fn() -> RingList<R>) {
     const DEPTH: u64 = 100_000;
     let config = LcrqConfig::new();
     let ring_bytes = ring_bytes::<R>(&config);
@@ -97,27 +95,26 @@ fn a_drain_keeps_the_last_ring_and_the_pool<R: Ring>(new: fn() -> RingList<R>) {
     (0..DEPTH).for_each(|i| assert_eq!(q.dequeue(), Some(i)));
     assert_eq!(q.dequeue(), None);
     let live = LIVE.get() - before;
-    let rings = 1 + q.ring_pool().capacity() as i64;
     assert!(
-        live <= empty + rings * ring_bytes,
+        live <= empty + ring_bytes,
         "{live} B live after a drain; the empty queue took {empty} B \
-         and {rings} rings of {ring_bytes} B are allowed"
+         and one ring of {ring_bytes} B is allowed"
     );
 }
 
 #[test]
-fn a_drained_queue_keeps_its_last_ring_and_its_pool() {
-    a_drain_keeps_the_last_ring_and_the_pool(Lcrq::new);
+fn a_drained_queue_keeps_only_its_last_ring() {
+    a_drain_keeps_only_the_last_ring(Lcrq::new);
 }
 
 #[test]
 fn a_drained_lscq_keeps_only_its_last_ring() {
-    a_drain_keeps_the_last_ring_and_the_pool(Lscq::new);
+    a_drain_keeps_only_the_last_ring(Lscq::new);
 }
 
 #[test]
 fn a_drained_wcq_keeps_only_its_last_ring() {
-    a_drain_keeps_the_last_ring_and_the_pool(Wcq::new);
+    a_drain_keeps_only_the_last_ring(Wcq::new);
 }
 
 #[test]
@@ -154,7 +151,7 @@ fn four_consumers_leave_no_drained_ring_behind() {
     // rings other threads' slots name: here the other consumers' head
     // slots, one ring each (the producer's names the last ring). So after
     // its last scan a consumer holds at most CONSUMERS - 1 retired rings.
-    let rings = 1 + config.ring_pool_capacity as i64 + (CONSUMERS - 1) * CONSUMERS;
+    let rings = 1 + (CONSUMERS - 1) * CONSUMERS;
     assert!(
         live <= empty + rings * ring_bytes,
         "{live} B live after {CONSUMERS} consumers drained the queue; the \
@@ -167,18 +164,16 @@ fn four_consumers_leave_no_drained_ring_behind() {
 fn a_drain_that_retires_rings_allocates_nothing() {
     const DEPTH: u64 = 100_000;
     let q = Lcrq::new();
-    // Warm: the first drain fills the pool and grows this thread's hazard
-    // buffers; the second fill takes the pool's rings back.
+    // Warm: the first drain grows this thread's hazard buffers (its
+    // retired list and hazard snapshot); the second fill allocates the
+    // rings the second drain retires and frees.
     (0..DEPTH).for_each(|i| q.enqueue(i));
     assert!(q.drain().eq(0..DEPTH));
     (0..DEPTH).for_each(|i| q.enqueue(i));
+    assert!(q.ring_count() >= 20, "the drain below must retire rings");
     let before = ALLOCS.get();
     assert!(q.drain().eq(0..DEPTH));
     let allocs = ALLOCS.get() - before;
-    assert!(
-        q.ring_pool().is_full(),
-        "the drain retired more rings than the pool keeps"
-    );
     assert_eq!(allocs, 0, "allocations while draining {DEPTH} items");
 }
 
@@ -189,7 +184,6 @@ fn a_closed_drained_channel_keeps_only_its_last_ring() {
     let before = LIVE.get();
     let ((tx, rx), empty) = live_of(channel::channel::<u64>);
     (0..DEPTH).for_each(|i| tx.send(i).unwrap());
-    // The last sender's drop seals the list, and the seal empties the pool.
     drop(tx);
     (0..DEPTH).for_each(|i| assert_eq!(rx.recv(), Ok(i)));
     assert!(rx.recv().is_err(), "disconnected once drained");
