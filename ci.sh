@@ -15,11 +15,11 @@
 # | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench; tests/footprint.rs (own counting allocator) pins a one-item Lcrq <= 6 KiB, a one-item channel <= 8 KiB, a closed drained channel to its last ring, a drained Lcrq/Lscq/Wcq to its last ring, a drain that retires rings to 0 allocations | 15 |
 # | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
 # | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing, and a queued item costs <= 20 heap bytes, in the optimised build either |  8 |
-# | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) / channel / lcrq-channel --lib | 20 runs each: a 1-in-6 flake cannot pass | 43 |
+# | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) / channel / lcrq-channel --lib / linearizability pollers | 20 runs each: a 1-in-6 flake cannot pass; 20 seeds of EMPTY-after-EMPTY polls checked by Wing–Gong | 43 |
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4                  | four replay seeds; a 16 x 1000-op history delivers exactly once |  7 |
-# | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds | the registry's feature-only unit suite; eight pinned schedules | 3 |
-# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg); the list's seal model crosses the small-to-full spill | 72 |
+# | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds; pollers under preemption x4 seeds | the registry's feature-only unit suite; eight pinned schedules; poller histories with the read-only EMPTY proof preempted | 3 |
+# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg); the list's seal model crosses the small-to-full spill; an EMPTY after an EMPTY stays honest across a spill | 72 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
 # | bench smoke     | 11 bins --smoke; table2_stats armed + refused        | every bin still runs and parses its flags; every pairs run reconciles delivery; `--preempt-ppm` arms only the fault-injection build |  2 |
 # | nm probe        | nm on every target/release executable                | no fault-registry symbol or `PREEMPT_PPM` in the default build (also builds the release `progress` test binary for objdump) | 12 |
@@ -77,7 +77,7 @@ cargo test --release --test typed_inline -q
 # tests that say what an idle, an emptied and an exited thread pin, and the
 # `ring_count` walk against concurrent head swings with retired rings really
 # freed; they take no seed, the sweep just runs them 20 times.
-echo "==> repeat-run gate (x20: shutdown, fault tolerance, kept hazard slots, channel)"
+echo "==> repeat-run gate (x20: shutdown, fault tolerance, kept hazard slots, channel, pollers)"
 REPEAT_SEEDS=$(seq 1 20 | tr '\n' ' ')
 seed_sweep "channel_shutdown" "$REPEAT_SEEDS" --test channel_shutdown -q
 seed_sweep "fault_tolerance" "$REPEAT_SEEDS" \
@@ -91,6 +91,13 @@ seed_sweep "reclamation: kept slots" "$REPEAT_SEEDS" \
 # the park path on most messages; 20 runs each.
 seed_sweep "channel" "$REPEAT_SEEDS" --test channel -q
 seed_sweep "lcrq-channel lib" "$REPEAT_SEEDS" -p lcrq-channel --lib -q
+# Pollers: two consumers poll an `Lcrq` that one producer feeds with gaps,
+# so back-to-back EMPTYs take the list's read-only EMPTY after an EMPTY and
+# the enqueues between them must break it; on the default ring and on
+# `ring_order` 1 and 2, where polls cross closes, spills and reused ring
+# addresses. Each seed is a different set of histories for the checker.
+seed_sweep "linearizability: pollers" "$REPEAT_SEEDS" \
+    --test linearizability -q lcrq_poller_histories_are_linearizable
 
 # wCQ gate (DESIGN.md "wCQ helping"): the request-record state-machine
 # suite, the full step-bound progress module (wcq holds the per-op step
@@ -130,6 +137,11 @@ echo "==> fault-injection gate"
 cargo test -p lcrq-util --features fault-injection -q
 seed_sweep "stress sweep" "0x1 0x2 0x3 0x5EED 0xC0FFEE 0xDEADBEEF 0xFA175EED 0xFFFFFFFF" \
     --features fault-injection --test fault_tolerance -q stress_sweep
+# The pollers' histories again, with the `Site::Preempt` yield armed: the
+# one between the EMPTY proof's head read and its second tail read too.
+seed_sweep "pollers under preemption" "0x1 0x5EED 0xC0FFEE 0xDEADBEEF" \
+    --features fault-injection --test linearizability -q \
+    lcrq_poller_histories_are_linearizable_under_preemption
 
 # Loom gate (DESIGN.md "Weak memory & model checking"): the in-tree model
 # checker explores thread interleavings of the seqlock CAS2 fallback (plus
@@ -140,7 +152,10 @@ seed_sweep "stress sweep" "0x1 0x2 0x3 0x5EED 0xC0FFEE 0xDEADBEEF 0xFA175EED 0xF
 # the cfg) to a full-size ring (plus the planted flag-then-walk twin,
 # which it must catch losing an item), the list's kept hazard slots against a concurrent retire and scan
 # (plus the planted remembered-pointer twin of `Domain::protect`'s elision,
-# which it must catch entering a reclaimed ring), the channel's async
+# which it must catch entering a reclaimed ring), a consumer's EMPTY after an
+# EMPTY against an enqueue that spills behind the drained head ring (plus the
+# planted twin that trusts the ring's proof without reading `next`, which it
+# must catch answering a dishonest EMPTY), the channel's async
 # wait protocol: `poll_until` against a
 # notify and `release` of a woken future against a second waiter (plus the
 # no-re-attempt and no-pass-on twins, which it must catch losing a wakeup),

@@ -1006,12 +1006,14 @@ mod tests {
 
     /// F&As a `recv()` performs on its own thread when it finds the channel
     /// empty, climbs the whole ladder, parks once, and is then sent one
-    /// item: the ladder's two empty attempts (one inline, one after
-    /// `prepare`) at 3 F&As each and the one that succeeds at 1. The watch
-    /// between them reads the emptiness hint and attempts nothing. This is
-    /// the ladder's attempt budget, which the `openloop_*` benchmark
-    /// workloads pay per message; change it only with their numbers in hand.
-    const FAA_PER_PARKED_RECV: u64 = 2 * 3 + 1;
+    /// item: the inline attempt takes the paper's path (the head ticket and
+    /// `fixState`'s two reads, 3), the attempt after `prepare` follows that
+    /// EMPTY on the same ring and proves it read-only (0), and the one after
+    /// the wake takes the item (1). The watch between them reads the
+    /// emptiness hint and attempts nothing: 3 + 0 + 1. This is the ladder's
+    /// attempt budget, which the `openloop_*` benchmark workloads pay per
+    /// message; change it only with their numbers in hand.
+    const FAA_PER_PARKED_RECV: u64 = 3 + 1;
 
     #[test]
     fn recv_that_parks_once_performs_a_fixed_number_of_faa() {

@@ -425,7 +425,8 @@ impl<P: FaaPolicy> Crq<P> {
 /// The CRQ as a [`Ring`]. Construction, `enqueue`, `dequeue` and the batch
 /// pair forward to the inherent methods above (callers without the trait in
 /// scope use those); the rest of the ring's surface lives here. The hooks
-/// it overrides are its `FAA(k)` batches and the LCRQ+H cluster word.
+/// it overrides are its `FAA(k)` batches, the LCRQ+H cluster word and the
+/// read-only EMPTY proof.
 impl<P: FaaPolicy> Ring for Crq<P> {
     fn new(config: &LcrqConfig, order: u32) -> Self {
         Crq::with_seed(config, order, &[])
@@ -452,6 +453,16 @@ impl<P: FaaPolicy> Ring for Crq<P> {
     }
     fn is_closed(&self) -> bool {
         self.tail.load(Ordering::SeqCst) & CLOSED_BIT != 0
+    }
+    /// `tail`, `head`, `tail` again, and no ticket. `tail` only grows, so
+    /// two equal reads place `head >= tail` at the instant of the head read:
+    /// the condition under which Figure 3b's dequeue answers EMPTY
+    /// (`tail <= h + 1` after its own F&A). A closed ring proves nothing.
+    fn proves_empty(&self) -> bool {
+        let t = self.tail.load(Ordering::SeqCst);
+        let h = self.head.load(Ordering::SeqCst);
+        let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
+        t & CLOSED_BIT == 0 && h >= t && self.tail.load(Ordering::SeqCst) == t
     }
     fn next(&self) -> &AtomicPtr<Self> {
         &self.next
@@ -506,6 +517,31 @@ mod tests {
         assert_eq!(q.dequeue(), None);
         assert_eq!(q.dequeue(), None);
         assert!(!q.is_closed());
+    }
+
+    #[test]
+    fn proves_empty_where_figure_3b_would_answer_empty() {
+        let q = crq(4);
+        assert!(q.proves_empty(), "a fresh ring");
+        q.enqueue(1).unwrap();
+        assert!(!q.proves_empty(), "an item is queued");
+        assert_eq!(q.dequeue(), Some(1));
+        assert!(q.proves_empty(), "after the last item's dequeue");
+        // A full-path EMPTY pushes head past tail; fixState repairs it.
+        assert_eq!(q.dequeue(), None);
+        assert_eq!((q.head_index(), q.tail_index()), (2, 2));
+        assert!(q.proves_empty(), "after a repaired head overshoot");
+    }
+
+    #[test]
+    fn proves_nothing_with_a_ticket_out_or_a_closed_ring() {
+        let q = crq(4);
+        // An enqueuer that has taken ticket 0 and not yet placed its item.
+        q.tail.store(1, Ordering::SeqCst);
+        assert!(!q.proves_empty(), "head < tail");
+        let q = crq(4);
+        q.close();
+        assert!(!q.proves_empty(), "a closed ring");
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! list, whatever its ring type, allocates, retires and frees rings on
 //! this one path.
 //!
+//! A dequeue that follows this thread's EMPTY on the same head ring first
+//! asks the ring to prove, read-only, that it is still empty
+//! ([`Ring::proves_empty`]); if it is, and `next` is still null, the answer
+//! is EMPTY without a ticket. A poller on an empty [`Lcrq`] then stops
+//! writing the `tail` word and the nodes the next enqueuer needs.
+//!
 //! # Ring sizes: a small first ring, then full-size rings
 //!
 //! The list chooses each ring's size. The first ring has `2^FIRST_ORDER`
@@ -52,6 +58,7 @@
 //! in a finite number of enqueuer steps (closing + linking always succeeds
 //! for someone), and likewise for dequeues.
 
+use core::cell::Cell;
 use core::sync::atomic::Ordering;
 
 use lcrq_atomic::{ops, CasLoopFaa, HardwareFaa};
@@ -146,6 +153,15 @@ const HP_WALK: usize = 2;
 /// queue that starts small"). 1 under the model checker, so a model with
 /// `ring_order` 2 crosses the spill from the small ring to a full one.
 const FIRST_ORDER: u32 = if cfg!(loom) { 1 } else { 8 };
+
+thread_local! {
+    /// The address of the head ring on which this thread's last
+    /// [`RingList::dequeue`] answered EMPTY, or 0. A hint, not a proof: the
+    /// next dequeue on that ring first asks [`Ring::proves_empty`], and a
+    /// stale address (another queue's ring, or a ring freed and allocated
+    /// again at the same address) costs one proof attempt.
+    static EMPTY_ON: Cell<usize> = const { Cell::new(0) };
+}
 
 impl<R: Ring> RingList<R> {
     /// What [`close`](Self::close) stores in the last ring's `next`: not
@@ -375,12 +391,23 @@ impl<R: Ring> RingList<R> {
             // SAFETY: hazard-protected.
             let ring_ref = unsafe { &*ring };
             self.cluster_gate(ring_ref);
+            if EMPTY_ON.get() == ring as usize {
+                // An EMPTY after an EMPTY: the ring was empty at the proof's
+                // instant, and a null `next` read after it says it was the
+                // last ring then too, so the queue was empty at that instant.
+                if ring_ref.proves_empty() && ring_ref.next().load(Ordering::SeqCst).is_null() {
+                    self.domain.clear(HP_HEAD);
+                    return None;
+                }
+                EMPTY_ON.set(0);
+            }
             if let Some(v) = ring_ref.dequeue() {
                 return Some(v);
             }
             let next = ring_ref.next().load(Ordering::SeqCst);
             if next.is_null() {
                 self.domain.clear(HP_HEAD);
+                EMPTY_ON.set(ring as usize);
                 return None;
             }
             // Linked or sealed, so this ring is closed for good. An enqueue
@@ -602,13 +629,14 @@ impl<R: Ring> RingList<R> {
     }
 }
 
-/// The planted-bug twin of the seal, reachable only by the model checker:
-/// `tests/loom.rs` runs it against the same consumer settle poll and
-/// asserts the checker finds the lost item. Shutdown here is a flag that
-/// enqueuers check (on entry, and again on finding their ring closed) and
-/// that `close` raises before walking the chain closing rings — so nothing
-/// stops an enqueuer already past its last check from linking a fresh ring
-/// after the walk has passed.
+/// The planted-bug twins, reachable only by the model checker.
+///
+/// The twin of the seal: `tests/loom.rs` runs it against the same consumer
+/// settle poll and asserts the checker finds the lost item. Shutdown here
+/// is a flag that enqueuers check (on entry, and again on finding their
+/// ring closed) and that `close` raises before walking the chain closing
+/// rings — so nothing stops an enqueuer already past its last check from
+/// linking a fresh ring after the walk has passed.
 #[cfg(loom)]
 #[doc(hidden)]
 impl<R: Ring> RingList<R> {
@@ -641,6 +669,19 @@ impl<R: Ring> RingList<R> {
         self.last_ring().expect("the twin never seals").close();
         self.domain.clear(HP_TAIL);
         true
+    }
+
+    /// The planted-bug twin of the EMPTY after an EMPTY: it trusts the
+    /// ring's proof without reading `next`, so a ring that was drained,
+    /// closed and given a successor holding an item still answers `None`.
+    pub fn dequeue_trusting_the_proof(&self) -> Option<u64> {
+        let ring = self.domain.protect(HP_HEAD, &self.head);
+        // SAFETY: hazard-protected.
+        if EMPTY_ON.get() == ring as usize && unsafe { &*ring }.proves_empty() {
+            self.domain.clear(HP_HEAD);
+            return None;
+        }
+        self.dequeue()
     }
 }
 
@@ -1194,6 +1235,24 @@ mod tests {
         let d = counted(|| (0..=1000).for_each(|i| pair(&q, i)));
         assert_eq!(d.get(Event::HazardPublish), 2);
         assert_eq!(d.get(Event::Faa), 2002);
+    }
+
+    #[test]
+    fn an_empty_poll_after_an_empty_takes_no_ticket() {
+        let q = Lcrq::new();
+        assert_eq!(q.dequeue(), None); // the paper's path: sets the hint
+        let d = counted(|| (0..1000).for_each(|_| assert_eq!(q.dequeue(), None)));
+        assert_eq!(d.get(Event::Faa), 0);
+        assert_eq!(d.get(Event::Cas2Attempt), 0);
+        assert_eq!(d.get(Event::EmptyTransition), 0);
+        // What an EMPTY still costs: every EMPTY clears HP_HEAD, so the next
+        // poll publishes it again.
+        assert_eq!(d.get(Event::HazardPublish), 1000);
+        // An item from another thread fails the proof; the paper's path
+        // takes it with its one head ticket.
+        std::thread::scope(|s| s.spawn(|| q.enqueue(7)).join().unwrap());
+        let d = counted(|| assert_eq!(q.dequeue(), Some(7)));
+        assert_eq!(d.get(Event::Faa), 1);
     }
 
     #[test]

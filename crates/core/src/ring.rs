@@ -19,6 +19,7 @@
 //! | hook | overridden by | why |
 //! |---|---|---|
 //! | [`rearm`](Ring::rearm) | `ScqD`, `WcqRing` | their threshold counter can report EMPTY without scanning; the list's abandonment double-check must force a scan |
+//! | [`proves_empty`](Ring::proves_empty) | `Crq` | three loads (`tail`, `head`, `tail`) prove EMPTY without a head ticket; SCQ/wCQ's threshold already answers EMPTY read-only |
 //! | [`enqueue_batch`](Ring::enqueue_batch) / [`dequeue_batch`](Ring::dequeue_batch) | `Crq` | one `FAA(k)` reserves `k` slots; SCQ/wCQ cannot validate a group of cycles |
 //! | [`cluster`](Ring::cluster) | `Crq` | the LCRQ+H owner word (§4.1.1) |
 //!
@@ -125,6 +126,16 @@ pub trait Ring: Sized + Send + Sync + 'static {
     /// shortcut (SCQ's threshold) says EMPTY. Called only on a closed ring
     /// the list is about to give up on, whose tail is therefore frozen.
     fn rearm(&self) {}
+
+    /// Proves, read-only, that the ring was empty at one instant during the
+    /// call: `true` only if a [`dequeue`](Self::dequeue) linearized at that
+    /// instant would have answered EMPTY. `false` proves nothing. The list
+    /// asks only after this thread's last dequeue answered EMPTY on the
+    /// same ring, so a ring whose EMPTY is already read-only keeps the
+    /// default.
+    fn proves_empty(&self) -> bool {
+        false
+    }
 
     /// The LCRQ+H cluster-owner word, if the ring has one.
     fn cluster(&self) -> Option<&AtomicU64> {

@@ -19,6 +19,18 @@
 //! the enqueuer that finds the first ring exhausted crosses the spill from
 //! the small ring to a full-size one, twice its size.
 //!
+//! **An EMPTY after an EMPTY.** A dequeue that follows its thread's EMPTY
+//! on the same head ring answers EMPTY if the ring proves itself empty and
+//! `next` is still null. [`TinyRing`]'s proof is its item queue read empty
+//! under the mutex, closed or not, so the `next` read is all that stands
+//! between a drained ring with a successor and a wrong EMPTY. One model
+//! races a consumer polling twice, the second time through that shortcut,
+//! against an enqueuer whose item spills behind the drained first ring.
+//! Property: exactly-once delivery, and no EMPTY from a poll that started
+//! after the enqueue returned `Ok`, unless an earlier poll took the item.
+//! The planted twin that trusts the proof without reading `next` must be
+//! caught answering that EMPTY.
+//!
 //! **Kept slots.** The list leaves its hazard slots published between calls
 //! and `Domain::protect` publishes nothing while the slot already names the
 //! ring; the hazard slots come from the sync facade too, so the publish, the
@@ -40,7 +52,7 @@ use lcrq_core::crq::CrqClosed;
 use lcrq_core::{Ring, RingList};
 use lcrq_hazard::Domain;
 use lcrq_util::model::{thread, Builder, Report};
-use lcrq_util::sync::{AtomicPtr, Mutex, Ordering};
+use lcrq_util::sync::{AtomicBool, AtomicPtr, Mutex, Ordering};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -143,6 +155,11 @@ impl<const WATCHED: bool> Ring for TinyRing<WATCHED> {
     fn tail_index(&self) -> u64 {
         self.state.lock().unwrap().items.len() as u64
     }
+    // Empty, closed or not: only the list's `next` read keeps a drained ring
+    // with a successor from answering EMPTY.
+    fn proves_empty(&self) -> bool {
+        self.state.lock().unwrap().items.is_empty()
+    }
     fn name(_hierarchical: bool) -> &'static str {
         "tiny"
     }
@@ -164,12 +181,14 @@ struct Protocol {
 /// closed and goes to link a fresh full-size ring. Otherwise the tail ring
 /// is open and the enqueue races the close inside it.
 ///
-/// The exhausted space is 41 940 schedules: the consumer that swings `head`
+/// The exhausted space is 42 132 schedules: the consumer that swings `head`
 /// past the drained ring scans at once, and every slot that scan loads is a
-/// decision point. The open one is 25 556.
+/// decision point, and a settle poll's second dequeue that follows an EMPTY
+/// on the same ring asks the ring's proof and reads `next` first. The open
+/// one is 25 674.
 fn settle_model(p: Protocol, exhausted: bool) -> Report {
     Builder {
-        max_executions: 42_000,
+        max_executions: 42_200,
         ..Builder::new()
     }
     .check(move || {
@@ -233,6 +252,64 @@ fn flag_then_walk_close_is_caught_losing_an_item() {
     };
     let msg = rejection(|| settle_model(unsealed, true));
     assert!(msg.contains("lost item"), "wrong failure: {msg}");
+}
+
+/// One enqueuer × one consumer that polls twice, the second time after an
+/// EMPTY on the same head ring, so through the list's read-only EMPTY. The
+/// first ring has used up both its slots and been drained before the
+/// threads start, so the enqueue closes it and spills its item into a
+/// full-size ring linked behind it. `poll` is the consumer's dequeue.
+///
+/// Properties: the item of an `Ok` enqueue is delivered exactly once, and
+/// a poll that starts after that enqueue returned does not answer EMPTY
+/// unless an earlier poll took the item.
+fn poll_model(poll: fn(&TinyList) -> Option<u64>) -> Report {
+    Builder::new().check(move || {
+        let q = Arc::new(TinyList::with_config(LcrqConfig::new().with_ring_order(2)));
+        q.enqueue(1);
+        q.enqueue(2);
+        assert_eq!((q.dequeue(), q.dequeue()), (Some(1), Some(2)));
+        let returned = Arc::new(AtomicBool::new(false));
+        let (qe, qr) = (Arc::clone(&q), Arc::clone(&q));
+        let flag = Arc::clone(&returned);
+        let enqueuer = thread::spawn(move || {
+            let accepted = qe.try_enqueue(3).is_ok();
+            flag.store(accepted, Ordering::SeqCst);
+            accepted
+        });
+        let consumer = thread::spawn(move || {
+            let first = poll(&qr);
+            let after_ok = returned.load(Ordering::SeqCst);
+            (first, after_ok, poll(&qr))
+        });
+        let accepted = enqueuer.join().unwrap();
+        let (first, after_ok, second) = consumer.join().unwrap();
+        if after_ok && first.is_none() {
+            assert_eq!(second, Some(3), "dishonest EMPTY after an Ok enqueue");
+        }
+        let leftover: Vec<u64> = q.drain().collect();
+        let delivered = first.iter().chain(&second).chain(&leftover).count();
+        assert_eq!(delivered, accepted as usize, "accepted != delivered");
+    })
+}
+
+#[test]
+fn an_empty_after_an_empty_is_honest() {
+    let report = poll_model(TinyList::dequeue);
+    assert!(
+        report.executions > 1,
+        "must explore >1 interleaving: {report:?}"
+    );
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+#[test]
+fn trusting_the_proof_without_next_is_caught_answering_empty() {
+    // The planted twin: the second poll answers EMPTY on the ring's proof
+    // alone. The drained first ring proves empty while its successor holds
+    // the item.
+    let msg = rejection(|| poll_model(TinyList::dequeue_trusting_the_proof));
+    assert!(msg.contains("dishonest EMPTY"), "wrong failure: {msg}");
 }
 
 type WatchedRing = TinyRing<true>;

@@ -7,6 +7,9 @@
 //! duplication, loss, and premature-EMPTY bugs — each seed produces a
 //! different interleaving pressure via randomized op mixes.
 
+#[cfg(feature = "fault-injection")]
+mod common;
+
 use lcrq_bench::{QueueKind, QueueSpec, ALL_KINDS};
 use lcrq_verify::{
     check_fifo, check_relaxed, check_tantrum, record, Completed, HistoryOp, Recording,
@@ -205,6 +208,115 @@ fn optimistic_queue_histories_are_linearizable() {
 #[test]
 fn baskets_queue_histories_are_linearizable() {
     check_kind(QueueKind::Baskets, 40);
+}
+
+/// Records one history of pollers on an `Lcrq` built with `config`: a
+/// producer enqueues `ITEMS` values with random gaps while two consumers,
+/// started on the empty queue, each poll `dequeue` `POLLS` times with
+/// gaps of their own. Back-to-back EMPTYs take the list's read-only EMPTY
+/// after an EMPTY, and the enqueues that land between polls must make it
+/// fail.
+fn poller_history(config: lcrq::LcrqConfig, seed: u64) -> Recording {
+    use lcrq::util::XorShift64Star;
+    use lcrq_verify::OpRecord;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Barrier, Mutex};
+    const ITEMS: u64 = 6;
+    const POLLS: usize = 8;
+
+    /// Up to `max` spin-loop hints, sometimes a yield instead.
+    fn gap(rng: &mut XorShift64Star, max: u64) {
+        if rng.chance(1, 4) {
+            std::thread::yield_now();
+        } else {
+            (0..rng.next_below(max)).for_each(|_| std::hint::spin_loop());
+        }
+    }
+
+    let q = lcrq::Lcrq::with_config(config);
+    let clock = AtomicU64::new(0);
+    let log: Mutex<Vec<OpRecord>> = Mutex::new(Vec::new());
+    let barrier = Barrier::new(3);
+    let (q, clock, log, barrier) = (&q, &clock, &log, &barrier);
+    let timed = |thread: usize, op: &dyn Fn() -> HistoryOp| {
+        let invoked = clock.fetch_add(1, Ordering::SeqCst);
+        let op = op();
+        let returned = clock.fetch_add(1, Ordering::SeqCst);
+        OpRecord {
+            thread,
+            op,
+            invoked,
+            returned,
+        }
+    };
+    std::thread::scope(|s| {
+        for thread in 0..3 {
+            s.spawn(move || {
+                let mut rng = XorShift64Star::new(seed ^ ((thread as u64 + 1) << 40));
+                let mut local = Vec::new();
+                barrier.wait();
+                if thread == 0 {
+                    for v in 0..ITEMS {
+                        gap(&mut rng, 4_000);
+                        local.push(timed(0, &|| {
+                            q.enqueue(v);
+                            HistoryOp::Enq(v)
+                        }));
+                    }
+                } else {
+                    for _ in 0..POLLS {
+                        local.push(timed(thread, &|| match q.dequeue() {
+                            Some(v) => HistoryOp::DeqOk(v),
+                            None => HistoryOp::DeqEmpty,
+                        }));
+                        gap(&mut rng, 1_500);
+                    }
+                }
+                log.lock().unwrap().extend(local);
+            });
+        }
+    });
+    let mut ops = std::mem::take(&mut *log.lock().unwrap());
+    ops.sort_by_key(|r| r.invoked);
+    Recording { ops }
+}
+
+/// [`poller_history`] over `rounds` seeds on the default ring and on
+/// `ring_order` 1 and 2, where polls cross ring closes, spills and rings
+/// freed and allocated again at the same address.
+fn check_pollers(rounds: u64) {
+    for order in [None, Some(1), Some(2)] {
+        let config = order.map_or_else(lcrq::LcrqConfig::new, |o| {
+            lcrq::LcrqConfig::new().with_ring_order(o)
+        });
+        for round in 0..rounds {
+            let seed = lcrq::util::rng::test_seed(round * 29 + 11);
+            let rec = poller_history(config.clone(), seed);
+            if let Err(e) = check_fifo(&rec) {
+                panic!(
+                    "lcrq pollers (ring_order {order:?}): seed {seed} produced a \
+                     non-linearizable history (reproduce with LCRQ_TEST_SEED={seed}): \
+                     {e}\n{:#?}",
+                    rec.ops
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn lcrq_poller_histories_are_linearizable() {
+    check_pollers(40);
+}
+
+/// The same pollers with the scheduler adversary armed: every
+/// `Site::Preempt` point, the one inside the read-only EMPTY proof
+/// included, yields one visit in ten.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn lcrq_poller_histories_are_linearizable_under_preemption() {
+    let _adversary = common::adversarial_preemption(100_000);
+    check_pollers(40);
 }
 
 #[test]
