@@ -198,7 +198,7 @@ impl Entry {
 /// never distort the comparison.
 pub const BOUNDED_CAPACITY: usize = 4096;
 
-/// The registry side of the default roster: all 15 backend kinds plus the
+/// The registry side of the default roster: all 12 backend kinds plus the
 /// flagship sharded composition, at the given ring order.
 pub fn registry_entries(ring_order: u32) -> Vec<Entry> {
     let mut entries: Vec<Entry> = crate::registry::ALL_KINDS

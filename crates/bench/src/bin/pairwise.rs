@@ -1,5 +1,5 @@
 //! Cross-library pairwise arena (ROADMAP open item "cross-library arena
-//! benchmark"): races all 15 registry backends, the flagship sharded
+//! benchmark"): races all 12 registry backends, the flagship sharded
 //! composition, and the external baselines under the chaoran
 //! fast-wait-free-queue methodology — enqueue/dequeue pairs with a
 //! randomized 50–150 ns inter-operation delay, warmup discarded,

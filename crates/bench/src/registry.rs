@@ -21,10 +21,7 @@ use lcrq_core::infinite::InfiniteArrayQueue;
 use lcrq_core::{
     HierarchicalConfig, Lcrq, LcrqCas, LcrqConfig, Lscq, LscqCas, ShardedConfig, ShardedQueue, Wcq,
 };
-use lcrq_queues::{
-    BasketsQueue, CcQueue, ConcurrentQueue, FcQueue, HQueue, MsQueue, OptimisticQueue, SimQueue,
-    TwoLockQueue,
-};
+use lcrq_queues::{CcQueue, ConcurrentQueue, FcQueue, HQueue, MsQueue, TwoLockQueue};
 
 /// The backend queue algorithms the harness can instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,12 +50,6 @@ pub enum QueueKind {
     Fc,
     /// The Figure-2 infinite-array queue (study only).
     Infinite,
-    /// SimQueue: wait-free P-Sim combining (related work; extension).
-    Sim,
-    /// Ladan-Mozes & Shavit optimistic queue (related work; extension).
-    Optimistic,
-    /// Hoffman, Shalev & Shavit baskets queue (related work; extension).
-    Baskets,
 }
 
 /// Every backend kind, in the order the paper's figures list them.
@@ -75,9 +66,6 @@ pub const ALL_KINDS: &[QueueKind] = &[
     QueueKind::Ms,
     QueueKind::TwoLock,
     QueueKind::Infinite,
-    QueueKind::Sim,
-    QueueKind::Optimistic,
-    QueueKind::Baskets,
 ];
 
 impl QueueKind {
@@ -97,9 +85,6 @@ impl QueueKind {
             "h-queue" | "h" => Self::H,
             "fc-queue" | "fc" => Self::Fc,
             "infinite" | "infinite-array" => Self::Infinite,
-            "sim-queue" | "sim" => Self::Sim,
-            "optimistic" => Self::Optimistic,
-            "baskets" => Self::Baskets,
             _ => return None,
         })
     }
@@ -119,9 +104,6 @@ impl QueueKind {
             Self::H => "h-queue",
             Self::Fc => "fc-queue",
             Self::Infinite => "infinite-array",
-            Self::Sim => "sim-queue",
-            Self::Optimistic => "optimistic",
-            Self::Baskets => "baskets",
         }
     }
 
@@ -371,9 +353,6 @@ impl QueueSpec {
                     QueueKind::Infinite => {
                         Box::new(InfiniteArrayQueue::<lcrq_atomic::HardwareFaa>::new())
                     }
-                    QueueKind::Sim => Box::new(SimQueue::new()),
-                    QueueKind::Optimistic => Box::new(OptimisticQueue::new()),
-                    QueueKind::Baskets => Box::new(BasketsQueue::new()),
                 }
             }
             Self::Sharded { shards, d, inner } => {

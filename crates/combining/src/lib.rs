@@ -34,7 +34,6 @@ pub mod hsynch;
 mod list;
 pub mod lock;
 pub mod seq;
-pub mod sim;
 mod tls;
 
 pub use ccsynch::CcSynch;
@@ -42,7 +41,6 @@ pub use flat::FlatCombining;
 pub use hsynch::HSynch;
 pub use lock::TasLock;
 pub use seq::SeqObject;
-pub use sim::Sim;
 
 /// Default bound on how many requests one combiner serves before handing the
 /// role over (keeps individual combining rounds — and thus any one thread's

@@ -19,7 +19,7 @@ pub trait SeqObject {
 /// A trivial sequential counter, used by tests of every construction: the
 /// final count proves no operation was lost or applied twice, and returned
 /// previous-values prove each application was atomic.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct SeqCounter {
     value: u64,
 }
@@ -36,7 +36,7 @@ impl SeqObject for SeqCounter {
 }
 
 /// A sequential FIFO queue over `u64`, for construction tests.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct SeqFifo {
     items: std::collections::VecDeque<u64>,
 }

@@ -25,12 +25,15 @@
 //!
 //! What all three rings do share is where they *store* position `i`: the
 //! `spread` / `remap` / `pos_of` bijection below, which keeps neighbouring
-//! positions a cache line (pair) apart without padding the entries.
+//! positions a cache line (pair) apart without padding the entries. The two
+//! SCQ-family rings also share their cycle arithmetic: `FINALIZED_BIT`,
+//! `threshold_max`, `cycle_of` and `catchup`.
 //!
 //! [`RingList`]: crate::RingList
 
-use core::sync::atomic::AtomicU64;
+use core::sync::atomic::{AtomicU64, Ordering};
 
+use lcrq_atomic::ops;
 use lcrq_util::sync::AtomicPtr;
 
 use crate::config::LcrqConfig;
@@ -69,6 +72,42 @@ pub(crate) fn remap(pos: u64, order: u32) -> usize {
 pub(crate) fn pos_of(slot: usize, order: u32) -> u64 {
     let (unit, lane) = ((slot / LANES) as u64, (slot % LANES) as u64);
     (lane << order.saturating_sub(3)) | unit
+}
+
+/// Bit 63 of an SCQ-family ring's `tail` (`Scq`, `WcqRing`): the ring is
+/// finalized, closed to further enqueues; the CRQ's CLOSED bit.
+pub(crate) const FINALIZED_BIT: u64 = 1 << 63;
+
+/// The SCQ threshold's ceiling for a ring of `2n = 2^array_order` entries:
+/// `3n - 1`, the bound on unsuccessful dequeue attempts while the ring is
+/// non-empty (arXiv:1908.04511).
+#[inline]
+pub(crate) fn threshold_max(array_order: u32) -> i64 {
+    (3 << (array_order - 1)) - 1
+}
+
+/// The cycle (lap) of position `pos` on a ring of `2^array_order` entries.
+#[inline]
+pub(crate) fn cycle_of(pos: u64, array_order: u32) -> u64 {
+    pos >> array_order
+}
+
+/// CASes a lagging SCQ-family `tail` forward to `h`, the position after a
+/// dequeue's, so enqueuers do not spend F&As on positions the dequeuers
+/// already invalidated. Stops once `tail` is finalized (never clobber the
+/// bit) or has caught up with `head`.
+pub(crate) fn catchup(tail: &AtomicU64, head: &AtomicU64, mut t: u64, h: u64) {
+    while ops::cas(tail, t, h).is_err() {
+        let head_now = head.load(Ordering::SeqCst);
+        let t_raw = tail.load(Ordering::SeqCst);
+        if t_raw & FINALIZED_BIT != 0 {
+            break;
+        }
+        t = t_raw;
+        if t >= head_now {
+            break;
+        }
+    }
 }
 
 /// A bounded tantrum ring of `u64` values (`< BOTTOM`) that

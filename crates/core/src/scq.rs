@@ -45,11 +45,7 @@ use lcrq_util::CachePadded;
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
-use crate::ring::Ring;
-
-/// Bit 63 of `tail`: the ring is finalized (closed to further enqueues),
-/// same convention as the CRQ's CLOSED bit.
-const FINALIZED_BIT: u64 = 1 << 63;
+use crate::ring::{catchup, cycle_of, threshold_max, Ring, FINALIZED_BIT};
 
 /// A bounded ring of *indices* in `0..capacity`, the SCQ of Nikolaev
 /// (arXiv:1908.04511 Figure 9), generic over the fetch-and-add policy.
@@ -106,14 +102,14 @@ impl<P: FaaPolicy> Scq<P> {
     /// state of an [`ScqD`] free-index ring.
     pub fn new_full(order: u32) -> Self {
         let q = Self::new_empty(order);
-        let base = q.entries.len() as u64;
+        let (base, order) = (q.entries.len() as u64, q.array_order);
         for k in 0..q.capacity() {
             let pos = base + k;
             let j = q.remap(pos);
-            q.entries[j].store(q.pack(q.cycle_of(pos), true, k), Ordering::Relaxed);
+            q.entries[j].store(q.pack(cycle_of(pos, order), true, k), Ordering::Relaxed);
         }
         q.tail.store(base + q.capacity(), Ordering::Relaxed);
-        q.threshold.store(q.threshold_max(), Ordering::Relaxed);
+        q.threshold.store(threshold_max(order), Ordering::Relaxed);
         q
     }
 
@@ -134,18 +130,6 @@ impl<P: FaaPolicy> Scq<P> {
     #[inline]
     fn index_mask(&self) -> u64 {
         self.bottom_index()
-    }
-
-    #[inline]
-    fn threshold_max(&self) -> i64 {
-        // 3n - 1 (capacity + array size - 1): the paper's bound on
-        // unsuccessful dequeue attempts while the queue is non-empty.
-        (self.capacity() + self.entries.len() as u64 - 1) as i64
-    }
-
-    #[inline]
-    fn cycle_of(&self, pos: u64) -> u64 {
-        pos >> self.array_order
     }
 
     #[inline]
@@ -182,7 +166,7 @@ impl<P: FaaPolicy> Scq<P> {
                 return Err(CrqClosed);
             }
             let t = t_raw;
-            let tcycle = self.cycle_of(t);
+            let tcycle = cycle_of(t, self.array_order);
             let j = self.remap(t);
             let mut e = self.entries[j].load(Ordering::SeqCst);
             loop {
@@ -205,7 +189,7 @@ impl<P: FaaPolicy> Scq<P> {
                             // Re-arm the threshold *after* publishing the
                             // entry, so a negative threshold implies the
                             // queue was observably empty.
-                            let max = self.threshold_max();
+                            let max = threshold_max(self.array_order);
                             if self.threshold.load(Ordering::SeqCst) != max {
                                 self.threshold.store(max, Ordering::SeqCst);
                             }
@@ -232,7 +216,7 @@ impl<P: FaaPolicy> Scq<P> {
         }
         loop {
             let h = P::fetch_add(&self.head, 1);
-            let hcycle = self.cycle_of(h);
+            let hcycle = cycle_of(h, self.array_order);
             let j = self.remap(h);
             let mut e = self.entries[j].load(Ordering::SeqCst);
             loop {
@@ -283,7 +267,7 @@ impl<P: FaaPolicy> Scq<P> {
                 // cycle): decide whether the queue looked empty.
                 let t = self.tail_index();
                 if t <= h + 1 {
-                    self.catchup(t, h + 1);
+                    catchup(&self.tail, &self.head, t, h + 1);
                     metrics::inc(Event::Faa);
                     self.threshold.fetch_sub(1, Ordering::SeqCst);
                     return None;
@@ -297,29 +281,14 @@ impl<P: FaaPolicy> Scq<P> {
         }
     }
 
-    /// CASes a lagging `tail` forward to `h` so enqueuers do not spend
-    /// F&As on positions the dequeuers already invalidated.
-    fn catchup(&self, mut t: u64, h: u64) {
-        while ops::cas(&self.tail, t, h).is_err() {
-            let head_now = self.head.load(Ordering::SeqCst);
-            let t_raw = self.tail.load(Ordering::SeqCst);
-            if t_raw & FINALIZED_BIT != 0 {
-                break; // never clobber the finalized bit
-            }
-            t = t_raw;
-            if t >= head_now {
-                break;
-            }
-        }
-    }
-
     /// Re-arms the threshold to its maximum, forcing the next dequeue to
     /// actually scan the ring even if the counter was exhausted. The LSCQ
     /// dequeue does this before abandoning a ring: a racing enqueue may
     /// have published an entry but not yet reset the threshold, and the
     /// abandonment double-check must be able to find it.
     pub fn reset_threshold(&self) {
-        self.threshold.store(self.threshold_max(), Ordering::SeqCst);
+        self.threshold
+            .store(threshold_max(self.array_order), Ordering::SeqCst);
     }
 
     /// Closes the ring to further enqueues (tantrum-style, `LOCK BTS` on
@@ -570,7 +539,7 @@ mod tests {
     fn threshold_exhausts_and_rearms() {
         let q: Scq = Scq::new_empty(2);
         q.enqueue(1).unwrap();
-        assert_eq!(q.threshold(), q.threshold_max());
+        assert_eq!(q.threshold(), threshold_max(q.array_order));
         assert_eq!(q.dequeue(), Some(1));
         // Drive the counter negative with empty dequeues.
         let mut spins = 0;

@@ -32,9 +32,8 @@
 //! x86 reproduction with `CMPXCHG16B` already load-bearing ([`AtomicPair`],
 //! the CRQ), so entries here are double-width `(meta, value)` pairs — the
 //! same helping structure with a much shorter placement protocol. The
-//! threshold counter, cycle tags and catchup are taken from [`crate::scq`]
-//! unchanged; the cache-line remap is the one all rings share
-//! ([`crate::ring`]).
+//! threshold counter, cycle tags and catchup are SCQ's, written once in
+//! [`crate::ring`] beside the cache-line remap all rings share.
 //!
 //! [`Wcq`](crate::Wcq) is the unbounded queue: the shared list of rings
 //! ([`RingList`](crate::RingList)) over [`WcqRing`]s.
@@ -50,11 +49,8 @@ use lcrq_util::CachePadded;
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
-use crate::ring::Ring;
+use crate::ring::{catchup, cycle_of, threshold_max, Ring, FINALIZED_BIT};
 use crate::BOTTOM;
-
-/// Bit 63 of `tail`: the ring is closed to further enqueues.
-const FINALIZED_BIT: u64 = 1 << 63;
 
 /// Request records per ring. Bounds the number of threads that can be in
 /// the slow path of one ring simultaneously; overflow threads help peers
@@ -251,16 +247,6 @@ impl<P: FaaPolicy> WcqRing<P> {
         (self.entries.len() as u64) / 2
     }
 
-    #[inline]
-    fn threshold_max(&self) -> i64 {
-        (self.capacity() + self.entries.len() as u64 - 1) as i64
-    }
-
-    #[inline]
-    fn cycle_of(&self, pos: u64) -> u64 {
-        pos >> self.array_order
-    }
-
     /// Position → entry slot: the shared cache-line spreading
     /// [`remap`](crate::ring::remap).
     #[inline]
@@ -278,7 +264,7 @@ impl<P: FaaPolicy> WcqRing<P> {
 
     #[inline]
     fn arm_threshold(&self) {
-        let max = self.threshold_max();
+        let max = threshold_max(self.array_order);
         if self.threshold.load(Ordering::SeqCst) != max {
             self.threshold.store(max, Ordering::SeqCst);
         }
@@ -292,20 +278,6 @@ impl<P: FaaPolicy> WcqRing<P> {
     /// Announced-but-unreleased request count (diagnostic).
     pub fn pending_requests(&self) -> u64 {
         self.pending.load(Ordering::SeqCst)
-    }
-
-    fn catchup(&self, mut t: u64, h: u64) {
-        while ops::cas(&self.tail, t, h).is_err() {
-            let head_now = self.head.load(Ordering::SeqCst);
-            let t_raw = self.tail.load(Ordering::SeqCst);
-            if t_raw & FINALIZED_BIT != 0 {
-                break;
-            }
-            t = t_raw;
-            if t >= head_now {
-                break;
-            }
-        }
     }
 
     // --- help-first scan ------------------------------------------------
@@ -414,7 +386,7 @@ impl<P: FaaPolicy> WcqRing<P> {
         }
         // Live candidate position.
         let p = cpos;
-        let c = self.cycle_of(p);
+        let c = cycle_of(p, self.array_order);
         let j = self.remap(p);
         let meta = self.entries[j].load_first();
         let val = self.entries[j].load_second();
@@ -528,7 +500,7 @@ impl<P: FaaPolicy> WcqRing<P> {
         }
         // Live candidate position.
         let h = cpos;
-        let c = self.cycle_of(h);
+        let c = cycle_of(h, self.array_order);
         let j = self.remap(h);
         let meta = self.entries[j].load_first();
         let val = self.entries[j].load_second();
@@ -601,7 +573,7 @@ impl<P: FaaPolicy> WcqRing<P> {
         // does its own accounting).
         let t = self.tail_index();
         if t <= h + 1 {
-            self.catchup(t, h + 1);
+            catchup(&self.tail, &self.head, t, h + 1);
         }
         let head_now = self.head.load(Ordering::SeqCst);
         let mut cand = head_now;
@@ -632,7 +604,7 @@ impl<P: FaaPolicy> WcqRing<P> {
     /// (idempotent: result CAS2, state CAS, then the scrub that frees the
     /// slot; each is seq-tagged so any subset of helpers can run it).
     fn finish_bound_dequeue(&self, i: usize, seq: u64, p: u64) {
-        let c = self.cycle_of(p);
+        let c = cycle_of(p, self.array_order);
         let j = self.remap(p);
         let meta = self.entries[j].load_first();
         let val = self.entries[j].load_second();
@@ -680,7 +652,7 @@ impl<P: FaaPolicy> WcqRing<P> {
     /// Phase 2 of a slow-path enqueue placement: tent → firm at position
     /// `p`, permitted because the claim is already `PLACED` there.
     fn promote_at(&self, p: u64, i: usize) {
-        let c = self.cycle_of(p);
+        let c = cycle_of(p, self.array_order);
         let j = self.remap(p);
         let meta = self.entries[j].load_first();
         let val = self.entries[j].load_second();
@@ -831,7 +803,7 @@ impl<P: FaaPolicy> WcqRing<P> {
         let cpos = r.claim.load_second();
         if claim_is_placed(cpos) {
             let p = cpos & !PLACED_BIT;
-            let c = self.cycle_of(p);
+            let c = cycle_of(p, self.array_order);
             let j = self.remap(p);
             let meta = self.entries[j].load_first();
             let val = self.entries[j].load_second();
@@ -904,7 +876,7 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
                 self.close();
                 return Err(CrqClosed);
             }
-            let c = self.cycle_of(t);
+            let c = cycle_of(t, self.array_order);
             let j = self.remap(t);
             for _ in 0..FAST_ROUNDS {
                 metrics::inc(Event::NodeVisit);
@@ -954,7 +926,7 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
         }
         for _ in 0..FAST_ATTEMPTS {
             let h = P::fetch_add(&self.head, 1);
-            let c = self.cycle_of(h);
+            let c = cycle_of(h, self.array_order);
             let j = self.remap(h);
             // Whether position `h` may still hold a value we own the
             // right to consume.
@@ -1021,7 +993,7 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
             // Failed attempt at a dead position we FAA'd: SCQ accounting.
             let t = self.tail_index();
             if t <= h + 1 {
-                self.catchup(t, h + 1);
+                catchup(&self.tail, &self.head, t, h + 1);
                 metrics::inc(Event::Faa);
                 self.threshold.fetch_sub(1, Ordering::SeqCst);
                 return None;
@@ -1069,7 +1041,8 @@ impl<P: FaaPolicy> Ring for WcqRing<P> {
 
     /// Re-arms the threshold; see [`Scq::reset_threshold`](crate::Scq::reset_threshold).
     fn rearm(&self) {
-        self.threshold.store(self.threshold_max(), Ordering::SeqCst);
+        self.threshold
+            .store(threshold_max(self.array_order), Ordering::SeqCst);
     }
 }
 

@@ -15,13 +15,12 @@
 //! * retired objects accumulate in a thread-local list and are reclaimed in
 //!   batched *scans* once the list exceeds a threshold proportional to the
 //!   number of live hazard slots — giving the amortized O(1) bound of the
-//!   original paper. The threshold serves structures that retire a node
-//!   per item (the MS queue, the optimistic queue); the list of rings
-//!   retires one ring per `2^ring_order` operations and calls
-//!   [`Domain::scan`] at every ring it retires, so a ring outlives its
-//!   retirement only while a hazard slot names it. A scan reuses the
-//!   thread's retired list and hazard snapshot, and allocates nothing once
-//!   they have grown;
+//!   original paper. The threshold serves the structure that retires a
+//!   node per item (the MS queue); the list of rings retires one ring per
+//!   `2^ring_order` operations and calls [`Domain::scan`] at every ring it
+//!   retires, so a ring outlives its retirement only while a hazard slot
+//!   names it. A scan reuses the thread's retired list and hazard snapshot,
+//!   and allocates nothing once they have grown;
 //! * objects retired by exiting threads move to a domain *orphan* list that
 //!   subsequent scans (or the final teardown) drain.
 //!
@@ -69,8 +68,8 @@ use std::sync::{Arc, Mutex};
 
 /// Hazard slots per thread record. The list of rings keeps two (its head
 /// ring and its tail ring) and walks `ring_count` with a third; the MS queue
-/// needs two (a node and its successor); the optimistic queue uses all four.
-pub const SLOTS_PER_THREAD: usize = 4;
+/// needs two (a node and its successor).
+pub const SLOTS_PER_THREAD: usize = 3;
 
 struct Record {
     next: AtomicPtr<Record>,

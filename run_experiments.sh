@@ -33,5 +33,4 @@ $A/table2_stats --threads 20 --pairs 2500 --preempt-ppm 5000 > results/table2_ad
 $B/table3_stats --threads 80 --pairs 800 > results/table3.md 2>&1
 $A/table3_stats --threads 80 --pairs 600 --preempt-ppm 2000 > results/table3_adversarial.md 2>&1
 $B/pairwise --runs 12 --warmup 3 > results/arena.md 2>&1   # also refreshes results/BENCH_arena.json
-$A/fig6_throughput --oversubscribed --threads 8,32,64 --pairs 1500 --runs 2 --queues lcrq,ms,optimistic,baskets,sim-queue --preempt-ppm 1000 > results/fig6b_related_work.md 2>&1
 echo ALL-EXPERIMENTS-DONE

@@ -8,8 +8,7 @@
 mod common;
 
 use common::adversarial_preemption;
-use lcrq::queues::testing::{mpmc_stress, pairs_smoke};
-use lcrq::queues::{BasketsQueue, ConcurrentQueue, OptimisticQueue, SimQueue};
+use lcrq::queues::ConcurrentQueue;
 use lcrq::util::metrics::{self, Event, Snapshot};
 use lcrq::{Lcrq, LcrqConfig, Lscq, Wcq};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -524,30 +523,6 @@ fn combining_queues_complete_under_adversarial_preemption() {
         }
     });
     while q.dequeue().is_some() {}
-}
-
-/// Preemption inside the Baskets queue's read→CAS windows produces the
-/// tail-CAS failures that send enqueuers down the basket-insertion path.
-#[test]
-fn stress_under_adversarial_preemption_exercises_baskets() {
-    let _adversary = adversarial_preemption(5_000);
-    mpmc_stress(&BasketsQueue::new(), 3, 3, 2_000);
-}
-
-/// Preemption between the optimistic queue's tail CAS and its prev store
-/// leaves broken prev chains that dequeuers must repair via `fix_list`.
-#[test]
-fn stress_under_adversarial_preemption_exercises_fix_list() {
-    let _adversary = adversarial_preemption(5_000);
-    mpmc_stress(&OptimisticQueue::new(), 3, 3, 2_000);
-}
-
-/// Wait-freedom smoke for the Sim queue: heavy injected preemption must not
-/// prevent a fixed workload from finishing.
-#[test]
-fn completes_under_adversarial_preemption() {
-    let _adversary = adversarial_preemption(5_000);
-    pairs_smoke(&SimQueue::new(), 4, 500);
 }
 
 // ---------------------------------------------------------------------------
