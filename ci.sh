@@ -12,10 +12,10 @@
 # | gate            | command                                              | what it adds over the gates above it                          |  s |
 # |-----------------|------------------------------------------------------|---------------------------------------------------------------|----|
 # | release build   | cargo build --release                                | every lib and bench bin compiles optimised (later gates run them) | 76 |
-# | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench; tests/footprint.rs (own counting allocator) pins a one-item Lcrq <= 6 KiB, a one-item channel <= 8 KiB, a closed drained channel to its last ring, a drained Lcrq/Lscq/Wcq to its last ring, a drain that retires rings to 0 allocations | 15 |
+# | tier-1          | cargo test -q                                        | default members: root integration suites + all of lcrq-bench; tests/footprint.rs (own counting allocator) pins a one-item Lcrq <= 6 KiB, a one-item channel <= 8 KiB, a closed drained channel to its last ring, a drained Lcrq/Lscq/Wcq to its last ring, a drain that retires rings to 0 allocations, a drained bounded(1024) to one 1024-slot ring | 15 |
 # | workspace       | cargo test --workspace --exclude lcrq --exclude lcrq-bench | the eight other crates' unit and integration suites     |  7 |
-# | channel         | cargo test --release --test typed_inline             | a scalar message allocates nothing, and a queued item costs <= 20 heap bytes, in the optimised build either |  8 |
-# | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) / channel / lcrq-channel --lib / linearizability pollers | 20 runs each: a 1-in-6 flake cannot pass; 20 seeds of EMPTY-after-EMPTY polls checked by Wing–Gong | 43 |
+# | channel         | cargo test --release --test typed_inline / footprint | a scalar message allocates nothing, a queued item costs <= 20 heap bytes, and every footprint pin holds, in the optimised build either | 23 |
+# | repeat x20      | seed_sweep channel_shutdown / fault_tolerance / reclamation (kept slots) / channel / lcrq-channel --lib / linearizability pollers | 20 runs each: a 1-in-6 flake cannot pass; 20 seeds of EMPTY-after-EMPTY polls checked by Wing–Gong; a bounded channel at capacity closes <= 1 ring over 10^5 messages (channel) | 56 |
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4                  | four replay seeds; a 16 x 1000-op history delivers exactly once |  7 |
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds; pollers under preemption x4 seeds | the registry's feature-only unit suite; eight pinned schedules; poller histories with the read-only EMPTY proof preempted | 3 |
@@ -63,8 +63,11 @@ cargo test --workspace --exclude lcrq --exclude lcrq-bench -q
 # what a queued item costs the heap, as a count beside the allocation count:
 # a default `Lcrq` 2^16 deep holds <= 20 live bytes an item (a `Crq` node is
 # its 16 bytes and the figure reads 16.2; the 128-byte padded node read 128.2).
-echo "==> channel gate (typed_inline --release)"
-cargo test --release --test typed_inline -q
+# tests/footprint.rs runs here too, because the benchmark of record measures
+# a release build: its bounded(1024) pin is `stream`'s channel, which must end
+# on one 1024-slot ring whatever the optimiser inlines or reorders.
+echo "==> channel gate (typed_inline, footprint --release)"
+cargo test --release --test typed_inline --test footprint -q
 
 # Repeat-run gate (ROADMAP "tier-1 is green on every run"): the two suites
 # that used to fail one run in N each run 20 times under distinct seeds, so

@@ -233,6 +233,12 @@ pub fn channel_with_backend<T: Send, R: Ring>(
 /// one F&A a send and one a receive, each on its own side's cache line, and
 /// no CAS loop.
 ///
+/// The queue's rings hold `capacity` rounded up to a power of two (at least
+/// 2, at most the default `2^12`): the gate never lets more items in, so a
+/// larger ring would only be memory. Once its backlog outgrows the 256-slot
+/// first ring, `bounded::<u64>(1024)` runs on a 16 KiB ring, not a 64 KiB
+/// one.
+///
 /// # Panics
 ///
 /// Panics if `capacity` is zero (rendezvous channels are not supported:
@@ -241,7 +247,9 @@ pub fn bounded<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     bounded_with_config(capacity, LcrqConfig::default())
 }
 
-/// [`bounded`] with an explicit LCRQ configuration.
+/// [`bounded`] with an explicit LCRQ configuration. Its
+/// [`ring_order`](LcrqConfig::ring_order) stays a cap: the rings hold
+/// `min(2^ring_order, capacity rounded up to a power of two)` items.
 pub fn bounded_with_config<T: Send>(
     capacity: usize,
     config: LcrqConfig,
@@ -250,7 +258,8 @@ pub fn bounded_with_config<T: Send>(
 }
 
 /// [`bounded`] over the list of rings of type `R` (see
-/// [`channel_with_backend`]).
+/// [`channel_with_backend`]). Every ring type holds `2^order` items, so the
+/// rings are sized as [`bounded_with_config`] says for each of them.
 ///
 /// # Panics
 ///
@@ -260,7 +269,21 @@ pub fn bounded_with_backend<T: Send, R: Ring>(
     config: LcrqConfig,
 ) -> (Sender<T, R>, Receiver<T, R>) {
     assert!(capacity > 0, "bounded channel capacity must be at least 1");
+    let config = capacity_sized(capacity, config);
     with_queue(Typed::with_config(config), Some(capacity as u64))
+}
+
+/// `config` with its `ring_order` lowered to ⌈log2 `capacity`⌉ (clamped to
+/// at least 1, as [`LcrqConfig::with_ring_order`] clamps). The credit gate
+/// counts an item from before its enqueue until after its dequeue, so no
+/// more than `capacity` items ever sit in the queue, and a ring that holds
+/// them all never fills from the channel's own traffic (DESIGN.md "A ring
+/// the size of the capacity").
+fn capacity_sized(capacity: usize, config: LcrqConfig) -> LcrqConfig {
+    // No `next_power_of_two`: it overflows for a capacity above 2^63.
+    let order = usize::BITS - (capacity - 1).leading_zeros();
+    let cap = config.ring_order;
+    config.with_ring_order(order.min(cap))
 }
 
 fn with_queue<T: Send, R: Ring>(
@@ -604,6 +627,18 @@ impl<'a, T: Send, R: Ring> IntoIterator for &'a Receiver<T, R> {
 mod tests {
     use super::*;
     use lcrq_core::WcqRing;
+
+    #[test]
+    fn a_bounded_channel_sizes_its_rings_to_its_capacity() {
+        let order = |capacity| capacity_sized(capacity, LcrqConfig::default()).ring_order;
+        let caps = [1, 2, 3, 256, 257, 1024, 1025, 4096, 1 << 20, usize::MAX];
+        let orders = caps.map(order);
+        assert_eq!(orders, [1, 1, 2, 8, 9, 10, 11, 12, 12, 12]);
+        // An explicit order stays a cap.
+        let six = LcrqConfig::new().with_ring_order(6);
+        assert_eq!(capacity_sized(1024, six.clone()).ring_order, 6);
+        assert_eq!(capacity_sized(usize::MAX, six).ring_order, 6);
+    }
 
     #[test]
     fn sequential_round_trip() {

@@ -17,6 +17,10 @@ pub struct LcrqConfig {
     /// `2^12`, which is already deep in the saturated regime for any
     /// realistic thread count while keeping a ring under 1 MiB; pass the
     /// paper's value to reproduce its exact setup.
+    ///
+    /// A bounded channel (`lcrq_channel::bounded`) lowers it to
+    /// ⌈log2 capacity⌉: its gate never lets more items in, so a bigger ring
+    /// would only be memory.
     pub ring_order: u32,
 
     /// Close the ring after an enqueue fails to place its item this many

@@ -454,6 +454,7 @@ impl<P: FaaPolicy> Ring for Crq<P> {
     fn is_closed(&self) -> bool {
         self.tail.load(Ordering::SeqCst) & CLOSED_BIT != 0
     }
+    const PROVES_EMPTY: bool = true;
     /// `tail`, `head`, `tail` again, and no ticket. `tail` only grows, so
     /// two equal reads place `head >= tail` at the instant of the head read:
     /// the condition under which Figure 3b's dequeue answers EMPTY

@@ -391,7 +391,7 @@ impl<R: Ring> RingList<R> {
             // SAFETY: hazard-protected.
             let ring_ref = unsafe { &*ring };
             self.cluster_gate(ring_ref);
-            if EMPTY_ON.get() == ring as usize {
+            if R::PROVES_EMPTY && EMPTY_ON.get() == ring as usize {
                 // An EMPTY after an EMPTY: the ring was empty at the proof's
                 // instant, and a null `next` read after it says it was the
                 // last ring then too, so the queue was empty at that instant.
@@ -407,7 +407,9 @@ impl<R: Ring> RingList<R> {
             let next = ring_ref.next().load(Ordering::SeqCst);
             if next.is_null() {
                 self.domain.clear(HP_HEAD);
-                EMPTY_ON.set(ring as usize);
+                if R::PROVES_EMPTY {
+                    EMPTY_ON.set(ring as usize);
+                }
                 return None;
             }
             // Linked or sealed, so this ring is closed for good. An enqueue

@@ -166,12 +166,18 @@ pub trait Ring: Sized + Send + Sync + 'static {
     /// the list is about to give up on, whose tail is therefore frozen.
     fn rearm(&self) {}
 
+    /// Whether [`proves_empty`](Self::proves_empty) can answer `true`. The
+    /// list keeps its EMPTY-after-EMPTY hint only for a ring that sets it,
+    /// so for the others the hint's loads and stores compile away. A ring
+    /// that overrides `proves_empty` sets this to `true`.
+    const PROVES_EMPTY: bool = false;
+
     /// Proves, read-only, that the ring was empty at one instant during the
     /// call: `true` only if a [`dequeue`](Self::dequeue) linearized at that
     /// instant would have answered EMPTY. `false` proves nothing. The list
     /// asks only after this thread's last dequeue answered EMPTY on the
-    /// same ring, so a ring whose EMPTY is already read-only keeps the
-    /// default.
+    /// same ring, and only if [`PROVES_EMPTY`](Self::PROVES_EMPTY) is set,
+    /// so a ring whose EMPTY is already read-only keeps both defaults.
     fn proves_empty(&self) -> bool {
         false
     }

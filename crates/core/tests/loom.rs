@@ -155,6 +155,7 @@ impl<const WATCHED: bool> Ring for TinyRing<WATCHED> {
     fn tail_index(&self) -> u64 {
         self.state.lock().unwrap().items.len() as u64
     }
+    const PROVES_EMPTY: bool = true;
     // Empty, closed or not: only the list's `next` read keeps a drained ring
     // with a successor from answering EMPTY.
     fn proves_empty(&self) -> bool {

@@ -134,8 +134,8 @@ impl Drop for Inner {
 /// A reclamation domain. Objects retired in a domain are freed only when no
 /// hazard slot *of that domain* protects them.
 ///
-/// Most users want [`Domain::global`]. A dedicated domain is useful in tests
-/// so reclamation accounting is not shared with unrelated threads.
+/// Every user builds its own (each queue owns one), so reclamation
+/// accounting is never shared with unrelated structures.
 #[derive(Clone)]
 pub struct Domain {
     inner: Arc<Inner>,
@@ -205,12 +205,6 @@ impl Drop for ThreadEntry {
     }
 }
 
-fn global_domain() -> &'static Domain {
-    use std::sync::OnceLock;
-    static GLOBAL: OnceLock<Domain> = OnceLock::new();
-    GLOBAL.get_or_init(Domain::new)
-}
-
 impl Domain {
     /// Creates a fresh, empty domain.
     pub fn new() -> Self {
@@ -222,11 +216,6 @@ impl Domain {
                 id: DOMAIN_IDS.fetch_add(1, Ordering::Relaxed) as u64,
             }),
         }
-    }
-
-    /// The process-wide default domain.
-    pub fn global() -> &'static Domain {
-        global_domain()
     }
 
     /// Reclamation batch threshold: scan when a thread has retired more than
@@ -498,21 +487,6 @@ impl Domain {
             e.retired = candidates;
         });
         freed
-    }
-
-    /// Repeatedly scans until nothing remains retired or no progress is
-    /// made. Returns the number of objects freed. Useful in tests and at
-    /// shutdown.
-    pub fn eager_reclaim(&self) -> usize {
-        let mut total = 0;
-        loop {
-            let freed = self.scan();
-            total += freed;
-            let remaining = self.with_entry(|e| e.retired.len());
-            if freed == 0 || remaining == 0 {
-                return total;
-            }
-        }
     }
 
     /// Number of objects the calling thread has retired in this domain that
@@ -805,20 +779,11 @@ mod tests {
         // The assertion that matters — no torn/freed payload — is inside the
         // reader loop.
         let _ = total_checks;
-        d.eager_reclaim();
+        // Scan until nothing is left retired or a scan frees nothing.
+        while d.scan() > 0 && d.retired_count() > 0 {}
         assert_eq!(d.retired_count(), 0);
         // Free the final payload still installed in src.
         unsafe { drop(Box::from_raw(src.load(Ordering::SeqCst))) };
-    }
-
-    #[test]
-    fn global_domain_is_usable() {
-        let d = Domain::global();
-        let drops = Arc::new(AtomicUsize::new(0));
-        let p = counted(&drops);
-        unsafe { d.retire(p) };
-        d.eager_reclaim();
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 
     /// `HazardPublish` events `f` counted on this thread.

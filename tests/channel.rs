@@ -16,6 +16,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 use lcrq::channel::{self, block_on, RecvError, RecvTimeoutError, TryRecvError, TrySendError};
+use lcrq::util::metrics::{self, Event};
 
 /// Tags an item with its producer: per-producer sequence numbers let the
 /// consumers check FIFO order per sender, the property the channel inherits
@@ -264,6 +265,39 @@ fn bounded_one_hands_off_in_order() {
         }
         assert_eq!(rx.recv(), Err(RecvError::Disconnected));
     });
+}
+
+/// A bounded channel's rings hold its capacity (rounded up to a power of
+/// two), and the gate never lets more items in, so a sender that keeps the
+/// channel full never finds a ring full. The one close allowed is the
+/// first ring's spill, which only a capacity above its 256 slots reaches.
+/// The seal that the sender's drop makes closes the last ring too; it is
+/// not counted.
+#[test]
+fn a_bounded_channel_at_capacity_closes_at_most_one_ring() {
+    const MESSAGES: u64 = 100_000;
+    let closes_in = |f: &mut dyn FnMut()| {
+        let before = metrics::local_snapshot();
+        f();
+        let delta = metrics::local_snapshot().delta_since(&before);
+        delta.get(Event::CrqClosed)
+    };
+    for capacity in [1, 3, 300, 1024] {
+        let (tx, rx) = channel::bounded::<u64>(capacity);
+        let sender = std::thread::spawn(move || {
+            let closes = closes_in(&mut || (0..MESSAGES).for_each(|i| tx.send(i).unwrap()));
+            drop(tx);
+            closes
+        });
+        let received = closes_in(&mut || {
+            (0..MESSAGES).for_each(|i| assert_eq!(rx.recv(), Ok(i)));
+        });
+        let closes = received + sender.join().unwrap();
+        assert!(
+            closes <= 1,
+            "bounded({capacity}) closed {closes} rings over {MESSAGES} messages"
+        );
+    }
 }
 
 /// `send_batch` asks the gate for its whole batch at once, ten times what

@@ -4,7 +4,8 @@
 //! 64 KiB of a full `2^12` ring; and once a deep queue drains, what is
 //! left is its last ring alone. The list frees every ring it retires at
 //! once unless a hazard slot names it, and the scan that frees it
-//! allocates nothing.
+//! allocates nothing. A bounded channel's rings hold its capacity, so
+//! `bounded(1024)` ends on a 16 KiB ring, not a 64 KiB one.
 //!
 //! A test binary of its own because it installs a counting
 //! `#[global_allocator]`. The counts are per thread — each test builds and
@@ -192,5 +193,30 @@ fn a_closed_drained_channel_keeps_only_its_last_ring() {
         live <= empty + ring_bytes,
         "{live} B live in a closed, drained channel; the empty channel took \
          {empty} B and one ring of {ring_bytes} B is allowed"
+    );
+}
+
+#[test]
+fn a_bounded_channel_keeps_one_capacity_sized_ring() {
+    const MESSAGES: u64 = 100_000;
+    const CAPACITY: usize = 1024;
+    let ring_bytes = ring_bytes::<Crq>(&LcrqConfig::new().with_ring_order(10));
+    let before = LIVE.get();
+    let ((tx, rx), empty) = live_of(|| channel::bounded::<u64>(CAPACITY));
+    // The spill out of the 256-slot first ring allocates on the sender's
+    // thread, so its delta joins this thread's.
+    let sender = std::thread::spawn(move || {
+        let before = LIVE.get();
+        (0..MESSAGES).for_each(|i| tx.send(i).unwrap());
+        let live = LIVE.get() - before;
+        drop(tx);
+        live
+    });
+    (0..MESSAGES).for_each(|i| assert_eq!(rx.recv(), Ok(i)));
+    let live = LIVE.get() - before + sender.join().unwrap();
+    assert!(
+        live <= empty + ring_bytes,
+        "{live} B live in a drained bounded({CAPACITY}) channel; the empty \
+         channel took {empty} B and one ring of {ring_bytes} B is allowed"
     );
 }
