@@ -141,39 +141,15 @@ impl<P: FaaPolicy> Crq<P> {
         debug_assert!(value != BOTTOM, "BOTTOM is reserved");
         let mut attempts = 0u32;
         loop {
-            let raw = P::fetch_add(&self.tail, 1); // F&A on all 64 bits
-            if raw & CLOSED_BIT != 0 {
+            let t = P::fetch_add(&self.tail, 1); // F&A on all 64 bits
+            if t & CLOSED_BIT != 0 {
                 return Err(CrqClosed);
             }
-            let t = raw;
-            let node = self.node(t);
-            metrics::inc(Event::NodeVisit);
-            let view = node.read();
-            // Scheduler-adversary point inside the read→CAS2 window
-            // (`Site::Preempt`). LCRQ's CAS2 targets a slot only this
-            // F&A winner races for, so even a mid-window preemption rarely
-            // fails it — and a preempted operation blocks nobody.
-            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
-            // Fail point between the F&A and the CAS2 placement: `Fail`
-            // force-closes the ring (an injected tantrum), `Panic` aborts
-            // the enqueue with the tail index consumed but the slot never
-            // filled — dequeuers must skip it via the empty transition.
-            if lcrq_util::fault::inject(lcrq_util::fault::Site::CrqEnqueue) {
-                self.close();
-            }
-            if view.is_empty()
-                && view.idx <= t
-                && (view.safe || self.head.load(Ordering::SeqCst) <= t)
-                && node.try_enqueue(&view, t, value)
-            {
+            if self.put(t, value) {
                 return Ok(());
             }
             attempts += 1;
-            let h = self.head.load(Ordering::SeqCst);
-            if t.wrapping_sub(h) as i64 >= self.ring_size() as i64
-                || attempts >= self.starvation_limit
-            {
-                self.close();
+            if self.gives_up(t, attempts) {
                 return Err(CrqClosed);
             }
         }
@@ -184,220 +160,106 @@ impl<P: FaaPolicy> Crq<P> {
     pub fn dequeue(&self) -> Option<u64> {
         loop {
             let h = P::fetch_add(&self.head, 1);
-            let node = self.node(h);
-            let mut spins = self.bounded_wait_spins;
-            loop {
-                metrics::inc(Event::NodeVisit);
-                let view = node.read();
-                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
-                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CrqDequeue);
-                if view.idx > h {
-                    break; // overtaken between our F&A and the read
-                }
-                if !view.is_empty() {
-                    if view.idx == h {
-                        // Our item: dequeue transition.
-                        if node.try_dequeue(&view, self.ring_size()) {
-                            return Some(view.val);
-                        }
-                    } else {
-                        // Previous-lap item we cannot take: mark unsafe so
-                        // enq_h cannot blindly store into this node.
-                        if node.try_mark_unsafe(&view) {
-                            metrics::inc(Event::UnsafeTransition);
-                            break;
-                        }
-                    }
-                } else {
-                    // Empty node with idx <= h. If the matching enqueuer is
-                    // active (tail already past h), wait briefly for its
-                    // enqueue transition instead of wasting both operations
-                    // (§4.1.1 bounded waiting).
-                    if spins > 0 && self.tail_index() > h {
-                        spins -= 1;
-                        metrics::inc(Event::SpinWait);
-                        core::hint::spin_loop();
-                        continue;
-                    }
-                    // Empty transition: block index h (and all older laps).
-                    if node.try_empty(&view, h, self.ring_size()) {
-                        metrics::inc(Event::EmptyTransition);
-                        break;
-                    }
-                }
-                // A CAS2 failed: the node changed; re-read and retry.
+            if let Some(value) = self.take(h) {
+                return Some(value);
             }
             // Failed to dequeue at h; is the queue empty?
-            let t = self.tail_index();
-            if t <= h + 1 {
+            if self.tail_index() <= h + 1 {
                 self.fix_state();
                 return None;
             }
         }
     }
 
-    /// Appends a prefix of `values` after reserving up to `values.len()`
-    /// consecutive tail indices with a **single** `FAA(tail, k)`, then
-    /// filling each reserved slot with the ordinary per-slot CAS2 enqueue
-    /// transition. Returns the number of values placed.
-    ///
-    /// Semantics: the batch is **not** an atomic multi-enqueue — it
-    /// linearizes as `placed` individual enqueues whose queue positions are
-    /// contiguous within this reservation (concurrent enqueuers' items sit
-    /// entirely before or after the reserved range, never between two items
-    /// of the same reservation; see DESIGN.md "Batched operations").
-    ///
-    /// A return of `placed < values.len()` means one of:
-    ///
-    /// * the ring is [closed](Self::is_closed) (tantrum) — the caller must
-    ///   spill the remainder elsewhere (the LCRQ appends a fresh ring
-    ///   seeded via [`with_seed`](Self::with_seed));
-    /// * the ring is still open but this reservation ran out of usable
-    ///   slots (a slot was skipped after a dequeuer's empty/unsafe
-    ///   transition, or `values.len() > R`) — the caller may simply call
-    ///   again for the rest.
-    ///
-    /// Skipped reserved indices are harmless: a dequeuer reaching one
-    /// performs the same empty transition it would after a scalar
-    /// enqueuer's failed placement attempt.
-    pub fn enqueue_batch(&self, values: &[u64]) -> usize {
-        if values.is_empty() {
-            return 0;
+    /// Figure 3d's placement of `value` at tail index `t`, the one step
+    /// every enqueue runs per index: one CAS2 into the node if it is empty,
+    /// not ahead of `t`, and safe or not yet reached by `t`'s dequeuer
+    /// (`head <= t`). `false` gives the index up, a lost CAS2 included:
+    /// the node changed, and its dequeuer may already have passed it.
+    #[inline(always)]
+    fn put(&self, t: u64, value: u64) -> bool {
+        let node = self.node(t);
+        metrics::inc(Event::NodeVisit);
+        let view = node.read();
+        // Scheduler-adversary point inside the read→CAS2 window
+        // (`Site::Preempt`). LCRQ's CAS2 targets a slot only this
+        // F&A winner races for, so even a mid-window preemption rarely
+        // fails it — and a preempted operation blocks nobody.
+        let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
+        // Fail point between the F&A and the CAS2 placement: `Fail`
+        // force-closes the ring (an injected tantrum), `Panic` aborts
+        // the enqueue with the tail index consumed but the slot never
+        // filled — dequeuers must skip it via the empty transition.
+        if lcrq_util::fault::inject(lcrq_util::fault::Site::CrqEnqueue) {
+            self.close();
         }
-        // Cap the reservation at R: indices beyond one lap can never all be
-        // usable, and a bounded reservation keeps `head - tail` overshoot
-        // (and thus fix_state work) small.
-        let k = (values.len() as u64).min(self.ring_size());
-        let raw = P::fetch_add_k(&self.tail, k); // one F&A for k indices
-        if raw & CLOSED_BIT != 0 {
-            return 0;
-        }
-        metrics::inc(Event::BatchEnqueue);
-        let first = raw;
-        let mut placed = 0usize;
-        let mut attempts = 0u32;
-        for j in 0..k {
-            debug_assert!(values[placed] != BOTTOM, "BOTTOM is reserved");
-            let t = first + j;
-            let node = self.node(t);
-            loop {
-                metrics::inc(Event::NodeVisit);
-                let view = node.read();
-                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
-                if lcrq_util::fault::inject(lcrq_util::fault::Site::CrqEnqueue) {
-                    self.close(); // injected tantrum, as in the scalar path
-                }
-                if view.is_empty()
-                    && view.idx <= t
-                    && (view.safe || self.head.load(Ordering::SeqCst) <= t)
-                {
-                    if node.try_enqueue(&view, t, values[placed]) {
-                        placed += 1;
-                        break;
-                    }
-                    continue; // CAS2 failed: node changed; re-read
-                }
-                // Slot unusable this lap (dequeuer advanced its index or
-                // left it unsafe): keep the value for the next reserved
-                // index, exactly as a scalar enqueue would re-F&A.
-                attempts += 1;
-                let h = self.head.load(Ordering::SeqCst);
-                if t.wrapping_sub(h) as i64 >= self.ring_size() as i64
-                    || attempts >= self.starvation_limit
-                {
-                    self.close();
-                    metrics::add(Event::BatchEnqueueItems, placed as u64);
-                    return placed;
-                }
-                break;
-            }
-            if placed == values.len() {
-                break;
-            }
-        }
-        metrics::add(Event::BatchEnqueueItems, placed as u64);
-        placed
+        view.is_empty()
+            && view.idx <= t
+            && (view.safe || self.head.load(Ordering::SeqCst) <= t)
+            && node.try_enqueue(&view, t, value)
     }
 
-    /// Removes up to `max` of the oldest values after reserving head
-    /// indices with a **single** `FAA(head, k)`, appending them to `out` in
-    /// queue order. Returns the number of values removed.
-    ///
-    /// `k` is bounded by the observed `tail - head` distance so an
-    /// over-long batch does not manufacture empty transitions on indices no
-    /// enqueuer has reserved (the bound is racy under concurrency — any
-    /// overshoot behaves exactly like the same number of scalar empty
-    /// dequeues). Each reserved index is processed with the ordinary
-    /// per-slot protocol: dequeue transition, bounded wait, unsafe/empty
-    /// transitions, so tantrum semantics are preserved per index.
-    ///
-    /// Returns 0 **without reserving anything** when the queue looks empty;
-    /// callers needing a linearizable EMPTY verdict (or ring switching)
-    /// should fall back to a scalar [`dequeue`](Self::dequeue).
-    pub fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
+    /// Figure 3d's give-up test after an enqueue's `attempts`-th failed
+    /// `put`, the last at `t`: closes the ring when it looks full
+    /// (`t - head >= R`) or the enqueue is starving.
+    #[inline(always)]
+    fn gives_up(&self, t: u64, attempts: u32) -> bool {
+        let h = self.head.load(Ordering::SeqCst);
+        let full = t.wrapping_sub(h) as i64 >= self.ring_size() as i64;
+        if full || attempts >= self.starvation_limit {
+            self.close();
+            return true;
         }
-        let h0 = self.head.load(Ordering::SeqCst);
-        let avail = self.tail_index().saturating_sub(h0);
-        let k = (max as u64).min(avail);
-        if k == 0 {
-            return 0;
-        }
-        metrics::inc(Event::BatchDequeue);
-        let first = P::fetch_add_k(&self.head, k); // one F&A for k indices
-        let mut taken = 0usize;
-        for j in 0..k {
-            let h = first + j;
-            let node = self.node(h);
-            let mut spins = self.bounded_wait_spins;
-            loop {
-                metrics::inc(Event::NodeVisit);
-                let view = node.read();
-                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
-                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CrqDequeue);
-                if view.idx > h {
-                    break; // overtaken between the reservation and the read
-                }
-                if !view.is_empty() {
-                    if view.idx == h {
-                        // Our item: dequeue transition.
-                        if node.try_dequeue(&view, self.ring_size()) {
-                            out.push(view.val);
-                            taken += 1;
-                            break;
-                        }
-                    } else if node.try_mark_unsafe(&view) {
-                        // Previous-lap item we cannot take.
-                        metrics::inc(Event::UnsafeTransition);
-                        break;
-                    }
-                } else {
-                    // Empty node: wait briefly for the matching enqueuer
-                    // (§4.1.1), then block the index with an empty
-                    // transition.
-                    if spins > 0 && self.tail_index() > h {
-                        spins -= 1;
-                        metrics::inc(Event::SpinWait);
-                        core::hint::spin_loop();
-                        continue;
-                    }
-                    if node.try_empty(&view, h, self.ring_size()) {
-                        metrics::inc(Event::EmptyTransition);
-                        break;
-                    }
-                }
-                // A CAS2 failed: the node changed; re-read and retry.
+        false
+    }
+
+    /// Figure 3b's work at head index `h`, the one step every dequeue runs
+    /// per index: the item enqueued at `h`, or `None` once `h` is settled
+    /// without one — overtaken, or blocked by an unsafe or empty transition
+    /// after the bounded wait (§4.1.1). A lost CAS2 re-reads the node.
+    #[inline(always)]
+    fn take(&self, h: u64) -> Option<u64> {
+        let node = self.node(h);
+        let mut spins = self.bounded_wait_spins;
+        loop {
+            metrics::inc(Event::NodeVisit);
+            let view = node.read();
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::Preempt);
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CrqDequeue);
+            if view.idx > h {
+                return None; // overtaken between our F&A and the read
             }
+            if !view.is_empty() {
+                if view.idx == h {
+                    // Our item: dequeue transition.
+                    if node.try_dequeue(&view, self.ring_size()) {
+                        return Some(view.val);
+                    }
+                } else if node.try_mark_unsafe(&view) {
+                    // Previous-lap item we cannot take: mark unsafe so
+                    // enq_h cannot blindly store into this node.
+                    metrics::inc(Event::UnsafeTransition);
+                    return None;
+                }
+            } else {
+                // Empty node with idx <= h. If the matching enqueuer is
+                // active (tail already past h), wait briefly for its
+                // enqueue transition instead of wasting both operations
+                // (§4.1.1 bounded waiting).
+                if spins > 0 && self.tail_index() > h {
+                    spins -= 1;
+                    metrics::inc(Event::SpinWait);
+                    core::hint::spin_loop();
+                    continue;
+                }
+                // Empty transition: block index h (and all older laps).
+                if node.try_empty(&view, h, self.ring_size()) {
+                    metrics::inc(Event::EmptyTransition);
+                    return None;
+                }
+            }
+            // A CAS2 failed: the node changed; re-read and retry.
         }
-        if taken == 0 && self.tail_index() <= first + k {
-            // Whole reservation came up empty-handed: repair any
-            // head-past-tail overshoot before reporting nothing, as the
-            // scalar path does.
-            self.fix_state();
-        }
-        metrics::add(Event::BatchDequeueItems, taken as u64);
-        taken
     }
 
     /// Repairs `head > tail` (caused by dequeuers' F&As overshooting) by
@@ -422,10 +284,10 @@ impl<P: FaaPolicy> Crq<P> {
     }
 }
 
-/// The CRQ as a [`Ring`]. Construction, `enqueue`, `dequeue` and the batch
-/// pair forward to the inherent methods above (callers without the trait in
-/// scope use those); the rest of the ring's surface lives here. The hooks
-/// it overrides are its `FAA(k)` batches, the LCRQ+H cluster word and the
+/// The CRQ as a [`Ring`]. Construction, `enqueue` and `dequeue` forward to
+/// the inherent methods above (callers without the trait in scope use
+/// those); the rest of the ring's surface lives here. The hooks it
+/// overrides are its `FAA(k)` batches, the LCRQ+H cluster word and the
 /// read-only EMPTY proof.
 impl<P: FaaPolicy> Ring for Crq<P> {
     fn new(config: &LcrqConfig, order: u32) -> Self {
@@ -486,11 +348,92 @@ impl<P: FaaPolicy> Ring for Crq<P> {
     fn cluster(&self) -> Option<&AtomicU64> {
         Some(&self.cluster)
     }
+    /// Appends a prefix of `values` after reserving up to `values.len()`
+    /// consecutive tail indices with a **single** `FAA(tail, k)`, then
+    /// running the scalar enqueue's per-index step (`put`) on each. Returns
+    /// the number of values placed.
+    ///
+    /// Semantics: the batch is **not** an atomic multi-enqueue — it
+    /// linearizes as `placed` individual enqueues whose queue positions are
+    /// contiguous within this reservation (concurrent enqueuers' items sit
+    /// entirely before or after the reserved range, never between two items
+    /// of the same reservation; see DESIGN.md "Batched operations").
+    ///
+    /// A reserved index whose placement fails is given up, exactly as a
+    /// scalar enqueue gives up its index (a lost CAS2 included), and the
+    /// value moves on to the next reserved index. A dequeuer reaching a
+    /// given-up index performs the empty transition. A return of
+    /// `placed < values.len()` means one of:
+    ///
+    /// * the ring is [closed](Ring::is_closed) (tantrum) — the caller must
+    ///   spill the remainder elsewhere (the LCRQ appends a fresh ring
+    ///   seeded via [`with_seed`](Crq::with_seed));
+    /// * the ring is still open but this reservation ran out of usable
+    ///   indices (some were given up, or `values.len() > R`) — the caller
+    ///   may simply call again for the rest.
     fn enqueue_batch(&self, values: &[u64]) -> usize {
-        Crq::enqueue_batch(self, values)
+        if values.is_empty() {
+            return 0;
+        }
+        // Cap the reservation at R: indices beyond one lap can never all be
+        // usable, and a bounded reservation keeps `head - tail` overshoot
+        // (and thus fix_state work) small.
+        let k = (values.len() as u64).min(self.ring_size());
+        let first = P::fetch_add_k(&self.tail, k); // one F&A for k indices
+        if first & CLOSED_BIT != 0 {
+            return 0;
+        }
+        metrics::inc(Event::BatchEnqueue);
+        let mut placed = 0usize;
+        let mut attempts = 0u32;
+        for t in first..first + k {
+            debug_assert!(values[placed] != BOTTOM, "BOTTOM is reserved");
+            if self.put(t, values[placed]) {
+                placed += 1;
+                continue;
+            }
+            attempts += 1;
+            if self.gives_up(t, attempts) {
+                break;
+            }
+        }
+        metrics::add(Event::BatchEnqueueItems, placed as u64);
+        placed
     }
+
+    /// Removes up to `max` of the oldest values after reserving head
+    /// indices with a **single** `FAA(head, k)`, appending them to `out` in
+    /// queue order, after running the scalar dequeue's per-index step
+    /// (`take`) on each. Returns the number of values removed.
+    ///
+    /// `k` is bounded by the observed `tail - head` distance so an
+    /// over-long batch does not manufacture empty transitions on indices no
+    /// enqueuer has reserved (the bound is racy under concurrency — any
+    /// overshoot behaves exactly like the same number of scalar empty
+    /// dequeues).
+    ///
+    /// Returns 0 **without reserving anything** when the queue looks empty;
+    /// callers needing a linearizable EMPTY verdict (or ring switching)
+    /// should fall back to a scalar [`dequeue`](Crq::dequeue).
     fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
-        Crq::dequeue_batch(self, out, max)
+        let h0 = self.head.load(Ordering::SeqCst);
+        let k = (max as u64).min(self.tail_index().saturating_sub(h0));
+        if k == 0 {
+            return 0;
+        }
+        metrics::inc(Event::BatchDequeue);
+        let first = P::fetch_add_k(&self.head, k); // one F&A for k indices
+        let before = out.len();
+        out.extend((first..first + k).filter_map(|h| self.take(h)));
+        let taken = out.len() - before;
+        if taken == 0 && self.tail_index() <= first + k {
+            // Whole reservation came up empty-handed: repair any
+            // head-past-tail overshoot before reporting nothing, as the
+            // scalar path does.
+            self.fix_state();
+        }
+        metrics::add(Event::BatchDequeueItems, taken as u64);
+        taken
     }
 }
 

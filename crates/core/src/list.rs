@@ -461,7 +461,7 @@ impl<R: Ring> RingList<R> {
     /// Appends every value in `values` (all must be `< BOTTOM`) through the
     /// ring's batch path — on a CRQ one `FAA(tail, k)` claims up to `k`
     /// consecutive indices of the tail ring, which are then filled with the
-    /// ordinary per-slot CAS2 protocol (see [`Crq::enqueue_batch`]); rings
+    /// ordinary per-slot CAS2 protocol (see [`Ring::enqueue_batch`]); rings
     /// without a reservation path place the items one by one.
     ///
     /// **Linearizability**: this is *not* an atomic multi-enqueue. It
@@ -538,7 +538,7 @@ impl<R: Ring> RingList<R> {
     ///
     /// On a CRQ this reserves head indices in bulk — one `FAA(head, k)` for
     /// up to `k` items, bounded by the observed backlog (see
-    /// [`Crq::dequeue_batch`]). When the ring's batch path finds nothing it
+    /// [`Ring::dequeue_batch`]). When the ring's batch path finds nothing it
     /// falls back to one scalar dequeue, which performs the December-2013
     /// erratum double-check and the head-ring switch, then resumes on the
     /// new ring. Each removed item linearizes as an individual dequeue;

@@ -92,38 +92,7 @@ pub fn mpmc_stress_relaxed<Q: ConcurrentQueue>(
             .collect()
     });
 
-    // 1. Exactly-once delivery.
-    let mut seen: Vec<u64> = all.iter().flatten().copied().collect();
-    assert_eq!(seen.len() as u64, total, "lost or duplicated items");
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, total, "duplicated items");
-
-    // 2. Per-producer order within each consumer's local stream, up to the
-    // allowed relaxation. (The global interleaving across consumers is not
-    // ordered, but any single consumer must observe each producer's items
-    // in order — a consequence of queue linearizability — loosened here so
-    // an item may overtake at most `relaxation` earlier same-producer
-    // items.)
-    for stream in &all {
-        let mut max_seen: std::collections::HashMap<usize, u64> = Default::default();
-        for &v in stream {
-            let (p, seq) = decode(v);
-            if let Some(&prev) = max_seen.get(&p) {
-                // `>=` not `>`: distinct items of one producer never share a
-                // seq (exactly-once is checked above), so the strict case
-                // (relaxation 0) still demands monotonic order.
-                assert!(
-                    seq.saturating_add(relaxation) >= prev,
-                    "consumer observed producer {p} out of order beyond the \
-                     relaxation bound {relaxation}: {seq} after {prev}"
-                );
-            }
-            let slot = max_seen.entry(p).or_insert(0);
-            *slot = (*slot).max(seq);
-        }
-    }
-
+    check_delivery(&all, total, relaxation);
     // Queue must now be empty.
     assert_eq!(queue.dequeue(), None, "queue should be drained");
 }
@@ -205,21 +174,40 @@ pub fn mpmc_batch_stress_relaxed<Q: ConcurrentQueue>(
             .collect()
     });
 
-    // 1. Exactly-once delivery.
-    let mut seen: Vec<u64> = all.iter().flatten().copied().collect();
+    check_delivery(&all, total, relaxation);
+    let mut rest = Vec::new();
+    assert_eq!(
+        queue.dequeue_batch(&mut rest, 1),
+        0,
+        "queue should be drained"
+    );
+}
+
+/// The post-run check of both stress harnesses, over each consumer's
+/// stream of dequeued items:
+///
+/// 1. every one of the `total` enqueued items was dequeued exactly once;
+/// 2. each consumer observed each producer's items in that producer's
+///    enqueue order, up to `relaxation`. (The global interleaving across
+///    consumers is not ordered, but any single consumer must observe each
+///    producer's items in order — a consequence of queue linearizability —
+///    loosened here so an item may overtake at most `relaxation` earlier
+///    same-producer items.)
+fn check_delivery(streams: &[Vec<u64>], total: u64, relaxation: u64) {
+    let mut seen: Vec<u64> = streams.iter().flatten().copied().collect();
     assert_eq!(seen.len() as u64, total, "lost or duplicated items");
     seen.sort_unstable();
     seen.dedup();
     assert_eq!(seen.len() as u64, total, "duplicated items");
 
-    // 2. Per-producer order within each consumer's local stream, up to the
-    // allowed relaxation.
-    for stream in &all {
+    for stream in streams {
         let mut max_seen: std::collections::HashMap<usize, u64> = Default::default();
         for &v in stream {
             let (p, seq) = decode(v);
             if let Some(&prev) = max_seen.get(&p) {
-                // `>=` not `>`: see mpmc_stress_relaxed.
+                // `>=` not `>`: distinct items of one producer never share a
+                // seq (exactly-once is checked above), so the strict case
+                // (relaxation 0) still demands monotonic order.
                 assert!(
                     seq.saturating_add(relaxation) >= prev,
                     "consumer observed producer {p} out of order beyond the \
@@ -230,13 +218,6 @@ pub fn mpmc_batch_stress_relaxed<Q: ConcurrentQueue>(
             *slot = (*slot).max(seq);
         }
     }
-
-    let mut rest = Vec::new();
-    assert_eq!(
-        queue.dequeue_batch(&mut rest, 1),
-        0,
-        "queue should be drained"
-    );
 }
 
 /// Sequential model check mixing scalar and batch operations against a

@@ -20,7 +20,7 @@ use lcrq::util::fault::{self, FaultAction, Scenario, Site};
 use lcrq::util::metrics::{self, Event};
 use lcrq::util::rng::test_seed;
 use lcrq::{
-    rank_error_bound_for, ConcurrentQueue, Lcrq, Lscq, LscqCas, Ring, RingList, ShardedConfig,
+    rank_error_bound_for, ConcurrentQueue, Crq, Lcrq, Lscq, LscqCas, Ring, RingList, ShardedConfig,
     ShardedQueue, Wcq,
 };
 
@@ -284,6 +284,40 @@ fn producer_panic_between_faa_and_placement_leaves_the_ring_consistent() {
     }
     let drained: Vec<u64> = q.drain().collect();
     assert_eq!(drained, (0..10).collect::<Vec<_>>());
+}
+
+/// Figure 3d's rule for a lost CAS2, on both of the CRQ's enqueue paths:
+/// the index is given up and the value moves on to the next index. One
+/// spurious CAS2 failure costs the scalar enqueue one extra F&A, and costs
+/// a 3-item batch one of its three reserved indices. The drain shows the
+/// skipped index was empty-transitioned, not lost or filled.
+#[test]
+fn a_lost_cas2_gives_up_its_index_on_both_paths() {
+    let _g = guard();
+    let seed = test_seed(0xCA52_0000_0000_0001);
+    let config = LcrqConfig::new().with_ring_order(3);
+    let lose_one_cas2 = || {
+        Scenario::new(seed)
+            .with_limited(Site::Cas2, 1_000_000, FaultAction::Fail, 1)
+            .arm()
+    };
+
+    let scalar: Crq = Crq::new(&config);
+    lose_one_cas2();
+    let enqueued = scalar.enqueue(7);
+    fault::disarm();
+    let replay = format!("(replay with LCRQ_TEST_SEED={seed:#x})");
+    assert_eq!(enqueued, Ok(()), "{replay}");
+    assert_eq!(scalar.tail_index(), 2, "scalar: a second F&A {replay}");
+
+    let batch: Crq = Crq::new(&config);
+    lose_one_cas2();
+    let placed = batch.enqueue_batch(&[1, 2, 3]);
+    fault::disarm();
+    assert_eq!(placed, 2, "batch: index 0 given up {replay}");
+    assert_eq!(batch.tail_index(), 3, "batch: one reservation {replay}");
+    let drained: Vec<Option<u64>> = (0..3).map(|_| batch.dequeue()).collect();
+    assert_eq!(drained, [Some(1), Some(2), None], "{replay}");
 }
 
 /// A receiver permanently stalled inside the park window must not keep

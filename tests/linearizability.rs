@@ -34,16 +34,24 @@ fn scripts(seed: u64, threads: usize, ops: usize) -> Vec<Vec<Completed>> {
         .collect()
 }
 
-fn check_kind(kind: QueueKind, rounds: u64) {
-    for seed in 0..rounds {
+/// Records `rounds` histories of `kind` at `ring_order`, on 3 threads of
+/// the scripts `script` builds from seed `stride.0 * round + stride.1`,
+/// and checks each with Wing–Gong.
+fn check_histories(
+    kind: QueueKind,
+    ring_order: u32,
+    rounds: u64,
+    stride: (u64, u64),
+    script: fn(u64) -> Vec<Vec<Completed>>,
+) {
+    for round in 0..rounds {
         // LCRQ_TEST_SEED pins every round to one script seed for replay.
-        let script_seed = lcrq::util::rng::test_seed(seed * 7 + 1);
-        // Tiny rings: exercise CRQ switching.
+        let script_seed = lcrq::util::rng::test_seed(round * stride.0 + stride.1);
         let q = QueueSpec::backend(kind)
-            .with_ring_order(4)
+            .with_ring_order(ring_order)
             .with_clusters(2)
             .build();
-        let rec = record(&q, &scripts(script_seed, 3, 4));
+        let rec = record(&q, &script(script_seed));
         if let Err(e) = check_fifo(&rec) {
             panic!(
                 "{}: script seed {script_seed} produced a non-linearizable history \
@@ -53,6 +61,12 @@ fn check_kind(kind: QueueKind, rounds: u64) {
             );
         }
     }
+}
+
+/// Scalar scripts of 4 operations a thread on tiny rings (R = 16), which
+/// exercise CRQ switching.
+fn check_kind(kind: QueueKind, rounds: u64) {
+    check_histories(kind, 4, rounds, (7, 1), |seed| scripts(seed, 3, 4));
 }
 
 /// Randomized scripts mixing scalar and batch steps. Batches are small
@@ -79,23 +93,11 @@ fn batch_scripts(seed: u64, threads: usize, ops: usize) -> Vec<Vec<Completed>> {
         .collect()
 }
 
+/// Batch scripts of 3 steps a thread at `ring_order`.
 fn check_kind_batched(kind: QueueKind, ring_order: u32, rounds: u64) {
-    for seed in 0..rounds {
-        let script_seed = lcrq::util::rng::test_seed(seed * 13 + 3);
-        let q = QueueSpec::backend(kind)
-            .with_ring_order(ring_order)
-            .with_clusters(2)
-            .build();
-        let rec = record(&q, &batch_scripts(script_seed, 3, 3));
-        if let Err(e) = check_fifo(&rec) {
-            panic!(
-                "{}: batch script seed {script_seed} produced a non-linearizable \
-                 history (reproduce with LCRQ_TEST_SEED={script_seed}): {e}\n{:#?}",
-                kind.name(),
-                rec.ops
-            );
-        }
-    }
+    check_histories(kind, ring_order, rounds, (13, 3), |seed| {
+        batch_scripts(seed, 3, 3)
+    });
 }
 
 #[test]

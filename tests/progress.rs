@@ -8,9 +8,10 @@
 mod common;
 
 use common::adversarial_preemption;
+use lcrq::queues::testing::encode;
 use lcrq::queues::ConcurrentQueue;
 use lcrq::util::metrics::{self, Event, Snapshot};
-use lcrq::{Lcrq, LcrqConfig, Lscq, Wcq};
+use lcrq::{Crq, Lcrq, LcrqConfig, Lscq, Ring, RingList, ScqD, Wcq, WcqRing};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -44,6 +45,17 @@ fn steps_in(d: &Snapshot) -> u64 {
         + d.get(Event::NodeVisit)
 }
 
+/// One metered enqueue+dequeue pair of worker `t`, item `i`: the steps of
+/// the costlier of the two operations.
+fn metered_pair<Q: ConcurrentQueue>(q: &Q, t: usize, i: u64) -> u64 {
+    let before = metrics::local_snapshot();
+    q.enqueue(encode(t, i));
+    let mid = metrics::local_snapshot();
+    let _ = q.dequeue();
+    let after = metrics::local_snapshot();
+    steps_in(&mid.delta_since(&before)).max(steps_in(&after.delta_since(&mid)))
+}
+
 /// Runs `workers` threads, each completing `budget` enqueue+dequeue pairs
 /// against `q`, metering every completed operation's steps through the
 /// thread-local counters; returns the worst single-op step count seen.
@@ -53,18 +65,8 @@ fn worst_steps_per_op<Q: ConcurrentQueue>(q: &Q, workers: usize, budget: u64) ->
     std::thread::scope(|s| {
         for t in 0..workers {
             s.spawn(move || {
-                let mut worst = 0u64;
-                for i in 0..budget {
-                    let before = metrics::local_snapshot();
-                    q.enqueue(lcrq::queues::testing::encode(t, i));
-                    let d = metrics::local_snapshot().delta_since(&before);
-                    worst = worst.max(steps_in(&d));
-                    let before = metrics::local_snapshot();
-                    let _ = q.dequeue();
-                    let d = metrics::local_snapshot().delta_since(&before);
-                    worst = worst.max(steps_in(&d));
-                }
-                max_steps.fetch_max(worst, Ordering::SeqCst);
+                let worst = (0..budget).map(|i| metered_pair(q, t, i)).max();
+                max_steps.fetch_max(worst.unwrap_or(0), Ordering::SeqCst);
             });
         }
     });
@@ -132,11 +134,10 @@ fn step_meter_flags_a_planted_retry_loop_backend() {
 // ---------------------------------------------------------------------------
 
 /// Enqueues complete while dequeuers continuously hammer an empty queue —
-/// the infinite-array queue's livelock scenario, which LCRQ's close-and-
-/// move-on design resolves (§4).
-#[test]
-fn enqueues_are_not_livelocked_by_empty_dequeuers() {
-    let q = Lcrq::with_config(LcrqConfig::new().with_ring_order(4));
+/// the infinite-array queue's livelock scenario, which every list of rings
+/// resolves structurally (§4): a starved ring closes and the list moves on.
+fn enqueues_outlast_an_empty_dequeue_storm<R: Ring>() {
+    let q = RingList::<R>::with_config(LcrqConfig::new().with_ring_order(4));
     let stop = AtomicBool::new(false);
     let (q, stop) = (&q, &stop);
     let enqueued = std::thread::scope(|s| {
@@ -158,8 +159,24 @@ fn enqueues_are_not_livelocked_by_empty_dequeuers() {
     });
     assert!(
         enqueued > 1_000,
-        "enqueuer should make steady progress, got {enqueued}"
+        "{} enqueuer should make steady progress, got {enqueued}",
+        q.name()
     );
+}
+
+#[test]
+fn enqueues_are_not_livelocked_by_empty_dequeuers() {
+    enqueues_outlast_an_empty_dequeue_storm::<Crq>();
+}
+
+#[test]
+fn lscq_enqueues_are_not_livelocked_by_empty_dequeuers() {
+    enqueues_outlast_an_empty_dequeue_storm::<ScqD>();
+}
+
+#[test]
+fn wcq_enqueues_are_not_livelocked_by_empty_dequeuers() {
+    enqueues_outlast_an_empty_dequeue_storm::<WcqRing>();
 }
 
 /// Dequeues complete while enqueuers continuously push — dequeuers must
@@ -195,12 +212,13 @@ fn dequeues_make_progress_under_enqueue_pressure() {
     );
 }
 
-/// Under heavy injected preemption, the nonblocking queues must still
-/// complete a fixed workload promptly (nobody waits on a preempted thread).
-#[test]
-fn lcrq_completes_under_adversarial_preemption() {
+/// Under heavy injected preemption a nonblocking queue must still complete
+/// a fixed workload promptly (nobody waits on a preempted thread), with
+/// every item accounted for. The `Site::Preempt` points sit inside each
+/// ring's entry loops, and inside wCQ's helping steps too.
+fn completes_under_adversarial_preemption<R: Ring>() {
     let _adversary = adversarial_preemption(5_000);
-    let q = Lcrq::with_config(LcrqConfig::new().with_ring_order(5));
+    let q = RingList::<R>::with_config(LcrqConfig::new().with_ring_order(5));
     let total = AtomicU64::new(0);
     let (q, total) = (&q, &total);
     std::thread::scope(|s| {
@@ -223,193 +241,27 @@ fn lcrq_completes_under_adversarial_preemption() {
     assert_eq!(total.load(Ordering::Relaxed) + leftover, 12_000);
 }
 
-/// A CRQ whose enqueuers starve closes rather than spinning forever: with a
-/// ring of 2 and many threads, the LCRQ must keep absorbing items by
-/// appending fresh rings (bounded only by memory), never deadlocking.
 #[test]
-fn tiny_rings_never_wedge_the_queue() {
-    let q = Lcrq::with_config(
-        LcrqConfig::new()
-            .with_ring_order(1)
-            .with_starvation_limit(4),
-    );
-    let q = &q;
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            s.spawn(move || {
-                for i in 0..2_500u64 {
-                    q.enqueue(t << 40 | i);
-                }
-            });
-        }
-        s.spawn(move || {
-            // Every item must eventually come out (a hang here fails the
-            // test run); R=2 with starvation limit 4 forces constant ring
-            // replacement, the path most prone to wedging.
-            let mut got = 0u64;
-            while got < 10_000 {
-                if q.dequeue().is_some() {
-                    got += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        });
-    });
-    assert_eq!(q.dequeue(), None);
+fn lcrq_completes_under_adversarial_preemption() {
+    completes_under_adversarial_preemption::<Crq>();
 }
 
-/// LSCQ's livelock defence is structural, like LCRQ's: a starved ring
-/// closes and the list moves on. Enqueuers must make steady progress
-/// against an empty-dequeue storm.
-#[test]
-fn lscq_enqueues_are_not_livelocked_by_empty_dequeuers() {
-    let q = Lscq::with_config(LcrqConfig::new().with_ring_order(4));
-    let stop = AtomicBool::new(false);
-    let (q, stop) = (&q, &stop);
-    let enqueued = std::thread::scope(|s| {
-        for _ in 0..3 {
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = q.dequeue();
-                }
-            });
-        }
-        let deadline = Instant::now() + Duration::from_millis(500);
-        let mut n = 0u64;
-        while Instant::now() < deadline {
-            let _ = q.try_enqueue(n);
-            n += 1;
-        }
-        stop.store(true, Ordering::Relaxed);
-        n
-    });
-    assert!(
-        enqueued > 1_000,
-        "LSCQ enqueuer should make steady progress, got {enqueued}"
-    );
-}
-
-/// LSCQ under heavy injected preemption: same fixed workload as the LCRQ
-/// adversary test, exercising the `Site::Preempt` points inside the SCQ
-/// entry loops.
 #[test]
 fn lscq_completes_under_adversarial_preemption() {
-    let _adversary = adversarial_preemption(5_000);
-    let q = Lscq::with_config(LcrqConfig::new().with_ring_order(5));
-    let total = AtomicU64::new(0);
-    let (q, total) = (&q, &total);
-    std::thread::scope(|s| {
-        for t in 0..6u64 {
-            s.spawn(move || {
-                for i in 0..2_000u64 {
-                    q.enqueue(t << 40 | i);
-                    if q.dequeue().is_some() {
-                        total.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    let mut leftover = 0;
-    while q.dequeue().is_some() {
-        leftover += 1;
-    }
-    assert_eq!(total.load(Ordering::Relaxed) + leftover, 12_000);
+    completes_under_adversarial_preemption::<ScqD>();
 }
 
-/// Tiny SCQ rings under multi-producer pressure: the list must keep
-/// absorbing items by appending fresh rings, never wedging.
-#[test]
-fn lscq_tiny_rings_never_wedge_the_queue() {
-    let q = Lscq::with_config(LcrqConfig::new().with_ring_order(1));
-    let q = &q;
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            s.spawn(move || {
-                for i in 0..2_500u64 {
-                    q.enqueue(t << 40 | i);
-                }
-            });
-        }
-        s.spawn(move || {
-            let mut got = 0u64;
-            while got < 10_000 {
-                if q.dequeue().is_some() {
-                    got += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        });
-    });
-    assert_eq!(q.dequeue(), None);
-}
-
-/// wCQ shares the structural livelock defence (tantrum close + fresh ring)
-/// and adds the helping layer on top; an empty-dequeue storm must not slow
-/// enqueuers below steady progress.
-#[test]
-fn wcq_enqueues_are_not_livelocked_by_empty_dequeuers() {
-    let q = Wcq::with_config(LcrqConfig::new().with_ring_order(4));
-    let stop = AtomicBool::new(false);
-    let (q, stop) = (&q, &stop);
-    let enqueued = std::thread::scope(|s| {
-        for _ in 0..3 {
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = q.dequeue();
-                }
-            });
-        }
-        let deadline = Instant::now() + Duration::from_millis(500);
-        let mut n = 0u64;
-        while Instant::now() < deadline {
-            let _ = q.try_enqueue(n);
-            n += 1;
-        }
-        stop.store(true, Ordering::Relaxed);
-        n
-    });
-    assert!(
-        enqueued > 1_000,
-        "wCQ enqueuer should make steady progress, got {enqueued}"
-    );
-}
-
-/// wCQ under heavy injected preemption: the fixed workload must complete
-/// with every item accounted for, driving the preempt hooks inside both
-/// the fast path and the helping steps.
 #[test]
 fn wcq_completes_under_adversarial_preemption() {
-    let _adversary = adversarial_preemption(5_000);
-    let q = Wcq::with_config(LcrqConfig::new().with_ring_order(5));
-    let total = AtomicU64::new(0);
-    let (q, total) = (&q, &total);
-    std::thread::scope(|s| {
-        for t in 0..6u64 {
-            s.spawn(move || {
-                for i in 0..2_000u64 {
-                    q.enqueue(t << 40 | i);
-                    if q.dequeue().is_some() {
-                        total.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    let mut leftover = 0;
-    while q.dequeue().is_some() {
-        leftover += 1;
-    }
-    assert_eq!(total.load(Ordering::Relaxed) + leftover, 12_000);
+    completes_under_adversarial_preemption::<WcqRing>();
 }
 
-/// Tiny wCQ rings under multi-producer pressure: constant ring turnover
-/// with helped requests spanning ring replacement, never wedging.
-#[test]
-fn wcq_tiny_rings_never_wedge_the_queue() {
-    let q = Wcq::with_config(LcrqConfig::new().with_ring_order(1));
+/// Rings of 2 under multi-producer pressure: a ring whose enqueuers starve
+/// closes rather than spinning forever, so the list must keep absorbing
+/// items by appending fresh rings (bounded only by memory), never wedging.
+/// Every item must eventually come out: a hang here fails the test run.
+fn tiny_rings_never_wedge<R: Ring>(config: LcrqConfig) {
+    let q = RingList::<R>::with_config(config.with_ring_order(1));
     let q = &q;
     std::thread::scope(|s| {
         for t in 0..4u64 {
@@ -431,6 +283,24 @@ fn wcq_tiny_rings_never_wedge_the_queue() {
         });
     });
     assert_eq!(q.dequeue(), None);
+}
+
+/// Starvation limit 4 on top: the CRQ's constant tantrum closes, the path
+/// most prone to wedging.
+#[test]
+fn tiny_rings_never_wedge_the_queue() {
+    tiny_rings_never_wedge::<Crq>(LcrqConfig::new().with_starvation_limit(4));
+}
+
+#[test]
+fn lscq_tiny_rings_never_wedge_the_queue() {
+    tiny_rings_never_wedge::<ScqD>(LcrqConfig::new());
+}
+
+/// Constant ring turnover with helped requests spanning ring replacement.
+#[test]
+fn wcq_tiny_rings_never_wedge_the_queue() {
+    tiny_rings_never_wedge::<WcqRing>(LcrqConfig::new());
 }
 
 /// The SCQ threshold-counter regression: a dequeue-on-empty storm must
@@ -551,8 +421,7 @@ fn combining_queues_complete_under_adversarial_preemption() {
 #[cfg(feature = "fault-injection")]
 mod step_bound {
     use super::common::registry;
-    use super::{steps_in, WCQ_STEP_CEILING};
-    use lcrq::queues::testing::encode;
+    use super::{metered_pair, WCQ_STEP_CEILING};
     use lcrq::queues::ConcurrentQueue;
     use lcrq::util::fault::{self, FaultAction, Scenario, Site};
     use lcrq::util::metrics;
@@ -598,18 +467,8 @@ mod step_bound {
             let handles: Vec<_> = (0..WORKERS)
                 .map(|t| {
                     s.spawn(move || {
-                        let mut worst = 0u64;
-                        for i in 0..BUDGET {
-                            let before = metrics::local_snapshot();
-                            q.enqueue(encode(t, i));
-                            let d = metrics::local_snapshot().delta_since(&before);
-                            worst = worst.max(steps_in(&d));
-                            let before = metrics::local_snapshot();
-                            let _ = q.dequeue();
-                            let d = metrics::local_snapshot().delta_since(&before);
-                            worst = worst.max(steps_in(&d));
-                        }
-                        max_steps.fetch_max(worst, Ordering::SeqCst);
+                        let worst = (0..BUDGET).map(|i| metered_pair(q, t, i)).max();
+                        max_steps.fetch_max(worst.unwrap_or(0), Ordering::SeqCst);
                         done.fetch_add(1, Ordering::SeqCst);
                     })
                 })
