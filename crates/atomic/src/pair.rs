@@ -134,11 +134,6 @@ impl AtomicPair {
         }
         r
     }
-
-    /// Non-atomic store through exclusive access (initialization).
-    pub fn store_mut(&mut self, first: u64, second: u64) {
-        *self.words.get_mut() = [first, second];
-    }
 }
 
 impl core::fmt::Debug for AtomicPair {
@@ -394,13 +389,6 @@ mod tests {
         assert!(p.compare_exchange((5, 6), (0, 0)).is_err());
         assert!(p.compare_exchange((6, 5), (0, 0)).is_err());
         assert!(p.compare_exchange((5, 5), (0, 0)).is_ok());
-    }
-
-    #[test]
-    fn store_mut_reinitializes() {
-        let mut p = AtomicPair::new(0, 0);
-        p.store_mut(3, 4);
-        assert_eq!(p.load(), (3, 4));
     }
 
     #[test]

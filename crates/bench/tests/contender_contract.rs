@@ -5,8 +5,10 @@
 //! `Entry::build` — must behave like a concurrent multiset channel before
 //! its throughput numbers mean anything:
 //!
-//! * **exactly-once delivery** — N producers push disjoint tagged values,
-//!   N consumers drain; every value comes out exactly once, nothing else;
+//! * **exactly-once delivery** — `testing::mpmc_stress`: N producers push
+//!   disjoint tagged values, N consumers drain; every value comes out
+//!   exactly once, nothing else, each producer's in order (the relaxed
+//!   sharded front-end excepted);
 //! * **empty is empty** — a freshly built contender dequeues `None`, and
 //!   does so again after a fill/drain cycle;
 //! * **single-thread FIFO** — with one thread, real queue adapters keep
@@ -19,90 +21,25 @@
 //! arena relies on instead.
 
 use lcrq_bench::arena::{self, Entry};
-use lcrq_queues::ConcurrentQueue;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use lcrq_queues::{testing, ConcurrentQueue};
 
 /// Small ring so registry queues exercise ring-close paths in the fill
 /// test rather than staying inside one ring.
 const RING_ORDER: u32 = 6;
 
-/// N producers enqueue disjoint tagged ranges while N consumers drain.
-/// Returns the multiset of dequeued values.
-fn hammer(c: &dyn ConcurrentQueue, producers: usize, per: u64) -> HashMap<u64, u64> {
-    let total = producers as u64 * per;
-    let consumed = AtomicU64::new(0);
-    let barrier = Barrier::new(2 * producers);
-    let mut buckets: Vec<Vec<u64>> = Vec::new();
-    std::thread::scope(|s| {
-        let (c, consumed, barrier) = (&c, &consumed, &barrier);
-        for t in 0..producers {
-            s.spawn(move || {
-                barrier.wait();
-                for i in 0..per {
-                    c.enqueue(((t as u64) << 32) | i);
-                }
-            });
-        }
-        let handles: Vec<_> = (0..producers)
-            .map(|_| {
-                s.spawn(move || {
-                    barrier.wait();
-                    let mut got = Vec::new();
-                    while consumed.load(Ordering::Relaxed) < total {
-                        if let Some(v) = c.dequeue() {
-                            consumed.fetch_add(1, Ordering::Relaxed);
-                            got.push(v);
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        for h in handles {
-            buckets.push(h.join().unwrap());
-        }
-    });
-    let mut multiset = HashMap::new();
-    for v in buckets.into_iter().flatten() {
-        *multiset.entry(v).or_insert(0u64) += 1;
-    }
-    multiset
-}
-
 #[test]
 fn every_contender_delivers_exactly_once() {
-    let producers = 3;
-    let per = 500u64;
     for e in arena::default_roster(RING_ORDER) {
         if e.synthetic {
             continue; // faa transfers no values by design
         }
-        let c = e.build();
-        let multiset = hammer(&*c, producers, per);
-        let expected = producers as u64 * per;
-        let delivered: u64 = multiset.values().sum();
-        assert_eq!(delivered, expected, "{}: wrong delivery count", e.name);
-        for t in 0..producers as u64 {
-            for i in 0..per {
-                let v = (t << 32) | i;
-                assert_eq!(
-                    multiset.get(&v).copied(),
-                    Some(1),
-                    "{}: value {v:#x} not delivered exactly once",
-                    e.name
-                );
-            }
-        }
-        assert_eq!(
-            multiset.len() as u64,
-            expected,
-            "{}: phantom values delivered",
-            e.name
-        );
+        // The d-choice front-end is relaxed FIFO: exactly once, any order.
+        let relaxation = if e.name.starts_with("sharded:") {
+            u64::MAX
+        } else {
+            0
+        };
+        testing::mpmc_stress_relaxed(&e.build(), 3, 3, 500, relaxation);
     }
 }
 

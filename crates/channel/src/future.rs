@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::task::Wake;
 
 use lcrq_core::{Crq, Ring};
-use lcrq_util::parker::Parker;
 
 use crate::error::{RecvError, SendError};
 use crate::waker::Registration;
@@ -94,7 +93,7 @@ impl<T: Send, R: Ring> Drop for SendFuture<'_, T, R> {
     }
 }
 
-struct ThreadWaker(Parker);
+struct ThreadWaker(std::thread::Thread);
 
 impl Wake for ThreadWaker {
     fn wake(self: Arc<Self>) {
@@ -106,21 +105,20 @@ impl Wake for ThreadWaker {
 }
 
 /// Drives one future to completion on the current thread, parking between
-/// polls on a [`Parker`] (exactly-one-token: a wake delivered between poll
-/// and park is not lost).
+/// polls with [`std::thread::park`]: its token keeps a wake delivered
+/// between poll and park, and a spurious return only costs one more poll.
 ///
 /// This is the minimal executor that makes the async API usable without a
 /// runtime dependency — suitable for tests, benches, and simple tools; a
 /// real application would hand the futures to its executor instead.
 pub fn block_on<F: Future>(future: F) -> F::Output {
-    let thread_waker = Arc::new(ThreadWaker(Parker::new()));
-    let waker = Waker::from(Arc::clone(&thread_waker));
+    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
     let mut cx = Context::from_waker(&waker);
     let mut future = core::pin::pin!(future);
     loop {
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(out) => return out,
-            Poll::Pending => thread_waker.0.park(),
+            Poll::Pending => std::thread::park(),
         }
     }
 }

@@ -627,6 +627,7 @@ impl<'a, T: Send, R: Ring> IntoIterator for &'a Receiver<T, R> {
 mod tests {
     use super::*;
     use lcrq_core::WcqRing;
+    use lcrq_queues::testing;
 
     #[test]
     fn a_bounded_channel_sizes_its_rings_to_its_capacity() {
@@ -986,18 +987,15 @@ mod tests {
         assert_eq!(rx.recv_batch(&mut out, 4), Err(RecvError::Disconnected));
     }
 
-    /// 3 producers × 3 consumers over any ring: nothing lost, nothing
-    /// duplicated, `Disconnected` only after the last item.
+    /// 3 producers × 3 consumers over any ring: each item delivered exactly
+    /// once and in its producer's order, `Disconnected` only after the last.
     fn mpmc_stress<R: Ring>((tx, rx): (Sender<u64, R>, Receiver<u64, R>)) {
-        let producers = 3u64;
-        let per = 2_000u64;
+        let sent = testing::items(3, 2_000);
         let mut handles = Vec::new();
-        for p in 0..producers {
-            let tx = tx.clone();
+        for mine in sent.chunks(2_000) {
+            let (tx, mine) = (tx.clone(), mine.to_vec());
             handles.push(std::thread::spawn(move || {
-                for i in 0..per {
-                    tx.send((p << 32) | i).unwrap();
-                }
+                mine.into_iter().for_each(|v| tx.send(v).unwrap())
             }));
         }
         drop(tx);
@@ -1017,14 +1015,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let mut all: Vec<u64> = consumers
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        assert_eq!(all.len() as u64, producers * per, "lost items");
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len() as u64, producers * per, "duplicates");
+        let streams: Vec<Vec<u64>> = consumers.into_iter().map(|h| h.join().unwrap()).collect();
+        testing::check_delivery(&sent, &streams).unwrap();
     }
 
     #[test]

@@ -444,6 +444,7 @@ unsafe impl<P: FaaPolicy> Sync for Crq<P> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcrq_queues::testing;
     use std::sync::atomic::AtomicU64 as StdAtomicU64;
     use std::sync::Barrier;
 
@@ -572,18 +573,18 @@ mod tests {
         // the "possibly full" close never triggers; a bare CRQ is bounded.
         let q = crq(15);
         let producers = 4usize;
-        let per = 5_000u64;
+        let sent = testing::items(producers, 5_000);
         let barrier = Barrier::new(producers + 2);
         let producers_done = StdAtomicU64::new(0);
         let q = &q;
         let barrier = &barrier;
         let producers_done = &producers_done;
         let streams: Vec<Vec<u64>> = std::thread::scope(|s| {
-            for p in 0..producers {
+            for mine in sent.chunks(5_000) {
                 s.spawn(move || {
                     barrier.wait();
-                    for i in 0..per {
-                        q.enqueue(((p as u64) << 40) | i)
+                    for &v in mine {
+                        q.enqueue(v)
                             .expect("ring sized to never close in this test");
                     }
                     producers_done.fetch_add(1, Ordering::SeqCst);
@@ -618,22 +619,7 @@ mod tests {
                 .collect();
             consumers.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let mut all: Vec<u64> = streams.iter().flatten().copied().collect();
-        assert_eq!(all.len() as u64, producers as u64 * per, "lost items");
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len() as u64, producers as u64 * per, "duplicates!");
-        // Per-producer order within each consumer stream.
-        for stream in &streams {
-            let mut last = std::collections::HashMap::new();
-            for &v in stream {
-                let (p, i) = (v >> 40, v & ((1 << 40) - 1));
-                if let Some(&prev) = last.get(&p) {
-                    assert!(i > prev, "per-producer order violated");
-                }
-                last.insert(p, i);
-            }
-        }
+        testing::check_delivery(&sent, &streams).unwrap();
     }
 
     #[test]
@@ -996,7 +982,7 @@ mod tests {
         // Two threads batch-enqueue stamped runs into one ring; each run
         // placed by one reservation must occupy contiguous positions.
         let q = crq(12); // R = 4096 >> total items: no closes
-        let writers = 2u64;
+        let writers = 2usize;
         let runs = 50u64;
         const K: usize = 8;
         let q = &q;
@@ -1004,7 +990,7 @@ mod tests {
             for w in 0..writers {
                 s.spawn(move || {
                     for r in 0..runs {
-                        let base = (w << 32) | (r << 16);
+                        let base = testing::encode(w, r << 16);
                         let vals: Vec<u64> = (0..K as u64).map(|i| base | i).collect();
                         let mut placed = 0;
                         while placed < K {
@@ -1015,7 +1001,7 @@ mod tests {
             }
         });
         let mut out = Vec::new();
-        let total = writers as usize * runs as usize * K;
+        let total = writers * runs as usize * K;
         assert_eq!(q.dequeue_batch(&mut out, total + 10), total);
         // Check contiguity: whenever an item with sequence 0 of a run shows
         // up, the whole run follows consecutively (single reservation: the

@@ -1083,13 +1083,13 @@ mod tests {
                     for round in 0..20 {
                         let q = Q::with_config(tiny());
                         let q = &q;
-                        let (sent, mut got) = std::thread::scope(|s| {
-                            let producers: Vec<_> = (0..3u64)
+                        let (sent, got) = std::thread::scope(|s| {
+                            let producers: Vec<_> = (0..3)
                                 .map(|p| {
                                     s.spawn(move || {
                                         let mut placed = Vec::new();
-                                        for i in 0..10_000u64 {
-                                            let v = (p << 40) | i;
+                                        for i in 0..10_000 {
+                                            let v = testing::encode(p, i);
                                             if q.try_enqueue(v).is_err() {
                                                 break;
                                             }
@@ -1117,15 +1117,15 @@ mod tests {
                                 std::thread::yield_now();
                             }
                             q.close();
-                            let sent: Vec<Vec<u64>> =
-                                producers.into_iter().map(|h| h.join().unwrap()).collect();
+                            let sent: Vec<u64> = producers
+                                .into_iter()
+                                .flat_map(|h| h.join().unwrap())
+                                .collect();
                             (sent, consumer.join().unwrap())
                         });
                         assert_eq!(q.dequeue(), None, "accepted after closed-and-empty");
-                        let mut expected: Vec<u64> = sent.into_iter().flatten().collect();
-                        expected.sort_unstable();
-                        got.sort_unstable();
-                        assert_eq!(got, expected, "close lost or duplicated items");
+                        testing::check_delivery(&sent, &[got])
+                            .unwrap_or_else(|e| panic!("round {round}: close: {e}"));
                     }
                 }
 

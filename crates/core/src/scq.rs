@@ -467,8 +467,7 @@ unsafe impl<P: FaaPolicy> Sync for ScqD<P> {}
 mod tests {
     use super::*;
     use lcrq_atomic::CasLoopFaa;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use lcrq_queues::testing;
 
     #[test]
     fn entry_packing_round_trips() {
@@ -620,42 +619,31 @@ mod tests {
         const PER_THREAD: u64 = 2_000;
         // Capacity covers the whole run: a bare ScqD closes permanently on
         // full (the tantrum), so this test sizes it for the backlog.
-        let q: Arc<ScqD> = Arc::new(ScqD::new(&LcrqConfig::new(), 13));
-        let seen = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for t in 0..THREADS as u64 {
-            let q = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..PER_THREAD {
-                    // Ring is big enough that the tantrum never fires here.
-                    q.enqueue((t << 32) | i).unwrap();
-                }
-            }));
-        }
-        for _ in 0..THREADS {
-            let q = Arc::clone(&q);
-            let seen = Arc::clone(&seen);
-            handles.push(std::thread::spawn(move || {
-                let mut last = [None::<u64>; THREADS];
-                let mut got = 0usize;
-                while got < PER_THREAD as usize {
-                    let Some(v) = q.dequeue() else {
-                        std::hint::spin_loop();
-                        continue;
-                    };
-                    let (t, i) = ((v >> 32) as usize, v & 0xffff_ffff);
-                    assert!(last[t].is_none_or(|prev| prev < i), "per-producer FIFO");
-                    last[t] = Some(i);
-                    got += 1;
-                }
-                seen.fetch_add(got, Ordering::SeqCst);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(seen.load(Ordering::SeqCst), THREADS * PER_THREAD as usize);
-        assert_eq!(q.dequeue(), None);
+        let q: &ScqD = &ScqD::new(&LcrqConfig::new(), 13);
+        let sent = testing::items(THREADS, PER_THREAD);
+        let mut streams: Vec<Vec<u64>> = std::thread::scope(|s| {
+            for mine in sent.chunks(PER_THREAD as usize) {
+                // Ring is big enough that the tantrum never fires here.
+                s.spawn(move || mine.iter().for_each(|&v| q.enqueue(v).unwrap()));
+            }
+            let consumers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut got = Vec::new();
+                        while got.len() < PER_THREAD as usize {
+                            match q.dequeue() {
+                                Some(v) => got.push(v),
+                                None => std::hint::spin_loop(),
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            consumers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        streams.push(std::iter::from_fn(|| q.dequeue()).collect());
+        testing::check_delivery(&sent, &streams).unwrap();
     }
 
     #[test]

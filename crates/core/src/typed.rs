@@ -316,6 +316,7 @@ unsafe impl<T: Send, R: Ring> Sync for Typed<T, R> {}
 mod tests {
     use super::*;
     use lcrq_atomic::CasLoopFaa;
+    use lcrq_queues::testing;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -535,34 +536,26 @@ mod tests {
                 fn mpmc_stress_typed() {
                     let q: Q<(usize, u64)> = Q::with_config(LcrqConfig::new().with_ring_order(4));
                     let q = &q;
-                    let producers = 3usize;
-                    let per = 3_000u64;
-                    let total = producers as u64 * per;
-                    std::thread::scope(|s| {
-                        for p in 0..producers {
+                    let sent = testing::items(3, 3_000);
+                    let got = std::thread::scope(|s| {
+                        for p in 0..3 {
                             s.spawn(move || {
-                                for i in 0..per {
+                                for i in 0..3_000 {
                                     q.enqueue((p, i));
                                 }
                             });
                         }
-                        s.spawn(move || {
-                            let mut got = 0;
-                            let mut last = [None; 8];
-                            while got < total {
-                                if let Some((p, i)) = q.dequeue() {
-                                    if let Some(prev) = last[p] {
-                                        assert!(i > prev);
-                                    }
-                                    last[p] = Some(i);
-                                    got += 1;
-                                } else {
-                                    std::thread::yield_now();
-                                }
+                        let mut got = Vec::new();
+                        while got.len() < sent.len() {
+                            match q.dequeue() {
+                                Some((p, i)) => got.push(testing::encode(p, i)),
+                                None => std::thread::yield_now(),
                             }
-                        });
+                        }
+                        got
                     });
                     assert!(q.dequeue().is_none());
+                    testing::check_delivery(&sent, &[got]).unwrap();
                 }
             }
         };

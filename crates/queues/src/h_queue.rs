@@ -112,17 +112,7 @@ mod tests {
                 });
             }
         });
-        let got = testing::drain(q);
-        assert_eq!(got.len(), 16_000);
-        // Per-producer order must hold in the drained sequence.
-        let mut last = std::collections::HashMap::new();
-        for v in got {
-            let (p, seq) = testing::decode(v);
-            if let Some(&prev) = last.get(&p) {
-                assert!(seq > prev);
-            }
-            last.insert(p, seq);
-        }
+        testing::check_delivery(&testing::items(4, 4_000), &[testing::drain(q)]).unwrap();
     }
 
     #[test]

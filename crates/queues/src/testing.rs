@@ -1,11 +1,20 @@
 //! Shared test harnesses for queue implementations.
 //!
-//! Used by the unit tests of every queue in this crate, by `lcrq-core`'s
-//! tests, and by the workspace integration tests. Not compiled out of tests
-//! builds (it is ordinary code) so downstream crates can reuse it.
+//! Used by the unit tests of every queue in this crate, by `lcrq-core`'s and
+//! `lcrq-channel`'s tests, and by the workspace integration tests. Not
+//! compiled out of tests builds (it is ordinary code) so downstream crates
+//! can reuse it.
+//!
+//! Every concurrent test checks delivery the same way. Producer `p` sends
+//! [`encode`]`(p, 0)`, `encode(p, 1)`, … ([`items`] lists them all), each
+//! consumer keeps what it got in the order it got it, and
+//! [`check_delivery`] holds those streams against what was sent: every item
+//! exactly once, and each producer's items in order within every stream.
+//! Both follow from a linearizable FIFO (paper §4.2) and scale to any run
+//! length; cross-consumer order and honest EMPTY are not checked.
 
 use crate::ConcurrentQueue;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -19,17 +28,74 @@ pub fn decode(value: u64) -> (usize, u64) {
     ((value >> 40) as usize, value & ((1 << 40) - 1))
 }
 
+/// Every item `producers` producers send when each sends `per_producer`:
+/// `encode(p, seq)` for each `p < producers` and `seq < per_producer`.
+pub fn items(producers: usize, per_producer: u64) -> Vec<u64> {
+    (0..producers)
+        .flat_map(|p| (0..per_producer).map(move |seq| encode(p, seq)))
+        .collect()
+}
+
+/// Checks what a concurrent run delivered against what it sent.
+///
+/// `sent` is every accepted item, in any order. `streams` holds each
+/// consumer's items in the order that consumer got them; a final drain is
+/// one more stream. Items are [`encode`]d. The run fails if an item was
+/// lost, delivered twice (within one stream or across two) or never sent,
+/// or if a stream saw one producer's sequence numbers go backwards.
+///
+/// Returns what went wrong instead of panicking, so each caller keeps its
+/// own context (label, scenario, `LCRQ_TEST_SEED=` replay line) in its
+/// panic message. The error names an item as `producer:seq`.
+pub fn check_delivery(sent: &[u64], streams: &[Vec<u64>]) -> Result<(), String> {
+    check_delivery_within(sent, streams, 0)
+}
+
+/// [`check_delivery`] for the relaxed harnesses: within one stream an item
+/// may follow at most `relaxation` later items of its producer.
+fn check_delivery_within(
+    sent: &[u64],
+    streams: &[Vec<u64>],
+    relaxation: u64,
+) -> Result<(), String> {
+    let mut delivered: HashMap<u64, bool> = sent.iter().map(|&v| (v, false)).collect();
+    if delivered.len() != sent.len() {
+        return Err("`sent` names an item twice".into());
+    }
+    for (c, stream) in streams.iter().enumerate() {
+        let mut newest: HashMap<usize, u64> = HashMap::new();
+        for &v in stream {
+            let (p, seq) = decode(v);
+            match delivered.get_mut(&v) {
+                None => return Err(format!("stream {c} got {p}:{seq}, which was never sent")),
+                Some(true) => return Err(format!("{p}:{seq} was delivered twice")),
+                Some(got) => *got = true,
+            }
+            let prev = newest.entry(p).or_insert(seq);
+            if seq.saturating_add(relaxation) < *prev {
+                return Err(format!(
+                    "stream {c} got {p}:{seq} after {p}:{prev} (relaxation {relaxation})"
+                ));
+            }
+            *prev = (*prev).max(seq);
+        }
+    }
+    let lost: Vec<(usize, u64)> = delivered
+        .into_iter()
+        .filter(|&(_, got)| !got)
+        .map(|(v, _)| decode(v))
+        .collect();
+    match lost.iter().min() {
+        Some((p, seq)) => Err(format!("{} items were lost, first {p}:{seq}", lost.len())),
+        None => Ok(()),
+    }
+}
+
 /// Multi-producer multi-consumer stress test.
 ///
-/// `producers` threads each enqueue `per_producer` encoded items while
-/// `consumers` threads dequeue until everything is drained. Verifies:
-///
-/// 1. every enqueued item is dequeued exactly once (no loss, no duplication);
-/// 2. items from each producer are dequeued in that producer's enqueue order
-///    (a necessary condition of FIFO linearizability that scales to large
-///    histories, unlike full linearizability checking).
-///
-/// Panics on any violation.
+/// `producers` threads each enqueue `per_producer` [`encode`]d items while
+/// `consumers` threads dequeue until everything is drained; then
+/// [`check_delivery`]. Panics on any violation.
 pub fn mpmc_stress<Q: ConcurrentQueue>(
     queue: &Q,
     producers: usize,
@@ -53,61 +119,14 @@ pub fn mpmc_stress_relaxed<Q: ConcurrentQueue>(
     per_producer: u64,
     relaxation: u64,
 ) {
-    assert!(producers > 0 && consumers > 0);
-    let total = producers as u64 * per_producer;
-    let dequeued = AtomicU64::new(0);
-    let barrier = Barrier::new(producers + consumers);
-
-    let barrier = &barrier;
-    let dequeued = &dequeued;
-    let all: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let mut consumer_handles = Vec::new();
-        for p in 0..producers {
-            s.spawn(move || {
-                barrier.wait();
-                for seq in 0..per_producer {
-                    queue.enqueue(encode(p, seq));
-                }
-            });
-        }
-        for _ in 0..consumers {
-            consumer_handles.push(s.spawn(move || {
-                barrier.wait();
-                let mut got = Vec::new();
-                while dequeued.load(Ordering::Relaxed) < total {
-                    match queue.dequeue() {
-                        Some(v) => {
-                            dequeued.fetch_add(1, Ordering::Relaxed);
-                            got.push(v);
-                        }
-                        None => std::thread::yield_now(),
-                    }
-                }
-                got
-            }));
-        }
-        consumer_handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
-    });
-
-    check_delivery(&all, total, relaxation);
-    // Queue must now be empty.
-    assert_eq!(queue.dequeue(), None, "queue should be drained");
+    stress(queue, producers, consumers, per_producer, None, relaxation)
 }
 
-/// Multi-producer multi-consumer stress test over the *batch* API.
-///
-/// Like [`mpmc_stress`], but producers move items with
-/// [`enqueue_batch`](ConcurrentQueue::enqueue_batch) in chunks of
-/// `batch` and consumers with
-/// [`dequeue_batch`](ConcurrentQueue::dequeue_batch). Checks the same
-/// properties — exactly-once delivery and per-producer order within each
-/// consumer stream — which batch semantics must preserve (a batch is a
-/// sequence of individual operations; see the trait docs).
-///
-/// Panics on any violation.
+/// [`mpmc_stress`] over the *batch* API: producers move items with
+/// [`enqueue_batch`](ConcurrentQueue::enqueue_batch) in chunks of `batch`
+/// and consumers with [`dequeue_batch`](ConcurrentQueue::dequeue_batch).
+/// A batch is a sequence of individual operations (see the trait docs), so
+/// the same check applies. Panics on any violation.
 pub fn mpmc_batch_stress<Q: ConcurrentQueue>(
     queue: &Q,
     producers: usize,
@@ -119,9 +138,7 @@ pub fn mpmc_batch_stress<Q: ConcurrentQueue>(
 }
 
 /// [`mpmc_batch_stress`] generalized to relaxed queues, with the same
-/// `relaxation` parameter as [`mpmc_stress_relaxed`]: within each
-/// consumer's stream an item may overtake at most `relaxation` earlier
-/// items of the same producer. `relaxation == 0` is the strict check.
+/// `relaxation` parameter as [`mpmc_stress_relaxed`].
 ///
 /// Panics on any violation.
 pub fn mpmc_batch_stress_relaxed<Q: ConcurrentQueue>(
@@ -132,181 +149,119 @@ pub fn mpmc_batch_stress_relaxed<Q: ConcurrentQueue>(
     batch: usize,
     relaxation: u64,
 ) {
-    assert!(producers > 0 && consumers > 0 && batch > 0);
-    let total = producers as u64 * per_producer;
+    assert!(batch > 0);
+    stress(
+        queue,
+        producers,
+        consumers,
+        per_producer,
+        Some(batch),
+        relaxation,
+    )
+}
+
+/// The one producer/consumer loop of the stress harnesses: the scalar
+/// calls, or with `batch` the batch calls of up to that many items.
+fn stress<Q: ConcurrentQueue>(
+    queue: &Q,
+    producers: usize,
+    consumers: usize,
+    per_producer: u64,
+    batch: Option<usize>,
+    relaxation: u64,
+) {
+    assert!(producers > 0 && consumers > 0);
+    let sent = items(producers, per_producer);
+    let total = sent.len() as u64;
     let dequeued = AtomicU64::new(0);
     let barrier = Barrier::new(producers + consumers);
-
-    let barrier = &barrier;
-    let dequeued = &dequeued;
-    let all: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let mut consumer_handles = Vec::new();
+    let (dequeued, barrier) = (&dequeued, &barrier);
+    let streams: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let per = per_producer as usize;
         for p in 0..producers {
+            let mine = &sent[p * per..(p + 1) * per];
             s.spawn(move || {
                 barrier.wait();
-                let mut seq = 0u64;
-                while seq < per_producer {
-                    let n = (batch as u64).min(per_producer - seq);
-                    let vals: Vec<u64> = (seq..seq + n).map(|i| encode(p, i)).collect();
-                    queue.enqueue_batch(&vals);
-                    seq += n;
+                match batch {
+                    Some(max) => mine.chunks(max).for_each(|c| queue.enqueue_batch(c)),
+                    None => mine.iter().for_each(|&v| queue.enqueue(v)),
                 }
             });
         }
-        for _ in 0..consumers {
-            consumer_handles.push(s.spawn(move || {
-                barrier.wait();
-                let mut got = Vec::new();
-                while dequeued.load(Ordering::Relaxed) < total {
-                    let taken = queue.dequeue_batch(&mut got, batch);
-                    if taken > 0 {
-                        dequeued.fetch_add(taken as u64, Ordering::Relaxed);
-                    } else {
-                        std::thread::yield_now();
+        let consumers: Vec<_> = (0..consumers)
+            .map(|_| {
+                s.spawn(move || {
+                    barrier.wait();
+                    let mut got = Vec::new();
+                    while dequeued.load(Ordering::Relaxed) < total {
+                        let taken = match batch {
+                            Some(max) => queue.dequeue_batch(&mut got, max),
+                            None => usize::from(queue.dequeue().map(|v| got.push(v)).is_some()),
+                        };
+                        if taken > 0 {
+                            dequeued.fetch_add(taken as u64, Ordering::Relaxed);
+                        } else {
+                            std::thread::yield_now();
+                        }
                     }
-                }
-                got
-            }));
-        }
-        consumer_handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
+                    got
+                })
+            })
+            .collect();
+        consumers.into_iter().map(|h| h.join().unwrap()).collect()
     });
-
-    check_delivery(&all, total, relaxation);
-    let mut rest = Vec::new();
-    assert_eq!(
-        queue.dequeue_batch(&mut rest, 1),
-        0,
-        "queue should be drained"
-    );
+    check_delivery_within(&sent, &streams, relaxation)
+        .unwrap_or_else(|e| panic!("[{}] {e}", queue.name()));
+    let drained = match batch {
+        Some(_) => queue.dequeue_batch(&mut Vec::new(), 1) == 0,
+        None => queue.dequeue().is_none(),
+    };
+    assert!(drained, "[{}] queue should be drained", queue.name());
 }
 
-/// The post-run check of both stress harnesses, over each consumer's
-/// stream of dequeued items:
-///
-/// 1. every one of the `total` enqueued items was dequeued exactly once;
-/// 2. each consumer observed each producer's items in that producer's
-///    enqueue order, up to `relaxation`. (The global interleaving across
-///    consumers is not ordered, but any single consumer must observe each
-///    producer's items in order — a consequence of queue linearizability —
-///    loosened here so an item may overtake at most `relaxation` earlier
-///    same-producer items.)
-fn check_delivery(streams: &[Vec<u64>], total: u64, relaxation: u64) {
-    let mut seen: Vec<u64> = streams.iter().flatten().copied().collect();
-    assert_eq!(seen.len() as u64, total, "lost or duplicated items");
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, total, "duplicated items");
-
-    for stream in streams {
-        let mut max_seen: std::collections::HashMap<usize, u64> = Default::default();
-        for &v in stream {
-            let (p, seq) = decode(v);
-            if let Some(&prev) = max_seen.get(&p) {
-                // `>=` not `>`: distinct items of one producer never share a
-                // seq (exactly-once is checked above), so the strict case
-                // (relaxation 0) still demands monotonic order.
-                assert!(
-                    seq.saturating_add(relaxation) >= prev,
-                    "consumer observed producer {p} out of order beyond the \
-                     relaxation bound {relaxation}: {seq} after {prev}"
-                );
-            }
-            let slot = max_seen.entry(p).or_insert(0);
-            *slot = (*slot).max(seq);
-        }
-    }
-}
-
-/// Sequential model check mixing scalar and batch operations against a
-/// `VecDeque` model: batch enqueues must append in slice order, batch
-/// dequeues must pop in FIFO order and report shortfalls only when the
-/// model is also empty.
-///
-/// `seed` may be overridden with the `LCRQ_TEST_SEED` env var (see
-/// [`lcrq_util::rng::test_seed`]); failures print the effective seed.
-pub fn batch_model_check<Q: ConcurrentQueue>(queue: &Q, seed: u64) {
-    let seed = lcrq_util::rng::test_seed(seed);
-    let mut rng = lcrq_util::XorShift64Star::new(seed);
-    let mut model: VecDeque<u64> = VecDeque::new();
-    let mut next_val = 0u64;
-    for step in 0..3_000 {
-        match rng.next_below(4) {
-            0 => {
-                queue.enqueue(next_val);
-                model.push_back(next_val);
-                next_val += 1;
-            }
-            1 => {
-                let n = rng.next_below(40) as usize;
-                let vals: Vec<u64> = (next_val..next_val + n as u64).collect();
-                queue.enqueue_batch(&vals);
-                model.extend(&vals);
-                next_val += n as u64;
-            }
-            2 => {
-                assert_eq!(
-                    queue.dequeue(),
-                    model.pop_front(),
-                    "divergence from model at step {step} \
-                     (reproduce with LCRQ_TEST_SEED={seed})"
-                );
-            }
-            _ => {
-                let max = rng.next_below(40) as usize;
-                let mut out = Vec::new();
-                let taken = queue.dequeue_batch(&mut out, max);
-                assert_eq!(taken, out.len(), "step {step}: taken != out.len()");
-                assert!(taken <= max, "step {step}: over-delivered");
-                for (i, v) in out.iter().enumerate() {
-                    assert_eq!(
-                        Some(*v),
-                        model.pop_front(),
-                        "divergence from model at step {step}, batch item {i} \
-                         (reproduce with LCRQ_TEST_SEED={seed})"
-                    );
-                }
-                if taken < max {
-                    assert!(
-                        model.is_empty(),
-                        "step {step}: short batch but model holds items \
-                         (reproduce with LCRQ_TEST_SEED={seed})"
-                    );
-                }
-            }
-        }
-    }
-    while let Some(expect) = model.pop_front() {
-        assert_eq!(queue.dequeue(), Some(expect));
-    }
-    assert_eq!(queue.dequeue(), None);
-}
-
-/// Runs a single-threaded randomized operation sequence against the queue
-/// and a `VecDeque` model, asserting identical observable behaviour.
+/// Runs a single-threaded randomized sequence of scalar and batch
+/// operations against the queue and a `VecDeque` model, asserting
+/// identical observable behaviour: batch enqueues append in slice order,
+/// batch dequeues pop in FIFO order and come up short only when the model
+/// is empty too.
 ///
 /// `seed` may be overridden with the `LCRQ_TEST_SEED` env var (see
 /// [`lcrq_util::rng::test_seed`]); failures print the effective seed.
 pub fn model_check<Q: ConcurrentQueue>(queue: &Q, seed: u64) {
     let seed = lcrq_util::rng::test_seed(seed);
+    let replay = format!("(reproduce with LCRQ_TEST_SEED={seed})");
     let mut rng = lcrq_util::XorShift64Star::new(seed);
     let mut model: VecDeque<u64> = VecDeque::new();
     let mut next_val = 0u64;
     for step in 0..10_000 {
         // Bias toward enqueues early, dequeues late, to sweep queue sizes.
         let enq_bias = if step < 5_000 { 60 } else { 40 };
+        // One step in four is a batch of 0..40 items.
+        let batch = rng.chance(1, 4).then(|| rng.next_below(40) as usize);
         if rng.chance(enq_bias, 100) {
-            queue.enqueue(next_val);
-            model.push_back(next_val);
-            next_val += 1;
+            let vals: Vec<u64> = (next_val..).take(batch.unwrap_or(1)).collect();
+            match batch {
+                Some(_) => queue.enqueue_batch(&vals),
+                None => queue.enqueue(next_val),
+            }
+            next_val += vals.len() as u64;
+            model.extend(vals);
+        } else if let Some(max) = batch {
+            let mut out = Vec::new();
+            let taken = queue.dequeue_batch(&mut out, max);
+            assert_eq!(taken, out.len(), "step {step}: taken != out.len() {replay}");
+            assert!(taken <= max, "step {step}: over-delivered {replay}");
+            let expect: Vec<u64> = (0..taken).map_while(|_| model.pop_front()).collect();
+            assert_eq!(out, expect, "divergence from model at step {step} {replay}");
+            assert!(
+                taken == max || model.is_empty(),
+                "step {step}: short batch but model holds items {replay}"
+            );
         } else {
             assert_eq!(
                 queue.dequeue(),
                 model.pop_front(),
-                "divergence from model at step {step} \
-                 (reproduce with LCRQ_TEST_SEED={seed})"
+                "divergence from model at step {step} {replay}"
             );
         }
     }
@@ -482,20 +437,21 @@ mod tests {
         assert!(result.is_err(), "harness must reject LIFO order");
     }
 
+    struct GoodQueue(std::sync::Mutex<VecDeque<u64>>);
+    impl ConcurrentQueue for GoodQueue {
+        fn enqueue(&self, v: u64) {
+            self.0.lock().unwrap().push_back(v);
+        }
+        fn dequeue(&self) -> Option<u64> {
+            self.0.lock().unwrap().pop_front()
+        }
+        fn name(&self) -> &'static str {
+            "good"
+        }
+    }
+
     #[test]
     fn model_check_accepts_a_correct_queue() {
-        struct GoodQueue(std::sync::Mutex<VecDeque<u64>>);
-        impl ConcurrentQueue for GoodQueue {
-            fn enqueue(&self, v: u64) {
-                self.0.lock().unwrap().push_back(v);
-            }
-            fn dequeue(&self) -> Option<u64> {
-                self.0.lock().unwrap().pop_front()
-            }
-            fn name(&self) -> &'static str {
-                "good"
-            }
-        }
         let q = GoodQueue(Default::default());
         model_check(&q, 7);
         mpmc_stress(&q, 2, 2, 2_000);
@@ -503,21 +459,46 @@ mod tests {
 
     #[test]
     fn batch_harnesses_accept_a_correct_queue() {
-        struct GoodQueue(std::sync::Mutex<VecDeque<u64>>);
-        impl ConcurrentQueue for GoodQueue {
-            fn enqueue(&self, v: u64) {
-                self.0.lock().unwrap().push_back(v);
-            }
-            fn dequeue(&self) -> Option<u64> {
-                self.0.lock().unwrap().pop_front()
-            }
-            fn name(&self) -> &'static str {
-                "good"
-            }
-        }
         let q = GoodQueue(Default::default());
-        batch_model_check(&q, 11);
+        model_check(&q, 11);
         mpmc_batch_stress(&q, 2, 2, 2_000, 16);
+    }
+
+    /// Four broken runs of two producers and two consumers, each of which
+    /// `check_delivery` must reject.
+    #[test]
+    fn check_delivery_rejects_planted_bugs() {
+        let (a, b) = (|s| encode(0, s), |s| encode(1, s));
+        let sent = items(2, 3);
+        let good = [vec![a(0), b(0), a(1)], vec![b(1), a(2), b(2)]];
+        assert_eq!(check_delivery(&sent, &good), Ok(()));
+        // (planted bug, the streams, what the error must name)
+        let planted = [
+            (
+                "a lost item",
+                [vec![a(0), b(0), a(1)], vec![b(1), a(2)]],
+                "lost",
+            ),
+            (
+                "one item in two streams plus one lost: the count is unchanged",
+                [vec![a(0), b(0), a(1)], vec![b(1), a(1), b(2)]],
+                "twice",
+            ),
+            (
+                "one producer reordered",
+                [vec![a(1), b(0), a(0)], vec![b(1), a(2), b(2)]],
+                "after",
+            ),
+            (
+                "an item never sent",
+                [vec![a(0), b(0), a(1)], vec![b(1), a(2), b(2), b(3)]],
+                "never sent",
+            ),
+        ];
+        for (bug, streams, names) in planted {
+            let err = check_delivery(&sent, &streams).expect_err(bug);
+            assert!(err.contains(names), "{bug}: {err}");
+        }
     }
 
     /// A 1-relaxed queue: alternates between dequeuing the second-oldest

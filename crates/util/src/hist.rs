@@ -144,24 +144,6 @@ impl LatencyHistogram {
         below as f64 / self.count as f64
     }
 
-    /// Returns `(bucket_upper_bound, cumulative_fraction)` pairs for every
-    /// non-empty bucket — the series plotted in Figure 8.
-    pub fn cdf(&self) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        if self.count == 0 {
-            return out;
-        }
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            cum += c;
-            out.push((bucket_high(i).min(self.max), cum as f64 / self.count as f64));
-        }
-        out
-    }
-
     /// Adds all samples from `other` into `self`.
     pub fn merge(&mut self, other: &Self) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -245,7 +227,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(50.0), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.cdf().is_empty());
         assert_eq!(h.fraction_at_or_below(1_000), 0.0);
     }
 
@@ -275,22 +256,6 @@ mod tests {
         assert!((p50 - 50_000.0).abs() / 50_000.0 < 0.05, "p50={p50}");
         let p99 = h.percentile(99.0) as f64;
         assert!((p99 - 99_000.0).abs() / 99_000.0 < 0.05, "p99={p99}");
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let mut h = LatencyHistogram::new();
-        for v in [5u64, 5, 10, 100, 100, 100, 10_000] {
-            h.record(v);
-        }
-        let cdf = h.cdf();
-        assert!(!cdf.is_empty());
-        let mut prev = 0.0;
-        for &(_, f) in &cdf {
-            assert!(f >= prev);
-            prev = f;
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

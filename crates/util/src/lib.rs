@@ -23,6 +23,6 @@ pub mod topology;
 pub use backoff::{set_wait_mode, wait_mode, Backoff, WaitMode};
 pub use hist::LatencyHistogram;
 pub use pad::CachePadded;
-pub use parker::{EventCount, Parker};
+pub use parker::EventCount;
 pub use rng::XorShift64Star;
 pub use topology::ClusterTopology;

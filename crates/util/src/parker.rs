@@ -1,5 +1,4 @@
-//! Thread parking primitives for the channel layer: a single-thread
-//! [`Parker`] with exactly-one-token semantics and a multi-waiter
+//! The channel layer's thread parking primitive: a multi-waiter
 //! [`EventCount`] with a lost-wakeup-free listen/poll/park protocol.
 //!
 //! The LCRQ itself never blocks — an empty dequeue returns immediately —
@@ -21,76 +20,6 @@ use crate::metrics::{self, Event};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A one-thread parking primitive with **exactly-one-token** semantics:
-/// [`unpark`](Parker::unpark) deposits a single token; [`park`](Parker::park)
-/// consumes one token, blocking until one is available. An unpark delivered
-/// before the park is not lost (the token persists), and two unparks before
-/// a park still wake only one park (tokens do not accumulate).
-#[derive(Debug, Default)]
-pub struct Parker {
-    token: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Parker {
-    /// Creates a parker with no token available.
-    pub const fn new() -> Self {
-        Self {
-            token: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a token is available, then consumes it.
-    pub fn park(&self) {
-        let mut token = lock(&self.token);
-        if !*token {
-            metrics::inc(Event::Park);
-            while !*token {
-                token = self.cv.wait(token).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        *token = false;
-    }
-
-    /// Like [`park`](Self::park) but gives up after `timeout`. Returns
-    /// `true` if a token was consumed, `false` on timeout.
-    pub fn park_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut token = lock(&self.token);
-        if !*token {
-            metrics::inc(Event::Park);
-        }
-        while !*token {
-            let now = Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return false;
-            };
-            let (guard, _timed_out) = self
-                .cv
-                .wait_timeout(token, left)
-                .unwrap_or_else(|e| e.into_inner());
-            token = guard;
-        }
-        *token = false;
-        true
-    }
-
-    /// Deposits the token (idempotent while one is pending) and wakes a
-    /// parked thread if any.
-    pub fn unpark(&self) {
-        let mut token = lock(&self.token);
-        if !*token {
-            *token = true;
-            metrics::inc(Event::Unpark);
-            self.cv.notify_one();
-        }
-    }
 }
 
 /// A ticket returned by [`EventCount::prepare`]; consume it with
@@ -259,41 +188,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
-
-    #[test]
-    fn parker_token_before_park_is_not_lost() {
-        let p = Parker::new();
-        p.unpark();
-        p.park(); // must not block
-    }
-
-    #[test]
-    fn parker_tokens_do_not_accumulate() {
-        let p = Parker::new();
-        p.unpark();
-        p.unpark();
-        p.park();
-        assert!(!p.park_timeout(Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn parker_wakes_across_threads() {
-        let p = Arc::new(Parker::new());
-        let p2 = Arc::clone(&p);
-        let h = std::thread::spawn(move || p2.park());
-        std::thread::sleep(Duration::from_millis(20));
-        p.unpark();
-        h.join().unwrap();
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "wall-clock timing assertion")]
-    fn parker_timeout_expires() {
-        let p = Parker::new();
-        let start = Instant::now();
-        assert!(!p.park_timeout(Duration::from_millis(30)));
-        assert!(start.elapsed() >= Duration::from_millis(25));
-    }
 
     #[test]
     fn eventcount_cancel_balances_waiters() {

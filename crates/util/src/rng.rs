@@ -34,19 +34,6 @@ impl XorShift64Star {
         Self { state }
     }
 
-    /// Creates a generator seeded from the current time and a thread-unique
-    /// counter, so concurrently spawned threads get distinct streams.
-    pub fn from_entropy() -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static CTR: AtomicU64 = AtomicU64::new(0x1234_5678);
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0xDEAD_BEEF);
-        let c = CTR.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        Self::new(t ^ c.rotate_left(32))
-    }
-
     /// Returns the next 64-bit pseudo-random value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -70,14 +57,6 @@ impl XorShift64Star {
     #[inline]
     pub fn chance(&mut self, num: u64, den: u64) -> bool {
         self.next_below(den) < num
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -117,14 +96,6 @@ fn parse_seed(s: &str) -> Option<u64> {
         u64::from_str_radix(hex, 16).ok()
     } else {
         s.parse().ok()
-    }
-}
-
-impl XorShift64Star {
-    /// [`new`](Self::new), but honoring the `LCRQ_TEST_SEED` override (see
-    /// [`test_seed`]).
-    pub fn from_test_seed(default: u64) -> Self {
-        Self::new(test_seed(default))
     }
 }
 
@@ -180,17 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = XorShift64Star::new(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "a 100-element shuffle should move something");
-    }
-
-    #[test]
     fn test_seed_parses_decimal_and_hex_and_tolerates_junk() {
         // The env var is process-global: poke the parser directly instead
         // of racing other tests over set_var.
@@ -203,13 +163,5 @@ mod tests {
         if std::env::var("LCRQ_TEST_SEED").is_err() {
             assert_eq!(test_seed(99), 99);
         }
-    }
-
-    #[test]
-    fn from_entropy_streams_differ() {
-        let mut a = XorShift64Star::from_entropy();
-        let mut b = XorShift64Star::from_entropy();
-        let same = (0..16).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 16);
     }
 }

@@ -24,17 +24,6 @@ pub fn spin_for_ns(ns: u64) {
     }
 }
 
-/// Busy-waits for `iters` spin-loop-hint iterations (no clock reads).
-///
-/// Useful when the caller wants "a few hundred cycles" rather than wall time,
-/// e.g. the CRQ dequeuer waiting for its matching enqueuer to complete.
-#[inline]
-pub fn spin_iters(iters: u32) {
-    for _ in 0..iters {
-        core::hint::spin_loop();
-    }
-}
-
 /// A deadline-based spinner for µs-scale timeouts (hierarchical cluster
 /// hand-off in LCRQ+H uses 100 µs).
 #[derive(Debug)]
@@ -77,11 +66,6 @@ mod tests {
         let start = Instant::now();
         spin_for_ns(200_000); // 200 µs: far above clock-read noise
         assert!(start.elapsed() >= Duration::from_micros(190));
-    }
-
-    #[test]
-    fn spin_iters_terminates() {
-        spin_iters(10_000);
     }
 
     #[test]

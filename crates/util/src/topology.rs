@@ -31,11 +31,6 @@ impl ClusterTopology {
         Self::new(1)
     }
 
-    /// The four-cluster topology used to emulate the paper's 4-socket server.
-    pub const fn paper_four_socket() -> Self {
-        Self::new(4)
-    }
-
     /// Number of clusters.
     pub const fn num_clusters(&self) -> usize {
         self.num_clusters
@@ -81,7 +76,7 @@ mod tests {
 
     #[test]
     fn round_robin_mapping() {
-        let t = ClusterTopology::paper_four_socket();
+        let t = ClusterTopology::new(4);
         assert_eq!(t.cluster_of(0), 0);
         assert_eq!(t.cluster_of(1), 1);
         assert_eq!(t.cluster_of(4), 0);

@@ -8,7 +8,6 @@
 //! producers; a consumer that keeps finding nothing stops watching and parks
 //! from its second wait on, so the park path runs on most messages.
 
-use std::collections::HashMap;
 use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -16,32 +15,27 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 use lcrq::channel::{self, block_on, RecvError, RecvTimeoutError, TryRecvError, TrySendError};
+use lcrq::queues::testing;
 use lcrq::util::metrics::{self, Event};
-
-/// Tags an item with its producer: per-producer sequence numbers let the
-/// consumers check FIFO order per sender, the property the channel inherits
-/// from the LCRQ (total FIFO) restricted to each sender's subsequence.
-fn tag(producer: u64, seq: u64) -> u64 {
-    (producer << 32) | seq
-}
 
 #[test]
 fn mpmc_stress_no_loss_no_dup_per_sender_fifo() {
-    const PRODUCERS: u64 = 4;
+    const PRODUCERS: usize = 4;
     const CONSUMERS: usize = 4;
     const PER: u64 = 5_000;
 
     let (tx, rx) = channel::channel::<u64>();
-    let barrier = Barrier::new(PRODUCERS as usize + CONSUMERS);
+    let barrier = Barrier::new(PRODUCERS + CONSUMERS);
     let barrier = &barrier;
+    let sent = testing::items(PRODUCERS, PER);
 
     let consumed: Vec<Vec<u64>> = std::thread::scope(|s| {
-        for p in 0..PRODUCERS {
+        for mine in sent.chunks(PER as usize) {
             let tx = tx.clone();
             s.spawn(move || {
                 barrier.wait();
-                for seq in 0..PER {
-                    tx.send(tag(p, seq)).unwrap();
+                for &v in mine {
+                    tx.send(v).unwrap();
                 }
             });
         }
@@ -63,26 +57,9 @@ fn mpmc_stress_no_loss_no_dup_per_sender_fifo() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Exactly-once delivery: the union of all consumers' items is the exact
-    // multiset sent.
-    let mut count: HashMap<u64, u64> = HashMap::new();
-    for v in consumed.iter().flatten() {
-        *count.entry(*v).or_default() += 1;
-    }
-    assert_eq!(count.len() as u64, PRODUCERS * PER, "lost items");
-    assert!(count.values().all(|&c| c == 1), "duplicated items");
-
-    // Per-sender FIFO within each consumer's local stream.
-    for got in &consumed {
-        let mut last: HashMap<u64, u64> = HashMap::new();
-        for &v in got {
-            let (p, seq) = (v >> 32, v & 0xffff_ffff);
-            if let Some(&prev) = last.get(&p) {
-                assert!(prev < seq, "per-sender order violated: {prev} then {seq}");
-            }
-            last.insert(p, seq);
-        }
-    }
+    // Exactly once, and each sender's items in order within each consumer's
+    // stream: the channel inherits the LCRQ's FIFO order.
+    testing::check_delivery(&sent, &consumed).unwrap();
 }
 
 /// The classic lost-wakeup shape, looped: one item in flight at a time, with
@@ -176,33 +153,24 @@ fn bounded_backpressure_blocks_and_unblocks() {
 
 #[test]
 fn bounded_mpmc_stress_respects_capacity_and_delivers_all() {
-    const PRODUCERS: u64 = 3;
-    const CONSUMERS: usize = 3;
     const PER: u64 = 3_000;
     let (tx, rx) = channel::bounded::<u64>(16);
-    let total = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for p in 0..PRODUCERS {
+    let sent = testing::items(3, PER);
+    let consumed: Vec<Vec<u64>> = std::thread::scope(|s| {
+        for mine in sent.chunks(PER as usize) {
             let tx = tx.clone();
-            s.spawn(move || {
-                for seq in 0..PER {
-                    tx.send(tag(p, seq)).unwrap();
-                }
-            });
+            s.spawn(move || mine.iter().for_each(|&v| tx.send(v).unwrap()));
         }
         drop(tx);
-        for _ in 0..CONSUMERS {
-            let (rx, total) = (rx.clone(), &total);
-            s.spawn(move || {
-                let mut n = 0;
-                while rx.recv().is_ok() {
-                    n += 1;
-                }
-                total.fetch_add(n, Ordering::SeqCst);
-            });
-        }
+        let consumers: Vec<_> = (0..3)
+            .map(|_| {
+                let rx = rx.clone();
+                s.spawn(move || std::iter::from_fn(|| rx.recv().ok()).collect())
+            })
+            .collect();
+        consumers.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    assert_eq!(total.load(Ordering::SeqCst), PRODUCERS * PER);
+    testing::check_delivery(&sent, &consumed).unwrap();
 }
 
 /// The capacity gate under contention, with nobody receiving: room only
@@ -250,21 +218,20 @@ fn bounded_admits_exactly_capacity() {
 fn bounded_one_hands_off_in_order() {
     const PER: u64 = 5_000;
     let (tx, rx) = channel::bounded::<u64>(1);
-    std::thread::scope(|s| {
-        for p in 0..2 {
+    let sent = testing::items(2, PER);
+    let got: Vec<u64> = std::thread::scope(|s| {
+        for mine in sent.chunks(PER as usize) {
             let tx = tx.clone();
-            s.spawn(move || (0..PER).for_each(|seq| tx.send(tag(p, seq)).unwrap()));
+            s.spawn(move || mine.iter().for_each(|&v| tx.send(v).unwrap()));
         }
         drop(tx);
-        let mut next = [0, 0];
-        for _ in 0..2 * PER {
-            let v = rx.recv_timeout(Duration::from_secs(10)).expect("handoff");
-            let (p, seq) = ((v >> 32) as usize, v & 0xffff_ffff);
-            assert_eq!(seq, next[p], "sender {p} out of order");
-            next[p] += 1;
-        }
+        let got = (0..2 * PER)
+            .map(|_| rx.recv_timeout(Duration::from_secs(10)).expect("handoff"))
+            .collect();
         assert_eq!(rx.recv(), Err(RecvError::Disconnected));
+        got
     });
+    testing::check_delivery(&sent, &[got]).unwrap();
 }
 
 /// A bounded channel's rings hold its capacity (rounded up to a power of

@@ -4,25 +4,25 @@
 //! heap-owned items are dropped exactly once no matter where shutdown
 //! catches them (in the queue, in a rejected send, or unreceived at drop).
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use lcrq::channel::{self, RecvError, TryRecvError, TrySendError};
+use lcrq::queues::testing::{check_delivery, encode};
 use lcrq::LcrqConfig;
 
 /// Producers race `close()`: every `send` that returned `Ok` must be
-/// delivered exactly once, every `Err(SendError)` must return the value, and
+/// delivered exactly once and in its sender's order, every `Err(SendError)` must return the value, and
 /// no item may be both.
 #[test]
 fn close_mid_stream_delivers_accepted_items_exactly_once() {
-    const PRODUCERS: u64 = 4;
+    const PRODUCERS: usize = 4;
     const PER: u64 = 10_000;
 
     for round in 0..8 {
         let (tx, rx) = channel::channel::<u64>();
-        let barrier = Barrier::new(PRODUCERS as usize + 1);
+        let barrier = Barrier::new(PRODUCERS + 1);
         let barrier = &barrier;
 
         let (accepted, received) = std::thread::scope(|s| {
@@ -33,7 +33,7 @@ fn close_mid_stream_delivers_accepted_items_exactly_once() {
                         barrier.wait();
                         let mut ok = Vec::new();
                         for seq in 0..PER {
-                            let v = (p << 32) | seq;
+                            let v = encode(p, seq);
                             match tx.send(v) {
                                 Ok(()) => ok.push(v),
                                 Err(e) => {
@@ -65,17 +65,8 @@ fn close_mid_stream_delivers_accepted_items_exactly_once() {
             (accepted, received)
         });
 
-        let accepted: HashSet<u64> = accepted.into_iter().collect();
-        let mut seen = HashSet::new();
-        for v in &received {
-            assert!(seen.insert(*v), "round {round}: item {v} delivered twice");
-            assert!(accepted.contains(v), "round {round}: phantom item {v}");
-        }
-        assert_eq!(
-            seen.len(),
-            accepted.len(),
-            "round {round}: accepted items lost"
-        );
+        check_delivery(&accepted, &[received])
+            .unwrap_or_else(|e| panic!("round {round}: accepted items: {e}"));
     }
 }
 

@@ -1,10 +1,14 @@
-//! The scheduler adversary for the integration suites that arm it.
+//! The fail-point registry's guard, and the scheduler adversary, for the
+//! integration suites that use them.
 //!
 //! The fail-point registry is process-global and libtest runs a binary's
 //! tests in parallel, so every test that arms it holds this binary's lock,
 //! through a guard that disarms the registry on drop (a panicking test
 //! included): no test disarms another's scenario or leaves its own armed
 //! behind.
+
+// Each test binary compiles its own copy, and some use only the guard.
+#![allow(dead_code)]
 
 use lcrq::util::fault::{self, FaultAction, Scenario, Site};
 use lcrq::util::rng::test_seed;

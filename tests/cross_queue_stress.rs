@@ -82,12 +82,13 @@ fn burst_then_drain_every_kind() {
 
 #[test]
 fn batch_model_check_every_kind_against_vecdeque() {
-    // Mixed scalar/batch operation sequences: the LCRQ variants run their
-    // native multi-slot reservation paths; every other registry queue runs
-    // the trait's default scalar-loop batches. Both must match the model.
+    // The model check mixes scalar and batch steps: the LCRQ variants run
+    // their native multi-slot reservation paths; every other registry queue
+    // runs the trait's default scalar-loop batches. Both must match the
+    // model. A second seed beside `model_check_every_kind_against_vecdeque`.
     for &k in ALL_KINDS {
         let q = backend(k, 10);
-        testing::batch_model_check(&q, 0xFACE ^ k.name().len() as u64);
+        testing::model_check(&q, 0xFACE ^ k.name().len() as u64);
     }
 }
 

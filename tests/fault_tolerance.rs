@@ -5,17 +5,20 @@
 //! registry: deterministic seeds (honoring `LCRQ_TEST_SEED`), per-site
 //! probabilities, and the stall gate that simulates crashed threads.
 //!
-//! The registry is process-global, so every test serializes on [`guard`].
+//! The registry is process-global, so every test holds `common::registry`,
+//! which also disarms it if the test panics.
 
 #![cfg(feature = "fault-injection")]
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use common::registry;
 use lcrq::core::LcrqConfig;
 use lcrq::hazard::{Domain, SLOTS_PER_THREAD};
-use lcrq::queues::testing::{encode, mpmc_stress, mpmc_stress_relaxed};
+use lcrq::queues::testing::{check_delivery, encode, items, mpmc_stress, mpmc_stress_relaxed};
 use lcrq::util::fault::{self, FaultAction, Scenario, Site};
 use lcrq::util::metrics::{self, Event};
 use lcrq::util::rng::test_seed;
@@ -23,12 +26,6 @@ use lcrq::{
     rank_error_bound_for, ConcurrentQueue, Crq, Lcrq, Lscq, LscqCas, Ring, RingList, ShardedConfig,
     ShardedQueue, Wcq,
 };
-
-/// Serializes tests: the fail-point registry is process-global.
-static LOCK: Mutex<()> = Mutex::new(());
-fn guard() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn tiny() -> LcrqConfig {
     LcrqConfig::new().with_ring_order(4) // R = 16: frequent ring turnover
@@ -64,7 +61,7 @@ where
     let bound_violation = AtomicUsize::new(0);
     let (done, bound_violation, domain_of) = (&done, &bound_violation, &domain_of);
 
-    let all: Vec<Vec<u64>> = std::thread::scope(|s| {
+    let mut streams: Vec<Vec<u64>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..WORKERS)
             .map(|t| {
                 s.spawn(move || {
@@ -120,52 +117,39 @@ where
          while peers were stalled under [{stext}] (replay with LCRQ_TEST_SEED={seed:#x})"
     );
 
-    // Exactly-once delivery across survivors, released threads, and the
-    // final drain.
-    let mut seen: Vec<u64> = all.into_iter().flatten().collect();
-    while let Some(v) = q.dequeue() {
-        seen.push(v);
+    // Exactly-once, per-producer-ordered delivery across survivors,
+    // released threads, and the final drain.
+    streams.push(std::iter::from_fn(|| q.dequeue()).collect());
+    if let Err(e) = check_delivery(&items(WORKERS, BUDGET), &streams) {
+        panic!("[{label}] {e} under [{stext}] (replay with LCRQ_TEST_SEED={seed:#x})");
     }
-    let total = WORKERS as u64 * BUDGET;
-    assert_eq!(
-        seen.len() as u64,
-        total,
-        "[{label}] lost items under [{stext}] (replay with LCRQ_TEST_SEED={seed:#x})"
-    );
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(
-        seen.len() as u64,
-        total,
-        "[{label}] duplicated items under [{stext}] (replay with LCRQ_TEST_SEED={seed:#x})"
-    );
     assert_eq!(q.dequeue(), None, "[{label}] queue should be drained");
 }
 
 #[test]
 fn survivors_outlive_stalled_peers_lcrq() {
-    let _g = guard();
+    let _registry = registry();
     let q = Lcrq::with_config(tiny());
     crash_tolerant("lcrq", &q, |q: &Lcrq| q.hazard_domain());
 }
 
 #[test]
 fn survivors_outlive_stalled_peers_lscq() {
-    let _g = guard();
+    let _registry = registry();
     let q = Lscq::with_config(tiny());
     crash_tolerant("lscq", &q, |q: &Lscq| q.hazard_domain());
 }
 
 #[test]
 fn survivors_outlive_stalled_peers_lscq_cas() {
-    let _g = guard();
+    let _registry = registry();
     let q = LscqCas::with_config(tiny());
     crash_tolerant("lscq-cas", &q, |q: &LscqCas| q.hazard_domain());
 }
 
 #[test]
 fn survivors_outlive_stalled_peers_wcq() {
-    let _g = guard();
+    let _registry = registry();
     let q = Wcq::with_config(tiny());
     crash_tolerant("wcq", &q, |q: &Wcq| q.hazard_domain());
 }
@@ -174,7 +158,7 @@ fn survivors_outlive_stalled_peers_wcq() {
 /// (the unit tests in `lcrq-util` check the registry in isolation).
 #[test]
 fn same_seed_replays_an_identical_hit_log() {
-    let _g = guard();
+    let _registry = registry();
 
     fn run(seed: u64) -> Vec<fault::SiteHit> {
         let scenario = Scenario::new(seed)
@@ -207,7 +191,7 @@ fn same_seed_replays_an_identical_hit_log() {
 /// thread's `FaultInjected` count shows the refusals really fired.
 #[test]
 fn refused_ring_allocation_is_retried_not_reported() {
-    let _g = guard();
+    let _registry = registry();
     // R = 8: a spill every few items, and every spill allocates.
     let r8 = || LcrqConfig::new().with_ring_order(3);
     for batch in [false, true] {
@@ -257,7 +241,7 @@ fn retries_refused_allocations<R: Ring>(label: &str, q: &RingList<R>, batch: boo
 /// the hole and every other item is delivered exactly once, in order.
 #[test]
 fn producer_panic_between_faa_and_placement_leaves_the_ring_consistent() {
-    let _g = guard();
+    let _registry = registry();
     let seed = test_seed(0x9A21_C000_0000_0001);
     let q = Lcrq::with_config(LcrqConfig::new().with_ring_order(3));
     for i in 0..5 {
@@ -293,7 +277,7 @@ fn producer_panic_between_faa_and_placement_leaves_the_ring_consistent() {
 /// skipped index was empty-transitioned, not lost or filled.
 #[test]
 fn a_lost_cas2_gives_up_its_index_on_both_paths() {
-    let _g = guard();
+    let _registry = registry();
     let seed = test_seed(0xCA52_0000_0000_0001);
     let config = LcrqConfig::new().with_ring_order(3);
     let lose_one_cas2 = || {
@@ -325,7 +309,7 @@ fn a_lost_cas2_gives_up_its_index_on_both_paths() {
 /// still be delivered once it is released (the mandatory re-poll).
 #[test]
 fn channel_close_settles_with_a_receiver_stalled_at_park() {
-    let _g = guard();
+    let _registry = registry();
     let seed = test_seed(0xC105_E000_0000_0001);
     let (tx, rx) = lcrq::channel::channel::<u64>();
     Scenario::new(seed)
@@ -363,7 +347,7 @@ fn channel_close_settles_with_a_receiver_stalled_at_park() {
 /// of `LCRQ_TEST_SEED` values).
 #[test]
 fn stress_sweep() {
-    let _g = guard();
+    let _registry = registry();
     let seed = test_seed(0xFA17_5EED_0000_0001);
     let scenario = Scenario::new(seed)
         .with(Site::Cas2, 3_000, FaultAction::Fail)
@@ -406,7 +390,7 @@ fn stress_sweep() {
 /// release every element is delivered exactly once.
 #[test]
 fn survivors_outlive_peers_stalled_in_the_sampling_window() {
-    let _g = guard();
+    let _registry = registry();
     const WORKERS: usize = 8;
     const STALLS: usize = 2;
     const BUDGET: u64 = 2_000;
@@ -485,7 +469,7 @@ fn survivors_outlive_peers_stalled_in_the_sampling_window() {
 /// envelope (the widest this front-end can produce at this geometry).
 #[test]
 fn failed_sampling_degrades_to_uniform_choice_not_lost_elements() {
-    let _g = guard();
+    let _registry = registry();
     let seed = test_seed(0x57A1_1ED5_EED0_0003);
     let scenario = Scenario::new(seed).with(Site::ShardSample, 500_000, FaultAction::Fail);
     let stext = scenario.to_string();

@@ -10,6 +10,7 @@
 #[cfg(feature = "fault-injection")]
 mod common;
 
+use lcrq::queues::testing::encode;
 use lcrq_bench::{QueueKind, QueueSpec, ALL_KINDS};
 use lcrq_verify::{
     check_fifo, check_relaxed, check_tantrum, record, Completed, HistoryOp, Recording,
@@ -24,7 +25,7 @@ fn scripts(seed: u64, threads: usize, ops: usize) -> Vec<Vec<Completed>> {
             (0..ops)
                 .map(|i| {
                     if rng.chance(55, 100) {
-                        Completed::Enq(((t as u64) << 32) | i as u64)
+                        Completed::Enq(encode(t, i as u64))
                     } else {
                         Completed::Deq
                     }
@@ -77,7 +78,7 @@ fn batch_scripts(seed: u64, threads: usize, ops: usize) -> Vec<Vec<Completed>> {
         .map(|t| {
             (0..ops)
                 .map(|i| {
-                    let base = ((t as u64) << 32) | ((i as u64) << 8);
+                    let base = encode(t, (i as u64) << 8);
                     match rng.next_below(4) {
                         0 => Completed::Enq(base),
                         1 => Completed::Deq,

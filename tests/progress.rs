@@ -8,7 +8,7 @@
 mod common;
 
 use common::adversarial_preemption;
-use lcrq::queues::testing::encode;
+use lcrq::queues::testing::{check_delivery, encode, items};
 use lcrq::queues::ConcurrentQueue;
 use lcrq::util::metrics::{self, Event, Snapshot};
 use lcrq::{Crq, Lcrq, LcrqConfig, Lscq, Ring, RingList, ScqD, Wcq, WcqRing};
@@ -187,11 +187,11 @@ fn dequeues_make_progress_under_enqueue_pressure() {
     let stop = AtomicBool::new(false);
     let (q, stop) = (&q, &stop);
     let got = std::thread::scope(|s| {
-        for t in 0..2u64 {
+        for t in 0..2 {
             s.spawn(move || {
                 let mut i = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    q.enqueue(t << 40 | i);
+                    q.enqueue(encode(t, i));
                     i += 1;
                 }
             });
@@ -214,31 +214,31 @@ fn dequeues_make_progress_under_enqueue_pressure() {
 
 /// Under heavy injected preemption a nonblocking queue must still complete
 /// a fixed workload promptly (nobody waits on a preempted thread), with
-/// every item accounted for. The `Site::Preempt` points sit inside each
-/// ring's entry loops, and inside wCQ's helping steps too.
+/// every item delivered exactly once and in order. The `Site::Preempt`
+/// points sit inside each ring's entry loops, and inside wCQ's helping
+/// steps too.
 fn completes_under_adversarial_preemption<R: Ring>() {
     let _adversary = adversarial_preemption(5_000);
     let q = RingList::<R>::with_config(LcrqConfig::new().with_ring_order(5));
-    let total = AtomicU64::new(0);
-    let (q, total) = (&q, &total);
-    std::thread::scope(|s| {
-        for t in 0..6u64 {
-            s.spawn(move || {
-                for i in 0..2_000u64 {
-                    q.enqueue(t << 40 | i);
-                    if q.dequeue().is_some() {
-                        total.fetch_add(1, Ordering::Relaxed);
+    let q = &q;
+    let mut streams: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..6)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut got = Vec::new();
+                    for i in 0..2_000 {
+                        q.enqueue(encode(t, i));
+                        got.extend(q.dequeue());
                     }
-                }
-            });
-        }
+                    got
+                })
+            })
+            .collect();
+        workers.into_iter().map(|h| h.join().unwrap()).collect()
     });
     // Drain the imbalance.
-    let mut leftover = 0;
-    while q.dequeue().is_some() {
-        leftover += 1;
-    }
-    assert_eq!(total.load(Ordering::Relaxed) + leftover, 12_000);
+    streams.push(q.drain().collect());
+    check_delivery(&items(6, 2_000), &streams).unwrap();
 }
 
 #[test]
@@ -263,26 +263,22 @@ fn wcq_completes_under_adversarial_preemption() {
 fn tiny_rings_never_wedge<R: Ring>(config: LcrqConfig) {
     let q = RingList::<R>::with_config(config.with_ring_order(1));
     let q = &q;
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            s.spawn(move || {
-                for i in 0..2_500u64 {
-                    q.enqueue(t << 40 | i);
-                }
-            });
+    let sent = items(4, 2_500);
+    let got = std::thread::scope(|s| {
+        for mine in sent.chunks(2_500) {
+            s.spawn(move || mine.iter().for_each(|&v| q.enqueue(v)));
         }
-        s.spawn(move || {
-            let mut got = 0u64;
-            while got < 10_000 {
-                if q.dequeue().is_some() {
-                    got += 1;
-                } else {
-                    std::thread::yield_now();
-                }
+        let mut got = Vec::new();
+        while got.len() < sent.len() {
+            match q.dequeue() {
+                Some(v) => got.push(v),
+                None => std::thread::yield_now(),
             }
-        });
+        }
+        got
     });
     assert_eq!(q.dequeue(), None);
+    check_delivery(&sent, &[got]).unwrap();
 }
 
 /// Starvation limit 4 on top: the CRQ's constant tantrum closes, the path
@@ -383,10 +379,10 @@ fn combining_queues_complete_under_adversarial_preemption() {
     let q = lcrq::CcQueue::new();
     let q = &q;
     std::thread::scope(|s| {
-        for t in 0..4u64 {
+        for t in 0..4 {
             s.spawn(move || {
-                for i in 0..500u64 {
-                    q.enqueue(t << 40 | i);
+                for i in 0..500 {
+                    q.enqueue(encode(t, i));
                     let _ = q.dequeue();
                 }
             });
@@ -526,11 +522,11 @@ mod step_bound {
         let finalized = AtomicU64::new(0);
         let (q, announced, finalized) = (&q, &announced, &finalized);
         std::thread::scope(|s| {
-            for t in 0..4u64 {
+            for t in 0..4 {
                 s.spawn(move || {
                     let before = metrics::local_snapshot();
-                    for i in 0..1_000u64 {
-                        q.enqueue(t << 40 | i);
+                    for i in 0..1_000 {
+                        q.enqueue(super::encode(t, i));
                         let _ = q.dequeue();
                     }
                     let d = metrics::local_snapshot().delta_since(&before);

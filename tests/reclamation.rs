@@ -10,6 +10,7 @@ mod common;
 
 use common::adversarial_preemption;
 use lcrq::hazard::Domain;
+use lcrq::queues::testing::{check_delivery, encode, items};
 use lcrq::util::metrics::{self, Event};
 use lcrq::{Crq, Lcrq, LcrqConfig, Ring, RingList, ScqD, Typed, WcqRing};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,10 +100,10 @@ fn concurrent_churn_then_drop<R: Ring>() {
     let q = RingList::<R>::with_config(LcrqConfig::new().with_ring_order(3));
     let q = &q;
     std::thread::scope(|s| {
-        for t in 0..4u64 {
+        for t in 0..4 {
             s.spawn(move || {
-                for i in 0..10_000u64 {
-                    q.enqueue(t << 40 | i);
+                for i in 0..10_000 {
+                    q.enqueue(encode(t, i));
                     let _ = q.dequeue();
                 }
             });
@@ -200,16 +201,11 @@ fn lscq_stalled_hazard_reader_defers_ring_reclamation() {
 fn adversary_churn_preserves_fifo<R: Ring>(config: LcrqConfig) {
     let _adversary = adversarial_preemption(20_000);
     let q = RingList::<R>::with_config(config);
-    const PRODUCERS: u64 = 2;
-    const PER: u64 = 20_000;
+    let sent = items(2, 20_000);
     let q = &q;
-    let seen: Vec<Vec<u64>> = std::thread::scope(|s| {
-        for t in 0..PRODUCERS {
-            s.spawn(move || {
-                for i in 0..PER {
-                    q.enqueue(t << 48 | i);
-                }
-            });
+    let mut streams: Vec<Vec<u64>> = std::thread::scope(|s| {
+        for mine in sent.chunks(20_000) {
+            s.spawn(move || mine.iter().for_each(|&v| q.enqueue(v)));
         }
         let consumers: Vec<_> = (0..2)
             .map(|_| {
@@ -234,21 +230,8 @@ fn adversary_churn_preserves_fifo<R: Ring>(config: LcrqConfig) {
             .collect();
         consumers.into_iter().map(|c| c.join().unwrap()).collect()
     });
-    let remaining: Vec<u64> = q.drain().collect();
-    let mut counts = vec![0u64; PRODUCERS as usize];
-    for stream in seen.iter().chain(std::iter::once(&remaining)) {
-        let mut stream_last = vec![None::<u64>; PRODUCERS as usize];
-        for &v in stream {
-            let (t, i) = ((v >> 48) as usize, v & ((1 << 48) - 1));
-            counts[t] += 1;
-            // FIFO per producer within one consumer's stream.
-            assert!(stream_last[t].is_none_or(|p| p < i), "reordered: {v:#x}");
-            stream_last[t] = Some(i);
-        }
-    }
-    for (t, &c) in counts.iter().enumerate() {
-        assert_eq!(c, PER, "producer {t}: lost or duplicated items");
-    }
+    streams.push(q.drain().collect());
+    check_delivery(&sent, &streams).unwrap();
 }
 
 #[test]

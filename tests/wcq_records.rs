@@ -9,9 +9,9 @@
 //! 1. **exactly-once finalization** — each announced request is finalized
 //!    by exactly one successful state CAS, so at quiescence the global
 //!    `HelpFinalized` count equals `HelpAnnounce`;
-//! 2. **no lost or duplicated values** — the multiset of dequeued values
-//!    matches the multiset enqueued, across record-slot reuse
-//!    generations;
+//! 2. **no lost or duplicated values** — every enqueued value is dequeued
+//!    exactly once, in its producer's order within each consumer's stream,
+//!    across record-slot reuse generations;
 //! 3. **drop-exactly-once** — a value delivered through a *helped*
 //!    dequeue runs its destructor exactly once;
 //! 4. **stall independence** — a thread stalled mid-help (possibly while
@@ -26,21 +26,18 @@
 
 #![cfg(feature = "fault-injection")]
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lcrq::queues::testing::encode;
+use common::registry;
+use lcrq::queues::testing::{check_delivery, encode, items};
 use lcrq::util::fault::{self, FaultAction, Scenario, Site};
 use lcrq::util::metrics::{self, Event};
 use lcrq::util::rng::test_seed;
 use lcrq::{LcrqConfig, TypedWcq, Wcq};
-
-/// Serializes tests: the fail-point registry is process-global.
-static LOCK: Mutex<()> = Mutex::new(());
-fn guard() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A storm that denies every fast-path placement window, forcing each
 /// operation through announce → help → finalize. The slow path has no
@@ -57,7 +54,7 @@ fn slow_path_storm(seed: u64) -> Scenario {
 /// (`Site::WcqHelp` `Fail` = re-read from the state check).
 #[test]
 fn announced_requests_finalize_exactly_once_across_seeds() {
-    let _g = guard();
+    let _registry = registry();
     const THREADS: usize = 4;
     const PAIRS: u64 = 500;
     for round in 0..4u64 {
@@ -68,37 +65,33 @@ fn announced_requests_finalize_exactly_once_across_seeds() {
         let q = Wcq::with_config(LcrqConfig::new().with_ring_order(5));
         let announced = AtomicU64::new(0);
         let finalized = AtomicU64::new(0);
-        let seen = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            let (q, announced, finalized, seen) = (&q, &announced, &finalized, &seen);
-            for t in 0..THREADS {
-                s.spawn(move || {
-                    let before = metrics::local_snapshot();
-                    let mut got = Vec::new();
-                    for i in 0..PAIRS {
-                        q.enqueue(encode(t, i));
-                        if let Some(v) = q.dequeue() {
-                            got.push(v);
+        let mut streams: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let (q, announced, finalized) = (&q, &announced, &finalized);
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    s.spawn(move || {
+                        let before = metrics::local_snapshot();
+                        let mut got = Vec::new();
+                        for i in 0..PAIRS {
+                            q.enqueue(encode(t, i));
+                            if let Some(v) = q.dequeue() {
+                                got.push(v);
+                            }
                         }
-                    }
-                    let d = metrics::local_snapshot().delta_since(&before);
-                    announced.fetch_add(d.get(Event::HelpAnnounce), Ordering::SeqCst);
-                    finalized.fetch_add(d.get(Event::HelpFinalized), Ordering::SeqCst);
-                    seen.lock().unwrap().extend(got);
-                });
-            }
+                        let d = metrics::local_snapshot().delta_since(&before);
+                        announced.fetch_add(d.get(Event::HelpAnnounce), Ordering::SeqCst);
+                        finalized.fetch_add(d.get(Event::HelpFinalized), Ordering::SeqCst);
+                        got
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().unwrap()).collect()
         });
         fault::disarm();
-        let mut seen = seen.into_inner().unwrap();
-        while let Some(v) = q.dequeue() {
-            seen.push(v);
+        streams.push(std::iter::from_fn(|| q.dequeue()).collect());
+        if let Err(e) = check_delivery(&items(THREADS, PAIRS), &streams) {
+            panic!("{e} (seed {seed:#x})");
         }
-        seen.sort_unstable();
-        let mut expect: Vec<u64> = (0..THREADS)
-            .flat_map(|t| (0..PAIRS).map(move |i| encode(t, i)))
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(seen, expect, "lost or duplicated value (seed {seed:#x})");
         let (a, f) = (
             announced.load(Ordering::SeqCst),
             finalized.load(Ordering::SeqCst),
@@ -120,7 +113,7 @@ fn announced_requests_finalize_exactly_once_across_seeds() {
 /// delivering into a recycled record would duplicate or lose a value.
 #[test]
 fn record_generations_recycle_without_duplication() {
-    let _g = guard();
+    let _registry = registry();
     let seed = test_seed(0x9ECD_0010);
     slow_path_storm(seed).arm();
     // R = 4: constant spill → tantrum-close → fresh-ring churn underneath
@@ -129,43 +122,40 @@ fn record_generations_recycle_without_duplication() {
     const PRODUCERS: usize = 2;
     const CONSUMERS: usize = 2;
     const PER_PRODUCER: u64 = 2_000;
-    let consumed = Mutex::new(Vec::new());
+    let sent = items(PRODUCERS, PER_PRODUCER);
     let produced_done = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let (q, produced_done, consumed) = (&q, &produced_done, &consumed);
-        for t in 0..PRODUCERS {
+    let mut streams: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let (q, produced_done) = (&q, &produced_done);
+        for mine in sent.chunks(PER_PRODUCER as usize) {
             s.spawn(move || {
-                for i in 0..PER_PRODUCER {
-                    q.enqueue(encode(t, i));
+                for &v in mine {
+                    q.enqueue(v);
                 }
                 produced_done.fetch_add(1, Ordering::SeqCst);
             });
         }
-        for _ in 0..CONSUMERS {
-            s.spawn(|| {
-                let mut got = Vec::new();
-                loop {
-                    match q.dequeue() {
-                        Some(v) => got.push(v),
-                        None if produced_done.load(Ordering::SeqCst) == PRODUCERS => break,
-                        None => std::thread::yield_now(),
+        let consumers: Vec<_> = (0..CONSUMERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut got = Vec::new();
+                    loop {
+                        match q.dequeue() {
+                            Some(v) => got.push(v),
+                            None if produced_done.load(Ordering::SeqCst) == PRODUCERS => break,
+                            None => std::thread::yield_now(),
+                        }
                     }
-                }
-                consumed.lock().unwrap().extend(got);
-            });
-        }
+                    got
+                })
+            })
+            .collect();
+        consumers.into_iter().map(|h| h.join().unwrap()).collect()
     });
     fault::disarm();
-    let mut seen = consumed.into_inner().unwrap();
-    while let Some(v) = q.dequeue() {
-        seen.push(v);
+    streams.push(std::iter::from_fn(|| q.dequeue()).collect());
+    if let Err(e) = check_delivery(&sent, &streams) {
+        panic!("record reuse: {e} (seed {seed:#x})");
     }
-    seen.sort_unstable();
-    let mut expect: Vec<u64> = (0..PRODUCERS)
-        .flat_map(|t| (0..PER_PRODUCER).map(move |i| encode(t, i)))
-        .collect();
-    expect.sort_unstable();
-    assert_eq!(seen, expect, "record reuse lost or duplicated a value");
 }
 
 struct DropCounter(Arc<AtomicUsize>);
@@ -182,7 +172,7 @@ impl Drop for DropCounter {
 /// account for exactly the undelivered remainder.
 #[test]
 fn helped_dequeues_drop_each_value_exactly_once() {
-    let _g = guard();
+    let _registry = registry();
     const TOTAL: usize = 800;
     const TAKE: usize = 400;
     let seed = test_seed(0x9ECD_0020);
@@ -229,7 +219,7 @@ fn helped_dequeues_drop_each_value_exactly_once() {
 /// still be exact — its helped request must not complete a second time.
 #[test]
 fn a_stalled_helper_never_blocks_other_finalizations() {
-    let _g = guard();
+    let _registry = registry();
     const WORKERS: usize = 4;
     const STALLS: usize = 1;
     const PAIRS: u64 = 400;
@@ -240,22 +230,23 @@ fn a_stalled_helper_never_blocks_other_finalizations() {
         .arm();
     let q = Wcq::with_config(LcrqConfig::new().with_ring_order(5));
     let done = AtomicUsize::new(0);
-    let seen = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        let (q, done, seen) = (&q, &done, &seen);
-        for t in 0..WORKERS {
-            s.spawn(move || {
-                let mut got = Vec::new();
-                for i in 0..PAIRS {
-                    q.enqueue(encode(t, i));
-                    if let Some(v) = q.dequeue() {
-                        got.push(v);
+    let mut streams: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let (q, done) = (&q, &done);
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut got = Vec::new();
+                    for i in 0..PAIRS {
+                        q.enqueue(encode(t, i));
+                        if let Some(v) = q.dequeue() {
+                            got.push(v);
+                        }
                     }
-                }
-                done.fetch_add(1, Ordering::SeqCst);
-                seen.lock().unwrap().extend(got);
-            });
-        }
+                    done.fetch_add(1, Ordering::SeqCst);
+                    got
+                })
+            })
+            .collect();
         let deadline = Instant::now() + Duration::from_secs(120);
         while done.load(Ordering::SeqCst) < WORKERS - STALLS {
             assert!(
@@ -266,15 +257,10 @@ fn a_stalled_helper_never_blocks_other_finalizations() {
         }
         assert_eq!(fault::stalled_count(), STALLS, "stall gate never fired");
         fault::disarm(); // wake the sleeper so the scope can join
+        workers.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let mut seen = seen.into_inner().unwrap();
-    while let Some(v) = q.dequeue() {
-        seen.push(v);
+    streams.push(std::iter::from_fn(|| q.dequeue()).collect());
+    if let Err(e) = check_delivery(&items(WORKERS, PAIRS), &streams) {
+        panic!("stall + resume: {e} (seed {seed:#x})");
     }
-    seen.sort_unstable();
-    let mut expect: Vec<u64> = (0..WORKERS)
-        .flat_map(|t| (0..PAIRS).map(move |i| encode(t, i)))
-        .collect();
-    expect.sort_unstable();
-    assert_eq!(seen, expect, "stall + resume lost or duplicated a value");
 }
