@@ -19,12 +19,12 @@
 # | wCQ             | --features fault-injection wcq_records, progress step_bound (+4 seeds) | suites that only exist with the fault registry compiled in | 2 |
 # | sharded         | seed_sweep sharded seeded_stress x4                  | four replay seeds; a 16 x 1000-op history delivers exactly once |  7 |
 # | fault injection | -p lcrq-util --features fault-injection; stress_sweep x8 seeds; pollers under preemption x4 seeds | the registry's feature-only unit suite; eight pinned schedules; poller histories with the read-only EMPTY proof preempted | 3 |
-# | loom            | RUSTFLAGS="--cfg loom" util/atomic/core/channel --test loom | model-checked interleavings (built only under the cfg); the list's seal model crosses the small-to-full spill; an EMPTY after an EMPTY stays honest across a spill | 72 |
+# | loom            | RUSTFLAGS="--cfg loom" atomic/core/channel --test loom | model-checked interleavings (built only under the cfg); the list's seal model crosses the small-to-full spill; an EMPTY after an EMPTY stays honest across a spill | 72 |
 # | force-fallback  | cargo test --features force-fallback (+ fault_tolerance) | the whole root suite on the portable CAS2 path            | 16 |
 # | bench smoke     | 11 bins --smoke; table2_stats armed + refused        | every bin still runs and parses its flags; every pairs run reconciles delivery; `--preempt-ppm` arms only the fault-injection build |  2 |
 # | nm probe        | nm on every target/release executable                | no fault-registry symbol or `PREEMPT_PPM` in the default build (also builds the release `progress` test binary for objdump) | 12 |
 # | objdump probe   | objdump -d on every target/release bin + that test binary | no `cmpxchg16b (%rbx)` anywhere, not only in `pairwise`  |  2 |
-# | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints; again for the lcrq-bench bins with fault-injection, and under --cfg loom for the crates with a loom suite |  6 |
+# | clippy          | cargo clippy --workspace --all-targets -- -D warnings | lints; again for the lcrq-bench bins with fault-injection, and under --cfg loom for the crates with `cfg(loom)` code |  6 |
 # | rustdoc         | RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps | every intra-doc link resolves: a deleted name leaves no dangling link |  4 |
 # | fmt             | cargo fmt --all --check                              | formatting                                                    |  1 |
 # | TSan, ASan/LSan, Miri, aarch64 | guarded by installed toolchains       | skipped on this host (no nightly, no aarch64 target)          |  0 |
@@ -149,8 +149,7 @@ seed_sweep "pollers under preemption" "0x1 0x5EED 0xC0FFEE 0xDEADBEEF" \
 # Loom gate (DESIGN.md "Weak memory & model checking"): the in-tree model
 # checker explores thread interleavings of the seqlock CAS2 fallback (plus
 # the planted word-0-first store twin, which it must catch pairing the new
-# word 0 with the old word 1), the
-# EventCount parker protocol, the list of rings' sealed close against a consumer's settle
+# word 0 with the old word 1), the list of rings' sealed close against a consumer's settle
 # poll, across the spill from the list's small first ring (two slots under
 # the cfg) to a full-size ring (plus the planted flag-then-walk twin,
 # which it must catch losing an item), the list's kept hazard slots against a concurrent retire and scan
@@ -158,22 +157,23 @@ seed_sweep "pollers under preemption" "0x1 0x5EED 0xC0FFEE 0xDEADBEEF" \
 # which it must catch entering a reclaimed ring), a consumer's EMPTY after an
 # EMPTY against an enqueue that spills behind the drained head ring (plus the
 # planted twin that trusts the ring's proof without reading `next`, which it
-# must catch answering a dishonest EMPTY), the channel's async
-# wait protocol: `poll_until` against a
+# must catch answering a dishonest EMPTY), the channel's wait protocol in
+# both shapes: a blocked `block_until` waiter against a notify (plus the
+# register-after-the-final-attempt twin, which it must catch deadlocking)
+# and two blocked waiters against `notify_all`, `poll_until` against a
 # notify and `release` of a woken future against a second waiter (plus the
 # no-re-attempt and no-pass-on twins, which it must catch losing a wakeup),
 # and the bounded channel's capacity gate: two senders and a receiver over
 # a one-slot `Credit`, waiting through the whole ladder (its watch is two
 # steps under the cfg), never exceed the capacity and all finish (plus the
 # planted twin that answers "full" from its stale copy of `received`, which
-# it must catch stranding a sender), and a refused `try_send` racing a
-# `send` wakes the sender its overdraft hid room from (plus the twin that
-# does not look back).
+# it must catch stranding a sender), and a refused `try_send` or a second
+# blocked `send` racing a blocked `send` wakes the sender its overdraft hid
+# room from (plus the twins that do not look back).
 # `--cfg loom` swaps the lcrq-util sync facade to the instrumented shims
-# (the crossbeam convention); the engine's own self-tests already ran in
-# tier-1 above.
+# (the crossbeam convention); the engine's own self-tests, park included,
+# already ran in the workspace pass above.
 echo "==> loom model-checking gate (--cfg loom)"
-RUSTFLAGS="--cfg loom" cargo test -p lcrq-util --test loom -q
 RUSTFLAGS="--cfg loom" cargo test -p lcrq-atomic --test loom -q
 RUSTFLAGS="--cfg loom" cargo test -p lcrq-core --test loom -q
 RUSTFLAGS="--cfg loom" cargo test -p lcrq-channel --test loom -q

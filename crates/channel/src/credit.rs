@@ -18,11 +18,12 @@
 //! MPMC-safe here because a stale copy errs to the safe side).
 //!
 //! That reload is also what parking stands on. A sender that waits is
-//! `prepare`d before its last [`acquire`](Credit::acquire), whose reload of
+//! registered before its last [`acquire`](Credit::acquire), whose reload of
 //! `received` is `SeqCst`; a receiver bumps `received` (`SeqCst`) before it
 //! looks for waiters. Either the reload sees the bump or the receiver sees
 //! the waiter (`tests/loom.rs` checks it, and that a gate trusting the copy
-//! for "full" is caught).
+//! for "full" is caught). A refused F&A also hides room for a moment; the
+//! refused caller covers that by looking back for room (`try_send_inner`).
 
 use lcrq_util::sync::{AtomicU64, Ordering};
 use lcrq_util::CachePadded;

@@ -10,12 +10,11 @@ use core::future::Future;
 use core::pin::Pin;
 use core::task::{Context, Poll, Waker};
 use std::sync::Arc;
-use std::task::Wake;
 
 use lcrq_core::{Crq, Ring};
 
 use crate::error::{RecvError, SendError};
-use crate::waker::Registration;
+use crate::waker::{Registration, ThreadWaker};
 use crate::{Receiver, Sender};
 
 /// Future returned by [`Receiver::recv_async`]. Resolves to the next item,
@@ -93,32 +92,24 @@ impl<T: Send, R: Ring> Drop for SendFuture<'_, T, R> {
     }
 }
 
-struct ThreadWaker(std::thread::Thread);
-
-impl Wake for ThreadWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.0.unpark();
-    }
-}
-
 /// Drives one future to completion on the current thread, parking between
-/// polls with [`std::thread::park`]: its token keeps a wake delivered
+/// polls as a blocked `recv` does: the park token keeps a wake delivered
 /// between poll and park, and a spurious return only costs one more poll.
 ///
 /// This is the minimal executor that makes the async API usable without a
 /// runtime dependency — suitable for tests, benches, and simple tools; a
 /// real application would hand the futures to its executor instead.
 pub fn block_on<F: Future>(future: F) -> F::Output {
-    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
+    let thread = ThreadWaker::current();
+    let waker = Waker::from(Arc::clone(&thread));
     let mut cx = Context::from_waker(&waker);
     let mut future = core::pin::pin!(future);
     loop {
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(out) => return out,
-            Poll::Pending => std::thread::park(),
+            Poll::Pending => {
+                thread.park(None);
+            }
         }
     }
 }

@@ -9,20 +9,21 @@
 //! 1. **Sync blocking layer** — [`Sender::send`] / [`Receiver::recv`] (plus
 //!    `try_*` and [`Receiver::recv_timeout`]), each one call of the crate's
 //!    single wait ladder (`wait.rs`, `WaitQueue::block_until`): attempt →
-//!    watch, or skip it after parked waits → prepare → attempt → park on an
-//!    [`EventCount`](lcrq_util::parker::EventCount). The watch spins on a
-//!    read-only readiness check (for `recv`, the queue's emptiness hint)
-//!    and attempts only when that says an attempt could succeed; it never
-//!    yields the CPU. A parked consumer
-//!    costs **zero** F&A — it touches no queue state until woken — and the
-//!    event-count's prepare/attempt/park protocol makes the park race-free
+//!    watch, or skip it after parked waits → register → attempt → park.
+//!    The watch spins on a read-only readiness check (for `recv`, the
+//!    queue's emptiness hint) and attempts only when that says an attempt
+//!    could succeed; it never yields the CPU. A parked consumer costs
+//!    **zero** F&A — it touches no queue state until woken — and
+//!    registering before the final attempt makes the park race-free
 //!    against concurrent sends (no lost wakeup; see DESIGN.md "Channel
 //!    layer").
 //! 2. **Executor-agnostic async layer** — [`Sender::send_async`] /
 //!    [`Receiver::recv_async`] futures and the `Stream`-shaped
 //!    [`Receiver::poll_recv`], each one call of the ladder's async twin
-//!    (`WaitQueue::poll_until`) over a FIFO waker registry. No runtime
-//!    dependency; any executor (or the bundled [`block_on`]) drives them.
+//!    (`WaitQueue::poll_until`). A blocked thread and a pending future wait
+//!    in the same FIFO waker registry, the thread with a waker that unparks
+//!    it. No runtime dependency; any executor (or the bundled [`block_on`])
+//!    drives them.
 //! 3. **Lifecycle** — `close()`/drop-based shutdown on the ring list's seal
 //!    ([`RingList::close`](lcrq_core::RingList::close)): every send accepted
 //!    before it is received exactly once, and none is accepted after it,
@@ -145,11 +146,19 @@ impl<T: Send, R: Ring> Shared<T, R> {
     /// enqueue, then wake one consumer. Failures hand the value back.
     fn try_send_inner(&self, value: T) -> Result<(), TrySendError<T>> {
         if self.capacity.is_some() && self.credit.acquire(1) == 0 {
-            return Err(if self.queue.is_closed() {
-                TrySendError::Closed(value)
-            } else {
-                TrySendError::Full(value)
-            });
+            if self.queue.is_closed() {
+                return Err(TrySendError::Closed(value));
+            }
+            // A refused attempt overdraws the gate for a moment, and an
+            // attempt that falls into that moment is refused beside room
+            // it could not see. If that was a waiter's attempt after
+            // registering, or the one a receiver's wake was for, nobody is
+            // left to wake it. So a refusal looks back: room now means one
+            // waiting sender is woken (perhaps this caller) to take it.
+            if self.credit.has_room() {
+                self.not_full.notify_one();
+            }
+            return Err(TrySendError::Full(value));
         }
         match self.queue.try_enqueue(value) {
             Ok(()) => {
@@ -336,16 +345,7 @@ impl<T: Send, R: Ring> Sender<T, R> {
     /// Nonblocking send: fails with [`TrySendError::Full`] instead of
     /// waiting when a bounded channel is at capacity.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let sent = self.shared.try_send_inner(value);
-        // A refused attempt overdraws the gate for a moment, and a sender
-        // whose last attempt before parking fell into that moment sleeps
-        // beside room it could not see. Every other refused attempt is
-        // retried by its caller and takes that room itself; this one is
-        // not, so it wakes that sender on its way out.
-        if matches!(sent, Err(TrySendError::Full(_))) && self.shared.credit.has_room() {
-            self.shared.not_full.notify_one();
-        }
-        sent
+        self.shared.try_send_inner(value)
     }
 
     /// Sends every value of `values` through the core's multi-slot batch
@@ -478,7 +478,7 @@ pub struct Receiver<T: Send, R: Ring = Crq> {
 impl<T: Send, R: Ring> Receiver<T, R> {
     /// Receives the next item, blocking while the channel is empty. The
     /// wait ladder escalates attempt → watch (skipped after parked waits) →
-    /// prepare → attempt → park; the watch spins on a read-only emptiness
+    /// register → attempt → park; the watch spins on a read-only emptiness
     /// check, and a parked receiver performs no queue operations (zero F&A)
     /// until a sender wakes it. Fails only when the channel is closed
     /// **and** drained.
@@ -496,8 +496,8 @@ impl<T: Send, R: Ring> Receiver<T, R> {
     }
 
     /// [`recv`](Self::recv) with a deadline: waits at most `timeout` for an
-    /// item. The parked phase wakes exactly at the deadline (condvar
-    /// timeout), so an idle wait performs a bounded number of queue polls —
+    /// item. The parked phase wakes exactly at the deadline (a timed park),
+    /// so an idle wait performs a bounded number of queue polls —
     /// independent of the timeout length — and zero F&A while parked.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
@@ -1034,7 +1034,7 @@ mod tests {
     /// F&As a `recv()` performs on its own thread when it finds the channel
     /// empty, climbs the whole ladder, parks once, and is then sent one
     /// item: the inline attempt takes the paper's path (the head ticket and
-    /// `fixState`'s two reads, 3), the attempt after `prepare` follows that
+    /// `fixState`'s two reads, 3), the attempt after registering follows that
     /// EMPTY on the same ring and proves it read-only (0), and the one after
     /// the wake takes the item (1). The watch between them reads the
     /// emptiness hint and attempts nothing: 3 + 0 + 1. This is the ladder's

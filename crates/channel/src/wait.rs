@@ -5,39 +5,38 @@
 //! attempt.
 //!
 //! A [`WaitQueue`] holds the waiters of one condition ("not empty" / "not
-//! full"): threads parked on an [`EventCount`] and futures parked in a
-//! [`WakerRegistry`], notified together. A producer cannot know whether the
-//! consumer it is about to unblock is a thread or a future, so each notify
-//! fans out to both sides. A spurious notification to the wrong side is
-//! harmless — both protocols re-attempt the real condition on wakeup —
-//! while a missed one would hang a consumer, so the fan-out errs on the
-//! side of waking.
+//! full") in one [`WakerRegistry`]. A blocked thread waits there the way a
+//! pending future does, with a waker that unparks it, so a notify is one
+//! wake of one list, made after the registry's lock is released.
 //!
-//! Both shapes close the lost-wakeup window the same way: the waiter makes
-//! itself visible (`prepare` / `register`) *before* its last attempt, and
-//! the notifier makes the condition true *before* it looks for waiters.
-//! Either the last attempt sees the condition or the notifier sees the
-//! waiter (DESIGN.md "Channel layer" has the interleaving argument;
-//! `tests/loom.rs` and `lcrq-util`'s loom suite model-check it).
+//! The lost-wakeup window is closed once, for both shapes: the waiter
+//! registers *before* its final attempt, and the notifier makes the
+//! condition true *before* it looks for waiters. Either the final attempt
+//! sees the condition or the notifier sees the registration (DESIGN.md
+//! "Channel layer" has the interleaving argument; `tests/loom.rs`
+//! model-checks it). A woken waiter attempts again; one that gives up
+//! instead ([`WaitQueue::release`]) passes on a wake it was already sent.
 //!
 //! Before a thread parks it *watches*: it spins on a read-only readiness
 //! check and makes a real attempt only when the check says one could
 //! succeed. An attempt on an empty queue is not free — the paper's dequeue
 //! takes a head ticket with F&A, burns the node and repairs `tail` — and a
 //! watch costs none of that. The watch is an optimisation only: whatever it
-//! sees, the prepare → attempt → park phase after it decides, so a wrong
+//! sees, the register → attempt → park phase after it decides, so a wrong
 //! hint makes a wait slower, never stranded. A queue whose waits keep
 //! ending in a park skips the watch (every `PROBE_EVERY`th such wait
 //! watches again, to notice when spinning pays once more).
 
 use core::hint::spin_loop;
-use core::task::{Context, Poll};
+use core::task::{Context, Poll, Waker};
+use std::sync::Arc;
 use std::time::Instant;
 
-use lcrq_util::parker::EventCount;
+use lcrq_util::fault::{self, Site};
+use lcrq_util::metrics::{self, Event};
 use lcrq_util::sync::{AtomicU32, Ordering};
 
-use crate::waker::{Registration, WakerRegistry};
+use crate::waker::{Registration, ThreadWaker, WakerRegistry};
 
 /// Steps of the watch, one PAUSE and one readiness check each: about 2 µs
 /// on a 2-hardware-thread x86 host, the span of the backoff ladder the
@@ -56,9 +55,7 @@ const PROBE_EVERY: u32 = 16;
 /// Waiters for one condition of the channel ("not empty" / "not full").
 #[derive(Default)]
 pub struct WaitQueue {
-    /// Blocking-side waiters (`send`/`recv`/`recv_timeout`).
-    evc: EventCount,
-    /// Async-side waiters (`send_async`/`recv_async`/`poll_recv`).
+    /// Every waiter: blocked threads and pending futures alike.
     wakers: WakerRegistry,
     /// How many waits in a row parked: 0 after a wait that obtained its
     /// value inside the watch, +1 for each wait that reached the park. A
@@ -68,24 +65,22 @@ pub struct WaitQueue {
 }
 
 impl WaitQueue {
-    /// Wakes one waiter on each side (one item's worth of wake tokens).
+    /// Wakes one waiter (one item's worth of wake token).
     pub fn notify_one(&self) {
-        self.evc.notify_one();
         self.wakers.wake_one();
     }
 
-    /// Wakes every waiter on both sides (shutdown, batch production).
+    /// Wakes every waiter (shutdown, batch production).
     pub fn notify_all(&self) {
-        self.evc.notify_all();
         self.wakers.wake_all();
     }
 
     /// The wait ladder: calls `attempt` until it yields a value — at once,
     /// then during the watch whenever `ready` says it could, then after
-    /// `prepare`, then after each notify that ends a park on the event
-    /// count — and returns `None` once `deadline` has passed (never, without
-    /// one; the clock is then never read). A parked thread makes no
-    /// attempt, so it touches nothing of the caller's.
+    /// registering, then after each park — and returns `None` once
+    /// `deadline` has passed (never, without one; the clock is then never
+    /// read). A parked thread makes no attempt, so it touches nothing of
+    /// the caller's.
     ///
     /// `ready` must not write shared memory (no F&A, no CAS; publishing the
     /// caller's own hazard slot is fine): it is the cheap look the watch
@@ -127,25 +122,55 @@ impl WaitQueue {
                 }
             }
         }
+        // Park: the async shape, with this thread as the waker.
+        let thread = ThreadWaker::current();
+        let waker = Waker::from(Arc::clone(&thread));
+        let mut reg = None;
         let mut parked = false;
         loop {
-            // Prepare before the final attempt (see the module docs). A
-            // woken waiter comes back here and attempts before the clock is
-            // looked at: the wake may be the only one sent for an item, and
-            // a waiter that let its timeout win would swallow it.
-            let ticket = self.evc.prepare();
-            if let Some(v) = attempt() {
-                self.evc.cancel(ticket);
+            if let Some(v) = self.register_then_attempt(&mut reg, &waker, &mut attempt) {
                 return Some(v);
             }
             if !parked {
                 parked = true;
                 self.parked_in_a_row.fetch_add(1, Ordering::Relaxed);
             }
-            if !self.evc.wait_until(ticket, deadline) {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
+                self.release(&mut reg);
                 return None;
             }
+            // Fail point in the register → park window: a delay here is a
+            // waiter whose wake lands before it sleeps.
+            let _ = fault::inject(Site::ChannelPark);
+            let woken = thread.park(left);
+            if !woken && deadline.is_none_or(|d| Instant::now() < d) {
+                metrics::inc(Event::WakeSpurious);
+            }
+            // Re-poll, as `poll_until` does. The attempt comes before the
+            // clock is looked at: the wake may be the only one sent for an
+            // item, and a waiter that let its timeout win would swallow it.
+            if let Some(r) = reg.take() {
+                self.wakers.deregister(r);
+            }
+            if let Some(v) = attempt() {
+                return Some(v);
+            }
         }
+    }
+
+    /// Registers `waker` in `reg`, then makes the final attempt (see the
+    /// module docs); gives the registration up again if it succeeds.
+    fn register_then_attempt<V>(
+        &self,
+        reg: &mut Option<Registration>,
+        waker: &Waker,
+        attempt: &mut impl FnMut() -> Option<V>,
+    ) -> Option<V> {
+        *reg = Some(self.wakers.register(waker));
+        let v = attempt()?;
+        self.release(reg);
+        Some(v)
     }
 
     /// The async twin of [`block_until`](Self::block_until): one poll of a
@@ -165,24 +190,19 @@ impl WaitQueue {
         if let Some(v) = attempt() {
             return Poll::Ready(v);
         }
-        *reg = Some(self.wakers.register(cx.waker()));
-        // Register before the final attempt (see the module docs).
-        match attempt() {
-            Some(v) => {
-                self.release(reg);
-                Poll::Ready(v)
-            }
+        match self.register_then_attempt(reg, cx.waker(), &mut attempt) {
+            Some(v) => Poll::Ready(v),
             None => Poll::Pending,
         }
     }
 
-    /// Gives up `reg` (a future completed or was dropped). If a `wake_one`
-    /// already consumed the registration, the wake is passed on: it was one
-    /// item's only token on the async side, and this future will not act on
-    /// it — or, completing on the attempt that raced the registration, may
-    /// have taken an earlier item than the one the token was sent for. The
-    /// next waiter finding nothing is harmless; finding nobody awake beside
-    /// a queued item is not.
+    /// Gives up `reg` (a waiter completed, timed out, or was dropped). If a
+    /// `wake_one` already consumed the registration, the wake is passed on:
+    /// it was one item's only token, and this waiter will not act on it —
+    /// or, completing on the attempt that raced the registration, may have
+    /// taken an earlier item than the one the token was sent for. The next
+    /// waiter finding nothing is harmless; finding nobody awake beside a
+    /// queued item is not.
     pub fn release(&self, reg: &mut Option<Registration>) {
         if let Some(reg) = reg.take() {
             if !self.wakers.deregister(reg) {
@@ -210,6 +230,51 @@ impl WaitQueue {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    #[test]
+    fn a_notified_park_counts_no_spurious_wake() {
+        // `send` wakes the receiver through `notify_one`, `send_batch`
+        // through `notify_all`, which leaves its registration queued.
+        for batch in [false, true] {
+            notified_park_round(batch);
+        }
+    }
+
+    fn notified_park_round(batch: bool) {
+        // A send that lands before the park ends the wait without one, so
+        // such a round (Park == 0) says nothing; the sleep makes them rare.
+        for _ in 0..20 {
+            let (tx, rx) = crate::channel::<u64>();
+            let not_empty = &tx.shared.not_empty.wakers;
+            let receiver = std::thread::spawn(move || {
+                let before = metrics::local_snapshot();
+                assert_eq!(rx.recv(), Ok(7));
+                metrics::local_snapshot().delta_since(&before)
+            });
+            while not_empty.registered_count() == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(10));
+            let before = metrics::local_snapshot();
+            if batch {
+                tx.send_batch(vec![7]).unwrap();
+            } else {
+                tx.send(7).unwrap();
+            }
+            let sent = metrics::local_snapshot().delta_since(&before);
+            let d = receiver.join().unwrap();
+            if d.get(Event::Park) == 1 {
+                assert_eq!(d.get(Event::WakeSpurious), 0, "batch {batch}: a wake");
+                assert_eq!(
+                    sent.get(Event::Unpark),
+                    1,
+                    "batch {batch}: one waiter woken"
+                );
+                return;
+            }
+        }
+        panic!("batch {batch}: the receiver never parked ahead of the send");
+    }
 
     fn soon() -> Option<Instant> {
         Some(Instant::now() + Duration::from_millis(1))

@@ -1,26 +1,78 @@
-//! The waker registry: the async analogue of the event count.
+//! The waker registry: the channel's one list of waiters.
 //!
-//! Each pending future parks a clone of its [`Waker`] here, in a FIFO
-//! behind one mutex. Producers wake the oldest entry ([`wake_one`], which
-//! consumes it) or all of them ([`wake_all`], which leaves them in place);
-//! a future that completes or is dropped removes its own entry by id.
+//! Every waiter parks a clone of its [`Waker`] here, in a FIFO behind one
+//! mutex: a pending future its task's waker, a blocked thread a
+//! [`ThreadWaker`] that unparks it. Producers wake the oldest entry
+//! ([`wake_one`], which consumes it) or all of them ([`wake_all`], which
+//! leaves them in place); a waiter that completes, gives up or is dropped
+//! removes its own entry by id.
 //!
-//! A mutex is enough because only futures ever take it: a channel used
-//! through the blocking API never registers, so `registered` stays zero and
-//! every `wake_*` a producer issues is that one load. The two rules that
-//! keep the lock harmless when futures *are* in play: no waker is woken or
+//! The lock is taken only while someone waits: with nobody registered,
+//! `registered` is zero and every `wake_*` a producer issues is that one
+//! load. The rules that keep the lock harmless: no waker is woken or
 //! dropped while it is held (a waker may poll its task inline and re-enter
-//! [`register`]), and `registered` is republished before every unlock, so
-//! whoever takes the lock next finds it equal to the FIFO's length.
+//! [`register`]), `registered` is republished before every unlock, so
+//! whoever takes the lock next finds it equal to the FIFO's length, and a
+//! registry with one waiter or none holds no heap: the oldest entry sits
+//! outside the deque, and an emptied deque gives its buffer back.
 //!
 //! [`register`]: WakerRegistry::register
 //! [`wake_one`]: WakerRegistry::wake_one
 //! [`wake_all`]: WakerRegistry::wake_all
 
+use core::sync::atomic::AtomicBool;
 use core::task::Waker;
 use std::collections::VecDeque;
+use std::sync::Arc;
+use std::task::Wake;
+use std::time::Duration;
 
+use lcrq_util::metrics::{self, Event};
+use lcrq_util::sync::thread::{self, Thread};
 use lcrq_util::sync::{AtomicUsize, Mutex, Ordering};
+
+/// A waker that unparks the thread that made it.
+pub(crate) struct ThreadWaker {
+    thread: Thread,
+    /// Set by every wake; [`park`](Self::park) clears it to tell a wake
+    /// from a timeout or a spurious return. Only the `WakeSpurious` count
+    /// reads it, so it is a plain atomic the model checker does not
+    /// schedule.
+    woken: AtomicBool,
+}
+
+impl Wake for ThreadWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.woken.store(true, Ordering::Relaxed);
+        self.thread.unpark();
+    }
+}
+
+impl ThreadWaker {
+    /// A waker for the calling thread (`Waker::from` it to register it).
+    pub(crate) fn current() -> Arc<Self> {
+        Arc::new(ThreadWaker {
+            thread: thread::current(),
+            woken: AtomicBool::new(false),
+        })
+    }
+
+    /// Parks the calling thread, which made `self`, until it is woken,
+    /// `timeout` passes, or spuriously; returns whether a wake came. The
+    /// park token keeps a wake delivered before the park: the park then
+    /// returns at once.
+    pub(crate) fn park(&self, timeout: Option<Duration>) -> bool {
+        metrics::inc(Event::Park);
+        match timeout {
+            None => thread::park(),
+            Some(timeout) => thread::park_timeout(timeout),
+        }
+        self.woken.swap(false, Ordering::Relaxed)
+    }
+}
 
 /// A handle to a registered waker: its id in the registry it came from.
 /// Redeemed by [`WakerRegistry::deregister`]; dropping it instead leaves
@@ -28,11 +80,46 @@ use lcrq_util::sync::{AtomicUsize, Mutex, Ordering};
 #[derive(Debug)]
 pub struct Registration(u64);
 
+/// The registered wakers, oldest first; ids ascend because they are handed
+/// out under the lock. The oldest sits outside the deque, so one waiter — a
+/// blocked consumer, the common case — costs the registry no heap.
 #[derive(Default)]
 struct Fifo {
-    /// Oldest first; ids ascend because they are handed out under the lock.
-    entries: VecDeque<(u64, Waker)>,
+    oldest: Option<(u64, Waker)>,
+    /// The rest; empty whenever `oldest` is.
+    younger: VecDeque<(u64, Waker)>,
     next_id: u64,
+}
+
+impl Fifo {
+    fn len(&self) -> usize {
+        usize::from(self.oldest.is_some()) + self.younger.len()
+    }
+
+    fn push(&mut self, entry: (u64, Waker)) {
+        match self.oldest {
+            None => self.oldest = Some(entry),
+            Some(_) => self.younger.push_back(entry),
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, Waker)> {
+        let oldest = self.oldest.take();
+        self.oldest = self.younger.pop_front();
+        oldest
+    }
+
+    fn remove(&mut self, id: u64) -> Option<(u64, Waker)> {
+        if self.oldest.as_ref().is_some_and(|e| e.0 == id) {
+            return self.pop();
+        }
+        let at = self.younger.iter().position(|e| e.0 == id)?;
+        self.younger.remove(at)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(u64, Waker)> {
+        self.oldest.iter().chain(&self.younger)
+    }
 }
 
 /// Registry of wakers for futures pending on one condition ("not empty" or
@@ -40,25 +127,29 @@ struct Fifo {
 #[derive(Default)]
 pub(crate) struct WakerRegistry {
     fifo: Mutex<Fifo>,
-    /// `fifo.entries.len()`, readable without the lock: `wake_*` with zero
+    /// `fifo.len()`, readable without the lock: `wake_*` with zero
     /// registered is a single load — the producer fast path.
     registered: AtomicUsize,
 }
 
 impl WakerRegistry {
-    /// Runs `f` on the locked FIFO and republishes its length before
-    /// unlocking. Every caller makes at most one push or remove, so a
-    /// poisoned lock still guards a consistent FIFO.
+    /// Runs `f` on the locked FIFO, frees an emptied deque's buffer, and
+    /// republishes the FIFO's length before unlocking. Every caller makes at
+    /// most one push or remove, so a poisoned lock still guards a
+    /// consistent FIFO.
     fn locked<V>(&self, f: impl FnOnce(&mut Fifo) -> V) -> V {
         let mut fifo = self.fifo.lock().unwrap_or_else(|e| e.into_inner());
         let out = f(&mut fifo);
-        self.registered.store(fifo.entries.len(), Ordering::SeqCst);
+        if fifo.younger.is_empty() {
+            fifo.younger = VecDeque::new();
+        }
+        self.registered.store(fifo.len(), Ordering::SeqCst);
         out
     }
 
-    /// Registers a clone of `waker`. The caller must re-poll its condition
-    /// *after* this returns (the registration is the async analogue of
-    /// `EventCount::prepare`; the re-poll closes the lost-wakeup window).
+    /// Registers a clone of `waker`. The caller must attempt its condition
+    /// *after* this returns: the registration makes it visible to
+    /// notifiers, and the attempt after it closes the lost-wakeup window.
     pub(crate) fn register(&self, waker: &Waker) -> Registration {
         // Fail point in the poll→register window: a delay here widens the
         // lost-wakeup race the mandatory re-poll exists to close.
@@ -67,7 +158,7 @@ impl WakerRegistry {
         self.locked(|fifo| {
             let id = fifo.next_id;
             fifo.next_id += 1;
-            fifo.entries.push_back((id, waker));
+            fifo.push((id, waker));
             Registration(id)
         })
     }
@@ -75,34 +166,31 @@ impl WakerRegistry {
     /// Removes a registration. Returns whether it was still there: `false`
     /// means a `wake_one` already consumed it — this future was sent a wake.
     pub(crate) fn deregister(&self, reg: Registration) -> bool {
-        let removed = self.locked(|fifo| {
-            let at = fifo.entries.iter().position(|(id, _)| *id == reg.0)?;
-            fifo.entries.remove(at)
-        });
-        removed.is_some()
+        self.locked(|fifo| fifo.remove(reg.0)).is_some()
     }
 
     /// Consumes and wakes the oldest registered waker, if any. One call per
-    /// item produced: each wake token lets one future re-poll.
+    /// item produced: each wake token lets one waiter re-poll.
     pub(crate) fn wake_one(&self) {
         if self.registered.load(Ordering::SeqCst) == 0 {
             return;
         }
-        if let Some((_, waker)) = self.locked(|fifo| fifo.entries.pop_front()) {
+        if let Some((_, waker)) = self.locked(Fifo::pop) {
+            metrics::inc(Event::Unpark);
             waker.wake();
         }
     }
 
     /// Wakes every registered waker **without consuming registrations**:
-    /// used at shutdown, when every pending future must re-poll and observe
-    /// the closed channel. Futures deregister themselves on completion.
+    /// used at shutdown and after a batch, when every waiter must re-poll.
+    /// Waiters deregister themselves when they re-poll or give up.
     pub(crate) fn wake_all(&self) {
         if self.registered.load(Ordering::SeqCst) == 0 {
             return;
         }
         // Cloned under the lock, woken after it is released.
-        let wakers: Vec<Waker> =
-            self.locked(|fifo| fifo.entries.iter().map(|(_, w)| w.clone()).collect());
+        let wakers: Vec<Waker> = self.locked(|fifo| fifo.iter().map(|(_, w)| w.clone()).collect());
+        metrics::add(Event::Unpark, wakers.len() as u64);
         for waker in wakers {
             waker.wake();
         }

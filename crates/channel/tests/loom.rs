@@ -5,13 +5,14 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p lcrq-channel --test loom -q
 //! ```
 //!
-//! **The async half of the wait protocol** (`WaitQueue::poll_until` /
-//! `release` over the FIFO waker registry). The blocking half
-//! (`block_until`) is the `EventCount` protocol, which `lcrq-util`'s loom
-//! suite checks, behind a read-only watch, which the gate models below run
-//! whole. Here the condition is a facade `AtomicBool` standing in for
-//! "the queue has an item", and a lost wakeup is a future left `Pending`
-//! whose waker nobody woke.
+//! **The wait protocol in both its shapes** over the one FIFO waker
+//! registry: a future (`WaitQueue::poll_until` / `release`) and a blocked
+//! thread (`block_until`, which registers a waker that unparks it, makes
+//! its final attempt, and parks on the model's park token). The condition
+//! is a facade `AtomicBool` standing in for "the queue has an item". A
+//! lost wakeup is a future left `Pending` whose waker nobody woke, or a
+//! thread parked with nobody left to unpark it, which the checker reports
+//! as a deadlock.
 //!
 //! **The bounded channel's capacity gate** (`Credit`: `sent` and a copy of
 //! `received` on the senders' line, `received` on the receivers'). A
@@ -85,6 +86,55 @@ fn poll_model(reattempt: bool) -> Report {
     })
 }
 
+/// A `block_until` waiter races "raise the flag; `notify_one`". With
+/// `late` set the waiter is the planted bug: its watch never attempts and
+/// its attempt after `register` (its second) is blind, so it parks on what
+/// it saw before it registered. A spurious wake would end the bug's hang,
+/// so its twin runs without one.
+fn block_model(late: bool) -> Report {
+    Builder {
+        spurious_wakes: if late { 0 } else { 1 },
+        ..Builder::new()
+    }
+    .check(move || {
+        let wq = Arc::new(WaitQueue::default());
+        let flag = Arc::new(AtomicBool::new(false));
+        let (wq2, flag2) = (Arc::clone(&wq), Arc::clone(&flag));
+        let waiter = thread::spawn(move || {
+            let mut attempts = 0;
+            let ready = || !late && raised(&flag2).is_some();
+            let attempt = || {
+                attempts += 1;
+                raised(&flag2).filter(|()| !(late && attempts == 2))
+            };
+            wq2.block_until(None, ready, attempt)
+        });
+        flag.store(true, Ordering::SeqCst);
+        wq.notify_one();
+        assert_eq!(waiter.join().unwrap(), Some(()));
+    })
+}
+
+/// Two threads block on the flag; `notify_all` after raising it must
+/// release both.
+fn notify_all_model() -> Report {
+    Builder::new().check(|| {
+        let wq = Arc::new(WaitQueue::default());
+        let flag = Arc::new(AtomicBool::new(false));
+        let waiters = [0, 1].map(|_| {
+            let (wq, flag) = (Arc::clone(&wq), Arc::clone(&flag));
+            thread::spawn(move || {
+                wq.block_until(None, || raised(&flag).is_some(), || raised(&flag))
+            })
+        });
+        flag.store(true, Ordering::SeqCst);
+        wq.notify_all();
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), Some(()));
+        }
+    })
+}
+
 /// Two futures are `Pending`; one notify races the cancellation of the
 /// older (which `wake_one` picks first).
 fn cancel_model(release: Release) -> Report {
@@ -137,34 +187,36 @@ impl OneSlot {
         })
     }
 
-    /// `Shared::try_send_inner` once room was granted.
-    fn put(&self) {
-        assert_eq!(
-            self.in_flight.fetch_add(1, Ordering::SeqCst),
-            0,
-            "over capacity: admitted beside an item still in flight"
-        );
-        self.not_empty.notify_one();
+    /// `Shared::try_send_inner`: one attempt. `look_back` is a refused
+    /// attempt's look for room on its way out.
+    fn attempt(&self, acquire: Acquire, look_back: bool) -> Option<()> {
+        if acquire(&self.credit, 1) == 1 {
+            assert_eq!(
+                self.in_flight.fetch_add(1, Ordering::SeqCst),
+                0,
+                "over capacity: admitted beside an item still in flight"
+            );
+            self.not_empty.notify_one();
+            return Some(());
+        }
+        if look_back && self.credit.has_room() {
+            self.not_full.notify_one();
+        }
+        None
     }
 
     /// `Sender::send`.
-    fn send(&self, acquire: Acquire) {
-        let room = || (acquire(&self.credit, 1) == 1).then_some(());
-        self.not_full
-            .block_until(None, || self.credit.has_room(), room);
-        self.put();
+    fn send(&self, acquire: Acquire, look_back: bool) {
+        self.not_full.block_until(
+            None,
+            || self.credit.has_room(),
+            || self.attempt(acquire, look_back),
+        );
     }
 
-    /// `Sender::try_send`; `wake` is its look for room on the way out of a
-    /// refusal. Returns whether the item went in.
-    fn try_send(&self, wake: bool) -> bool {
-        let granted = self.credit.acquire(1) == 1;
-        if granted {
-            self.put();
-        } else if wake && self.credit.has_room() {
-            self.not_full.notify_one();
-        }
-        granted
+    /// `Sender::try_send`. Returns whether the item went in.
+    fn try_send(&self, look_back: bool) -> bool {
+        self.attempt(Credit::acquire, look_back).is_some()
     }
 
     /// `Receiver::recv`.
@@ -180,8 +232,8 @@ impl OneSlot {
 
 /// A waiting sender makes an attempt of up to five counter accesses, a
 /// watch of two `has_room` looks (the model's watch is two steps long),
-/// and a second attempt before it parks: the gate models run to ≈ 12 k
-/// schedules each at the preemption bound (12,492 and 11,362).
+/// and a second attempt before it parks: the gate models run to 7,508,
+/// 8,614 and 16,011 schedules at the preemption bound.
 fn gate_builder() -> Builder {
     Builder {
         max_executions: 40_000,
@@ -190,13 +242,16 @@ fn gate_builder() -> Builder {
 }
 
 /// Two senders push one item each through the gate; the main thread takes
-/// both out.
+/// both out. The senders do not look back after a refusal: with two items
+/// no overdraft can hide room from a waiter, so the reload in `acquire` is
+/// all that keeps a sender from parking beside room, and its twin that
+/// trusts the copy is caught.
 fn gate_model(acquire: Acquire) -> Report {
     gate_builder().check(move || {
         let ch = OneSlot::new();
         let senders = [0, 1].map(|_| {
             let ch = Arc::clone(&ch);
-            thread::spawn(move || ch.send(acquire))
+            thread::spawn(move || ch.send(acquire, false))
         });
         ch.recv();
         ch.recv();
@@ -206,18 +261,29 @@ fn gate_model(acquire: Acquire) -> Report {
     })
 }
 
-/// The channel is full; a `try_send` that will be refused races a `send`
-/// and the receive that makes room for it. While the refused attempt's
-/// F&A stands, `sent` is one too high, and a sender whose last attempt
-/// falls into that moment parks beside an empty channel: nobody is left to
-/// notify it, unless the refused caller looks back (`wake`).
-fn refusal_model(wake: bool) -> Report {
+/// The channel is full; a refused attempt races a blocked `send` and the
+/// receive that makes room for it. While the refused attempt's F&A stands,
+/// `sent` is one too high, and an attempt that falls into that moment is
+/// refused beside room it could not see. A `send` whose attempt after
+/// registering is refused, or whose attempt after the receive's wake is,
+/// parks with nobody left to notify it — unless the refused caller looks
+/// back. The refused caller is a `try_send` (`blocking` false) or a second
+/// blocked `send`, which the receive's `notify_one` may pass over because
+/// it registered later.
+fn refusal_model(look_back: bool, blocking: bool) -> Report {
     gate_builder().check(move || {
         let ch = OneSlot::new();
-        assert!(ch.try_send(wake));
+        assert!(ch.try_send(look_back));
         let (trier, sender) = (Arc::clone(&ch), Arc::clone(&ch));
-        let trier = thread::spawn(move || trier.try_send(wake));
-        let sender = thread::spawn(move || sender.send(Credit::acquire));
+        let trier = thread::spawn(move || {
+            if blocking {
+                trier.send(Credit::acquire, look_back);
+                true
+            } else {
+                trier.try_send(look_back)
+            }
+        });
+        let sender = thread::spawn(move || sender.send(Credit::acquire, look_back));
         ch.recv();
         ch.recv();
         if trier.join().unwrap() {
@@ -252,6 +318,32 @@ fn poll_without_reattempt_is_caught_losing_the_wakeup() {
 }
 
 #[test]
+fn block_until_racing_a_notify_returns() {
+    let report = block_model(false);
+    assert!(
+        report.executions > 1,
+        "must explore >1 interleaving: {report:?}"
+    );
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+#[test]
+fn block_until_registering_after_its_final_attempt_is_caught_deadlocking() {
+    let msg = rejection(|| block_model(true));
+    assert!(msg.contains("deadlock"), "wrong failure: {msg}");
+}
+
+#[test]
+fn notify_all_releases_two_blocked_waiters() {
+    let report = notify_all_model();
+    assert!(
+        report.executions > 1,
+        "must explore >1 interleaving: {report:?}"
+    );
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+#[test]
 fn cancelling_a_woken_future_passes_the_wake_to_the_survivor() {
     let report = cancel_model(WaitQueue::release);
     assert!(
@@ -279,7 +371,7 @@ fn capacity_one_admits_one_at_a_time_and_strands_nobody() {
 
 #[test]
 fn refused_try_send_leaves_no_sender_asleep_beside_room() {
-    let report = refusal_model(true);
+    let report = refusal_model(true, false);
     assert!(
         report.executions > 1,
         "must explore >1 interleaving: {report:?}"
@@ -289,7 +381,23 @@ fn refused_try_send_leaves_no_sender_asleep_beside_room() {
 
 #[test]
 fn refusal_that_does_not_look_back_is_caught_stranding_a_sender() {
-    let msg = rejection(|| refusal_model(false));
+    let msg = rejection(|| refusal_model(false, false));
+    assert!(msg.contains("deadlock"), "wrong failure: {msg}");
+}
+
+#[test]
+fn two_blocked_senders_racing_a_receive_strand_nobody() {
+    let report = refusal_model(true, true);
+    assert!(
+        report.executions > 1,
+        "must explore >1 interleaving: {report:?}"
+    );
+    assert!(report.complete, "bounded space not exhausted: {report:?}");
+}
+
+#[test]
+fn blocked_refusal_that_does_not_look_back_is_caught_stranding_a_sender() {
+    let msg = rejection(|| refusal_model(false, true));
     assert!(msg.contains("deadlock"), "wrong failure: {msg}");
 }
 

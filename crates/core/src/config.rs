@@ -28,13 +28,6 @@ pub struct LcrqConfig {
     /// mechanism that makes LCRQ nonblocking).
     pub starvation_limit: u32,
 
-    /// Bounded-wait optimization (§4.1.1): a dequeuer that arrives before
-    /// its matching enqueuer spins up to this many iterations for the
-    /// enqueue transition instead of immediately performing an empty
-    /// transition (which would force both operations to retry). `0`
-    /// disables the optimization.
-    pub bounded_wait_spins: u32,
-
     /// Hierarchical cluster batching (LCRQ+H, §4.1.1). `None` = plain LCRQ.
     pub hierarchical: Option<HierarchicalConfig>,
 }
@@ -56,13 +49,12 @@ impl Default for HierarchicalConfig {
 }
 
 impl LcrqConfig {
-    /// Library default: `R = 2^12`, starvation limit 1024, bounded wait 128,
+    /// Library default: `R = 2^12`, starvation limit 1024,
     /// no hierarchical batching.
     pub fn new() -> Self {
         Self {
             ring_order: 12,
             starvation_limit: 1024,
-            bounded_wait_spins: 128,
             hierarchical: None,
         }
     }
@@ -86,12 +78,6 @@ impl LcrqConfig {
     /// Sets the starvation limit (minimum 1).
     pub fn with_starvation_limit(mut self, limit: u32) -> Self {
         self.starvation_limit = limit.max(1);
-        self
-    }
-
-    /// Sets the bounded-wait spin budget (0 disables).
-    pub fn with_bounded_wait(mut self, spins: u32) -> Self {
-        self.bounded_wait_spins = spins;
         self
     }
 

@@ -49,6 +49,12 @@ pub struct CrqClosed;
 /// Bit 63 of `tail`: the ring is closed to further enqueues.
 const CLOSED_BIT: u64 = 1 << 63;
 
+/// Bounded-wait optimization (§4.1.1): a dequeuer that arrives before its
+/// matching enqueuer spins up to this many iterations for the enqueue
+/// transition instead of immediately performing an empty transition (which
+/// would force both operations to retry).
+const BOUNDED_WAIT_SPINS: u32 = 128;
+
 /// A concurrent ring queue (bounded, closable). Most users want the
 /// unbounded [`Lcrq`](crate::Lcrq) built from a list of these.
 ///
@@ -70,7 +76,6 @@ pub struct Crq<P: FaaPolicy = HardwareFaa> {
     /// log2 of the ring size `R`.
     order: u32,
     starvation_limit: u32,
-    bounded_wait_spins: u32,
     _faa: PhantomData<P>,
 }
 
@@ -116,7 +121,6 @@ impl<P: FaaPolicy> Crq<P> {
             ring,
             order,
             starvation_limit: config.starvation_limit,
-            bounded_wait_spins: config.bounded_wait_spins,
             _faa: PhantomData,
         }
     }
@@ -220,7 +224,7 @@ impl<P: FaaPolicy> Crq<P> {
     #[inline(always)]
     fn take(&self, h: u64) -> Option<u64> {
         let node = self.node(h);
-        let mut spins = self.bounded_wait_spins;
+        let mut spins = BOUNDED_WAIT_SPINS;
         loop {
             metrics::inc(Event::NodeVisit);
             let view = node.read();
@@ -643,18 +647,6 @@ mod tests {
         // Drain whatever remains.
         while q.dequeue().is_some() {}
         assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn bounded_wait_disabled_still_correct() {
-        let cfg = small_config(10).with_bounded_wait(0);
-        let q: Crq = Crq::new(&cfg);
-        for i in 0..100 {
-            q.enqueue(i).unwrap();
-        }
-        for i in 0..100 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
     }
 
     #[test]

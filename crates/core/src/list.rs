@@ -785,8 +785,8 @@ mod tests {
         orders
     }
 
-    /// Sequential model check over random configurations: ring order,
-    /// starvation limit and bounded wait are drawn per round, then scalar,
+    /// Sequential model check over random configurations: ring order and
+    /// starvation limit are drawn per round, then scalar,
     /// batch and close steps run against a `VecDeque` plus a closed flag.
     /// Tiny rings
     /// and starvation limits make the sequence churn through many ring
@@ -800,8 +800,7 @@ mod tests {
             let q = RingList::<R>::with_config(
                 LcrqConfig::new()
                     .with_ring_order(1 + rng.next_below(7) as u32)
-                    .with_starvation_limit(1 + rng.next_below(63) as u32)
-                    .with_bounded_wait(rng.next_below(64) as u32),
+                    .with_starvation_limit(1 + rng.next_below(63) as u32),
             );
             let at = |step: usize| format!("round {round} step {step} (LCRQ_TEST_SEED={seed})");
             let mut model: VecDeque<u64> = VecDeque::new();

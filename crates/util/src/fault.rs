@@ -90,8 +90,10 @@ pub enum Site {
     HazardProtect,
     /// `Domain::scan`, before collecting hazards. `Fail` is ignored.
     HazardScan,
-    /// `EventCount::wait`, between the caller's final poll and going to
-    /// sleep — the lost-wakeup window. `Fail` is ignored.
+    /// The channel's blocked wait, between registering and parking (the
+    /// final attempt falls in between) — the lost-wakeup window. A `Stall`
+    /// here holds a registered waiter whose wake may land before it parks.
+    /// `Fail` is ignored.
     ChannelPark,
     /// The channel waker registry's `register`. `Fail` is ignored.
     WakerRegister,

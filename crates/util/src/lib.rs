@@ -14,7 +14,6 @@ pub mod hist;
 pub mod metrics;
 pub mod model;
 pub mod pad;
-pub mod parker;
 pub mod rng;
 pub mod spin;
 pub mod sync;
@@ -23,6 +22,5 @@ pub mod topology;
 pub use backoff::{set_wait_mode, wait_mode, Backoff, WaitMode};
 pub use hist::LatencyHistogram;
 pub use pad::CachePadded;
-pub use parker::EventCount;
 pub use rng::XorShift64Star;
 pub use topology::ClusterTopology;

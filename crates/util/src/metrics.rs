@@ -69,13 +69,15 @@ pub enum Event {
     BatchDequeue,
     /// Items removed through batched dequeue reservations.
     BatchDequeueItems,
-    /// A thread parked (blocked in the kernel) waiting for channel activity.
+    /// A thread parked (blocked in the kernel) waiting for channel activity:
+    /// one per park, counted before it.
     Park,
-    /// A parked thread was woken by a notifier.
+    /// A notifier woke a registered channel waiter (a parked thread or a
+    /// pending future): one per waker woken.
     Unpark,
-    /// A parked thread's condvar wait returned with the epoch unmoved and the
-    /// deadline not reached (a spurious condvar wakeup). Going to sleep is
-    /// not counted.
+    /// A channel waiter's park returned before its deadline with no wake
+    /// sent to its waker (a spurious return, or a park token left over
+    /// from an earlier wait's wake).
     WakeSpurious,
     /// A channel was closed (sender drop or explicit `close()`).
     ChannelClosed,

@@ -1,8 +1,7 @@
 //! An in-tree, loom-style model checker: bounded-exhaustive exploration of
 //! thread interleavings for the library's hand-rolled synchronization
-//! protocols (the seqlock CAS2 fallback, `parker::EventCount`, the list of
-//! rings' sealed close and kept hazard slots, the channel's wait and
-//! capacity protocols).
+//! protocols (the seqlock CAS2 fallback, the list of rings' sealed close
+//! and kept hazard slots, the channel's wait and capacity protocols).
 //!
 //! # Why in-tree
 //!
@@ -21,8 +20,8 @@
 //! # How it works
 //!
 //! Every instrumented operation — an access through the
-//! [`sync`] shim atomics, a [`sync::Mutex`] lock, a
-//! [`sync::Condvar`] wait/notify, a [`thread::spawn`]/join — is a
+//! [`sync`] shim atomics, a [`sync::Mutex`] lock, a [`thread::park`], a
+//! [`thread::spawn`]/join — is a
 //! *decision point*: the running thread pauses and the scheduler picks who
 //! runs next. Exactly one thread runs between decision points, so each
 //! execution is a deterministic function of the decision sequence. The
@@ -34,9 +33,9 @@
 //!
 //! Deadlock (every live thread blocked with nothing schedulable) is
 //! detected and reported with the schedule that produced it — this is how a
-//! lost wakeup manifests. Condvar waiters can additionally be woken
-//! *spuriously* (budgeted per execution), so protocols must tolerate
-//! spurious wakes to pass.
+//! lost wakeup manifests: a parked thread whose unpark token nobody sets.
+//! A park can additionally return *spuriously* (budgeted per execution), so
+//! protocols must tolerate spurious wakes to pass.
 //!
 //! Production builds are untouched: the [`crate::sync`] facade re-exports
 //! `core`/`std` primitives unless the crate is compiled with
@@ -49,16 +48,16 @@
 //!
 //! * Sequentially-consistent exploration only — see above for what covers
 //!   the rest.
-//! * Timed waits ([`sync::Condvar::wait_timeout`]) are modeled as untimed:
-//!   a model must be woken by a notify or a spurious wake, never by the
-//!   clock. Don't rely on timeouts inside a model.
+//! * Timed parks ([`thread::park_timeout`]) are modeled as untimed: a model
+//!   must be woken by an unpark or a spurious wake, never by the clock.
+//!   Don't rely on timeouts inside a model.
 //! * Exploration is bounded (preemption budget, step bound, execution cap);
 //!   [`Report::complete`] says whether the bounded space was exhausted.
 
 use core::sync::atomic::Ordering;
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// Sentinel for "no thread is scheduled" (all finished).
 const DONE: usize = usize::MAX;
@@ -76,7 +75,7 @@ pub struct Builder {
     /// Per-execution decision-point budget; an execution exceeding it is
     /// pruned (counted in [`Report::pruned`]) rather than failed.
     pub max_steps: usize,
-    /// Spurious condvar wakes the scheduler may inject per execution.
+    /// Spurious returns from `park` the scheduler may inject per execution.
     pub spurious_wakes: u32,
 }
 
@@ -219,8 +218,9 @@ enum Blocked {
     Flag(usize),
     /// Waiting for the model mutex at this address to be released.
     Mutex(usize),
-    /// Waiting on the model condvar at this address.
-    Condvar { addr: usize, notified: bool },
+    /// Parked ([`thread::park`]): schedulable once its unpark token is
+    /// set, or spuriously.
+    Park,
     /// Waiting for the thread with this id to finish.
     Join(usize),
     /// Finished.
@@ -236,6 +236,8 @@ enum Abort {
 
 struct ExecState {
     threads: Vec<Blocked>,
+    /// Each thread's unpark token (`std::thread::park`'s semantics).
+    tokens: Vec<bool>,
     current: usize,
     steps: usize,
     preempt_left: usize,
@@ -249,7 +251,7 @@ struct ExecState {
 
 struct Exec {
     st: StdMutex<ExecState>,
-    cv: StdCondvar,
+    cv: Condvar,
     handles: StdMutex<Vec<std::thread::JoinHandle<()>>>,
     max_steps: usize,
 }
@@ -290,10 +292,8 @@ impl Exec {
                 }
                 match b {
                     Blocked::No => options.push((tid, false)),
-                    Blocked::Condvar { notified: true, .. } => options.push((tid, false)),
-                    Blocked::Condvar {
-                        notified: false, ..
-                    } if st.spurious_left > 0 => options.push((tid, true)),
+                    Blocked::Park if st.tokens[tid] => options.push((tid, false)),
+                    Blocked::Park if st.spurious_left > 0 => options.push((tid, true)),
                     _ => {}
                 }
             }
@@ -334,6 +334,9 @@ impl Exec {
         }
         if spurious {
             st.spurious_left -= 1;
+        }
+        if st.threads[tid] == Blocked::Park {
+            st.tokens[tid] = false;
         }
         st.threads[tid] = Blocked::No;
         st.current = tid;
@@ -456,23 +459,21 @@ impl Exec {
         }
     }
 
-    /// Marks waiters on the condvar at `addr` notified (schedulable).
-    fn notify_condvar(&self, addr: usize, all: bool) {
-        let mut st = lock_st(self);
-        for b in st.threads.iter_mut() {
-            if let Blocked::Condvar {
-                addr: a,
-                notified: n @ false,
-            } = b
-            {
-                if *a == addr {
-                    *n = true;
-                    if !all {
-                        break;
-                    }
-                }
-            }
+    /// `me` parks: returns at once, through a decision point, if its token
+    /// is set (consuming it); otherwise blocks until an unpark sets it or
+    /// the scheduler wakes it spuriously.
+    fn park(&self, me: usize) {
+        let token = core::mem::take(&mut lock_st(self).tokens[me]);
+        if token {
+            self.switch(me);
+        } else {
+            self.block(me, Blocked::Park);
         }
+    }
+
+    /// Sets `tid`'s unpark token (not a decision point).
+    fn unpark(&self, tid: usize) {
+        lock_st(self).tokens[tid] = true;
     }
 }
 
@@ -496,6 +497,7 @@ where
     let exec = Arc::new(Exec {
         st: StdMutex::new(ExecState {
             threads: vec![Blocked::No],
+            tokens: vec![false],
             current: 0,
             steps: 0,
             preempt_left: b.preemption_bound,
@@ -505,7 +507,7 @@ where
             decisions: Vec::new(),
             abort: None,
         }),
-        cv: StdCondvar::new(),
+        cv: Condvar::new(),
         handles: StdMutex::new(Vec::new()),
         max_steps: b.max_steps,
     });
@@ -544,7 +546,8 @@ where
 // Modeled thread API
 // ---------------------------------------------------------------------------
 
-/// Modeled threads: spawn/join participate in the exploration.
+/// Modeled threads: spawn/join and park/unpark participate in the
+/// exploration.
 pub mod thread {
     use super::*;
 
@@ -589,6 +592,7 @@ pub mod thread {
         let tid = {
             let mut st = lock_st(&exec);
             st.threads.push(Blocked::No);
+            st.tokens.push(false);
             st.threads.len() - 1
         };
         let result: Arc<StdMutex<Option<std::thread::Result<T>>>> = Arc::new(StdMutex::new(None));
@@ -639,6 +643,54 @@ pub mod thread {
             std::thread::yield_now();
         }
     }
+
+    /// A handle for [`unpark`](Thread::unpark)ing a thread: the modeled
+    /// thread inside a model, `std`'s outside one.
+    #[derive(Clone)]
+    pub struct Thread {
+        std: std::thread::Thread,
+        model: Option<(Arc<Exec>, usize)>,
+    }
+
+    impl Thread {
+        /// Sets the thread's unpark token: its next [`park`] (or the one
+        /// it is blocked in) returns.
+        pub fn unpark(&self) {
+            match &self.model {
+                Some((exec, tid)) => exec.unpark(*tid),
+                None => self.std.unpark(),
+            }
+        }
+    }
+
+    /// The calling thread's handle.
+    pub fn current() -> Thread {
+        Thread {
+            std: std::thread::current(),
+            model: ctx(),
+        }
+    }
+
+    /// Blocks (schedulably) until the thread's unpark token is set, and
+    /// consumes it; may return spuriously within the
+    /// [`Builder::spurious_wakes`] budget. `std::thread::park` outside a
+    /// model.
+    pub fn park() {
+        match ctx() {
+            Some((exec, me)) => exec.park(me),
+            None => std::thread::park(),
+        }
+    }
+
+    /// [`park`] with a timeout. **Inside a model the timeout never fires**:
+    /// a modeled parker must be unparked or spuriously woken (module docs,
+    /// limits).
+    pub fn park_timeout(dur: std::time::Duration) {
+        match ctx() {
+            Some((exec, me)) => exec.park(me),
+            None => std::thread::park_timeout(dur),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -646,7 +698,7 @@ pub mod thread {
 // ---------------------------------------------------------------------------
 
 /// Drop-in instrumented stand-ins for `core::sync::atomic` and
-/// `std::sync::{Mutex, Condvar}`. Outside an active model execution they
+/// `std::sync::Mutex`. Outside an active model execution they
 /// delegate straight to the real primitives; inside one, every operation
 /// is a scheduler decision point. The atomic wrappers are
 /// `#[repr(transparent)]` over their `core` counterparts so pointer-cast
@@ -655,11 +707,7 @@ pub mod thread {
 pub mod sync {
     use super::{ctx, Blocked};
     pub use core::sync::atomic::Ordering;
-    use std::sync::{
-        Condvar as StdCondvar, LockResult, Mutex as StdMutex, MutexGuard as StdMutexGuard,
-        TryLockError,
-    };
-    use std::time::Duration;
+    use std::sync::{LockResult, Mutex as StdMutex, MutexGuard as StdMutexGuard, TryLockError};
 
     #[inline]
     fn decision_point() {
@@ -967,115 +1015,11 @@ pub mod sync {
             }
         }
     }
-
-    /// Result of [`Condvar::wait_timeout`] (mirrors `std`'s, which has no
-    /// public constructor).
-    #[derive(Clone, Copy, Debug)]
-    pub struct WaitTimeoutResult {
-        timed_out: bool,
-    }
-
-    impl WaitTimeoutResult {
-        /// Whether the wait ended by timeout rather than notify.
-        pub fn timed_out(&self) -> bool {
-            self.timed_out
-        }
-    }
-
-    /// Instrumented counterpart of `std::sync::Condvar`. Modeled waits can
-    /// be woken spuriously (budgeted); timed waits are modeled as untimed
-    /// (see the module docs on limits).
-    #[derive(Debug, Default)]
-    pub struct Condvar {
-        std: StdCondvar,
-    }
-
-    impl Condvar {
-        /// Creates the condvar (const, usable in statics).
-        pub const fn new() -> Self {
-            Self {
-                std: StdCondvar::new(),
-            }
-        }
-
-        fn addr(&self) -> usize {
-            self as *const _ as usize
-        }
-
-        /// Releases the guard's mutex, blocks until notified (or woken
-        /// spuriously by the scheduler), re-locks, and returns the guard.
-        pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-            if let Some((exec, me)) = ctx() {
-                let lock = guard.lock;
-                drop(guard); // releases the mutex and wakes its waiters
-                exec.block(
-                    me,
-                    Blocked::Condvar {
-                        addr: self.addr(),
-                        notified: false,
-                    },
-                );
-                lock.lock()
-            } else {
-                let lock = guard.lock;
-                let sg = guard.g.take().expect("guard taken");
-                drop(guard);
-                let g = self.std.wait(sg).unwrap_or_else(|p| p.into_inner());
-                Ok(MutexGuard { lock, g: Some(g) })
-            }
-        }
-
-        /// Like [`wait`](Self::wait) with a timeout. **Inside a model the
-        /// timeout never fires** — a modeled waiter must be notified or
-        /// spuriously woken (module docs, limits).
-        pub fn wait_timeout<'a, T>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-            dur: Duration,
-        ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-            if ctx().is_some() {
-                let g = self.wait(guard).unwrap_or_else(|p| p.into_inner());
-                Ok((g, WaitTimeoutResult { timed_out: false }))
-            } else {
-                let lock = guard.lock;
-                let sg = guard.g.take().expect("guard taken");
-                drop(guard);
-                let (g, r) = self
-                    .std
-                    .wait_timeout(sg, dur)
-                    .unwrap_or_else(|p| p.into_inner());
-                Ok((
-                    MutexGuard { lock, g: Some(g) },
-                    WaitTimeoutResult {
-                        timed_out: r.timed_out(),
-                    },
-                ))
-            }
-        }
-
-        /// Wakes one modeled waiter (std notify outside a model).
-        pub fn notify_one(&self) {
-            if let Some((exec, _)) = ctx() {
-                exec.notify_condvar(self.addr(), false);
-            } else {
-                self.std.notify_one();
-            }
-        }
-
-        /// Wakes every modeled waiter (std notify outside a model).
-        pub fn notify_all(&self) {
-            if let Some((exec, _)) = ctx() {
-                exec.notify_condvar(self.addr(), true);
-            } else {
-                self.std.notify_all();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::sync::{AtomicU64, Condvar, Mutex, Ordering};
+    use super::sync::{AtomicU64, Mutex, Ordering};
     use super::*;
     use std::sync::Arc;
 
@@ -1172,54 +1116,51 @@ mod tests {
         assert!(report.executions > 1);
     }
 
-    #[test]
-    fn correct_condvar_protocol_never_hangs() {
-        // while-loop predicate under the lock: the textbook-correct shape.
-        let report = Builder::new().check(|| {
-            let pair = Arc::new((Mutex::new(false), Condvar::new()));
-            let p2 = Arc::clone(&pair);
-            let waiter = thread::spawn(move || {
-                let (m, cv) = &*p2;
-                let mut flag = m.lock().unwrap();
-                while !*flag {
-                    flag = cv.wait(flag).unwrap();
-                }
-            });
-            let (m, cv) = &*pair;
-            *m.lock().unwrap() = true;
-            cv.notify_one();
-            waiter.join().unwrap();
+    /// The main thread waits for `flag` by parking; a second thread raises
+    /// it and unparks main if main has announced itself (`waiting`). With
+    /// `announce_first` main announces before it looks at the flag, the
+    /// protocol the channel's waiters follow; without it, it announces after
+    /// it looked, and the unpark can be skipped in between. Returns how many
+    /// times main parked.
+    fn park_model(announce_first: bool) -> u32 {
+        let flag = Arc::new(sync::AtomicBool::new(false));
+        let waiting = Arc::new(sync::AtomicBool::new(false));
+        let me = thread::current();
+        let (f2, w2) = (Arc::clone(&flag), Arc::clone(&waiting));
+        let notifier = thread::spawn(move || {
+            f2.store(true, Ordering::SeqCst);
+            if w2.load(Ordering::SeqCst) {
+                me.unpark();
+            }
         });
-        assert!(report.executions > 1);
+        let mut parks = 0;
+        loop {
+            if announce_first {
+                waiting.store(true, Ordering::SeqCst);
+            }
+            if flag.load(Ordering::SeqCst) {
+                break;
+            }
+            waiting.store(true, Ordering::SeqCst);
+            thread::park();
+            parks += 1;
+        }
+        notifier.join().unwrap();
+        parks
     }
 
     #[test]
     fn finds_lost_wakeup_in_unlocked_poll() {
-        // The classic bug: poll the flag *outside* the lock, then sleep.
-        // The notify can land between poll and sleep -> lost wakeup, which
-        // the model reports as a deadlock.
+        // Look, then announce, then park: the notifier can raise the flag
+        // and find nobody announced in between -> lost wakeup, which the
+        // model reports as a deadlock.
         let r = std::panic::catch_unwind(|| {
             Builder {
                 spurious_wakes: 0, // a spurious wake would mask the bug
                 ..Builder::new()
             }
             .check(|| {
-                let flag = Arc::new(AtomicU64::new(0));
-                let gate = Arc::new((Mutex::new(()), Condvar::new()));
-                let (f2, g2) = (Arc::clone(&flag), Arc::clone(&gate));
-                let waiter = thread::spawn(move || {
-                    if f2.load(Ordering::SeqCst) == 0 {
-                        let (m, cv) = &*g2;
-                        let guard = m.lock().unwrap();
-                        // BUG: flag may have been set + notified before we
-                        // got here; nothing re-checks under the lock.
-                        let _guard = cv.wait(guard).unwrap();
-                    }
-                });
-                flag.store(1, Ordering::SeqCst);
-                let (_, cv) = &*gate;
-                cv.notify_one();
-                waiter.join().unwrap();
+                park_model(false);
             });
         });
         let msg = panic_message(r.expect_err("model must find the lost wakeup").as_ref());
@@ -1228,31 +1169,16 @@ mod tests {
 
     #[test]
     fn spurious_wakeups_are_injected_within_budget() {
-        // A waiter that tolerates spurious wakes; count that at least one
-        // exploration actually injected one.
+        // Announce, then look, then park: never hangs. The unpark follows
+        // the flag, so a second park means the first one returned with the
+        // flag down and no token set: a spurious wake.
         use core::sync::atomic::AtomicUsize as RawUsize;
         let spurious_seen = Arc::new(RawUsize::new(0));
         let seen = Arc::clone(&spurious_seen);
         let report = Builder::new().check(move || {
-            let pair = Arc::new((Mutex::new(false), Condvar::new()));
-            let p2 = Arc::clone(&pair);
-            let seen = Arc::clone(&seen);
-            let waiter = thread::spawn(move || {
-                let (m, cv) = &*p2;
-                let mut flag = m.lock().unwrap();
-                let mut wakes = 0u32;
-                while !*flag {
-                    flag = cv.wait(flag).unwrap();
-                    wakes += 1;
-                }
-                if wakes > 1 {
-                    seen.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
-                }
-            });
-            let (m, cv) = &*pair;
-            *m.lock().unwrap() = true;
-            cv.notify_one();
-            waiter.join().unwrap();
+            if park_model(true) > 1 {
+                seen.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+            }
         });
         assert!(report.executions > 1);
         assert!(

@@ -14,12 +14,11 @@
 #[cfg(not(loom))]
 pub use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(loom))]
-pub use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use std::sync::Mutex;
 
 #[cfg(loom)]
 pub use crate::model::sync::{
-    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
-    WaitTimeoutResult,
+    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Mutex, Ordering,
 };
 
 /// What `lcrq_hazard::Domain::protect` and `lcrq_atomic`'s counted
@@ -83,11 +82,13 @@ impl<T, A: PtrCell<T>> PtrCell<T> for crate::CachePadded<A> {
     }
 }
 
-/// Thread shims: modeled spawn/join under `--cfg loom`, `std::thread`
-/// otherwise.
+/// Thread shims: modeled spawn/join and park/unpark under `--cfg loom`,
+/// `std::thread` otherwise.
 pub mod thread {
     #[cfg(loom)]
-    pub use crate::model::thread::{spawn, yield_now, JoinHandle};
+    pub use crate::model::thread::{
+        current, park, park_timeout, spawn, yield_now, JoinHandle, Thread,
+    };
     #[cfg(not(loom))]
-    pub use std::thread::{spawn, yield_now, JoinHandle};
+    pub use std::thread::{current, park, park_timeout, spawn, yield_now, JoinHandle, Thread};
 }

@@ -16,13 +16,13 @@ use lcrq_verify::{
     check_fifo, check_relaxed, check_tantrum, record, Completed, HistoryOp, Recording,
 };
 
-/// Builds randomized scripts: `threads` threads, each with `ops` operations,
-/// roughly half enqueues (values unique per thread) and half dequeues.
-fn scripts(seed: u64, threads: usize, ops: usize) -> Vec<Vec<Completed>> {
+/// Builds randomized scripts: 3 threads, each with 4 operations, roughly
+/// half enqueues (values unique per thread) and half dequeues.
+fn scripts(seed: u64) -> Vec<Vec<Completed>> {
     let mut rng = lcrq::util::XorShift64Star::new(seed);
-    (0..threads)
+    (0..3)
         .map(|t| {
-            (0..ops)
+            (0..4)
                 .map(|i| {
                     if rng.chance(55, 100) {
                         Completed::Enq(encode(t, i as u64))
@@ -35,48 +35,51 @@ fn scripts(seed: u64, threads: usize, ops: usize) -> Vec<Vec<Completed>> {
         .collect()
 }
 
-/// Records `rounds` histories of `kind` at `ring_order`, on 3 threads of
+/// Records `rounds` histories of a queue built from `spec`, on 3 threads of
 /// the scripts `script` builds from seed `stride.0 * round + stride.1`,
-/// and checks each with Wing–Gong.
-fn check_histories(
-    kind: QueueKind,
-    ring_order: u32,
+/// and checks each with `check` (Wing–Gong, or the relaxation checker).
+fn check_histories<T, E: std::fmt::Display>(
+    spec: &QueueSpec,
     rounds: u64,
     stride: (u64, u64),
     script: fn(u64) -> Vec<Vec<Completed>>,
+    check: impl Fn(&Recording) -> Result<T, E>,
 ) {
     for round in 0..rounds {
         // LCRQ_TEST_SEED pins every round to one script seed for replay.
         let script_seed = lcrq::util::rng::test_seed(round * stride.0 + stride.1);
-        let q = QueueSpec::backend(kind)
-            .with_ring_order(ring_order)
-            .with_clusters(2)
-            .build();
-        let rec = record(&q, &script(script_seed));
-        if let Err(e) = check_fifo(&rec) {
+        let rec = record(&spec.build(), &script(script_seed));
+        if let Err(e) = check(&rec) {
             panic!(
-                "{}: script seed {script_seed} produced a non-linearizable history \
+                "{spec}: script seed {script_seed} produced a history that fails its check \
                  (reproduce with LCRQ_TEST_SEED={script_seed}): {e}\n{:#?}",
-                kind.name(),
                 rec.ops
             );
         }
     }
 }
 
+/// `kind` at `ring_order`, on two clusters.
+fn backend(kind: QueueKind, ring_order: u32) -> QueueSpec {
+    QueueSpec::backend(kind)
+        .with_ring_order(ring_order)
+        .with_clusters(2)
+}
+
 /// Scalar scripts of 4 operations a thread on tiny rings (R = 16), which
 /// exercise CRQ switching.
 fn check_kind(kind: QueueKind, rounds: u64) {
-    check_histories(kind, 4, rounds, (7, 1), |seed| scripts(seed, 3, 4));
+    check_histories(&backend(kind, 4), rounds, (7, 1), scripts, check_fifo);
 }
 
-/// Randomized scripts mixing scalar and batch steps. Batches are small
-/// (2–4 items) so the expanded histories stay exhaustively checkable.
-fn batch_scripts(seed: u64, threads: usize, ops: usize) -> Vec<Vec<Completed>> {
+/// Randomized scripts mixing scalar and batch steps, 3 a thread on 3
+/// threads. Batches are small (2–4 items) so the expanded histories stay
+/// exhaustively checkable.
+fn batch_scripts(seed: u64) -> Vec<Vec<Completed>> {
     let mut rng = lcrq::util::XorShift64Star::new(seed);
-    (0..threads)
+    (0..3)
         .map(|t| {
-            (0..ops)
+            (0..3)
                 .map(|i| {
                     let base = encode(t, (i as u64) << 8);
                     match rng.next_below(4) {
@@ -94,11 +97,10 @@ fn batch_scripts(seed: u64, threads: usize, ops: usize) -> Vec<Vec<Completed>> {
         .collect()
 }
 
-/// Batch scripts of 3 steps a thread at `ring_order`.
+/// Batch scripts at `ring_order`.
 fn check_kind_batched(kind: QueueKind, ring_order: u32, rounds: u64) {
-    check_histories(kind, ring_order, rounds, (13, 3), |seed| {
-        batch_scripts(seed, 3, 3)
-    });
+    let spec = backend(kind, ring_order);
+    check_histories(&spec, rounds, (13, 3), batch_scripts, check_fifo);
 }
 
 #[test]
@@ -321,18 +323,9 @@ fn every_kind_is_covered_by_a_linearizability_test() {
 fn check_spec_relaxed(spec_str: &str, rounds: u64) {
     let spec = QueueSpec::parse(spec_str).unwrap();
     let bound = spec.rank_error_bound(3);
-    for seed in 0..rounds {
-        let script_seed = lcrq::util::rng::test_seed(seed * 11 + 5);
-        let q = spec.build();
-        let rec = record(&q, &scripts(script_seed, 3, 4));
-        if let Err(e) = check_relaxed(&rec, bound) {
-            panic!(
-                "{spec}: script seed {script_seed} violated the relaxed spec at bound \
-                 {bound} (reproduce with LCRQ_TEST_SEED={script_seed}): {e}\n{:#?}",
-                rec.ops
-            );
-        }
-    }
+    check_histories(&spec, rounds, (11, 5), scripts, |rec| {
+        check_relaxed(rec, bound)
+    });
 }
 
 #[test]
@@ -365,36 +358,16 @@ fn sharded_single_shard_histories_are_strictly_linearizable() {
     // shards=1 must add no relaxation at all: run the *strict* checker.
     let spec = QueueSpec::parse("sharded:shards=1,d=1,inner=lcrq:ring=4").unwrap();
     assert_eq!(spec.rank_error_bound(3), 0);
-    for seed in 0..20u64 {
-        let script_seed = lcrq::util::rng::test_seed(seed * 17 + 7);
-        let q = spec.build();
-        let rec = record(&q, &scripts(script_seed, 3, 4));
-        if let Err(e) = check_fifo(&rec) {
-            panic!(
-                "sharded(1): seed {script_seed} not linearizable \
-                 (reproduce with LCRQ_TEST_SEED={script_seed}): {e}\n{:#?}",
-                rec.ops
-            );
-        }
-    }
+    check_histories(&spec, 20, (17, 7), scripts, check_fifo);
 }
 
 #[test]
 fn sharded_batch_histories_satisfy_the_relaxed_specification() {
     let spec = QueueSpec::parse("sharded:shards=3,d=2,inner=lcrq:ring=2").unwrap();
     let bound = spec.rank_error_bound(3);
-    for seed in 0..20u64 {
-        let script_seed = lcrq::util::rng::test_seed(seed * 19 + 9);
-        let q = spec.build();
-        let rec = record(&q, &batch_scripts(script_seed, 3, 3));
-        if let Err(e) = check_relaxed(&rec, bound) {
-            panic!(
-                "{spec}: batch seed {script_seed} violated the relaxed spec at bound \
-                 {bound} (reproduce with LCRQ_TEST_SEED={script_seed}): {e}\n{:#?}",
-                rec.ops
-            );
-        }
-    }
+    check_histories(&spec, 20, (19, 9), batch_scripts, |rec| {
+        check_relaxed(rec, bound)
+    });
 }
 
 /// The bare CRQ is a *tantrum* queue: enqueues may return CLOSED. Record
@@ -408,7 +381,7 @@ fn crq_histories_satisfy_the_tantrum_specification() {
 
     for seed in 0..30u64 {
         let crq: Crq = Crq::new(&LcrqConfig::new().with_ring_order(2)); // R = 4
-        let scripts = scripts(seed + 1000, 3, 4);
+        let scripts = scripts(seed + 1000);
         let clock = AtomicU64::new(0);
         let log: Mutex<Vec<lcrq_verify::OpRecord>> = Mutex::new(Vec::new());
         let barrier = Barrier::new(scripts.len());
